@@ -61,7 +61,7 @@ from .hashing import (
     default_truncation,
     derive_key,
 )
-from .sketches import repetition_seeds
+from .sketches import count_tensor, fold_counts, repetition_seeds
 from .stream import EstimateReport, TupleKey, TupleStream
 
 Mask = np.ndarray  # uint8 0/1 vector over [1, n], index 0 <-> coordinate 1
@@ -643,9 +643,9 @@ class _BankRegistry:
     """Flat storage for every product-sketch repetition of a run.
 
     Rows are grouped by (prefix depth s, collapse depth s'); each row is
-    one repetition with its own prefix-mask tables and Cauchy tables.
-    Updates are vectorized across rows, so a pass costs O(distinct tuple
-    values x rows) regardless of how many logical banks exist.
+    one repetition with its own Cauchy tables, and each bank's prefix masks
+    are stored once with a row -> bank index. A flush folds the chunk's
+    count tensor into every group with ``fold_counts``.
     """
 
     def __init__(self, k: int, n: int, omega: float):
@@ -679,20 +679,14 @@ class _BankRegistry:
         """
         for key, entries in self._pending.items():
             s, s_prime = key
-            fams = self.k - s_prime
-            rows = self._rows[key]
-            prefix = np.empty((rows, s, self.n), dtype=np.float64)
-            seeds = np.empty(rows, dtype=np.uint64)
-            at = 0
-            for table, reps, seed in entries:
-                prefix[at : at + reps] = table
-                seeds[at : at + reps] = repetition_seeds(seed, reps)
-                at += reps
+            tables, reps, seeds = zip(*entries)
+            row_seeds = np.concatenate([repetition_seeds(sd, r) for sd, r in zip(seeds, reps)])
             self.groups[key] = {
-                "prefix": prefix,
-                "coeff": batched_cauchy_tables(seeds, fams, self.n, self.omega),
-                "joint": np.zeros(rows, dtype=np.float64),
-                "margins": np.zeros((rows, self.k), dtype=np.float64),
+                "prefix": np.stack(tables),
+                "bank": np.repeat(np.arange(len(entries), dtype=np.int32), reps),
+                "coeff": batched_cauchy_tables(row_seeds, self.k - s_prime, self.n, self.omega),
+                "joint": np.zeros(len(row_seeds), dtype=np.float64),
+                "margins": np.zeros((len(row_seeds), self.k), dtype=np.float64),
             }
         self._pending.clear()
         self.frozen = True
@@ -700,34 +694,10 @@ class _BankRegistry:
     def bulk_update(self, counts: Dict[TupleKey, int]):
         if not self.frozen:
             raise ConfigurationError("freeze the registry before streaming")
-        k = self.k
-        total = 0
-        for t, c in counts.items():
-            total += int(c)
-            for (s, sp), g in self.groups.items():
-                prefix, coeff = g["prefix"], g["coeff"]
-                sel = None
-                for j in range(s):
-                    col = prefix[:, j, t[j] - 1]
-                    sel = col if sel is None else sel * col
-                if sel is None:
-                    sel = 1.0
-                csel = None
-                for j in range(k - sp):
-                    col = coeff[:, j, t[sp + j] - 1]
-                    csel = col if csel is None else csel * col
-                joint_inc = sel * csel if csel is not None else sel
-                g["joint"] += float(c) * joint_inc
-                margins = g["margins"]
-                for j in range(k):
-                    x = t[j] - 1
-                    if j < sp:
-                        margins[:, j] += c * prefix[:, j, x]
-                    elif j < s:
-                        margins[:, j] += c * prefix[:, j, x] * coeff[:, j - sp, x]
-                    else:
-                        margins[:, j] += c * coeff[:, j - sp, x]
-        self.m_seen += total
+        N = count_tensor(counts, self.k, self.n)
+        for (_s, s_prime), g in self.groups.items():
+            fold_counts(N, g["prefix"], g["bank"], g["coeff"], g["joint"], g["margins"], s_prime)
+        self.m_seen += sum(int(c) for c in counts.values())
 
     def update(self, rec: TupleKey):
         self.bulk_update({tuple(int(x) for x in rec): 1})

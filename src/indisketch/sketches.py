@@ -52,6 +52,7 @@ from .stream import FrequencyTable, TupleKey
 from . import tensor as tensor_ops
 
 SKETCH_SCHEMA_VERSION = "product-sketch/1"
+FOLD_BLOCK = 1 << 16  # float64 elements per temporary of a fold (512 KiB)
 
 
 def family_seed(seed: int, rep: int, family: int) -> int:
@@ -247,6 +248,50 @@ def merge(a: ProductSketchState, b: ProductSketchState) -> ProductSketchState:
     return out
 
 
+def count_tensor(counts: Dict[TupleKey, int], k: int, n: int) -> np.ndarray:
+    """Dense float64 tensor over [n]^k of a chunk's tuple counts."""
+    idx = np.array(list(counts), dtype=np.int64).reshape(-1, k) - 1
+    flat = np.ravel_multi_index(tuple(idx.T), (n,) * k)
+    weights = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
+    return np.bincount(flat, weights, minlength=n**k).reshape((n,) * k)
+
+
+def fold_counts(N, prefix, bank, coeff, joint, margins, s_prime: int) -> None:
+    """Add a chunk's count tensor ``N`` to product-sketch rows in place.
+
+    ``prefix`` holds each bank's s masks (banks, s, n), ``bank`` the
+    nondecreasing bank of each row, ``coeff`` each row's k - s' Cauchy
+    tables (rows, k - s', n). By linearity this equals feeding each tuple
+    i ``N[i]`` times: each bank's masked counts, summed over the first s'
+    coordinates, meet its rows' tables, and margins use N's histograms.
+    Cost O(banks * n^k + rows * (n^(k-s') + k*n)); temporaries hold at
+    most FOLD_BLOCK floats or one n^k tensor.
+    """
+    k, n = N.ndim, N.shape[0]
+    s, fams = prefix.shape[1], coeff.shape[1]
+    hists = np.stack([N.sum(axis=tuple(a for a in range(k) if a != j)) for j in range(k)])
+    axes = "abcdefghijklmnopqrstuvwxy"[:k]
+    # the ones operand "z" carries the bank axis even when s = 0
+    spec = ",".join([axes, "z"] + ["z" + a for a in axes[:s]]) + "->z" + axes[s_prime:]
+    bank_step = max(1, FOLD_BLOCK // n**k)
+    row_step = max(1, FOLD_BLOCK // max(n**fams, k * n))
+    for b0 in range(0, len(prefix), bank_step):
+        P = prefix[b0 : b0 + bank_step]
+        folded = np.einsum(spec, N, np.ones(len(P)), *P.transpose(1, 0, 2))
+        masked = hists * np.concatenate([P, np.ones((len(P), k - s, n))], axis=1)
+        mass, tail = masked[:, :s_prime].sum(axis=2), masked[:, s_prime:]
+        lo, hi = np.searchsorted(bank, (b0, b0 + len(P)))
+        for r0 in range(lo, hi, row_step):
+            rows = slice(r0, min(r0 + row_step, hi))
+            local, C = bank[rows] - b0, coeff[rows]
+            x = np.take(folded, local, axis=0)
+            for j in reversed(range(fams)):
+                x = np.einsum("r...i,ri->r...", x, C[:, j])
+            joint[rows] += x
+            margins[rows, :s_prime] += np.take(mass, local, axis=0)
+            margins[rows, s_prime:] += np.einsum("rji,rji->rj", np.take(tail, local, axis=0), C)
+
+
 def _fingerprint(prefix, coeff) -> Tuple:
     def tab_key(tab):
         return tuple(float(v) for v in tab)
@@ -305,31 +350,15 @@ class SketchBank:
         self.bulk_update({tuple(int(x) for x in rec): 1})
 
     def bulk_update(self, counts: Dict[TupleKey, int]) -> None:
-        s, sp, k = self.s, self.s_prime, self.k
-        for t, c in counts.items():
-            if len(t) != k:
-                raise MalformedInputError(f"expected {k} coordinates, got {len(t)}")
+        for t in counts:
+            if len(t) != self.k:
+                raise MalformedInputError(f"expected {self.k} coordinates, got {len(t)}")
             for x in t:
                 if not 1 <= x <= self.n:
                     raise MalformedInputError(f"coordinate {x} outside [1, {self.n}]")
-            hprod = 1.0
-            for j in range(s):
-                hprod *= self.prefix[j, t[j] - 1]
-            if hprod != 0.0:
-                cprod = np.full(self.repetitions, float(c) * hprod)
-                for j in range(k - sp):
-                    cprod *= self.coeff[:, j, t[sp + j] - 1]
-                self.joint += cprod
-            for j in range(k):
-                x = t[j] - 1
-                if j < sp:
-                    self.margins[:, j] += c * self.prefix[j, x]
-                elif j < s:
-                    if self.prefix[j, x] != 0.0:
-                        self.margins[:, j] += c * self.prefix[j, x] * self.coeff[:, j - sp, x]
-                else:
-                    self.margins[:, j] += c * self.coeff[:, j - sp, x]
-            self.m_seen += int(c)
+        N, rows = count_tensor(counts, self.k, self.n), np.zeros(self.repetitions, np.int32)
+        fold_counts(N, self.prefix[None], rows, self.coeff, self.joint, self.margins, self.s_prime)
+        self.m_seen += sum(int(c) for c in counts.values())
 
     def values(self) -> np.ndarray:
         """Per-repetition sketch values m^(k-1)*joint - prod(margins)."""

@@ -11,6 +11,7 @@ from indisketch import (
     DenseTensor,
     EstimatorOverrides,
     LayerConfig,
+    ProductSketchState,
     StreamDistanceEstimator,
     TournamentConfig,
     TupleStream,
@@ -20,6 +21,7 @@ from indisketch import (
     dense_independence_tensor,
     dimension_reduce,
     exact_sub_oracles,
+    generate_synthetic,
     independence_distance,
     l1_norm,
     layered_l1_estimate,
@@ -27,7 +29,8 @@ from indisketch import (
     split_compare_ratio,
     tensor_tournament,
 )
-from indisketch.estimator import vector_sub_oracles
+from indisketch import sketches
+from indisketch.estimator import _BankRegistry, vector_sub_oracles
 from indisketch.hashing import ZeroOneHash
 
 
@@ -381,3 +384,75 @@ class TestPipeline:
             "bank_rows",
         ):
             assert key in d
+
+
+class TestFlushContraction:
+    """Registry rows after several flushes equal the scalar update rule."""
+
+    @pytest.mark.parametrize("block", [sketches.FOLD_BLOCK, 7])
+    @pytest.mark.parametrize("k,n", [(2, 4), (3, 3)])
+    def test_rows_match_scalar_states(self, k, n, block, monkeypatch):
+        banks, flushes = [], []
+        add_bank, bulk_update = _BankRegistry.add_bank, _BankRegistry.bulk_update
+
+        def recording_add(reg, prefix, s_prime, reps, seed):
+            handle = add_bank(reg, prefix, s_prime, reps, seed)
+            banks.append((handle, [np.array(h) for h in prefix], seed))
+            return handle
+
+        def counting_update(reg, counts):
+            flushes.append(len(counts))
+            bulk_update(reg, counts)
+
+        monkeypatch.setattr(_BankRegistry, "add_bank", recording_add)
+        monkeypatch.setattr(_BankRegistry, "bulk_update", counting_update)
+        monkeypatch.setattr(sketches, "FOLD_BLOCK", block)
+        ov = EstimatorOverrides(
+            amplification=1, rounds=1, eps_reps=3, polylog_reps=2, max_chunk=2
+        )
+        est = StreamDistanceEstimator(k, n, 0.3, 0.1, seed=1, overrides=ov)
+        recs = list(generate_synthetic("mixture(0.5)", k, n, 40, seed=3))
+        est.consume(recs)
+        reg = est.registry
+        assert len(flushes) > 5 and reg.m_seen == len(recs)
+        assert {h[0] for h, _, _ in banks} == set(reg.groups)
+        for (key, start, stop), prefix, seed in banks:
+            s, s_prime = key
+            g = reg.groups[key]
+            for r in range(stop - start):
+                st_ = ProductSketchState.from_seeds(
+                    k, n, s, s_prime, prefix, seed=seed, omega=reg.omega, rep=r
+                )
+                for rec in recs:
+                    st_.update(rec)
+                assert g["joint"][start + r] == pytest.approx(st_.joint, rel=1e-12)
+                assert g["margins"][start + r] == pytest.approx(st_.margins, rel=1e-12)
+
+
+class TestGoldenEstimates:
+    """Estimates pinned from the per-tuple flush rule; flush boundaries
+    must not move them."""
+
+    LEAN = EstimatorOverrides(amplification=3, rounds=2, eps_reps=64, polylog_reps=12)
+
+    @pytest.mark.parametrize(
+        "k,n,m,stream_seed,seed,lean,expected",
+        [
+            (2, 8, 400, 11, 5, False, 0.3608696225933265),
+            (2, 8, 400, 12, 6, False, 0.3155551203795471),
+            (3, 3, 150, 13, 7, True, 0.314966838847844),
+            (3, 3, 150, 14, 8, True, 0.3505178336580359),
+        ],
+    )
+    def test_mixture_estimates(self, k, n, m, stream_seed, seed, lean, expected):
+        recs = list(generate_synthetic("mixture(0.5)", k, n, m, seed=stream_seed))
+        base = self.LEAN if lean else EstimatorOverrides()
+        for chunk in (1, base.max_chunk):
+            rep = independence_distance(
+                TupleStream(k, n, recs),
+                0.3,
+                0.1,
+                seed=seed,
+                overrides=base.replace(max_chunk=chunk),
+            )
+            assert rep.distance_estimate == pytest.approx(expected, rel=1e-9)

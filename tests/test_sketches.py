@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from indisketch import (
     ConfigurationError,
     EmptyStreamError,
+    MalformedInputError,
     MergeIncompatibleError,
     ProductSketchState,
     SketchBank,
@@ -194,6 +195,33 @@ class TestBank:
             for r in recs:
                 st_.update(r)
             assert bank.values()[rep] == pytest.approx(st_.value())
+
+    @pytest.mark.parametrize(
+        "s,s_prime", [(s, sp) for s in range(4) for sp in range(s + 1)]
+    )
+    def test_every_depth_pair_matches_scalar_states(self, s, s_prime):
+        masks = [[1, 0, 1], [1, 1, 0], [0, 1, 1]][:s]
+        recs = [(1, 2, 3), (3, 1, 1), (1, 3, 2), (2, 2, 2), (1, 2, 3), (3, 3, 1)]
+        bank = SketchBank(3, 3, s, s_prime, masks, repetitions=5, seed=17)
+        for chunk in (recs[:4], recs[4:]):
+            counts = {}
+            for r in chunk:
+                counts[r] = counts.get(r, 0) + 1
+            bank.bulk_update(counts)
+        assert bank.m_seen == len(recs)
+        for rep in range(5):
+            st_ = ProductSketchState.from_seeds(3, 3, s, s_prime, masks, seed=17, rep=rep)
+            for r in recs:
+                st_.update(r)
+            assert bank.joint[rep] == pytest.approx(st_.joint, rel=1e-12)
+            assert bank.margins[rep] == pytest.approx(st_.margins, rel=1e-12)
+
+    def test_bulk_rejects_malformed_tuples(self):
+        bank = SketchBank(2, 3, 1, 0, [[1, 1, 0]], repetitions=4, seed=7)
+        for bad in ({(1, 2, 3): 1}, {(1, 4): 2}, {(0, 1): 1}):
+            with pytest.raises(MalformedInputError):
+                bank.bulk_update(bad)
+        assert bank.m_seen == 0 and not bank.joint.any()
 
     def test_bulk_equals_per_tuple(self):
         recs = [(1, 2), (1, 2), (3, 1), (2, 2), (1, 2)]
