@@ -47,12 +47,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    EmptyStreamError,
-    MalformedInputError,
-    SubAlgorithmError,
-)
+from .errors import ConfigurationError, EmptyStreamError, SubAlgorithmError
 from .hashing import (
     BucketHash,
     ZeroOneHash,
@@ -61,8 +56,8 @@ from .hashing import (
     default_truncation,
     derive_key,
 )
-from .sketches import count_tensor, fold_counts, repetition_seeds
-from .stream import EstimateReport, TupleKey, TupleStream
+from .sketches import fold_counts, repetition_seeds
+from .stream import EstimateReport, TupleKey, TupleStream, checked_tuple
 
 Mask = np.ndarray  # uint8 0/1 vector over [1, n], index 0 <-> coordinate 1
 
@@ -645,7 +640,7 @@ class _BankRegistry:
     Rows are grouped by (prefix depth s, collapse depth s'); each row is
     one repetition with its own Cauchy tables, and each bank's prefix masks
     are stored once with a row -> bank index. A flush folds the chunk's
-    count tensor into every group with ``fold_counts``.
+    distinct tuple counts into every group with ``fold_counts``.
     """
 
     def __init__(self, k: int, n: int, omega: float):
@@ -694,10 +689,9 @@ class _BankRegistry:
     def bulk_update(self, counts: Dict[TupleKey, int]):
         if not self.frozen:
             raise ConfigurationError("freeze the registry before streaming")
-        N = count_tensor(counts, self.k, self.n)
-        for (_s, s_prime), g in self.groups.items():
-            fold_counts(N, g["prefix"], g["bank"], g["coeff"], g["joint"], g["margins"], s_prime)
-        self.m_seen += sum(int(c) for c in counts.values())
+        fields = ("prefix", "bank", "coeff", "joint", "margins")
+        groups = [(sp, *(g[f] for f in fields)) for (_s, sp), g in self.groups.items()]
+        self.m_seen += fold_counts(counts, self.n, groups)
 
     def update(self, rec: TupleKey):
         self.bulk_update({tuple(int(x) for x in rec): 1})
@@ -941,18 +935,7 @@ class StreamDistanceEstimator:
         self._chunk: Dict[TupleKey, int] = {}
 
     def update(self, rec: TupleKey) -> None:
-        t = tuple(int(x) for x in rec)
-        if len(t) != self.k:
-            raise MalformedInputError(
-                f"expected {self.k} coordinates, got {len(t)}",
-                self.records_consumed + 1,
-            )
-        for x in t:
-            if not 1 <= x <= self.n:
-                raise MalformedInputError(
-                    f"coordinate {x} outside [1, {self.n}]",
-                    self.records_consumed + 1,
-                )
+        t = checked_tuple(rec, self.k, self.n, self.records_consumed + 1)
         self._chunk[t] = self._chunk.get(t, 0) + 1
         self.records_consumed += 1
         if len(self._chunk) >= self.overrides.max_chunk:

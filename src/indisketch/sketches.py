@@ -41,14 +41,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    EmptyStreamError,
-    MalformedInputError,
-    MergeIncompatibleError,
-)
+from .errors import ConfigurationError, EmptyStreamError, MergeIncompatibleError
 from .hashing import CauchySource, batched_cauchy_tables, default_truncation, derive_key
-from .stream import FrequencyTable, TupleKey
+from .stream import FrequencyTable, TupleKey, checked_tuple
 from . import tensor as tensor_ops
 
 SKETCH_SCHEMA_VERSION = "product-sketch/1"
@@ -145,12 +140,7 @@ class ProductSketchState:
         return cls(k=k, n=n, s=s, s_prime=s_prime, prefix=prefix, coeff=coeff)
 
     def update(self, rec: TupleKey) -> None:
-        t = tuple(int(x) for x in rec)
-        if len(t) != self.k:
-            raise MalformedInputError(f"expected {self.k} coordinates, got {len(t)}")
-        for x in t:
-            if not 1 <= x <= self.n:
-                raise MalformedInputError(f"coordinate {x} outside [1, {self.n}]")
+        t = checked_tuple(rec, self.k, self.n)
         s, sp = self.s, self.s_prime
         hprod = 1
         for j in range(s):
@@ -248,48 +238,56 @@ def merge(a: ProductSketchState, b: ProductSketchState) -> ProductSketchState:
     return out
 
 
-def count_tensor(counts: Dict[TupleKey, int], k: int, n: int) -> np.ndarray:
-    """Dense float64 tensor over [n]^k of a chunk's tuple counts."""
-    idx = np.array(list(counts), dtype=np.int64).reshape(-1, k) - 1
-    flat = np.ravel_multi_index(tuple(idx.T), (n,) * k)
-    weights = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
-    return np.bincount(flat, weights, minlength=n**k).reshape((n,) * k)
+def fold_counts(counts: Dict[TupleKey, int], n: int, groups) -> int:
+    """Add a chunk of tuple counts to product-sketch rows in place.
 
-
-def fold_counts(N, prefix, bank, coeff, joint, margins, s_prime: int) -> None:
-    """Add a chunk's count tensor ``N`` to product-sketch rows in place.
-
+    Each group is ``(s_prime, prefix, bank, coeff, joint, margins)``:
     ``prefix`` holds each bank's s masks (banks, s, n), ``bank`` the
     nondecreasing bank of each row, ``coeff`` each row's k - s' Cauchy
-    tables (rows, k - s', n). By linearity this equals feeding each tuple
-    i ``N[i]`` times: each bank's masked counts, summed over the first s'
-    coordinates, meet its rows' tables, and margins use N's histograms.
-    Cost O(banks * n^k + rows * (n^(k-s') + k*n)); temporaries hold at
-    most FOLD_BLOCK floats or one n^k tensor.
+    tables (rows, k - s', n). By linearity this equals feeding the tuples
+    one at a time: each bank's masked counts, summed onto the chunk's U
+    distinct suffixes (coordinates s' to k), meet its rows' tables at
+    those suffixes, and each margin meets them at its coordinate's
+    distinct values. For D distinct tuples the cost is
+    O(banks * s * D + rows * k * U), never a term in n^k; each temporary
+    holds at most max(FOLD_BLOCK, D) floats. Returns the record count.
     """
-    k, n = N.ndim, N.shape[0]
-    s, fams = prefix.shape[1], coeff.shape[1]
-    hists = np.stack([N.sum(axis=tuple(a for a in range(k) if a != j)) for j in range(k)])
-    axes = "abcdefghijklmnopqrstuvwxy"[:k]
-    # the ones operand "z" carries the bank axis even when s = 0
-    spec = ",".join([axes, "z"] + ["z" + a for a in axes[:s]]) + "->z" + axes[s_prime:]
-    bank_step = max(1, FOLD_BLOCK // n**k)
-    row_step = max(1, FOLD_BLOCK // max(n**fams, k * n))
-    for b0 in range(0, len(prefix), bank_step):
-        P = prefix[b0 : b0 + bank_step]
-        folded = np.einsum(spec, N, np.ones(len(P)), *P.transpose(1, 0, 2))
-        masked = hists * np.concatenate([P, np.ones((len(P), k - s, n))], axis=1)
-        mass, tail = masked[:, :s_prime].sum(axis=2), masked[:, s_prime:]
-        lo, hi = np.searchsorted(bank, (b0, b0 + len(P)))
-        for r0 in range(lo, hi, row_step):
-            rows = slice(r0, min(r0 + row_step, hi))
-            local, C = bank[rows] - b0, coeff[rows]
-            x = np.take(folded, local, axis=0)
-            for j in reversed(range(fams)):
-                x = np.einsum("r...i,ri->r...", x, C[:, j])
-            joint[rows] += x
-            margins[rows, :s_prime] += np.take(mass, local, axis=0)
-            margins[rows, s_prime:] += np.einsum("rji,rji->rj", np.take(tail, local, axis=0), C)
+    if not counts:
+        return 0
+    T = np.array(list(counts), dtype=np.int64) - 1
+    c = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
+    D, k = T.shape
+    # each coordinate's distinct values and their total counts
+    values, at = zip(*(np.unique(T[:, j], return_inverse=True) for j in range(k)))
+    hists = [np.bincount(a, c) for a in at]
+    for s_prime, prefix, bank, coeff, joint, margins in groups:
+        s = prefix.shape[1]
+        U, inv = np.unique(T[:, s_prime:], axis=0, return_inverse=True)
+        bank_step, row_step = max(1, FOLD_BLOCK // D), max(1, FOLD_BLOCK // len(U))
+        for b0 in range(0, len(prefix), bank_step):
+            P = prefix[b0 : b0 + bank_step]
+            w = np.tile(c, (len(P), 1))
+            for j in range(s):
+                w *= P[:, j, T[:, j]]
+            # masked counts summed onto the distinct suffixes: (banks, U)
+            cells = (np.arange(len(P))[:, None] * len(U) + inv.reshape(-1)).ravel()
+            folded = np.bincount(cells, w.ravel(), len(P) * len(U)).reshape(len(P), -1)
+            masked = [hists[j] * P[:, j, values[j]] for j in range(s)]
+            # a collapsed coordinate's margin is its bank's masked mass
+            masked[:s_prime] = [m.sum(axis=1, keepdims=True) for m in masked[:s_prime]]
+            lo, hi = np.searchsorted(bank, (b0, b0 + len(P)))
+            for r0 in range(lo, hi, row_step):
+                rows = slice(r0, min(r0 + row_step, hi))
+                local, C = bank[rows] - b0, coeff[rows]
+                x = np.take(folded, local, axis=0)
+                for j in range(k - s_prime):
+                    x *= C[:, j, U[:, j]]
+                joint[rows] += x.sum(axis=1)
+                for j in range(k):
+                    G = C[:, j - s_prime, values[j]] if j >= s_prime else 1.0
+                    W = np.take(masked[j], local, axis=0) if j < s else hists[j]
+                    margins[rows, j] += (G * W).sum(axis=1) if j < s else G @ W
+    return int(c.sum())
 
 
 def _fingerprint(prefix, coeff) -> Tuple:
@@ -351,14 +349,10 @@ class SketchBank:
 
     def bulk_update(self, counts: Dict[TupleKey, int]) -> None:
         for t in counts:
-            if len(t) != self.k:
-                raise MalformedInputError(f"expected {self.k} coordinates, got {len(t)}")
-            for x in t:
-                if not 1 <= x <= self.n:
-                    raise MalformedInputError(f"coordinate {x} outside [1, {self.n}]")
-        N, rows = count_tensor(counts, self.k, self.n), np.zeros(self.repetitions, np.int32)
-        fold_counts(N, self.prefix[None], rows, self.coeff, self.joint, self.margins, self.s_prime)
-        self.m_seen += sum(int(c) for c in counts.values())
+            checked_tuple(t, self.k, self.n)
+        rows = np.zeros(self.repetitions, np.int32)
+        group = (self.s_prime, self.prefix[None], rows, self.coeff, self.joint, self.margins)
+        self.m_seen += fold_counts(counts, self.n, [group])
 
     def values(self) -> np.ndarray:
         """Per-repetition sketch values m^(k-1)*joint - prod(margins)."""

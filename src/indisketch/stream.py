@@ -73,6 +73,17 @@ class FrequencyTable:
         return self.margins[dim - 1].get(value, 0)
 
 
+def checked_tuple(rec, k: int, n: int, index: Optional[int] = None) -> TupleKey:
+    """``rec`` as an int tuple; MalformedInputError on wrong arity or range."""
+    t = tuple(int(x) for x in rec)
+    if len(t) != k:
+        raise MalformedInputError(f"expected {k} coordinates, got {len(t)}", index)
+    for x in t:
+        if not 1 <= x <= n:
+            raise MalformedInputError(f"coordinate {x} outside [1, {n}]", index)
+    return t
+
+
 def build_frequency_table(stream: TupleStream) -> FrequencyTable:
     """Tally joint and margin counts in a single traversal.
 

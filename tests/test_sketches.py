@@ -4,6 +4,7 @@ identity against the dense tensor semantics, and the two estimators."""
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -211,6 +212,34 @@ class TestBank:
         assert bank.m_seen == len(recs)
         for rep in range(5):
             st_ = ProductSketchState.from_seeds(3, 3, s, s_prime, masks, seed=17, rep=rep)
+            for r in recs:
+                st_.update(r)
+            assert bank.joint[rep] == pytest.approx(st_.joint, rel=1e-12)
+            assert bank.margins[rep] == pytest.approx(st_.margins, rel=1e-12)
+
+    @pytest.mark.parametrize("shared_suffix", [False, True])
+    def test_flush_memory_follows_the_chunk(self, shared_suffix):
+        # n^k = 8e9 cells: a flush must scale with the chunk, not the domain,
+        # and with one shared suffix its row blocks must still stay small
+        k, n, reps = 3, 2000, 128
+        rng = np.random.default_rng(5)
+        masks = [rng.integers(0, 2, n), rng.integers(0, 2, n)]
+        if shared_suffix:
+            recs = [(i, 7, 9) for i in range(1, n + 1)]
+        else:
+            recs = [tuple(int(x) for x in rng.integers(1, n + 1, k)) for _ in range(6)]
+            recs += [recs[0], (recs[1][0], recs[2][1], recs[3][2])]
+        bank = SketchBank(k, n, 2, 1, masks, repetitions=reps, seed=23)
+        counts = {}
+        for r in recs:
+            counts[r] = counts.get(r, 0) + 1
+        tracemalloc.start()
+        bank.bulk_update(counts)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 1 << 20
+        for rep in range(3):
+            st_ = ProductSketchState.from_seeds(k, n, 2, 1, masks, seed=23, rep=rep)
             for r in recs:
                 st_.update(r)
             assert bank.joint[rep] == pytest.approx(st_.joint, rel=1e-12)
