@@ -15,7 +15,9 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, TextIO
+from typing import Dict, Iterable, Iterator, List, Optional, TextIO, Tuple
+
+import numpy as np
 
 from .errors import (
     BudgetExceededError,
@@ -25,7 +27,7 @@ from .errors import (
     MalformedInputError,
 )
 from .estimator import EstimatorOverrides, StreamDistanceEstimator
-from .hashing import counter_uniform, derive_key
+from .hashing import FOLD_BLOCK, counter_uniform, derive_key
 from .stream import (
     EstimateReport,
     TupleKey,
@@ -152,20 +154,23 @@ def generate_synthetic(
     if kind not in ("independent", "diagonal", "mixture"):
         raise ConfigurationError(f"unknown generator kind {kind!r}")
     key = derive_key(seed, 0x6E0)
-    for i in range(m):
+
+    def draw(i, *parts):
+        """1 + floor(u * n), clamped to n, from the counter uniform of (key, i, parts)."""
+        u = counter_uniform(derive_key(key, i, *parts), 0)
+        return np.minimum(1 + (u * n).astype(np.int64), n)
+
+    step = max(1, FOLD_BLOCK // k)
+    for start in range(0, m, step):
+        i = np.arange(start, min(start + step, m), dtype=np.uint64)
         if kind == "mixture":
-            diag = float(counter_uniform(derive_key(key, i, 0xD0), 0)) < mixture_rho
+            diag = counter_uniform(derive_key(key, i, 0xD0), 0) < mixture_rho
         else:
-            diag = kind == "diagonal"
-        if diag:
-            v = 1 + int(float(counter_uniform(derive_key(key, i, 0xD1), 0)) * n)
-            yield (min(v, n),) * k
-        else:
-            coords = []
-            for j in range(k):
-                v = 1 + int(float(counter_uniform(derive_key(key, i, 0xD2, j), 0)) * n)
-                coords.append(min(v, n))
-            yield tuple(coords)
+            diag = np.full(i.shape, kind == "diagonal")
+        coords = np.empty((i.shape[0], k), dtype=np.int64)
+        coords[diag] = draw(i[diag], 0xD1)[:, None]
+        coords[~diag] = draw(i[~diag, None], 0xD2, np.arange(k, dtype=np.uint64))
+        yield from map(tuple, coords.tolist())
 
 
 _OVERRIDE_TYPES = {
@@ -184,13 +189,18 @@ _OVERRIDE_TYPES = {
 }
 
 
-def parse_overrides(pairs: Iterable[str]) -> EstimatorOverrides:
+def _split_override(pair: str) -> Tuple[str, str]:
+    """One ``KEY=VALUE`` command-line pair as (key, value)."""
+    if "=" not in pair:
+        raise ConfigurationError(f"override {pair!r} is not KEY=VALUE")
+    key, value = pair.split("=", 1)
+    return key.strip(), value
+
+
+def parse_overrides(values: Dict[str, str]) -> EstimatorOverrides:
+    """Typed estimator overrides from their key -> value strings."""
     ov = EstimatorOverrides()
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigurationError(f"override {pair!r} is not KEY=VALUE")
-        key, value = pair.split("=", 1)
-        key = key.strip()
+    for key, value in sorted(values.items()):
         if key not in _OVERRIDE_TYPES:
             raise ConfigurationError(f"unknown override key {key!r}")
         try:
@@ -208,9 +218,7 @@ def _file_lines(path: str) -> Iterator[str]:
 def run(cfg: RunConfig, stdin: Optional[TextIO] = None) -> EstimateReport:
     """Execute one run and return the report (raises on errors)."""
     cfg.validate()
-    overrides = parse_overrides(
-        f"{key}={val}" for key, val in sorted(cfg.overrides.items())
-    )
+    overrides = parse_overrides(cfg.overrides)
 
     if cfg.generate is not None:
         records: Iterable[TupleKey] = generate_synthetic(
@@ -362,27 +370,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {}
-    for pair in args.override:
-        if "=" not in pair:
-            print(f"error: override {pair!r} is not KEY=VALUE", file=sys.stderr)
-            return EXIT_CONFIG
-        key, value = pair.split("=", 1)
-        overrides[key.strip()] = value
-    cfg = RunConfig(
-        k=args.k,
-        n=args.n,
-        epsilon=args.epsilon,
-        delta=args.delta,
-        mode=args.mode,
-        seed=args.seed,
-        input_path=args.input,
-        output_format=args.format,
-        generate=args.generate,
-        m=args.m,
-        overrides=overrides,
-    )
     try:
+        cfg = RunConfig(
+            k=args.k,
+            n=args.n,
+            epsilon=args.epsilon,
+            delta=args.delta,
+            mode=args.mode,
+            seed=args.seed,
+            input_path=args.input,
+            output_format=args.format,
+            generate=args.generate,
+            m=args.m,
+            overrides=dict(_split_override(pair) for pair in args.override),
+        )
         report = run(cfg)
     except (MalformedInputError, EmptyStreamError) as e:
         print(f"input error: {e}", file=sys.stderr)

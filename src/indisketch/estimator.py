@@ -55,6 +55,7 @@ from .hashing import (
     counter_uniform,
     default_truncation,
     derive_key,
+    zero_one_tables,
 )
 from .sketches import fold_counts, repetition_seeds
 from .stream import EstimateReport, TupleKey, TupleStream, checked_tuple
@@ -388,11 +389,13 @@ def _as_mask(H, n: int) -> Mask:
 
 
 def _split_masks(H: Mask, rounds: int, seed: int):
-    """Per-round halving masks (round, kept-by-1, kept-by-0)."""
-    n = H.shape[0]
+    """Per-round halving masks (round, kept-by-1, kept-by-0); the split
+    hashes of all rounds are tabulated in one step."""
+    seeds = [derive_key(seed, _TAG_SPLIT, r) for r in range(rounds)]
+    kept1 = H * zero_one_tables(seeds, H.shape[0], 0.5)
+    kept0 = H - kept1
     for r in range(rounds):
-        z = ZeroOneHash(seed=int(derive_key(seed, _TAG_SPLIT, r)), n=n, q=0.5).table(n)
-        yield r, H * (1 - z), H * z
+        yield r, kept0[r], kept1[r]
 
 
 def _bucket_masks(H: Mask, rho: int, seed: int):
@@ -675,7 +678,7 @@ class _BankRegistry:
         for key, entries in self._pending.items():
             s, s_prime = key
             tables, reps, seeds = zip(*entries)
-            row_seeds = np.concatenate([repetition_seeds(sd, r) for sd, r in zip(seeds, reps)])
+            row_seeds = repetition_seeds(np.array(seeds, dtype=np.uint64), reps)
             self.groups[key] = {
                 "prefix": np.stack(tables),
                 "bank": np.repeat(np.arange(len(entries), dtype=np.int32), reps),

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -24,23 +25,55 @@ import numpy as np
 # small enough that a*i fits in uint64 (p^2 < 2^64).
 FIELD_PRIME = 2**31 + 11
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_MASK = 0xFFFFFFFFFFFFFFFF
+_GOLDEN_INT = 0x9E3779B97F4A7C15
+_MIX1_INT = 0xBF58476D1CE4E5B9
+_MIX2_INT = 0x94D049BB133111EB
+_GOLDEN = np.uint64(_GOLDEN_INT)
+_MIX1 = np.uint64(_MIX1_INT)
+_MIX2 = np.uint64(_MIX2_INT)
+
+# float64 elements per temporary of a blocked numpy pass: a flush's fold,
+# a Cauchy table fill, a block of synthetic records (512 KiB)
+FOLD_BLOCK = 1 << 16
 
 # u = (z >> 11) * 2^-53 lies in [0, 1 - 2^-53]; the guard floor keeps
 # tan(pi*(u - 1/2)) finite (|value| < 2^53).
 _U53 = float(2.0**-53)
 
 
-def mix64(x):
-    """splitmix64 finalizer; accepts uint64 scalars or arrays, wraps mod 2^64."""
-    z = np.asarray(x, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        z = z ^ (z >> np.uint64(31))
+def _mix64_int(z: int) -> int:
+    """splitmix64 finalizer on a Python int in [0, 2^64)."""
+    z = ((z ^ (z >> 30)) * _MIX1_INT) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2_INT) & _MASK
+    return z ^ (z >> 31)
+
+
+def _mix64_into(z):
+    """splitmix64 finalizer on a fresh uint64 array, in place.
+
+    Numpy scalars are rebound instead; their callers ignore overflow
+    through np.errstate.
+    """
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
     return z
+
+
+def mix64(x):
+    """splitmix64 finalizer; accepts uint64 scalars or arrays, wraps mod 2^64.
+
+    Scalars are mixed in Python ints and returned as np.uint64; arrays
+    are mixed in one copy of the input.
+    """
+    z = np.array(x, dtype=np.uint64)
+    if z.ndim == 0:
+        return np.uint64(_mix64_int(int(z)))
+    with np.errstate(over="ignore"):
+        return _mix64_into(z)
 
 
 def derive_key(seed, *parts):
@@ -48,17 +81,29 @@ def derive_key(seed, *parts):
 
     `seed` and any part may be uint64 arrays for batched derivation;
     chaining holds: derive_key(s, a, b) == derive_key(derive_key(s, a), b).
+    Scalar seeds and parts fold in Python ints up to the first array part;
+    the result is an np.uint64 unless an array took part.
     """
     if isinstance(seed, np.ndarray):
-        h = seed.astype(np.uint64)
+        # every part makes a fresh array, so the seed is copied only without parts
+        h, rest = seed.astype(np.uint64, copy=not parts), parts
     else:
-        h = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
-    with np.errstate(over="ignore"):
-        for p in parts:
+        h = int(seed) & _MASK
+        for at, p in enumerate(parts):
             if isinstance(p, np.ndarray):
-                h = mix64(h + _GOLDEN + p.astype(np.uint64))
+                h, rest = np.uint64(h), parts[at:]
+                break
+            h = _mix64_int((h + _GOLDEN_INT + (int(p) & _MASK)) & _MASK)
+        else:
+            return np.uint64(h)
+    with np.errstate(over="ignore"):
+        for p in rest:
+            if isinstance(p, np.ndarray):
+                z = h + p.astype(np.uint64, copy=False)
             else:
-                h = mix64(h + _GOLDEN + np.uint64(int(p) & 0xFFFFFFFFFFFFFFFF))
+                z = h + np.uint64(int(p) & _MASK)
+            z += _GOLDEN
+            h = _mix64_into(z)
     return h
 
 
@@ -71,9 +116,43 @@ def counter_uniform(key, index):
     idx = np.asarray(index, dtype=np.uint64)
     k = np.asarray(key, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        z = mix64(k + (idx + np.uint64(1)) * _GOLDEN)
+        z = _mix64_into(k + (idx + np.uint64(1)) * _GOLDEN)
     u = (z >> np.uint64(11)).astype(np.float64) * _U53
     return np.maximum(u, _U53)
+
+
+_TAG_ZERO_ONE = 0x5A01
+_TAG_BUCKET = 0x5A02
+
+
+def _field_coefficients(seed, tag: int) -> Tuple[int, int]:
+    """(a, b) of the field hash (a*i + b) mod p keyed by (seed, tag)."""
+    key = int(derive_key(seed, tag))
+    return (
+        _mix64_int((key + 1) & _MASK) % FIELD_PRIME,
+        _mix64_int((key + 2) & _MASK) % FIELD_PRIME,
+    )
+
+
+def _field_values(a, b, n: int) -> np.ndarray:
+    """(a*i + b) mod p at i = 1..n; one row per coefficient pair when a, b are sequences."""
+    i = np.arange(1, n + 1, dtype=np.uint64)
+    a = np.asarray(a, dtype=np.uint64)[..., None]
+    b = np.asarray(b, dtype=np.uint64)[..., None]
+    return (a * i + b) % np.uint64(FIELD_PRIME)
+
+
+def _threshold(q: float) -> int:
+    if not (0.0 <= q <= 1.0):
+        raise ValueError(f"probability q={q} outside [0, 1]")
+    return int(round(q * FIELD_PRIME))
+
+
+def zero_one_tables(seeds: Sequence, n: int, q: float) -> np.ndarray:
+    """Tables of ZeroOneHash(seed, n, q) for many seeds in one step: (len(seeds), n) uint8."""
+    coeffs = [_field_coefficients(s, _TAG_ZERO_ONE) for s in seeds]
+    a, b = np.array(coeffs, dtype=np.uint64).reshape(-1, 2).T
+    return (_field_values(a, b, n) < np.uint64(_threshold(q))).astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -93,12 +172,10 @@ class ZeroOneHash:
     threshold: int = field(init=False)
 
     def __post_init__(self):
-        if not (0.0 <= self.q <= 1.0):
-            raise ValueError(f"probability q={self.q} outside [0, 1]")
-        key = derive_key(self.seed, 0x5A01)
-        object.__setattr__(self, "a", int(mix64(key + np.uint64(1))) % FIELD_PRIME)
-        object.__setattr__(self, "b", int(mix64(key + np.uint64(2))) % FIELD_PRIME)
-        object.__setattr__(self, "threshold", int(round(self.q * FIELD_PRIME)))
+        object.__setattr__(self, "threshold", _threshold(self.q))
+        a, b = _field_coefficients(self.seed, _TAG_ZERO_ONE)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     def __call__(self, i):
         self._check(i)
@@ -106,10 +183,7 @@ class ZeroOneHash:
 
     def table(self, n=None):
         """Vectorized evaluation over [1, n] as a uint8 array (index 0 <-> i=1)."""
-        n = self.n if n is None else n
-        i = np.arange(1, n + 1, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            v = (np.uint64(self.a) * i + np.uint64(self.b)) % np.uint64(FIELD_PRIME)
+        v = _field_values(self.a, self.b, self.n if n is None else n)
         return (v < np.uint64(self.threshold)).astype(np.uint8)
 
     def _check(self, i):
@@ -134,9 +208,9 @@ class BucketHash:
     def __post_init__(self):
         if self.buckets < 1:
             raise ValueError("buckets must be >= 1")
-        key = derive_key(self.seed, 0x5A02)
-        object.__setattr__(self, "a", int(mix64(key + np.uint64(1))) % FIELD_PRIME)
-        object.__setattr__(self, "b", int(mix64(key + np.uint64(2))) % FIELD_PRIME)
+        a, b = _field_coefficients(self.seed, _TAG_BUCKET)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     def __call__(self, i):
         if not 1 <= int(i) <= self.n:
@@ -144,10 +218,7 @@ class BucketHash:
         return 1 + ((self.a * int(i) + self.b) % FIELD_PRIME) % self.buckets
 
     def table(self, n=None):
-        n = self.n if n is None else n
-        i = np.arange(1, n + 1, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            v = (np.uint64(self.a) * i + np.uint64(self.b)) % np.uint64(FIELD_PRIME)
+        v = _field_values(self.a, self.b, self.n if n is None else n)
         return (np.uint64(1) + v % np.uint64(self.buckets)).astype(np.int64)
 
 
@@ -201,18 +272,22 @@ def batched_cauchy_tables(
     """Cauchy tables [rows, families, n] for many repetitions at once.
 
     Row r with family j reproduces CauchySource(seed=derive_key(row_seeds[r], j))
-    exactly; family 0 is untruncated, the rest clamp at omega.
+    exactly; family 0 is untruncated, the rest clamp at omega. Rows are
+    filled in blocks, so each temporary holds at most max(FOLD_BLOCK, n)
+    values whatever the row count.
     """
     rows = np.asarray(row_seeds, dtype=np.uint64)
     idx = np.arange(1, n + 1, dtype=np.uint64)
     out = np.empty((rows.shape[0], families, n), dtype=np.float64)
-    for j in range(families):
-        keys = derive_key(derive_key(rows, j), 0x5A03)
-        u = counter_uniform(keys[:, None], idx[None, :])
-        vals = np.tan(np.pi * (u - 0.5))
-        if j > 0:
-            np.clip(vals, -omega, omega, out=vals)
-        out[:, j, :] = vals
+    step = max(1, FOLD_BLOCK // n)
+    for r0 in range(0, rows.shape[0], step):
+        block = rows[r0 : r0 + step, None]
+        for j in range(families):
+            u = counter_uniform(derive_key(block, j, 0x5A03), idx)
+            vals = np.tan(np.pi * (u - 0.5))
+            if j > 0:
+                np.clip(vals, -omega, omega, out=vals)
+            out[r0 : r0 + step, j] = vals
     return out
 
 

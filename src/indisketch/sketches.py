@@ -42,12 +42,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigurationError, EmptyStreamError, MergeIncompatibleError
-from .hashing import CauchySource, batched_cauchy_tables, default_truncation, derive_key
+from .hashing import (
+    FOLD_BLOCK,
+    CauchySource,
+    batched_cauchy_tables,
+    default_truncation,
+    derive_key,
+)
 from .stream import FrequencyTable, TupleKey, checked_tuple
 from . import tensor as tensor_ops
 
 SKETCH_SCHEMA_VERSION = "product-sketch/1"
-FOLD_BLOCK = 1 << 16  # float64 elements per temporary of a fold (512 KiB)
 
 
 def family_seed(seed: int, rep: int, family: int) -> int:
@@ -55,11 +60,18 @@ def family_seed(seed: int, rep: int, family: int) -> int:
     return int(derive_key(seed, 0xCA, rep, family))
 
 
-def repetition_seeds(seed: int, repetitions: int) -> np.ndarray:
-    """Per-repetition base seeds; family j of row r is derive_key(rows[r], j)."""
-    return derive_key(
-        derive_key(seed, 0xCA), np.arange(repetitions, dtype=np.uint64)
-    )
+def repetition_seeds(seed, repetitions) -> np.ndarray:
+    """Per-repetition base seeds; family j of row r is derive_key(rows[r], j).
+
+    ``seed`` may be one bank's seed or an array of bank seeds, with
+    ``repetitions`` a count per bank (or one count for all); the rows of
+    each bank follow one another in bank order.
+    """
+    keys = derive_key(seed, 0xCA)
+    reps = np.broadcast_to(np.asarray(repetitions, dtype=np.int64), np.shape(keys))
+    offsets = np.arange(reps.sum(), dtype=np.uint64)
+    offsets -= np.repeat((np.cumsum(reps) - reps).astype(np.uint64), reps)
+    return derive_key(np.repeat(keys, reps), offsets)
 
 
 def _as_table(h, n):

@@ -12,6 +12,7 @@ from indisketch import (
     generate_synthetic,
     parse_records,
 )
+from indisketch import cli
 from indisketch.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
@@ -22,6 +23,7 @@ from indisketch.cli import (
     main,
     run,
 )
+from indisketch.hashing import counter_uniform, derive_key
 
 
 class TestParseRecords:
@@ -70,8 +72,29 @@ class TestGenerateSynthetic:
     def test_bad_rho(self):
         from indisketch.errors import ConfigurationError
 
+        gen = generate_synthetic("mixture(1.5)", 2, 2, 5, seed=0)  # lazy: nothing drawn yet
         with pytest.raises(ConfigurationError):
-            list(generate_synthetic("mixture(1.5)", 2, 2, 5, seed=0))
+            next(gen)
+
+    @pytest.mark.parametrize("kind", ["mixture(0.3)", "independent", "diagonal"])
+    def test_blocks_replay_per_record_draws(self, kind, monkeypatch):
+        # blocks of 7 records, the last one partial, against the per-record definition
+        monkeypatch.setattr(cli, "FOLD_BLOCK", 21)
+        k, n, m, seed = 3, 5, 40, -4
+        key = derive_key(seed, 0x6E0)
+
+        def draw(*parts):
+            return min(n, 1 + int(float(counter_uniform(derive_key(key, *parts), 0)) * n))
+
+        expected = []
+        for i in range(m):
+            if kind == "mixture(0.3)":
+                diag = float(counter_uniform(derive_key(key, i, 0xD0), 0)) < 0.3
+            else:
+                diag = kind == "diagonal"
+            coords = [draw(i, 0xD1)] * k if diag else [draw(i, 0xD2, j) for j in range(k)]
+            expected.append(tuple(coords))
+        assert list(generate_synthetic(kind, k, n, m, seed)) == expected
 
 
 class TestCountingReader:
@@ -146,6 +169,14 @@ class TestMain:
              "--mode", "sketch", "--override", "bogus=1"]
         )
         assert code == EXIT_CONFIG
+
+    def test_override_without_equals_exit(self, capsys):
+        code = main(
+            ["--k", "2", "--n", "2", "--generate", "diagonal", "--m", "5",
+             "--mode", "sketch", "--override", "rounds2"]
+        )
+        assert code == EXIT_CONFIG
+        assert "'rounds2' is not KEY=VALUE" in capsys.readouterr().err
 
     def test_budget_exit(self):
         code = main(

@@ -1,0 +1,161 @@
+"""Golden values of every randomness derivation, pinned exactly.
+
+The values were recorded from the numpy-scalar implementation of the hash
+core. Any faster path (pure-int scalars, batched tables, row blocks) must
+reproduce them bit for bit, because a bank's tables are pure functions of
+(seed, index) and reports must stay byte-identical for identical seeds.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+
+from indisketch.cli import generate_synthetic
+from indisketch.estimator import StreamDistanceEstimator, _split_masks
+from indisketch.hashing import (
+    BucketHash,
+    CauchySource,
+    ZeroOneHash,
+    batched_cauchy_tables,
+    derive_key,
+    mix64,
+)
+from indisketch.sketches import repetition_seeds
+
+U = np.uint64
+
+
+class TestDeriveKey:
+    def test_scalar(self):
+        cases = [
+            ((0,), 0),
+            ((7, 1, 2), 10274041424000653043),
+            ((-1, 5), 7958955049054603978),
+            ((-(2**40), 3, 4), 11515194881029099627),
+            ((2**63 + 5, 9), 15937073515996368525),
+            ((2**64 - 1, 0), 16490336266968443936),
+            ((11, U(2**64 - 1), U(3)), 14499576813202072044),
+            ((U(2**63), 0x5A01), 1903083919149695542),
+        ]
+        for args, expected in cases:
+            got = derive_key(*args)
+            assert type(got) is np.uint64
+            assert int(got) == expected, args
+
+    def test_array(self):
+        got = derive_key(np.arange(4, dtype=np.uint64), 0xCA)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [
+            16616562186316015768,
+            13048158563546023526,
+            1669485836469994413,
+            12190486122897749068,
+        ]
+        pair = derive_key(np.array([1, 2**63], dtype=np.uint64), np.array([3, 4], dtype=np.uint64))
+        assert pair.tolist() == [7958955049054603978, 1380322360509708497]
+        signed = derive_key(np.array([-1, -2], dtype=np.int64), 3)
+        assert signed.tolist() == [10905525725756348110, 10451216379200822465]
+
+    def test_mixed(self):
+        got = derive_key(5, np.arange(3, dtype=np.uint64), 7)
+        assert got.tolist() == [11366068353801517725, 3116763096878992355, 9537508092927057482]
+        got = derive_key(-3, 1, np.array([0, 2**64 - 1], dtype=np.uint64), U(9))
+        assert got.tolist() == [14270441327545726710, 2343771774125348238]
+
+
+def test_mix64():
+    expected = [0, 6238072747940578789, 2720858781877447050, 13029008266876403067]
+    for x, want in zip([0, 1, 2**63, 2**64 - 1], expected):
+        assert type(mix64(x)) is np.uint64 and int(mix64(x)) == want
+    assert int(mix64(U(12345))) == 17540659726606785873
+    assert mix64(np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)).tolist() == expected
+
+
+def test_field_hashes():
+    cases = {
+        101: ((1208354748, 1385211613, [1, 0, 0, 0, 0, 1, 0, 1]),
+              (250577143, 1402562013, [2, 5, 4, 2, 5, 3, 1, 4])),
+        -7: ((1496373613, 1851381686, [0, 1, 0, 0, 0, 1, 0, 0]),
+             (289679871, 1485687204, [1, 2, 4, 5, 1, 2, 3, 4])),
+        2**63 + 1: ((1990344849, 1800906498, [0, 0, 0, 0, 0, 0, 0, 1]),
+                    (1614778586, 1183350412, [5, 2, 3, 5, 2, 4, 5, 2])),
+    }
+    for seed, (zo, bk) in cases.items():
+        h = ZeroOneHash(seed=seed, n=8, q=0.3)
+        assert (h.a, h.b, h.threshold, h.table().tolist()) == (*zo[:2], 644245098, zo[2])
+        g = BucketHash(seed=seed, n=8, buckets=5)
+        assert (g.a, g.b, g.table().tolist()) == bk
+
+
+def test_cauchy_tables():
+    assert CauchySource(seed=11).table(4).tolist() == [
+        7.712597077449276, -0.5132330670198094, 0.3304116789888587, 0.23497613879634208,
+    ]
+    assert CauchySource(seed=-3, truncation=2.0).table(4).tolist() == [
+        -0.31430820754514355, -0.09106805153680986, -0.12145283412565284, 1.5924525072648779,
+    ]
+    rows = repetition_seeds(2**63 + 17, 3)
+    assert rows.tolist() == [12039605998723614757, 11478645463371952101, 4603749254032992051]
+    assert repetition_seeds(-9, 2).tolist() == [16963583417891044740, 11586702598117284502]
+    assert batched_cauchy_tables(rows, 2, 3, 1.5).tolist() == [
+        [[-0.34594905525747477, -3.9291543853235162, 1.0471248751230688],
+         [-1.5, 0.2779006500105304, -0.9723583349218154]],
+        [[-1.444347391331357, 1.7841932413171053, 0.123216974278861],
+         [0.46843290561039336, 1.455549988410169, 0.7415964404677969]],
+        [[3.9183880669964415, -0.47469548902011055, 0.608320135242696],
+         [0.17517016769134733, 1.5, -0.4822081277520606]],
+    ]
+
+
+def test_split_masks_of_one_tournament():
+    H = np.array([1, 1, 0, 1, 1, 1, 0, 1], dtype=np.uint8)
+    got = [(r, m0.tolist(), m1.tolist()) for r, m0, m1 in _split_masks(H, 4, 2**64 - 5)]
+    assert got == [
+        (0, [1, 1, 0, 0, 1, 1, 0, 0], [0, 0, 0, 1, 0, 0, 0, 1]),
+        (1, [0, 1, 0, 0, 1, 0, 0, 1], [1, 0, 0, 1, 0, 1, 0, 0]),
+        (2, [1, 0, 0, 0, 1, 1, 0, 0], [0, 1, 0, 1, 0, 0, 0, 1]),
+        (3, [0, 1, 0, 1, 0, 1, 0, 1], [1, 0, 0, 0, 1, 0, 0, 0]),
+    ]
+
+
+def test_generate_synthetic_first_records():
+    expected = {
+        "mixture(0.5)": [(4, 6, 7), (3, 3, 3), (3, 3, 3), (1, 1, 1), (6, 6, 6), (4, 4, 4)],
+        "independent": [(4, 6, 7), (6, 5, 5), (5, 3, 5), (4, 4, 3), (6, 2, 5), (5, 5, 5)],
+        "diagonal": [(6, 6, 6), (3, 3, 3), (3, 3, 3), (1, 1, 1), (6, 6, 6), (4, 4, 4)],
+    }
+    for kind, recs in expected.items():
+        got = list(generate_synthetic(kind, 3, 7, 6, seed=42))
+        assert got == recs
+        assert all(type(v) is int for t in got for v in t)
+
+
+def test_registry_tables_of_a_k3_estimator():
+    est = StreamDistanceEstimator(3, 3, 0.3, 0.1, seed=5)
+    expected = {
+        (1, 0): ("c6a3037d4beecacbf93c5951ac5776c110cd2df7c85de457fa788b8ea16575e5",
+                 "04100e157e15d30247fe88cee55be8378b9ced8fdaf698aad3e86acf493b2816",
+                 "e928a75787525935adab4f56986649755c5524a7983a19d9595d8256aed7d374"),
+        (2, 1): ("0da6e2b6d1a02b4811ace576f66415ace0248b05e9566fc3ad2854e49b288dcb",
+                 "6a9b346a016de7a42bf100c42cabaaa59754b50d72de48ed39f2d65b662464bc",
+                 "15382ac4f048be6e5e8377fadc8d19578fbc00dc1491318225d126fe507f3233"),
+        (2, 2): ("0da6e2b6d1a02b4811ace576f66415ace0248b05e9566fc3ad2854e49b288dcb",
+                 "8f8dca5e09fbda35fec640e4d4dc4b9e051cf56a2a81e30ad82154786cd8214d",
+                 "6b5f00c2ea62b385b7c9abc16fb581e33506238a5f5623386a33e991639137c3"),
+    }
+    got = {
+        key: tuple(
+            hashlib.sha256(np.ascontiguousarray(g[f]).tobytes()).hexdigest()
+            for f in ("prefix", "bank", "coeff")
+        )
+        for key, g in est.registry.groups.items()
+    }
+    assert got == expected
+    shapes = {key: g["coeff"].shape for key, g in est.registry.groups.items()}
+    assert shapes == {(1, 0): (1944, 3, 3), (2, 1): (157464, 2, 3), (2, 2): (1312200, 1, 3)}
+    diag = json.dumps(est.diagnostics(), sort_keys=True).encode()
+    assert (
+        hashlib.sha256(diag).hexdigest()
+        == "b0513d9b9601825db9162fa2e669116402098fc055b291c03b1d3e9da04fd870"
+    )

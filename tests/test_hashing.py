@@ -1,12 +1,21 @@
 """Statistical checks of the replayable hash families and Cauchy sources."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from indisketch import BucketHash, CauchySource, ZeroOneHash, cauchy_at, eval_bucket, eval_zero_one
-from indisketch.hashing import cauchy_from_uniform, counter_uniform, derive_key
+from indisketch.hashing import (
+    FOLD_BLOCK,
+    batched_cauchy_tables,
+    cauchy_from_uniform,
+    counter_uniform,
+    derive_key,
+    zero_one_tables,
+)
+from indisketch.sketches import repetition_seeds
 
 # chi-square 0.999 quantiles, frozen from scipy.stats.chi2.ppf(0.999, df)
 CHI2_999_DF1 = 10.828
@@ -140,3 +149,43 @@ class TestDerivation:
     def test_uniform_guard(self):
         u = counter_uniform(derive_key(1, 2), np.arange(1, 10_001))
         assert (u >= 2.0**-53).all() and (u < 1.0).all()
+
+    def test_batched_zero_one_tables(self):
+        seeds = [derive_key(4, r) for r in range(5)] + [-3, 2**64 - 1]
+        tables = zero_one_tables(seeds, 40, 0.5)
+        assert tables.dtype == np.uint8 and tables.shape == (7, 40)
+        for seed, row in zip(seeds, tables):
+            assert row.tolist() == ZeroOneHash(seed=int(seed), n=40, q=0.5).table().tolist()
+        assert zero_one_tables([], 40, 0.5).shape == (0, 40)  # a tournament of zero rounds
+
+    def test_repetition_seeds_of_many_banks(self):
+        seeds = np.array([3, 2**63 + 9, 0, 77], dtype=np.uint64)
+        reps = [2, 5, 1, 3]
+        batched = repetition_seeds(seeds, reps)
+        per_bank = [repetition_seeds(int(s), r) for s, r in zip(seeds, reps)]
+        assert batched.tolist() == np.concatenate(per_bank).tolist()
+        assert repetition_seeds(seeds, 2).tolist() == np.concatenate(
+            [repetition_seeds(int(s), 2) for s in seeds]
+        ).tolist()
+
+
+class TestBatchedCauchyTables:
+    def test_rows_replay_sources_across_blocks(self):
+        n, omega = 8, 50.0
+        rows = repetition_seeds(12, FOLD_BLOCK // n + 3)
+        tables = batched_cauchy_tables(rows, 2, n, omega)
+        for r in (0, FOLD_BLOCK // n - 1, FOLD_BLOCK // n, len(rows) - 1):
+            plain = CauchySource(seed=int(derive_key(rows[r], 0))).table(n)
+            clamped = CauchySource(seed=int(derive_key(rows[r], 1)), truncation=omega).table(n)
+            assert tables[r, 0].tolist() == plain.tolist()
+            assert tables[r, 1].tolist() == clamped.tolist()
+
+    def test_temporaries_are_row_blocks(self):
+        # 200k rows of n = 8: one full-size temporary alone would take 12.8 MB
+        rows = repetition_seeds(np.arange(50_000, dtype=np.uint64), 4)
+        tracemalloc.start()
+        tables = batched_cauchy_tables(rows, 2, 8, 100.0)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert tables.shape == (200_000, 2, 8)
+        assert peak <= tables.nbytes + 8 * FOLD_BLOCK * 8
