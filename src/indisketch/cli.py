@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Optional, TextIO, Tuple
 
 import numpy as np
@@ -29,6 +30,7 @@ from .errors import (
 from .estimator import EstimatorOverrides, StreamDistanceEstimator
 from .hashing import FOLD_BLOCK, counter_uniform, derive_key
 from .stream import (
+    RECORD_BLOCK,
     EstimateReport,
     TupleKey,
     TupleStream,
@@ -86,27 +88,35 @@ class RunConfig:
 
 
 class CountingReader:
-    """Wraps a record iterator; counts and forbids a second traversal."""
+    """Wraps a record iterator; counts records and forbids a second traversal.
 
-    def __init__(self, records: Iterable[TupleKey]):
+    Items are single records or 2-D record blocks, which count one per row.
+    """
+
+    def __init__(self, records: Iterable):
         self._it = iter(records)
         self.records_read = 0
         self.traversals = 0
         self._consumed = False
 
-    def __iter__(self) -> Iterator[TupleKey]:
+    def __iter__(self) -> Iterator:
         if self._consumed:
             raise RuntimeError("single-pass reader was traversed twice")
         self._consumed = True
         self.traversals += 1
         for rec in self._it:
-            self.records_read += 1
+            is_block = isinstance(rec, np.ndarray) and rec.ndim == 2
+            self.records_read += len(rec) if is_block else 1
             yield rec
 
 
-def parse_records(lines: Iterable[str], k: int, n: int) -> Iterator[TupleKey]:
-    """Parse text records into tuples, reporting the offending line number."""
-    for lineno, line in enumerate(lines, start=1):
+def parse_lines(lines: Iterable[str], k: int, n: int, first: int = 1) -> Iterator[TupleKey]:
+    """Parse text records one line at a time, numbering lines from ``first``.
+
+    The reference parser: ``parse_records`` gives the same records and
+    errors in blocks.
+    """
+    for lineno, line in enumerate(lines, start=first):
         body = line.strip()
         if not body or body.startswith("#"):
             continue
@@ -129,6 +139,76 @@ def parse_records(lines: Iterable[str], k: int, n: int) -> Iterator[TupleKey]:
                 )
             out.append(v)
         yield tuple(out)
+
+
+# Byte classes of the block parser: 0 needs the per-line parser, 1 digit,
+# 2 whitespace, 3 comma.
+_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
+_BYTE_CLASS[ord("0") : ord("9") + 1] = 1
+_BYTE_CLASS[[ord(" "), ord("\t"), ord("\n")]] = 2
+_BYTE_CLASS[ord(",")] = 3
+_MAX_DIGITS = 18  # longest token whose value cannot overflow an int64
+
+
+def _parse_block(lines: List[str], k: int, n: int) -> Optional[np.ndarray]:
+    """The records of ``lines`` as a (b, k) int64 array, or None when the
+    block holds anything but valid records of ASCII digits, spaces, tabs,
+    commas and newlines (which the per-line parser then handles)."""
+    # joined with a newline, so a line without one cannot run into the next
+    text = "\n".join(lines)
+    if not text.isascii():
+        return None
+    data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    cls = _BYTE_CLASS[data]
+    if not cls.all():
+        return None
+    # digit runs are the tokens: [starts, ends) in text offsets
+    edges = np.flatnonzero(np.diff(cls == 1, prepend=False, append=False))
+    starts, ends = edges[0::2], edges[1::2]
+    lengths = ends - starts
+    longest = int(lengths.max(initial=0))
+    if longest > _MAX_DIGITS:
+        return None
+    line_ends = np.cumsum(np.fromiter(map(len, lines), np.int64, len(lines)) + 1)
+
+    def per_line(offsets):
+        return np.bincount(np.searchsorted(line_ends, offsets, side="right"), minlength=len(lines))
+
+    tokens, commas = per_line(starts), per_line(np.flatnonzero(cls == 3))
+    # every line holds k tokens, or is blank: no token and no comma
+    if not ((tokens == k) | ((tokens == 0) & (commas == 0))).all():
+        return None
+    values = np.zeros(len(starts), dtype=np.int64)
+    for j in range(longest):
+        live = lengths > j
+        values[live] = values[live] * 10 + (data[starts[live] + j] - ord("0"))
+    if ((values < 1) | (values > n)).any():
+        return None
+    return values.reshape(-1, k)
+
+
+def parse_records(lines: Iterable[str], k: int, n: int) -> Iterator[np.ndarray]:
+    """Parse text records into validated (b, k) int64 blocks.
+
+    Each block holds the records of ``RECORD_BLOCK`` input lines. A block
+    of plain records is tokenized at once; any other block (comments,
+    signs, carriage returns, non-ASCII digits, over-long tokens or any
+    error) goes through ``parse_lines``, so records and errors, with
+    their absolute line numbers, are the same either way.
+    """
+    it = iter(lines)
+    first = 1
+    while True:
+        chunk = list(islice(it, RECORD_BLOCK))
+        if not chunk:
+            return
+        block = _parse_block(chunk, k, n)
+        if block is None:
+            rows = list(parse_lines(chunk, k, n, first))
+            block = np.array(rows, dtype=np.int64).reshape(len(rows), k)
+        if len(block):
+            yield block
+        first += len(chunk)
 
 
 def generate_synthetic(
@@ -221,7 +301,7 @@ def run(cfg: RunConfig, stdin: Optional[TextIO] = None) -> EstimateReport:
     overrides = parse_overrides(cfg.overrides)
 
     if cfg.generate is not None:
-        records: Iterable[TupleKey] = generate_synthetic(
+        records: Iterable = generate_synthetic(
             cfg.generate, cfg.k, cfg.n, cfg.m or 0, cfg.seed, cfg.mixture_rho
         )
     else:
@@ -277,15 +357,15 @@ def run(cfg: RunConfig, stdin: Optional[TextIO] = None) -> EstimateReport:
 
     # both: one traversal of the reader, materialized so the oracle and the
     # sketch see identical data (requires the dense-mode budget).
-    tuples = list(reader)
-    if not tuples:
+    records = list(reader)
+    if not records:
         raise EmptyStreamError("input stream is empty")
-    table = build_frequency_table(TupleStream(cfg.k, cfg.n, tuples))
+    table = build_frequency_table(TupleStream(cfg.k, cfg.n, records))
     exact = exact_statistical_distance(table)
     est = StreamDistanceEstimator(
         cfg.k, cfg.n, cfg.epsilon, cfg.delta, seed=cfg.seed, overrides=overrides
     )
-    est.consume(tuples)
+    est.consume(records)
     norm = est.tensor_norm_estimate()
     raw = norm / (2.0 * float(est.m_seen) ** cfg.k)
     estimate = min(1.0, max(0.0, raw))

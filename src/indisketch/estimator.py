@@ -58,7 +58,7 @@ from .hashing import (
     zero_one_tables,
 )
 from .sketches import fold_counts, repetition_seeds
-from .stream import EstimateReport, TupleKey, TupleStream, checked_tuple
+from .stream import EstimateReport, TupleKey, TupleStream, TupleTally, record_blocks
 
 Mask = np.ndarray  # uint8 0/1 vector over [1, n], index 0 <-> coordinate 1
 
@@ -315,6 +315,21 @@ def _decide_round(u0: float, u1: float, ratio: float) -> float:
     return 0.0
 
 
+def _median(values) -> float:
+    """``np.median`` of a nonempty 1-D sequence, to the bit.
+
+    np.median checks for masked arrays, which imports numpy.ma on its
+    first call, a cost every command-line run would pay; this takes the
+    same order statistics with np.partition and averages them with np.mean.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    if np.isnan(v).any():
+        return math.nan
+    hi = len(v) // 2
+    lo = hi if len(v) % 2 else hi - 1
+    return float(np.mean(np.partition(v, (lo, hi))[lo : hi + 1]))
+
+
 def _combine_rounds(round_values: Iterable[float]) -> float:
     """Raw minimum over all round outputs.
 
@@ -402,9 +417,9 @@ def _bucket_masks(H: Mask, rho: int, seed: int):
     """Occupied (bucket, mask) pairs; unoccupied buckets are exactly null."""
     n = H.shape[0]
     g = BucketHash(seed=int(derive_key(seed, _TAG_BUCKET)), n=n, buckets=rho).table(n)
-    occupied = np.unique(g[H > 0])
-    for s in occupied.tolist():
-        yield int(s), (H * (g == s)).astype(np.uint8)
+    # a set rather than np.unique, which imports numpy.ma on its first call
+    for s in sorted(set(g[H > 0].tolist())):
+        yield s, (H * (g == s)).astype(np.uint8)
 
 
 def _level_masks(n: int, cfg: LayerConfig, seed: int):
@@ -590,7 +605,7 @@ def dimension_reduce(
         layered_l1_estimate(n, lcfg, run_cover, seed=int(derive_key(seed, _TAG_AMP, r)))
         for r in range(amp)
     ]
-    return float(np.median(estimates))
+    return _median(estimates)
 
 
 def exact_sub_oracles(M, beta: float = 1.0) -> SubAlgorithms:
@@ -689,20 +704,18 @@ class _BankRegistry:
         self._pending.clear()
         self.frozen = True
 
-    def bulk_update(self, counts: Dict[TupleKey, int]):
+    def bulk_update(self, counts: TupleTally):
         if not self.frozen:
             raise ConfigurationError("freeze the registry before streaming")
         fields = ("prefix", "bank", "coeff", "joint", "margins")
         groups = [(sp, *(g[f] for f in fields)) for (_s, sp), g in self.groups.items()]
-        self.m_seen += fold_counts(counts, self.n, groups)
+        self.m_seen += fold_counts(counts.tuples(), counts.counts, self.n, groups)
 
-    def update(self, rec: TupleKey):
-        self.bulk_update({tuple(int(x) for x in rec): 1})
-
-    def values(self, key) -> np.ndarray:
+    def values(self, key, start: int, stop: int) -> np.ndarray:
+        """Sketch values m^(k-1) * joint - prod(margins) of rows [start, stop) of a group."""
         g = self.groups[key]
         scale = float(self.m_seen) ** (self.k - 1)
-        return scale * g["joint"] - np.prod(g["margins"], axis=1)
+        return scale * g["joint"][start:stop] - np.prod(g["margins"][start:stop], axis=1)
 
 
 @dataclass
@@ -712,12 +725,8 @@ class _LeafRef:
     handle: Tuple
     kind: str
 
-    def evaluate(self, reg: _BankRegistry, _cache: Dict) -> float:
-        key, start, stop = self.handle
-        cache_key = ("values", key)
-        if cache_key not in _cache:
-            _cache[cache_key] = reg.values(key)
-        return float(np.median(np.abs(_cache[cache_key][start:stop])))
+    def evaluate(self, reg: _BankRegistry) -> float:
+        return _median(np.abs(reg.values(*self.handle)))
 
 
 @dataclass
@@ -725,7 +734,7 @@ class _TournamentPlan:
     cfg: TournamentConfig
     rounds: List[Tuple[Optional[Tuple[_LeafRef, object]], Optional[Tuple[_LeafRef, object]]]]
 
-    def evaluate(self, reg, cache) -> float:
+    def evaluate(self, reg) -> float:
         ratio = self.cfg.ratio_threshold * self.cfg.beta**2
         vals = []
         for side0, side1 in self.rounds:
@@ -735,8 +744,8 @@ class _TournamentPlan:
                     u.append(0.0)
                     continue
                 a_ref, b_node = node
-                coarse = a_ref.evaluate(reg, cache)
-                sharp = b_node.evaluate(reg, cache)
+                coarse = a_ref.evaluate(reg)
+                sharp = b_node.evaluate(reg)
                 u.append(max(coarse / self.cfg.beta, sharp, 0.0))
             vals.append(_decide_round(u[0], u[1], ratio))
         return _combine_rounds(vals)
@@ -746,10 +755,10 @@ class _TournamentPlan:
 class _CoverPlan:
     buckets: Dict[int, _TournamentPlan]
 
-    def evaluate(self, reg, cache) -> List[float]:
+    def evaluate(self, reg) -> List[float]:
         out = []
         for plan in self.buckets.values():
-            u = plan.evaluate(reg, cache)
+            u = plan.evaluate(reg)
             if u > 0.0:
                 out.append(u)
         return out
@@ -761,11 +770,11 @@ class _AmpPlan:
     lcfg: LayerConfig
     levels: List[Tuple[int, _CoverPlan]]
 
-    def evaluate(self, reg, cache) -> float:
+    def evaluate(self, reg) -> float:
         shift = (1.0 + self.lcfg.phase_ratio) ** self.q
         counts: Dict[Tuple[int, int], int] = defaultdict(int)
         for j, cover in self.levels:
-            for value in cover.evaluate(reg, cache):
+            for value in cover.evaluate(reg):
                 l = _assign_layer(value, shift, self.lcfg)
                 if l is not None:
                     counts[(l, j)] += 1
@@ -777,8 +786,8 @@ class _ReducePlan:
     amps: List[_AmpPlan]
     diagnostics: Dict[str, object]
 
-    def evaluate(self, reg, cache) -> float:
-        return float(np.median([a.evaluate(reg, cache) for a in self.amps]))
+    def evaluate(self, reg) -> float:
+        return _median([a.evaluate(reg) for a in self.amps])
 
 
 def _build_reduce_plan(
@@ -935,36 +944,43 @@ class StreamDistanceEstimator:
         )
         self.registry.freeze()
         self.records_consumed = 0
-        self._chunk: Dict[TupleKey, int] = {}
+        self._chunk = TupleTally(k, n)
 
     def update(self, rec: TupleKey) -> None:
-        t = checked_tuple(rec, self.k, self.n, self.records_consumed + 1)
-        self._chunk[t] = self._chunk.get(t, 0) + 1
-        self.records_consumed += 1
-        if len(self._chunk) >= self.overrides.max_chunk:
-            self._flush()
+        self._tally(record_blocks([rec], self.k, self.n, self.records_consumed))
 
-    def consume(self, stream: Iterable[TupleKey]) -> int:
-        for rec in stream:
-            self.update(rec)
+    def consume(self, stream: Iterable) -> int:
+        """Tally every record (tuple or 2-D block of rows) of ``stream``, then flush."""
+        self._tally(record_blocks(stream, self.k, self.n, self.records_consumed))
         self._flush()
         return self.records_consumed
 
+    def _tally(self, blocks: Iterable[np.ndarray]) -> None:
+        """Count blocks into the chunk, flushing it the moment it holds
+        ``max_chunk`` distinct tuples, as a record-at-a-time count would."""
+        limit = max(1, self.overrides.max_chunk)
+        for block in blocks:
+            while len(block):
+                taken = self._chunk.add(block, limit)
+                self.records_consumed += taken
+                block = block[taken:]
+                if len(self._chunk) >= limit:
+                    self._flush()
+
     def _flush(self):
-        if self._chunk:
+        if len(self._chunk):
             self.registry.bulk_update(self._chunk)
-            self._chunk = {}
+            self._chunk = TupleTally(self.k, self.n)
 
     @property
     def m_seen(self) -> int:
-        return self.registry.m_seen + sum(self._chunk.values())
+        return self.registry.m_seen + self._chunk.m
 
     def tensor_norm_estimate(self) -> float:
         self._flush()
         if self.registry.m_seen < 1:
             raise EmptyStreamError("no tuples were consumed")
-        cache: Dict = {}
-        return self.plan.evaluate(self.registry, cache)
+        return self.plan.evaluate(self.registry)
 
     def bank_rows(self) -> int:
         return sum(g["joint"].shape[0] for g in self.registry.groups.values())

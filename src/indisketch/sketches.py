@@ -250,24 +250,26 @@ def merge(a: ProductSketchState, b: ProductSketchState) -> ProductSketchState:
     return out
 
 
-def fold_counts(counts: Dict[TupleKey, int], n: int, groups) -> int:
+def fold_counts(tuples: np.ndarray, counts: np.ndarray, n: int, groups) -> int:
     """Add a chunk of tuple counts to product-sketch rows in place.
 
-    Each group is ``(s_prime, prefix, bank, coeff, joint, margins)``:
-    ``prefix`` holds each bank's s masks (banks, s, n), ``bank`` the
-    nondecreasing bank of each row, ``coeff`` each row's k - s' Cauchy
-    tables (rows, k - s', n). By linearity this equals feeding the tuples
-    one at a time: each bank's masked counts, summed onto the chunk's U
-    distinct suffixes (coordinates s' to k), meet its rows' tables at
-    those suffixes, and each margin meets them at its coordinate's
-    distinct values. For D distinct tuples the cost is
-    O(banks * s * D + rows * k * U), never a term in n^k; each temporary
-    holds at most max(FOLD_BLOCK, D) floats. Returns the record count.
+    ``tuples`` holds the chunk's distinct tuples (D, k) over [1, n] and
+    ``counts`` their record counts. Each group is
+    ``(s_prime, prefix, bank, coeff, joint, margins)``: ``prefix`` holds
+    each bank's s masks (banks, s, n), ``bank`` the nondecreasing bank of
+    each row, ``coeff`` each row's k - s' Cauchy tables (rows, k - s', n).
+    By linearity this equals feeding the tuples one at a time: each
+    bank's masked counts, summed onto the chunk's U distinct suffixes
+    (coordinates s' to k), meet its rows' tables at those suffixes, and
+    each margin meets them at its coordinate's distinct values. For D
+    distinct tuples the cost is O(banks * s * D + rows * k * U), never a
+    term in n^k; each temporary holds at most max(FOLD_BLOCK, D) floats.
+    Returns the record count.
     """
-    if not counts:
+    if not len(counts):
         return 0
-    T = np.array(list(counts), dtype=np.int64) - 1
-    c = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
+    T = np.asarray(tuples, dtype=np.int64) - 1
+    c = np.asarray(counts, dtype=np.float64)
     D, k = T.shape
     # each coordinate's distinct values and their total counts
     values, at = zip(*(np.unique(T[:, j], return_inverse=True) for j in range(k)))
@@ -357,14 +359,15 @@ class SketchBank:
         self.m_seen = 0
 
     def update(self, rec: TupleKey) -> None:
-        self.bulk_update({tuple(int(x) for x in rec): 1})
+        self.bulk_update({tuple(rec): 1})
 
     def bulk_update(self, counts: Dict[TupleKey, int]) -> None:
-        for t in counts:
-            checked_tuple(t, self.k, self.n)
+        tuples = [checked_tuple(t, self.k, self.n) for t in counts]
+        T = np.array(tuples, dtype=np.int64).reshape(len(tuples), self.k)
+        c = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
         rows = np.zeros(self.repetitions, np.int32)
         group = (self.s_prime, self.prefix[None], rows, self.coeff, self.joint, self.margins)
-        self.m_seen += fold_counts(counts, self.n, [group])
+        self.m_seen += fold_counts(T, c, self.n, [group])
 
     def values(self) -> np.ndarray:
         """Per-repetition sketch values m^(k-1)*joint - prod(margins)."""

@@ -23,13 +23,21 @@ is the tensor every sketch in the library targets.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from .errors import EmptyStreamError, MalformedInputError
 
 TupleKey = Tuple[int, ...]
+
+# Records travel from the input to the tallies in blocks of this many rows:
+# large enough that per-block numpy calls cost little per record, small
+# enough that a block's temporaries stay well under a megabyte.
+RECORD_BLOCK = 4096
 
 
 @dataclass
@@ -73,9 +81,26 @@ class FrequencyTable:
         return self.margins[dim - 1].get(value, 0)
 
 
+def _integral(x, index: Optional[int]) -> int:
+    """``x`` as an int; MalformedInputError unless it is an integral number."""
+    try:
+        v = int(x)
+        integral = v == x
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise MalformedInputError(f"non-integer coordinate {x!r}", index)
+    return v
+
+
 def checked_tuple(rec, k: int, n: int, index: Optional[int] = None) -> TupleKey:
-    """``rec`` as an int tuple; MalformedInputError on wrong arity or range."""
-    t = tuple(int(x) for x in rec)
+    """``rec`` as an int tuple; MalformedInputError on a non-integral
+    coordinate, wrong arity or range."""
+    items = tuple(rec)  # one pass over rec, which may be an iterator
+    try:
+        t = tuple(map(operator.index, items))
+    except TypeError:
+        t = tuple(_integral(x, index) for x in items)
     if len(t) != k:
         raise MalformedInputError(f"expected {k} coordinates, got {len(t)}", index)
     for x in t:
@@ -84,29 +109,156 @@ def checked_tuple(rec, k: int, n: int, index: Optional[int] = None) -> TupleKey:
     return t
 
 
+def _checked_block(block: np.ndarray, k: int, n: int, index: int) -> np.ndarray:
+    """A 2-D block of records as int64; its first bad row raises the
+    ``checked_tuple`` error, counting rows from ``index + 1``."""
+    if block.shape[1] != k:
+        checked_tuple(block[0].tolist(), k, n, index + 1)
+    if block.dtype.kind in "iuf":
+        ok = (block >= 1) & (block <= n)
+        if block.dtype.kind == "f":
+            ok &= block == np.floor(block)
+        bad = np.flatnonzero(~ok.all(axis=1))
+        if len(bad):
+            checked_tuple(block[bad[0]].tolist(), k, n, index + 1 + int(bad[0]))
+        return block.astype(np.int64, copy=False)
+    rows = [checked_tuple(r, k, n, index + 1 + i) for i, r in enumerate(block)]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), k)
+
+
+def record_blocks(
+    source: Iterable, k: int, n: int, start: int = 0
+) -> Iterator[np.ndarray]:
+    """The records of ``source`` as validated ``(b, k)`` int64 blocks.
+
+    Items of ``source`` are single records or 2-D arrays of records (rows).
+    Arrays are checked at once and passed through in slices of at most
+    ``RECORD_BLOCK`` rows; single records are checked with ``checked_tuple``
+    and batched. Errors name the record by its position in ``source``,
+    counted from ``start + 1``.
+    """
+    batch: List[TupleKey] = []
+    index = start
+    for item in source:
+        if isinstance(item, np.ndarray) and item.ndim == 2:
+            if batch:
+                yield np.array(batch, dtype=np.int64)
+                batch = []
+            for lo in range(0, len(item), RECORD_BLOCK):
+                block = item[lo : lo + RECORD_BLOCK]
+                yield _checked_block(block, k, n, index)
+                index += len(block)
+            continue
+        index += 1
+        batch.append(checked_tuple(item, k, n, index))
+        if len(batch) == RECORD_BLOCK:
+            yield np.array(batch, dtype=np.int64)
+            batch = []
+    if batch:
+        yield np.array(batch, dtype=np.int64)
+
+
+class TupleTally:
+    """Counts of distinct k-tuples over [1, n]^k, added a block at a time.
+
+    Tuples are kept as sorted keys with int64 counts. A key is the
+    mixed-radix index of the 0-based tuple when ``n^k`` fits in an int64,
+    and otherwise the tuple's raw bytes; both sort and compare exactly.
+    Added keys wait until they are as many as the keys held, then merge
+    in one sort, so a large support costs O(log) per record, not O(D).
+    """
+
+    def __init__(self, k: int, n: int):
+        self.k, self.n = k, n
+        fits = n**k <= 2**63
+        self._radix = n ** np.arange(k - 1, -1, -1, dtype=np.int64) if fits else None
+        self._keys = self._encode(np.empty((0, k), dtype=np.int64))
+        self._counts = np.empty(0, dtype=np.int64)
+        self._waiting: List[np.ndarray] = []
+        self._waiting_rows = 0
+
+    def __len__(self) -> int:
+        """Number of distinct tuples."""
+        self._merge()
+        return len(self._keys)
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Count of each distinct tuple, in the order of ``tuples()``."""
+        self._merge()
+        return self._counts
+
+    @property
+    def m(self) -> int:
+        """Number of records counted."""
+        return int(self.counts.sum())
+
+    def _encode(self, block: np.ndarray) -> np.ndarray:
+        if self._radix is not None:
+            return (block - 1) @ self._radix
+        rows = np.ascontiguousarray(block, dtype=np.int64)
+        return rows.view(np.dtype((np.void, 8 * self.k))).reshape(-1)
+
+    def tuples(self) -> np.ndarray:
+        """The distinct tuples as a (D, k) int64 array, in key order."""
+        self._merge()
+        if self._radix is not None:
+            return self._keys[:, None] // self._radix % self.n + 1
+        return self._keys.view(np.int64).reshape(-1, self.k)
+
+    def add(self, block: np.ndarray, limit: Optional[int] = None) -> int:
+        """Count the rows of a validated block in order; returns how many.
+
+        With ``limit``, counting stops after the row that brings the tally
+        to ``limit`` distinct tuples, exactly where a record-at-a-time
+        count would first reach it.
+        """
+        keys = self._encode(block)
+        if limit is not None and len(self) + len(keys) >= limit:
+            u, first = np.unique(keys, return_index=True)
+            pos = np.minimum(np.searchsorted(self._keys, u), len(self._keys) - 1)
+            new = first[self._keys[pos] != u] if len(self._keys) else first
+            need = limit - len(self._keys)
+            if 0 < need <= len(new):
+                keys = keys[: np.sort(new)[need - 1] + 1]
+        self._waiting.append(keys)
+        self._waiting_rows += len(keys)
+        if self._waiting_rows >= len(self._keys):
+            self._merge()
+        return len(keys)
+
+    def _merge(self) -> None:
+        if not self._waiting_rows:
+            return
+        keys = np.concatenate([self._keys, *self._waiting])
+        counts = np.concatenate([self._counts, np.ones(self._waiting_rows, dtype=np.int64)])
+        order = np.argsort(keys)
+        keys, counts = keys[order], counts[order]
+        first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        self._keys, self._counts = keys[first], np.add.reduceat(counts, first)
+        self._waiting, self._waiting_rows = [], 0
+
+
 def build_frequency_table(stream: TupleStream) -> FrequencyTable:
     """Tally joint and margin counts in a single traversal.
 
     Raises MalformedInputError naming the offending record index when a
-    tuple has the wrong arity or an out-of-range coordinate.
+    tuple has the wrong arity, a non-integral or an out-of-range
+    coordinate. Counts are Python ints, so the oracle's products are exact.
     """
     k, n = stream.k, stream.n
-    joint: Dict[TupleKey, int] = {}
-    margins: List[Dict[int, int]] = [dict() for _ in range(k)]
-    m = 0
-    for idx, rec in enumerate(stream, start=1):
-        t = tuple(int(x) for x in rec)
-        if len(t) != k:
-            raise MalformedInputError(f"expected {k} coordinates, got {len(t)}", idx)
-        for l, x in enumerate(t):
-            if not 1 <= x <= n:
-                raise MalformedInputError(
-                    f"coordinate {l + 1} value {x} outside [1, {n}]", idx
-                )
-            margins[l][x] = margins[l].get(x, 0) + 1
-        joint[t] = joint.get(t, 0) + 1
-        m += 1
-    return FrequencyTable(k=k, n=n, m=m, joint=joint, margins=margins)
+    tally = TupleTally(k, n)
+    for block in record_blocks(stream, k, n):
+        tally.add(block)
+    T, counts = tally.tuples(), tally.counts
+    joint = dict(zip(map(tuple, T.tolist()), counts.tolist()))
+    margins: List[Dict[int, int]] = []
+    for l in range(k):
+        values, at = np.unique(T[:, l], return_inverse=True)
+        sums = np.zeros(len(values), dtype=np.int64)
+        np.add.at(sums, at, counts)
+        margins.append(dict(zip(values.tolist(), sums.tolist())))
+    return FrequencyTable(k=k, n=n, m=tally.m, joint=joint, margins=margins)
 
 
 def independence_tensor_entry(table: FrequencyTable, i: TupleKey) -> int:

@@ -1,8 +1,14 @@
 """Record parsing, synthetic generators and the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from indisketch import (
     MalformedInputError,
@@ -21,32 +27,145 @@ from indisketch.cli import (
     CountingReader,
     RunConfig,
     main,
+    parse_lines,
     run,
 )
 from indisketch.hashing import counter_uniform, derive_key
+from indisketch.stream import RECORD_BLOCK
+
+
+def parsed(lines, k, n):
+    """The records of ``parse_records`` as tuples, checking the block shape."""
+    out = []
+    for block in parse_records(lines, k, n):
+        assert block.dtype == np.int64 and block.ndim == 2 and block.shape[1] == k
+        assert 0 < len(block) <= RECORD_BLOCK
+        out.extend(map(tuple, block.tolist()))
+    return out
 
 
 class TestParseRecords:
     def test_comma_separated(self):
-        assert list(parse_records(["1,1", "2,2"], 2, 2)) == [(1, 1), (2, 2)]
+        assert parsed(["1,1", "2,2"], 2, 2) == [(1, 1), (2, 2)]
 
     def test_whitespace_and_comments(self):
         lines = ["1 1", "# comment", "", "2 2"]
-        assert list(parse_records(lines, 2, 2)) == [(1, 1), (2, 2)]
+        assert parsed(lines, 2, 2) == [(1, 1), (2, 2)]
 
     def test_arity_error_names_line(self):
         with pytest.raises(MalformedInputError) as err:
-            list(parse_records(["1,2,3"], 2, 4))
+            parsed(["1,2,3"], 2, 4)
         assert "record 1" in str(err.value)
 
     def test_non_integer_token(self):
         with pytest.raises(MalformedInputError) as err:
-            list(parse_records(["1,1", "1,x"], 2, 2))
+            parsed(["1,1", "1,x"], 2, 2)
         assert "record 2" in str(err.value)
 
     def test_out_of_range(self):
         with pytest.raises(MalformedInputError):
-            list(parse_records(["1,5"], 2, 4))
+            parsed(["1,5"], 2, 4)
+
+
+def outcome(records):
+    """Rows produced before any error, and the error as (type, message, index)."""
+    rows = []
+    try:
+        for rec in records:
+            rows.extend(map(tuple, np.atleast_2d(rec).tolist()))
+    except MalformedInputError as e:
+        return rows, (type(e), str(e), e.index)
+    return rows, None
+
+
+K, N = 3, 12
+_plain = st.integers(1, N).map(str)
+_token = st.one_of(
+    _plain,
+    _plain.map(lambda t: "00" + t),  # leading zeros
+    # signs, non-ASCII digits, errors, over-long tokens; 2^64 + 5 wraps to 5 in int64
+    st.sampled_from(
+        ["+3", "\u0661", "1_0", "-1", "0", str(N + 1), "x", "1.0", "0" * 20 + "7", str(2**64 + 5)]
+    ),
+)
+_separator = st.sampled_from([",", " ", "\t", ", ", ",,", " \t ", ",\t"])
+_ending = st.sampled_from(["\n", "\r\n", "\r", "", "  \n"])
+
+
+@st.composite
+def _line(draw):
+    kind = draw(st.sampled_from(["record"] * 6 + ["odd", "blank", "comment", "commas"]))
+    if kind == "blank":
+        body = draw(st.sampled_from(["", " ", "\t", " \t "]))
+    elif kind == "comment":
+        body = draw(st.sampled_from(["# note", "  #1,2,3", "#"]))
+    elif kind == "commas":
+        body = draw(st.sampled_from([",", " ,, ", ",\t,"]))
+    else:
+        tokens = draw(st.lists(_plain, min_size=K, max_size=K))
+        if kind == "odd":
+            tokens = draw(st.lists(_token, min_size=K - 1, max_size=K + 1))
+        body = draw(_separator).join(tokens)
+        if draw(st.booleans()):
+            body = draw(st.sampled_from([" ", "\t", ","])) + body
+    return body + draw(_ending)
+
+
+# errors and odd lines land in the first block, on a block boundary, or past it
+_padding = st.sampled_from(
+    [0, 1, RECORD_BLOCK - 2, RECORD_BLOCK - 1, RECORD_BLOCK, RECORD_BLOCK + 3]
+)
+
+
+@given(_padding, st.lists(_line(), max_size=24), st.booleans())
+@example(0, ["1 2 1", "1,5,6,7\n"], False)  # a line without a newline, then a digit
+@example(RECORD_BLOCK, [f"1,{2**64 + 5},1\n"], False)
+@example(1, [" ,, \n", "1,2,3\n"], False)  # commas alone are no blank line
+@settings(max_examples=150, deadline=None)
+def test_block_parser_agrees_with_line_parser(pad, tail, missing_final_newline):
+    lines = ["1,2,3\n", "12 1\t4\n", "\n"] * (pad // 3) + ["4,4,4\n"] * (pad % 3) + tail
+    if missing_final_newline and lines:
+        lines[-1] = lines[-1].rstrip("\n")
+    rows, err = outcome(parse_records(lines, K, N))
+    ref_rows, ref_err = outcome(parse_lines(lines, K, N))
+    assert err == ref_err
+    if err is None:
+        assert rows == ref_rows
+    else:  # the blocks before the bad one were yielded
+        assert rows == ref_rows[: len(rows)]
+
+
+def test_plain_blocks_skip_the_line_parser(monkeypatch):
+    monkeypatch.setattr(cli, "parse_lines", None)
+    lines = ["1,2\n", "\t03 ,, 4\n", "  \n", "", "2 1"] * (RECORD_BLOCK // 2)
+    assert parsed(lines, 2, 4) == [(1, 2), (3, 4), (2, 1)] * (RECORD_BLOCK // 2)
+
+
+def test_block_parser_memory_stays_per_block():
+    # 200k records parsed and tallied: temporaries are per block, not per input
+    rng = np.random.default_rng(3)
+    lines = [f"{a},{b}\n" for a, b in rng.integers(1, 17, (200_000, 2)).tolist()]
+    tracemalloc.start()
+    table = build_frequency_table(TupleStream(2, 16, parse_records(lines, 2, 16)))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert table.m == 200_000 and len(table.joint) == 256
+    assert peak < 1 << 20
+
+
+def test_sketch_run_does_not_import_numpy_ma():
+    # np.median and a plain np.unique import numpy.ma on their first call,
+    # which every command-line run would pay for
+    code = (
+        "import sys; from indisketch import cli; "
+        "cli.run(cli.RunConfig(k=3, n=3, mode='sketch', generate='mixture(0.5)', m=200)); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 class TestGenerateSynthetic:
@@ -99,9 +218,11 @@ class TestGenerateSynthetic:
 
 class TestCountingReader:
     def test_counts_and_single_traversal(self):
-        r = CountingReader([(1, 1), (2, 2)])
-        assert list(r) == [(1, 1), (2, 2)]
-        assert r.records_read == 2 and r.traversals == 1
+        block = np.array([[1, 2], [2, 1], [2, 2]])
+        r = CountingReader([(1, 1), block, (2, 2)])
+        items = list(r)
+        assert items[0] == (1, 1) and items[1] is block and items[2] == (2, 2)
+        assert r.records_read == 5 and r.traversals == 1
         with pytest.raises(RuntimeError):
             list(r)
 

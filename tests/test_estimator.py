@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from indisketch import (
     ConfigurationError,
@@ -30,7 +31,7 @@ from indisketch import (
     tensor_tournament,
 )
 from indisketch import sketches
-from indisketch.estimator import _BankRegistry, vector_sub_oracles
+from indisketch.estimator import _BankRegistry, _median, vector_sub_oracles
 from indisketch.hashing import ZeroOneHash
 
 
@@ -87,6 +88,17 @@ class TestConfigs:
         with pytest.raises(MalformedInputError) as err:
             est.update((1, 9))
         assert "record 2" in str(err.value)
+
+    def test_non_integral_records_rejected(self):
+        from indisketch import MalformedInputError
+
+        est = StreamDistanceEstimator(2, 3, 0.3, 0.1, seed=0)
+        with pytest.raises(MalformedInputError) as err:
+            est.consume([(1, 2), (1.9, 2.7)])
+        assert "record 2: non-integer coordinate 1.9" in str(err.value)
+        with pytest.raises(MalformedInputError) as err:
+            est.consume([np.array([[1.0, 2.0], [3.0, 2.5]])])
+        assert "non-integer coordinate 2.5" in str(err.value)
 
     def test_layer_scale_override(self):
         full = LayerConfig.from_targets(0.3, 64, value_bound=1e6)
@@ -427,6 +439,62 @@ class TestFlushContraction:
                     st_.update(rec)
                 assert g["joint"][start + r] == pytest.approx(st_.joint, rel=1e-12)
                 assert g["margins"][start + r] == pytest.approx(st_.margins, rel=1e-12)
+
+
+@given(st.lists(st.floats(width=64, allow_nan=False), min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_median_matches_numpy_to_the_bit(values):
+    with np.errstate(all="ignore"):  # the mean of two huge or infinite middles
+        want, got = np.float64(np.median(np.array(values))), np.float64(_median(values))
+    assert got.tobytes() == want.tobytes()
+    assert np.isnan(_median(values + [float("nan")]))
+
+
+class TestBlockTally:
+    """Flush boundaries follow the record-at-a-time rule however records are blocked."""
+
+    @pytest.mark.parametrize("max_chunk", [1, 2, 3, 7, EstimatorOverrides().max_chunk])
+    def test_blocking_does_not_move_flushes(self, max_chunk, monkeypatch):
+        k, n = 3, 3
+        recs = np.array(list(generate_synthetic("mixture(0.5)", k, n, 60, seed=4)))
+        cuts = np.sort(np.random.default_rng(max_chunk).choice(np.arange(1, 60), 8, replace=False))
+        ways = {
+            "one block": [recs],
+            "one-record blocks": [r[None] for r in recs],
+            "random splits": np.split(recs, cuts),
+            "tuples": list(map(tuple, recs.tolist())),
+        }
+        # the chunk closes at the record that brings it to max_chunk distinct tuples
+        expected, seen = [], set()
+        for r in map(tuple, recs.tolist()):
+            seen.add(r)
+            if len(seen) >= max_chunk:
+                expected.append(len(seen))
+                seen = set()
+        expected += [len(seen)] if seen else []
+
+        flushes = []
+        bulk_update = _BankRegistry.bulk_update
+
+        def counting_update(reg, counts):
+            flushes[-1].append(len(counts))
+            bulk_update(reg, counts)
+
+        monkeypatch.setattr(_BankRegistry, "bulk_update", counting_update)
+        ov = EstimatorOverrides(
+            amplification=1, rounds=1, eps_reps=3, polylog_reps=2, max_chunk=max_chunk
+        )
+        states = []
+        for source in ways.values():
+            flushes.append([])
+            est = StreamDistanceEstimator(k, n, 0.3, 0.1, seed=1, overrides=ov)
+            assert est.consume(source) == len(recs) == est.m_seen
+            states.append(est.registry.groups)
+        assert all(f == expected for f in flushes)
+        for groups in states[1:]:
+            for key, g in states[0].items():
+                assert np.array_equal(groups[key]["joint"], g["joint"])
+                assert np.array_equal(groups[key]["margins"], g["margins"])
 
 
 class TestGoldenEstimates:

@@ -1,14 +1,17 @@
 """Frequency tables, the independence tensor and the exact oracle."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from indisketch import (
     EmptyStreamError,
     EstimateReport,
+    FrequencyTable,
     MalformedInputError,
     TupleStream,
     build_frequency_table,
@@ -16,6 +19,7 @@ from indisketch import (
     exact_statistical_distance,
     independence_tensor_entry,
 )
+from indisketch.stream import RECORD_BLOCK, TupleTally, checked_tuple, record_blocks
 
 
 def table_of(stream, k=2, n=2):
@@ -61,6 +65,100 @@ class TestBuildFrequencyTable:
             for v in range(1, t.n + 1):
                 direct = sum(c for i, c in t.joint.items() if i[l] == v)
                 assert t.margins[l].get(v, 0) == direct
+
+
+class TestCoordinateChecks:
+    """Records must hold integral coordinates; nothing is truncated."""
+
+    def test_non_integral_coordinate_names_record(self):
+        with pytest.raises(MalformedInputError) as err:
+            checked_tuple((1.9, 2.7), 2, 4, index=3)
+        assert "record 3: non-integer coordinate 1.9" in str(err.value)
+        for bad in ((1, float("nan")), (1, float("inf")), (1, "2"), (1, 2.5 + 0j)):
+            with pytest.raises(MalformedInputError):
+                checked_tuple(bad, 2, 4)
+        with pytest.raises(MalformedInputError, match="non-integer coordinate 2.5"):
+            checked_tuple(iter([1, 2.5]), 2, 4)
+
+    def test_integral_floats_and_numpy_integers_accepted(self):
+        t = checked_tuple((2.0, np.int64(3), np.uint8(1), np.float32(4.0)), 4, 4)
+        assert t == (2, 3, 1, 4) and all(type(x) is int for x in t)
+
+    def test_exact_route_rejects_non_integral_tuples(self):
+        with pytest.raises(MalformedInputError) as err:
+            table_of([(1, 1), (1.5, 2.2)])
+        assert "record 2" in str(err.value)
+        assert table_of([(1.0, 2.0), (np.int32(1), 2)]).joint == {(1, 2): 2}
+
+    def test_exact_route_rejects_non_integral_blocks(self):
+        block = np.array([[1.0, 2.0], [2.0, 1.0], [2.0, 1.5]])
+        with pytest.raises(MalformedInputError) as err:
+            table_of([(1, 1), block])
+        assert str(err.value) == "record 4: non-integer coordinate 1.5"
+        assert table_of([block[:2]]).joint == {(1, 2): 1, (2, 1): 1}
+
+    @pytest.mark.parametrize("bad", [[1, 0], [3, 1], [1.5, 1], [np.nan, 2], [-np.inf, 1]])
+    def test_block_errors_match_per_record_errors(self, bad):
+        good = [[1, 2]] * (RECORD_BLOCK + 5)
+        dtype = np.int64 if all(float(x).is_integer() for x in bad) else np.float64
+        block = np.array(good + [bad] + good, dtype=dtype)
+        at = 2 + len(good) + 1  # after two tuples and the good rows
+        with pytest.raises(MalformedInputError) as got:
+            list(record_blocks([(2, 2), (1, 1), block], 2, 2))
+        with pytest.raises(MalformedInputError) as want:
+            checked_tuple(tuple(bad), 2, 2, at)
+        assert str(got.value) == str(want.value) and got.value.index == at
+
+    def test_block_arity_error_names_its_first_row(self):
+        with pytest.raises(MalformedInputError) as err:
+            list(record_blocks([(2, 2), np.ones((3, 3), dtype=np.int64)], 2, 2))
+        assert str(err.value) == "record 2: expected 2 coordinates, got 3"
+
+    def test_blocks_and_tuples_keep_order_and_numbering(self):
+        source = [(1, 2), np.array([[2, 2]] * (RECORD_BLOCK + 1)), (2, 1), (1, 1)]
+        blocks = list(record_blocks(source, 2, 2))
+        assert all(b.dtype == np.int64 and len(b) <= RECORD_BLOCK for b in blocks)
+        rows = np.concatenate(blocks).tolist()
+        assert rows == [[1, 2]] + [[2, 2]] * (RECORD_BLOCK + 1) + [[2, 1], [1, 1]]
+        with pytest.raises(MalformedInputError) as err:
+            list(record_blocks(source + [(3, 1)], 2, 2, start=10))
+        assert err.value.index == 10 + RECORD_BLOCK + 5
+
+
+class TestTupleTally:
+    @pytest.mark.parametrize("k,n", [(2, 5), (4, 70000)])  # int64 keys, byte keys
+    @pytest.mark.parametrize("limit", [1, 2, 7, 40])
+    def test_limit_stops_where_a_record_at_a_time_count_does(self, k, n, limit):
+        rng = np.random.default_rng(limit)
+        values = np.array([1, 2, n - 1, n])
+        recs = values[rng.integers(0, 4, (300, k))]
+        pre = limit // 2  # fewer distinct tuples than the limit
+        tally = TupleTally(k, n)
+        tally.add(recs[:pre])
+        seen = set(map(tuple, recs[:pre].tolist()))
+        taken = tally.add(recs[pre:], limit)
+        for i, r in enumerate(recs[pre:].tolist(), start=1):
+            seen.add(tuple(r))
+            if len(seen) >= limit:
+                break
+        assert taken == i and len(tally) == len(seen)
+        want = Counter(map(tuple, recs[: pre + taken].tolist()))
+        got = dict(zip(map(tuple, tally.tuples().tolist()), tally.counts.tolist()))
+        assert got == want and tally.m == pre + taken
+
+    def test_exact_route_beyond_int64_keys(self):
+        # n^k >= 2^63, so tuples cannot be one int64 key
+        k, n = 4, 70000
+        assert n**k >= 2**63
+        rng = np.random.default_rng(9)
+        recs = rng.integers(1, n + 1, (300, k))
+        recs = np.concatenate([recs, recs[:50], [[n] * k, [1, n, 1, n]]])
+        table = build_frequency_table(TupleStream(k, n, [recs[:100], *map(tuple, recs[100:])]))
+        joint = Counter(map(tuple, recs.tolist()))
+        margins = [dict(Counter(recs[:, l].tolist())) for l in range(k)]
+        assert table.joint == joint and table.margins == margins and table.m == len(recs)
+        ref = FrequencyTable(k=k, n=n, m=len(recs), joint=dict(joint), margins=margins)
+        assert exact_statistical_distance(table) == exact_statistical_distance(ref)
 
 
 class TestIndependenceTensorEntry:
