@@ -49,6 +49,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EmptyStreamError, SubAlgorithmError
 from .hashing import (
+    FOLD_BLOCK,
     BucketHash,
     ZeroOneHash,
     batched_cauchy_tables,
@@ -57,7 +58,7 @@ from .hashing import (
     derive_key,
     zero_one_tables,
 )
-from .sketches import fold_counts, repetition_seeds
+from .sketches import fold_counts, repetition_seeds, row_medians
 from .stream import EstimateReport, TupleKey, TupleStream, TupleTally, record_blocks
 
 Mask = np.ndarray  # uint8 0/1 vector over [1, n], index 0 <-> coordinate 1
@@ -316,18 +317,9 @@ def _decide_round(u0: float, u1: float, ratio: float) -> float:
 
 
 def _median(values) -> float:
-    """``np.median`` of a nonempty 1-D sequence, to the bit.
-
-    np.median checks for masked arrays, which imports numpy.ma on its
-    first call, a cost every command-line run would pay; this takes the
-    same order statistics with np.partition and averages them with np.mean.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    if np.isnan(v).any():
-        return math.nan
-    hi = len(v) // 2
-    lo = hi if len(v) % 2 else hi - 1
-    return float(np.mean(np.partition(v, (lo, hi))[lo : hi + 1]))
+    """``np.median`` of a nonempty 1-D sequence, to the bit: the one-row
+    case of ``row_medians``."""
+    return float(row_medians(np.asarray(values, dtype=np.float64).reshape(1, -1))[0])
 
 
 def _combine_rounds(round_values: Iterable[float]) -> float:
@@ -658,15 +650,17 @@ class _BankRegistry:
     Rows are grouped by (prefix depth s, collapse depth s'); each row is
     one repetition with its own Cauchy tables, and each bank's prefix masks
     are stored once with a row -> bank index. A flush folds the chunk's
-    distinct tuple counts into every group with ``fold_counts``.
+    distinct tuple counts into every group with ``fold_counts``. All banks
+    of a group have the same repetition count, so bank b of a group holds
+    rows [b * reps, (b + 1) * reps).
     """
 
     def __init__(self, k: int, n: int, omega: float):
         self.k, self.n, self.omega = k, n, float(omega)
-        self._pending: Dict[Tuple[int, int], List[Tuple[np.ndarray, int, int]]] = (
+        self._pending: Dict[Tuple[int, int], List[Tuple[Sequence[Mask], int]]] = (
             defaultdict(list)
         )
-        self._rows: Dict[Tuple[int, int], int] = defaultdict(int)
+        self._reps: Dict[Tuple[int, int], int] = {}
         self.groups: Dict[Tuple[int, int], Dict[str, np.ndarray]] = {}
         self.m_seen = 0
         self.frozen = False
@@ -675,12 +669,15 @@ class _BankRegistry:
         """Register `reps` repetitions; returns a handle for later medians."""
         if self.frozen:
             raise ConfigurationError("registry is frozen once the pass begins")
-        s = len(prefix)
-        key = (s, s_prime)
-        table = np.asarray(prefix, dtype=np.float64).reshape(s, self.n)
-        start = self._rows[key]
-        self._pending[key].append((table, reps, int(seed)))
-        self._rows[key] = start + reps
+        if reps < 1:
+            raise ConfigurationError("repetitions must be >= 1")
+        key = (len(prefix), s_prime)
+        if self._reps.setdefault(key, reps) != reps:
+            raise ConfigurationError(
+                f"group {key} has {self._reps[key]} repetitions per bank, not {reps}"
+            )
+        start = len(self._pending[key]) * reps
+        self._pending[key].append((prefix, int(seed)))
         return (key, start, start + reps)
 
     def freeze(self):
@@ -692,10 +689,11 @@ class _BankRegistry:
         """
         for key, entries in self._pending.items():
             s, s_prime = key
-            tables, reps, seeds = zip(*entries)
+            reps = self._reps[key]
+            prefixes, seeds = zip(*entries)
             row_seeds = repetition_seeds(np.array(seeds, dtype=np.uint64), reps)
             self.groups[key] = {
-                "prefix": np.stack(tables),
+                "prefix": np.array(prefixes, dtype=np.float64).reshape(len(entries), s, self.n),
                 "bank": np.repeat(np.arange(len(entries), dtype=np.int32), reps),
                 "coeff": batched_cauchy_tables(row_seeds, self.k - s_prime, self.n, self.omega),
                 "joint": np.zeros(len(row_seeds), dtype=np.float64),
@@ -711,22 +709,36 @@ class _BankRegistry:
         groups = [(sp, *(g[f] for f in fields)) for (_s, sp), g in self.groups.items()]
         self.m_seen += fold_counts(counts.tuples(), counts.counts, self.n, groups)
 
-    def values(self, key, start: int, stop: int) -> np.ndarray:
-        """Sketch values m^(k-1) * joint - prod(margins) of rows [start, stop) of a group."""
-        g = self.groups[key]
+    def medians(self) -> Dict[Tuple[int, int], List[float]]:
+        """Each bank's median |m^(k-1) * joint - prod(margins)|, per group in bank order.
+
+        Rows are taken in blocks of whole banks, so no temporary holds more
+        than FOLD_BLOCK values, or one bank's when that is larger.
+        """
         scale = float(self.m_seen) ** (self.k - 1)
-        return scale * g["joint"][start:stop] - np.prod(g["margins"][start:stop], axis=1)
+        table = {}
+        for key, g in self.groups.items():
+            reps = self._reps[key]
+            step = max(1, FOLD_BLOCK // reps) * reps
+            joint, margins = g["joint"], g["margins"]
+            med: List[float] = []
+            for lo in range(0, len(joint), step):
+                v = scale * joint[lo : lo + step]
+                v -= np.prod(margins[lo : lo + step], axis=1)
+                med += row_medians(np.abs(v, out=v).reshape(-1, reps)).tolist()
+            table[key] = med
+        return table
 
 
 @dataclass
 class _LeafRef:
-    """A registered bank slice evaluated as the median |sketch value|."""
+    """A registered bank, evaluated as its median |sketch value|."""
 
     handle: Tuple
-    kind: str
 
-    def evaluate(self, reg: _BankRegistry) -> float:
-        return _median(np.abs(reg.values(*self.handle)))
+    def evaluate(self, med) -> float:
+        key, start, stop = self.handle
+        return med[key][start // (stop - start)]
 
 
 @dataclass
@@ -734,7 +746,7 @@ class _TournamentPlan:
     cfg: TournamentConfig
     rounds: List[Tuple[Optional[Tuple[_LeafRef, object]], Optional[Tuple[_LeafRef, object]]]]
 
-    def evaluate(self, reg) -> float:
+    def evaluate(self, med) -> float:
         ratio = self.cfg.ratio_threshold * self.cfg.beta**2
         vals = []
         for side0, side1 in self.rounds:
@@ -744,8 +756,8 @@ class _TournamentPlan:
                     u.append(0.0)
                     continue
                 a_ref, b_node = node
-                coarse = a_ref.evaluate(reg)
-                sharp = b_node.evaluate(reg)
+                coarse = a_ref.evaluate(med)
+                sharp = b_node.evaluate(med)
                 u.append(max(coarse / self.cfg.beta, sharp, 0.0))
             vals.append(_decide_round(u[0], u[1], ratio))
         return _combine_rounds(vals)
@@ -755,10 +767,10 @@ class _TournamentPlan:
 class _CoverPlan:
     buckets: Dict[int, _TournamentPlan]
 
-    def evaluate(self, reg) -> List[float]:
+    def evaluate(self, med) -> List[float]:
         out = []
         for plan in self.buckets.values():
-            u = plan.evaluate(reg)
+            u = plan.evaluate(med)
             if u > 0.0:
                 out.append(u)
         return out
@@ -770,11 +782,11 @@ class _AmpPlan:
     lcfg: LayerConfig
     levels: List[Tuple[int, _CoverPlan]]
 
-    def evaluate(self, reg) -> float:
+    def evaluate(self, med) -> float:
         shift = (1.0 + self.lcfg.phase_ratio) ** self.q
         counts: Dict[Tuple[int, int], int] = defaultdict(int)
         for j, cover in self.levels:
-            for value in cover.evaluate(reg):
+            for value in cover.evaluate(med):
                 l = _assign_layer(value, shift, self.lcfg)
                 if l is not None:
                     counts[(l, j)] += 1
@@ -786,8 +798,8 @@ class _ReducePlan:
     amps: List[_AmpPlan]
     diagnostics: Dict[str, object]
 
-    def evaluate(self, reg) -> float:
-        return _median([a.evaluate(reg) for a in self.amps])
+    def evaluate(self, med) -> float:
+        return _median([a.evaluate(med) for a in self.amps])
 
 
 def _build_reduce_plan(
@@ -840,16 +852,14 @@ def _build_reduce_plan(
                         a_ref = _LeafRef(
                             handle=reg.add_bank(
                                 prefix + [mask], depth, ov.polylog_reps, int(leaf_seed)
-                            ),
-                            kind="coarse",
+                            )
                         )
                         if depth + 1 == k - 1:
                             b_seed = derive_key(tour_seed, _TAG_BANK_B, rd, side)
                             b_node: object = _LeafRef(
                                 handle=reg.add_bank(
                                     prefix + [mask], k - 1, ov.eps_reps, int(b_seed)
-                                ),
-                                kind="sharp",
+                                )
                             )
                         else:
                             child_seed = int(derive_key(tour_seed, _TAG_CHILD, rd, side))
@@ -980,7 +990,7 @@ class StreamDistanceEstimator:
         self._flush()
         if self.registry.m_seen < 1:
             raise EmptyStreamError("no tuples were consumed")
-        return self.plan.evaluate(self.registry)
+        return self.plan.evaluate(self.registry.medians())
 
     def bank_rows(self) -> int:
         return sum(g["joint"].shape[0] for g in self.registry.groups.values())

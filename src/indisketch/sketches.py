@@ -74,6 +74,23 @@ def repetition_seeds(seed, repetitions) -> np.ndarray:
     return derive_key(np.repeat(keys, reps), offsets)
 
 
+def row_medians(values: np.ndarray) -> np.ndarray:
+    """``np.median(values, axis=1)`` of a 2-D float64 array, to the bit.
+
+    np.median checks for masked arrays, which imports numpy.ma on its
+    first call, a cost every command-line run would pay; this takes the
+    same order statistics with np.partition and averages them with np.mean.
+    A row holding a NaN gives NaN. Two middles whose sum passes the float
+    range average to inf, np.median's value, without an overflow warning.
+    """
+    hi = values.shape[1] // 2
+    lo = hi if values.shape[1] % 2 else hi - 1
+    with np.errstate(over="ignore"):
+        med = np.mean(np.partition(values, (lo, hi), axis=1)[:, lo : hi + 1], axis=1)
+    med[np.isnan(values).any(axis=1)] = np.nan
+    return med
+
+
 def _as_table(h, n):
     """Normalize a hash (array, sequence, callable or ZeroOneHash) to length-n values."""
     if callable(h) and not isinstance(h, np.ndarray):
@@ -423,7 +440,7 @@ def epsilon_l1_estimate(
         raise ConfigurationError(
             f"bank has {bank.repetitions} repetitions, needs >= {need}"
         )
-    return float(np.median(np.abs(bank.values())))
+    return float(row_medians(np.abs(bank.values())[None])[0])
 
 
 def polylog_l1_estimate(bank: SketchBank, delta: float, c: float = 64.0) -> float:
@@ -437,7 +454,7 @@ def polylog_l1_estimate(bank: SketchBank, delta: float, c: float = 64.0) -> floa
         raise ConfigurationError(
             f"bank has {bank.repetitions} repetitions, needs >= {need}"
         )
-    return float(np.median(np.abs(bank.values())))
+    return float(row_medians(np.abs(bank.values())[None])[0])
 
 
 def reference_sketch_value(

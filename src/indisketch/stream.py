@@ -122,8 +122,33 @@ def _checked_block(block: np.ndarray, k: int, n: int, index: int) -> np.ndarray:
         if len(bad):
             checked_tuple(block[bad[0]].tolist(), k, n, index + 1 + int(bad[0]))
         return block.astype(np.int64, copy=False)
-    rows = [checked_tuple(r, k, n, index + 1 + i) for i, r in enumerate(block)]
+    return _checked_records(block, k, n, index)
+
+
+def _checked_records(records, k: int, n: int, index: int) -> np.ndarray:
+    """Records checked one at a time with ``checked_tuple``, as one int64 block."""
+    rows = [checked_tuple(r, k, n, index + 1 + i) for i, r in enumerate(records)]
     return np.array(rows, dtype=np.int64).reshape(len(rows), k)
+
+
+def _record_batch(records: list, k: int, n: int, index: int) -> np.ndarray:
+    """Single records as one validated int64 block, counting rows from ``index + 1``.
+
+    A batch of several records that numpy reads as a 2-D integer or float
+    array is checked at once. A lone record (what ``update`` feeds, where
+    the array calls would cost more than they save), any other batch
+    (ragged rows, iterators, bool, object or huge-int values) and any batch
+    holding a bad record are checked record by record, so errors are
+    ``checked_tuple``'s own.
+    """
+    if len(records) > 1:
+        try:
+            block = np.array(records)
+            if block.ndim == 2 and block.dtype.kind in "iuf":
+                return _checked_block(block, k, n, index)
+        except (ValueError, TypeError, OverflowError, MalformedInputError):
+            pass
+    return _checked_records(records, k, n, index)
 
 
 def record_blocks(
@@ -133,29 +158,30 @@ def record_blocks(
 
     Items of ``source`` are single records or 2-D arrays of records (rows).
     Arrays are checked at once and passed through in slices of at most
-    ``RECORD_BLOCK`` rows; single records are checked with ``checked_tuple``
-    and batched. Errors name the record by its position in ``source``,
-    counted from ``start + 1``.
+    ``RECORD_BLOCK`` rows; single records are batched and each batch is
+    converted and checked at once (``_record_batch``). Errors name the
+    record by its position in ``source``, counted from ``start + 1``.
     """
-    batch: List[TupleKey] = []
+    batch: list = []
     index = start
     for item in source:
         if isinstance(item, np.ndarray) and item.ndim == 2:
             if batch:
-                yield np.array(batch, dtype=np.int64)
+                yield _record_batch(batch, k, n, index)
+                index += len(batch)
                 batch = []
             for lo in range(0, len(item), RECORD_BLOCK):
                 block = item[lo : lo + RECORD_BLOCK]
                 yield _checked_block(block, k, n, index)
                 index += len(block)
             continue
-        index += 1
-        batch.append(checked_tuple(item, k, n, index))
+        batch.append(item)
         if len(batch) == RECORD_BLOCK:
-            yield np.array(batch, dtype=np.int64)
+            yield _record_batch(batch, k, n, index)
+            index += len(batch)
             batch = []
     if batch:
-        yield np.array(batch, dtype=np.int64)
+        yield _record_batch(batch, k, n, index)
 
 
 class TupleTally:

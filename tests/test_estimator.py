@@ -1,6 +1,8 @@
 """Tournament, cover, layered estimator and the end-to-end pipeline."""
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,8 +32,8 @@ from indisketch import (
     split_compare_ratio,
     tensor_tournament,
 )
-from indisketch import sketches
-from indisketch.estimator import _BankRegistry, _median, vector_sub_oracles
+from indisketch import estimator, sketches
+from indisketch.estimator import _BankRegistry, _LeafRef, _median, vector_sub_oracles
 from indisketch.hashing import ZeroOneHash
 
 
@@ -448,6 +450,84 @@ def test_median_matches_numpy_to_the_bit(values):
         want, got = np.float64(np.median(np.array(values))), np.float64(_median(values))
     assert got.tobytes() == want.tobytes()
     assert np.isnan(_median(values + [float("nan")]))
+
+
+MEDIAN_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0, 2.5]),
+    st.floats(width=64),
+)
+
+
+def _same_float(a, b):
+    return (math.isnan(a) and math.isnan(b)) or np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestMedianTable:
+    """The registry's median table holds each bank's ``_median(|values|)``, to the bit."""
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 250), st.integers(1, 3)).flatmap(
+                lambda rb: st.lists(MEDIAN_VALUES, min_size=rb[0] * rb[1], max_size=rb[0] * rb[1]).map(
+                    lambda v: (rb[0], v)
+                )
+            ),
+            min_size=1,
+            max_size=2,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_table_is_median_of_each_bank(self, groups):
+        reg = _BankRegistry(2, 2, omega=100.0)
+        handles = []
+        for s_prime, (reps, values) in enumerate(groups):  # groups (1, 0) and (1, 1)
+            for b in range(len(values) // reps):
+                handles.append(reg.add_bank([np.array([1, 0], np.uint8)], s_prime, reps, b))
+        reg.freeze()
+        for s_prime, (_reps, values) in enumerate(groups):
+            reg.groups[(1, s_prime)]["joint"][:] = values  # margins stay 0, so values are exact
+        reg.m_seen = 1
+        for block in (sketches.FOLD_BLOCK, 7, 1):
+            with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+                mp.setattr(estimator, "FOLD_BLOCK", block)
+                table = reg.medians()
+                for key, start, stop in handles:
+                    bank = np.abs(groups[key[1]][1][start:stop])
+                    got = _LeafRef((key, start, stop)).evaluate(table)
+                    assert np.float64(got).tobytes() == np.float64(_median(bank)).tobytes()
+                    assert _same_float(got, np.median(bank))
+        assert [len(m) for m in table.values()] == [len(v) // r for r, v in groups]
+
+    def test_one_repetition_count_per_group(self):
+        reg = _BankRegistry(2, 2, omega=100.0)
+        mask = np.array([1, 1], np.uint8)
+        assert reg.add_bank([mask], 0, 3, seed=1) == ((1, 0), 0, 3)
+        assert reg.add_bank([mask], 1, 4, seed=2) == ((1, 1), 0, 4)
+        assert reg.add_bank([mask], 0, 3, seed=3) == ((1, 0), 3, 6)
+        with pytest.raises(ConfigurationError, match="3 repetitions per bank, not 4"):
+            reg.add_bank([mask], 0, 4, seed=4)
+        with pytest.raises(ConfigurationError):
+            reg.add_bank([mask], 1, 0, seed=5)
+
+
+def test_evaluation_memory_stays_per_block():
+    # default profile: 1.47M rows, 1.31M of them in group (2, 2)
+    est = StreamDistanceEstimator(3, 3, 0.3, 0.1, seed=7)
+    assert len(est.registry.groups[(2, 2)]["joint"]) == 1_312_200
+    est.consume(generate_synthetic("mixture(0.5)", 3, 3, 100, seed=1))
+    tracemalloc.start()
+    try:
+        est.tensor_norm_estimate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    med = est.registry.medians()
+    table = sys.getsizeof(med) + sum(
+        sys.getsizeof(m) + sys.getsizeof(0.0) * len(m) for m in med.values()
+    )
+    # beyond the table: two block-sized float temporaries at a time (the
+    # scaled joint and the margin products, or a block and its partition)
+    assert peak - table <= 2 * 8 * sketches.FOLD_BLOCK + (64 << 10)
 
 
 class TestBlockTally:

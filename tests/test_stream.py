@@ -19,6 +19,7 @@ from indisketch import (
     exact_statistical_distance,
     independence_tensor_entry,
 )
+from indisketch import stream as stream_mod
 from indisketch.stream import RECORD_BLOCK, TupleTally, checked_tuple, record_blocks
 
 
@@ -123,6 +124,62 @@ class TestCoordinateChecks:
         with pytest.raises(MalformedInputError) as err:
             list(record_blocks(source + [(3, 1)], 2, 2, start=10))
         assert err.value.index == 10 + RECORD_BLOCK + 5
+
+
+GOOD_COORD = st.integers(1, 3)
+ODD_COORD = st.sampled_from(
+    [0, 4, -1, 2**63, 2**64 + 5, -(2**70), True, False, 2.0, 2.5, float("nan"), float("inf"),
+     "2", None, np.int64(3), np.uint8(1), np.float32(2.0), np.float32(2.5), np.bool_(True)]
+)
+RECORD = st.tuples(
+    st.sampled_from(["tuple", "list", "iter", "array"]),
+    st.one_of(
+        st.lists(GOOD_COORD, min_size=3, max_size=3),
+        st.lists(GOOD_COORD, min_size=3, max_size=3),
+        st.lists(st.one_of(GOOD_COORD, ODD_COORD), min_size=2, max_size=4),
+    ),
+)
+
+
+def _build(records):
+    """Fresh record objects (iterators are used up by a pass)."""
+    kinds = {"tuple": tuple, "list": list, "iter": iter}
+    out = []
+    for kind, coords in records:
+        if kind == "array":
+            try:
+                out.append(np.array(coords))
+            except (ValueError, TypeError, OverflowError):
+                out.append(tuple(coords))
+        else:
+            out.append(kinds[kind](coords))
+    return out
+
+
+def _outcome(fn):
+    try:
+        return fn(), None
+    except (MalformedInputError, TypeError) as err:
+        return None, (type(err), str(err), getattr(err, "index", None))
+
+
+@given(st.lists(RECORD, min_size=1, max_size=12), st.integers(0, 5))
+@settings(max_examples=300, deadline=None)
+def test_record_batches_match_per_record_checks(records, start):
+    k, n = 3, 3
+    want, want_err = _outcome(
+        lambda: [checked_tuple(r, k, n, start + 1 + i) for i, r in enumerate(_build(records))]
+    )
+    for block in (1, 3, RECORD_BLOCK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stream_mod, "RECORD_BLOCK", block)
+            got, got_err = _outcome(lambda: list(record_blocks(_build(records), k, n, start)))
+        assert got_err == want_err
+        if want is not None:
+            assert all(b.dtype == np.int64 and b.shape[1:] == (k,) for b in got)
+            assert [b.tolist() for b in got] == [
+                [list(r) for r in want[i : i + block]] for i in range(0, len(want), block)
+            ]
 
 
 class TestTupleTally:
