@@ -1,0 +1,6 @@
+"""``python -m indisketch``: the command line of ``indisketch.cli``."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

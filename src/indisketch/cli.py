@@ -12,11 +12,12 @@ byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Dict, Iterable, Iterator, List, Optional, TextIO, Tuple
+from typing import IO, BinaryIO, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -147,68 +148,146 @@ _BYTE_CLASS = np.zeros(256, dtype=np.uint8)
 _BYTE_CLASS[ord("0") : ord("9") + 1] = 1
 _BYTE_CLASS[[ord(" "), ord("\t"), ord("\n")]] = 2
 _BYTE_CLASS[ord(",")] = 3
+_DIGIT_VALUE = np.zeros(256, dtype=np.int64)  # 0 for every non-digit byte
+_DIGIT_VALUE[ord("0") : ord("9") + 1] = np.arange(10)
 _MAX_DIGITS = 18  # longest token whose value cannot overflow an int64
 
+# Binary sources are read this many bytes at a time; each read is cut after
+# its last newline and the rest is carried into the next buffer.
+READ_BYTES = 1 << 14
 
-def _parse_block(lines: List[str], k: int, n: int) -> Optional[np.ndarray]:
-    """The records of ``lines`` as a (b, k) int64 array, or None when the
-    block holds anything but valid records of ASCII digits, spaces, tabs,
-    commas and newlines (which the per-line parser then handles)."""
-    # joined with a newline, so a line without one cannot run into the next
-    text = "\n".join(lines)
-    if not text.isascii():
-        return None
-    data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    cls = _BYTE_CLASS[data]
+
+def _parse_block(buf: bytes, k: int, n: int) -> Optional[Tuple[np.ndarray, int]]:
+    """The records of ``buf``, whole newline-terminated lines, as a (b, k)
+    int64 array with the number of lines, or None when the buffer holds
+    anything but valid records of ASCII digits, spaces, tabs, commas and
+    newlines (which the per-line parser then handles)."""
+    data = np.frombuffer(buf, dtype=np.uint8)
+    cls = _BYTE_CLASS.take(data)
     if not cls.all():
         return None
-    # digit runs are the tokens: [starts, ends) in text offsets
-    edges = np.flatnonzero(np.diff(cls == 1, prepend=False, append=False))
-    starts, ends = edges[0::2], edges[1::2]
-    lengths = ends - starts
-    longest = int(lengths.max(initial=0))
+    # digit runs are the tokens; edges marks the first byte of each run and
+    # the byte after it (the buffer ends in a newline, so every run ends)
+    edges = np.diff(cls == 1, prepend=False)
+    bounds = np.flatnonzero(edges)
+    starts, ends = bounds[0::2], bounds[1::2]
+    newlines = np.flatnonzero(data == ord("\n"))
+    if not _records_fill_lines(starts, ends, newlines, edges, cls, k):
+        return None
+    longest = int((ends - starts).max(initial=0))
     if longest > _MAX_DIGITS:
         return None
-    line_ends = np.cumsum(np.fromiter(map(len, lines), np.int64, len(lines)) + 1)
-
-    def per_line(offsets):
-        return np.bincount(np.searchsorted(line_ends, offsets, side="right"), minlength=len(lines))
-
-    tokens, commas = per_line(starts), per_line(np.flatnonzero(cls == 3))
-    # every line holds k tokens, or is blank: no token and no comma
-    if not ((tokens == k) | ((tokens == 0) & (commas == 0))).all():
-        return None
-    values = np.zeros(len(starts), dtype=np.int64)
-    for j in range(longest):
-        live = lengths > j
-        values[live] = values[live] * 10 + (data[starts[live] + j] - ord("0"))
+    # digit j of each token, counted from its end; a token shorter than that
+    # reads the byte before it instead (a separator, or for a token at offset
+    # 0 the buffer's final newline), whose digit value is 0
+    values = _DIGIT_VALUE.take(data.take(ends - 1))
+    for j in range(1, longest):
+        values += _DIGIT_VALUE.take(data.take(np.maximum(ends - 1 - j, starts - 1))) * 10**j
     if ((values < 1) | (values > n)).any():
         return None
-    return values.reshape(-1, k)
+    return values.reshape(-1, k), len(newlines)
 
 
-def parse_records(lines: Iterable[str], k: int, n: int) -> Iterator[np.ndarray]:
-    """Parse text records into validated (b, k) int64 blocks.
+def _records_fill_lines(starts, ends, newlines, edges, cls, k: int) -> bool:
+    """Whether every line holds ``k`` tokens, or is blank: no token and no
+    comma. Tokens span ``[starts, ends)``; lines end at ``newlines``."""
+    records, rest = divmod(len(starts), k)
+    if not rest and len(newlines) == records:
+        # no blank line: record i ends by newline i, and record i + 1 starts after it
+        return bool(
+            (ends[k - 1 :: k] <= newlines).all() and (newlines[:-1] < starts[k::k]).all()
+        )
 
-    Each block holds the records of ``RECORD_BLOCK`` input lines. A block
-    of plain records is tokenized at once; any other block (comments,
-    signs, carriage returns, non-ASCII digits, over-long tokens or any
-    error) goes through ``parse_lines``, so records and errors, with
-    their absolute line numbers, are the same either way.
-    """
+    def per_line(marks):  # marked bytes per line, from running counts at each newline
+        return np.diff(np.cumsum(marks, dtype=np.int64)[newlines], prepend=0)
+
+    tokens = per_line(edges) // 2  # a token's two edges lie on its line
+    commas = per_line(cls == 3)
+    return bool(((tokens == k) | ((tokens == 0) & (commas == 0))).all())
+
+
+def _text_lines(buf: bytes) -> Tuple[List[str], Optional[str]]:
+    """The lines of ``buf`` as text-mode reading gives them: decoded as
+    UTF-8 and split at universal newlines (``\\n``, ``\\r\\n`` or a lone
+    ``\\r``; never ``str.splitlines``, which also splits at ``\\x0b``,
+    ``\\x85`` and more). Undecodable input ends the lines before the line
+    that holds it, and comes with a message naming the byte."""
+    try:
+        return io.StringIO(buf.decode("utf-8"), newline=None).readlines(), None
+    except UnicodeDecodeError as e:
+        lines = io.StringIO(buf[: e.start].decode("utf-8"), newline=None).readlines()
+        if lines and not lines[-1].endswith("\n"):
+            lines.pop()  # the start of the line holding the bad byte
+        return lines, f"invalid UTF-8 byte 0x{buf[e.start]:02x}"
+
+
+def _byte_buffers(stream: BinaryIO) -> Iterator[Tuple[bytes, None]]:
+    """Whole lines of a binary stream, about ``READ_BYTES`` at a time, each
+    buffer with no line list; a last line without a newline gets one."""
+    pending: List[bytes] = []
+    while True:
+        data = stream.read(READ_BYTES)
+        if not data:
+            break
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            pending.append(data[:cut])
+            yield b"".join(pending), None
+            pending = [data[cut:]]
+        else:
+            pending.append(data)
+    tail = b"".join(pending)
+    if tail:
+        yield tail + b"\n", None
+
+
+def _str_buffers(lines: Iterable[str]) -> Iterator[Tuple[bytes, List[str]]]:
+    """Chunks of ``RECORD_BLOCK`` lines, each with its lines joined into one
+    buffer, every line ending in a newline."""
     it = iter(lines)
-    first = 1
     while True:
         chunk = list(islice(it, RECORD_BLOCK))
         if not chunk:
             return
-        block = _parse_block(chunk, k, n)
-        if block is None:
+        text = "".join(s if s.endswith("\n") else s + "\n" for s in chunk)
+        yield text.encode("utf-8", "surrogatepass"), chunk
+
+
+def parse_records(
+    source: Union[BinaryIO, Iterable[str]], k: int, n: int
+) -> Iterator[np.ndarray]:
+    """Parse text records into validated (b, k) int64 blocks.
+
+    ``source`` is a binary stream, read to its end in buffers of about
+    ``READ_BYTES`` whole lines, or any iterable of ``str`` lines, taken
+    ``RECORD_BLOCK`` lines to a buffer. A buffer of plain records is
+    tokenized at once. Any other buffer (comments, signs, carriage returns,
+    non-ASCII digits, over-long tokens or any error) goes through
+    ``parse_lines``: a binary one split into lines as text-mode reading
+    splits it, and a line list as given. So records and errors, with their
+    absolute line numbers, are the same either way. Invalid UTF-8 in a
+    binary stream is a ``MalformedInputError`` naming its line.
+    """
+    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
+        buffers: Iterator[Tuple[bytes, Optional[List[str]]]] = _byte_buffers(source)
+    else:
+        buffers = _str_buffers(source)
+    first = 1
+    for buf, chunk in buffers:
+        parsed = _parse_block(buf, k, n)
+        # a line list with more newlines than lines has a line holding one
+        if parsed is None or (chunk is not None and parsed[1] != len(chunk)):
+            undecodable = None
+            if chunk is None:
+                chunk, undecodable = _text_lines(buf)
             rows = list(parse_lines(chunk, k, n, first))
-            block = np.array(rows, dtype=np.int64).reshape(len(rows), k)
+            if undecodable is not None:
+                raise MalformedInputError(undecodable, index=first + len(chunk))
+            parsed = np.array(rows, dtype=np.int64).reshape(len(rows), k), len(chunk)
+        block, count = parsed
         if len(block):
             yield block
-        first += len(chunk)
+        first += count
 
 
 def generate_synthetic(
@@ -290,12 +369,13 @@ def parse_overrides(values: Dict[str, str]) -> EstimatorOverrides:
     return ov
 
 
-def _file_lines(path: str) -> Iterator[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        yield from fh
+def _file_records(path: str, k: int, n: int) -> Iterator[np.ndarray]:
+    """The records of a file, opened at the first pull and closed at the end."""
+    with open(path, "rb") as fh:
+        yield from parse_records(fh, k, n)
 
 
-def run(cfg: RunConfig, stdin: Optional[TextIO] = None) -> EstimateReport:
+def run(cfg: RunConfig, stdin: Optional[IO] = None) -> EstimateReport:
     """Execute one run and return the report (raises on errors)."""
     cfg.validate()
     overrides = parse_overrides(cfg.overrides)
@@ -306,10 +386,10 @@ def run(cfg: RunConfig, stdin: Optional[TextIO] = None) -> EstimateReport:
         )
     else:
         if cfg.input_path in (None, "-"):
-            lines: Iterable[str] = stdin if stdin is not None else sys.stdin
+            source = stdin if stdin is not None else sys.stdin.buffer
+            records = parse_records(source, cfg.k, cfg.n)
         else:
-            lines = _file_lines(cfg.input_path)
-        records = parse_records(lines, cfg.k, cfg.n)
+            records = _file_records(cfg.input_path, cfg.k, cfg.n)
 
     reader = CountingReader(records)
     diagnostics: Dict[str, object] = {"config": _config_dict(cfg)}

@@ -1,10 +1,12 @@
 """Record parsing, synthetic generators and the command-line front end."""
 
+import io
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -66,6 +68,12 @@ class TestParseRecords:
         with pytest.raises(MalformedInputError):
             parsed(["1,5"], 2, 4)
 
+    def test_short_tokens_beside_long_ones(self):
+        # a domain wide enough that a digit misread from a neighbour stays in range
+        assert parsed(["3,2005", "2005,3", "7 1999"], 2, 10_000) == [
+            (3, 2005), (2005, 3), (7, 1999)
+        ]
+
 
 def outcome(records):
     """Rows produced before any error, and the error as (type, message, index)."""
@@ -121,6 +129,9 @@ _padding = st.sampled_from(
 @example(0, ["1 2 1", "1,5,6,7\n"], False)  # a line without a newline, then a digit
 @example(RECORD_BLOCK, [f"1,{2**64 + 5},1\n"], False)
 @example(1, [" ,, \n", "1,2,3\n"], False)  # commas alone are no blank line
+@example(0, ["1,2,3\n4,5,6\n"], False)  # one line holding a newline is one malformed record
+@example(0, ["1 2 3 4\n", "5 6\n"], False)  # as many lines as records, but not one each
+@example(0, ["1 2\n", "3 4 5 6\n"], False)
 @settings(max_examples=150, deadline=None)
 def test_block_parser_agrees_with_line_parser(pad, tail, missing_final_newline):
     lines = ["1,2,3\n", "12 1\t4\n", "\n"] * (pad // 3) + ["4,4,4\n"] * (pad % 3) + tail
@@ -141,16 +152,98 @@ def test_plain_blocks_skip_the_line_parser(monkeypatch):
     assert parsed(lines, 2, 4) == [(1, 2), (3, 4), (2, 1)] * (RECORD_BLOCK // 2)
 
 
-def test_block_parser_memory_stays_per_block():
+def _tally_file(path):
+    """The frequency table of a k = 2, n = 16 record file, parsed and tallied."""
+    with open(path, "rb") as fh:
+        return build_frequency_table(TupleStream(2, 16, parse_records(fh, 2, 16)))
+
+
+def test_block_parser_memory_stays_per_block(tmp_path):
     # 200k records parsed and tallied: temporaries are per block, not per input
     rng = np.random.default_rng(3)
     lines = [f"{a},{b}\n" for a, b in rng.integers(1, 17, (200_000, 2)).tolist()]
-    tracemalloc.start()
-    table = build_frequency_table(TupleStream(2, 16, parse_records(lines, 2, 16)))
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    assert table.m == 200_000 and len(table.joint) == 256
-    assert peak < 1 << 20
+    path = tmp_path / "records.txt"
+    path.write_text("".join(lines))
+    for tally in (
+        lambda: build_frequency_table(TupleStream(2, 16, parse_records(lines, 2, 16))),
+        lambda: _tally_file(path),
+    ):
+        tracemalloc.start()
+        table = tally()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert table.m == 200_000 and len(table.joint) == 256
+        assert peak < 1 << 20
+
+
+def test_plain_file_blocks_skip_the_line_parser(tmp_path, monkeypatch):
+    path = tmp_path / "records.txt"
+    path.write_text("1,2\n\t03 ,, 4\n  \n\n2 1\n" * 30_000 + "5,6")  # no final newline
+    monkeypatch.setattr(cli, "parse_lines", None)
+    assert _tally_file(path).m == 90_001
+
+
+# bytes the text layer treats specially: line breaks of str.splitlines only,
+# a byte-order mark, non-ASCII digits and a byte that is not UTF-8
+_odd_bytes = st.sampled_from(
+    [b"\x0b", b"\x0c", "\x85".encode(), "\u2028".encode(), "\ufeff".encode(),
+     "\u0661".encode(), "\uff13".encode(), b"\xff"]
+)
+
+
+@st.composite
+def _raw_line(draw):
+    raw = draw(_line()).encode("utf-8")
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(_odd_bytes) + raw[at:]
+    return raw
+
+
+def text_mode_outcome(raw, path):
+    """What the text-mode reference gives on ``raw``: ``parse_lines`` over the
+    file opened with encoding="utf-8". Text-mode reading decodes ahead of the
+    lines it hands out, so its UnicodeDecodeError is taken in line order: the
+    lines before the one holding the first undecodable byte are read as
+    text, then that line is the error."""
+    try:
+        raw.decode("utf-8")
+        bad = None
+        head = raw
+    except UnicodeDecodeError as e:
+        bad = e.start
+        head = raw[: max(raw.rfind(b"\n", 0, bad), raw.rfind(b"\r", 0, bad)) + 1]
+    path.write_bytes(head)
+    with open(path, encoding="utf-8") as fh:
+        rows, err = outcome(parse_lines(fh, K, N))
+    if err is None and bad is not None:
+        with open(path, encoding="utf-8") as fh:
+            line = 1 + len(fh.readlines())
+        err = (MalformedInputError, f"record {line}: invalid UTF-8 byte 0x{raw[bad]:02x}", line)
+    return rows, err
+
+
+@given(st.integers(0, 5), st.lists(_raw_line(), max_size=16), st.booleans())
+@example(0, [b"1,2,3\r4,5,6\r5,9,1\n"], False)  # a lone carriage return ends a line
+@example(0, [b"1,2,3\n", "\u0661".encode()[:1] + b",1,1\n"], True)  # a cut character
+@settings(max_examples=150, deadline=None)
+def test_binary_route_agrees_with_text_mode(tmp_path_factory, pad, tail, missing_final_newline):
+    raw = b"1,2,3\n" * pad + b"".join(tail)
+    if missing_final_newline:
+        raw = raw.removesuffix(b"\n")
+    base = tmp_path_factory.getbasetemp()
+    ref_rows, ref_err = text_mode_outcome(raw, base / "reference.txt")
+    path = base / "records.txt"
+    path.write_bytes(raw)
+    # reads of 1 and 7 bytes cut records, \r\n pairs and multi-byte characters
+    for size in (1, 7, 64):
+        with mock.patch.object(cli, "READ_BYTES", size), open(path, "rb") as fh:
+            rows, err = outcome(parse_records(fh, K, N))
+        assert err == ref_err
+        if err is None:
+            assert rows == ref_rows
+        else:  # the buffers before the bad one were yielded
+            assert rows == ref_rows[: len(rows)]
 
 
 def test_sketch_run_does_not_import_numpy_ma():
@@ -279,6 +372,30 @@ class TestMain:
              "--input", str(tmp_path / "absent.txt")]
         )
         assert code == EXIT_INPUT
+
+    @staticmethod
+    def _input_argv(raw, via_stdin, tmp_path, monkeypatch):
+        """``--input`` naming a file that holds ``raw``, or ``-`` with ``raw`` on stdin."""
+        if via_stdin:
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw)))
+            return ["--input", "-"]
+        path = tmp_path / "in.txt"
+        path.write_bytes(raw)
+        return ["--input", str(path)]
+
+    @pytest.mark.parametrize("via_stdin", [False, True])
+    def test_invalid_utf8_exit(self, via_stdin, tmp_path, monkeypatch, capsys):
+        argv = self._input_argv(b"1,2\n\xff\xfe,3\n", via_stdin, tmp_path, monkeypatch)
+        assert main(["--k", "2", "--n", "4", *argv]) == EXIT_INPUT
+        assert capsys.readouterr().err == "input error: record 2: invalid UTF-8 byte 0xff\n"
+
+    @pytest.mark.parametrize("via_stdin", [False, True])
+    def test_records_read_as_bytes(self, via_stdin, tmp_path, monkeypatch, capsys):
+        raw = b"# pairs\r\n1,1\r\n2 2\n\n1,1"
+        argv = self._input_argv(raw, via_stdin, tmp_path, monkeypatch)
+        assert main(["--k", "2", "--n", "2", *argv]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert out["m"] == 3 and out["exact_distance"] == pytest.approx(4 / 9)
 
     def test_bad_configuration_exit(self):
         code = main(["--k", "1", "--n", "2", "--generate", "diagonal", "--m", "5"])
