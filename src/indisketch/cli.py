@@ -172,7 +172,7 @@ def _parse_block(buf: bytes, k: int, n: int) -> Optional[Tuple[np.ndarray, int]]
     bounds = np.flatnonzero(edges)
     starts, ends = bounds[0::2], bounds[1::2]
     newlines = np.flatnonzero(data == ord("\n"))
-    if not _records_fill_lines(starts, ends, newlines, edges, cls, k):
+    if not _records_fill_lines(newlines, edges, cls, k):
         return None
     longest = int((ends - starts).max(initial=0))
     if longest > _MAX_DIGITS:
@@ -188,15 +188,10 @@ def _parse_block(buf: bytes, k: int, n: int) -> Optional[Tuple[np.ndarray, int]]
     return values.reshape(-1, k), len(newlines)
 
 
-def _records_fill_lines(starts, ends, newlines, edges, cls, k: int) -> bool:
+def _records_fill_lines(newlines, edges, cls, k: int) -> bool:
     """Whether every line holds ``k`` tokens, or is blank: no token and no
-    comma. Tokens span ``[starts, ends)``; lines end at ``newlines``."""
-    records, rest = divmod(len(starts), k)
-    if not rest and len(newlines) == records:
-        # no blank line: record i ends by newline i, and record i + 1 starts after it
-        return bool(
-            (ends[k - 1 :: k] <= newlines).all() and (newlines[:-1] < starts[k::k]).all()
-        )
+    comma. Lines end at ``newlines``; ``edges`` marks the first byte of each
+    token and the byte after it, and ``cls`` is the byte class."""
 
     def per_line(marks):  # marked bytes per line, from running counts at each newline
         return np.diff(np.cumsum(marks, dtype=np.int64)[newlines], prepend=0)
@@ -386,7 +381,8 @@ def run(cfg: RunConfig, stdin: Optional[IO] = None) -> EstimateReport:
         )
     else:
         if cfg.input_path in (None, "-"):
-            source = stdin if stdin is not None else sys.stdin.buffer
+            # a stdin without a byte layer gives str lines, which parse_records also takes
+            source = stdin if stdin is not None else getattr(sys.stdin, "buffer", sys.stdin)
             records = parse_records(source, cfg.k, cfg.n)
         else:
             records = _file_records(cfg.input_path, cfg.k, cfg.n)

@@ -397,6 +397,12 @@ class TestMain:
         out = json.loads(capsys.readouterr().out)
         assert out["m"] == 3 and out["exact_distance"] == pytest.approx(4 / 9)
 
+    def test_text_stdin_without_byte_layer(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("# pairs\n1,1\n2 2\n\n1,1"))
+        assert main(["--k", "2", "--n", "2", "--input", "-"]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert out["m"] == 3 and out["exact_distance"] == pytest.approx(4 / 9)
+
     def test_bad_configuration_exit(self):
         code = main(["--k", "1", "--n", "2", "--generate", "diagonal", "--m", "5"])
         assert code == EXIT_CONFIG
