@@ -374,32 +374,32 @@ class TestMain:
         assert code == EXIT_INPUT
 
     @staticmethod
-    def _input_argv(raw, via_stdin, tmp_path, monkeypatch):
-        """``--input`` naming a file that holds ``raw``, or ``-`` with ``raw`` on stdin."""
-        if via_stdin:
-            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw)))
-            return ["--input", "-"]
-        path = tmp_path / "in.txt"
-        path.write_bytes(raw)
-        return ["--input", str(path)]
+    def _input_argv(raw, via, tmp_path, monkeypatch):
+        """``--input`` naming a file that holds ``raw``, or ``-`` with ``raw`` on
+        stdin: a text stream over bytes, or with ``via == "text"`` an
+        ``io.StringIO``, which has no byte layer."""
+        if via == "file":
+            path = tmp_path / "in.txt"
+            path.write_bytes(raw)
+            return ["--input", str(path)]
+        if via == "text":
+            stdin = io.StringIO(raw.decode("utf-8"), newline=None)
+        else:
+            stdin = io.TextIOWrapper(io.BytesIO(raw))
+        monkeypatch.setattr(sys, "stdin", stdin)
+        return ["--input", "-"]
 
-    @pytest.mark.parametrize("via_stdin", [False, True])
-    def test_invalid_utf8_exit(self, via_stdin, tmp_path, monkeypatch, capsys):
-        argv = self._input_argv(b"1,2\n\xff\xfe,3\n", via_stdin, tmp_path, monkeypatch)
+    @pytest.mark.parametrize("via", ["file", "stdin"])
+    def test_invalid_utf8_exit(self, via, tmp_path, monkeypatch, capsys):
+        argv = self._input_argv(b"1,2\n\xff\xfe,3\n", via, tmp_path, monkeypatch)
         assert main(["--k", "2", "--n", "4", *argv]) == EXIT_INPUT
         assert capsys.readouterr().err == "input error: record 2: invalid UTF-8 byte 0xff\n"
 
-    @pytest.mark.parametrize("via_stdin", [False, True])
-    def test_records_read_as_bytes(self, via_stdin, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("via", ["file", "stdin", "text"])
+    def test_records_read_as_bytes(self, via, tmp_path, monkeypatch, capsys):
         raw = b"# pairs\r\n1,1\r\n2 2\n\n1,1"
-        argv = self._input_argv(raw, via_stdin, tmp_path, monkeypatch)
+        argv = self._input_argv(raw, via, tmp_path, monkeypatch)
         assert main(["--k", "2", "--n", "2", *argv]) == EXIT_OK
-        out = json.loads(capsys.readouterr().out)
-        assert out["m"] == 3 and out["exact_distance"] == pytest.approx(4 / 9)
-
-    def test_text_stdin_without_byte_layer(self, monkeypatch, capsys):
-        monkeypatch.setattr(sys, "stdin", io.StringIO("# pairs\n1,1\n2 2\n\n1,1"))
-        assert main(["--k", "2", "--n", "2", "--input", "-"]) == EXIT_OK
         out = json.loads(capsys.readouterr().out)
         assert out["m"] == 3 and out["exact_distance"] == pytest.approx(4 / 9)
 
