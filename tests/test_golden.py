@@ -10,9 +10,23 @@ import hashlib
 import json
 
 import numpy as np
+import pytest
 
+from indisketch import (
+    CoverConfig,
+    LayerConfig,
+    TournamentConfig,
+    TupleStream,
+    build_frequency_table,
+    cover_algorithm,
+    dense_independence_tensor,
+    dimension_reduce,
+    exact_sub_oracles,
+    layered_l1_estimate,
+    tensor_tournament,
+)
 from indisketch.cli import generate_synthetic
-from indisketch.estimator import StreamDistanceEstimator, _split_masks
+from indisketch.estimator import StreamDistanceEstimator, _split_masks, vector_sub_oracles
 from indisketch.hashing import (
     BucketHash,
     CauchySource,
@@ -159,3 +173,62 @@ def test_registry_tables_of_a_k3_estimator():
         hashlib.sha256(diag).hexdigest()
         == "b0513d9b9601825db9162fa2e669116402098fc055b291c03b1d3e9da04fd870"
     )
+
+
+class TestOracleRoute:
+    """The tournament -> cover -> layer stack over exact sub-oracles, pinned
+    exactly, so a moved bit in the stack shows even inside a contract band."""
+
+    @pytest.mark.parametrize(
+        "k,n,m,stream_seed,expected",
+        [
+            (2, 8, 300, 21, [69973.89361635079, 69236.87390738759, 68751.29351469234]),
+            (3, 3, 120, 22, [1240611.2242198293, 1241706.054374163, 1234687.7194551586]),
+        ],
+    )
+    def test_dimension_reduce(self, k, n, m, stream_seed, expected):
+        recs = list(generate_synthetic("mixture(0.5)", k, n, m, seed=stream_seed))
+        M = dense_independence_tensor(build_frequency_table(TupleStream(k, n, recs)))
+        subs = exact_sub_oracles(M, beta=1.0)
+        assert [dimension_reduce(n, subs, 0.3, 0.1, seed=s) for s in (0, 1, 2)] == expected
+
+    def test_tensor_tournament(self):
+        H = np.ones(32, dtype=np.uint8)
+        v = np.ones(32)
+        v[[4, 19]] = 90.0
+        v[7] = 20.0
+        cfg = TournamentConfig.from_targets(0.1, 0.1, beta=2.0)
+        subs = vector_sub_oracles(v, beta=2.0)
+        assert [tensor_tournament(H, cfg, subs, seed=s) for s in range(4)] == [0.0] * 4
+        w = np.full(32, 0.5)
+        w[4] = 100_000.0
+        cfg = TournamentConfig.from_targets(0.1, 0.1, beta=2.0, rounds=4)
+        subs = vector_sub_oracles(w, beta=2.0)
+        got = [tensor_tournament(H, cfg, subs, seed=s) for s in range(4)]
+        assert got == [100006.5, 100007.0, 100007.5, 100007.0]
+
+    def test_cover_algorithm(self):
+        v = np.ones(32)
+        v[[4, 19]] = 90.0
+        v[7] = 20.0
+        tcfg = TournamentConfig.from_targets(0.1, 0.1, beta=1.0, rounds=6)
+        ccfg = CoverConfig.from_targets(0.3, 0.1, tcfg.alpha, rho=17)
+        subs = vector_sub_oracles(v, beta=1.0)
+        got = [cover_algorithm(np.ones(32, np.uint8), ccfg, tcfg, subs, seed=s) for s in (3, 5, 6)]
+        assert got == [
+            {1: 1.0, 3: 1.0, 5: 1.0, 7: 1.0, 11: 1.0, 12: 1.0, 13: 90.0, 17: 90.0},
+            {},
+            {12: 1.0, 14: 90.0, 17: 90.0},
+        ]
+
+    def test_layered_l1_estimate(self):
+        cfg = LayerConfig.from_targets(
+            0.3, 256, 1e6, count_threshold=16, base_count=40, phase_steps=32
+        )
+        u = np.random.default_rng(5).uniform(1.0, 500.0, 256)
+
+        def exact_cover(mask, _seed):
+            return [float(x) for x, m in zip(u, mask) if m and x > 0]
+
+        got = [layered_l1_estimate(256, cfg, exact_cover, seed=s) for s in range(3)]
+        assert got == [73055.38892016336, 61721.20094457142, 66610.61335191128]
