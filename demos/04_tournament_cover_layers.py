@@ -12,7 +12,9 @@ coordinate sets, counted in multiplicative value layers, reassemble the
 full L1 norm.
 
 Exact sub-oracles are injected throughout, so what you see is the
-combinatorial behaviour of the stack, not sketch noise.
+combinatorial behaviour of the stack, not sketch noise. Each function
+here builds the same plan classes the one-pass sketch pipeline evaluates,
+with oracle calls in place of sketch banks at the leaves.
 
 Run:  python demos/04_tournament_cover_layers.py
 """

@@ -35,14 +35,7 @@ from .tensor import (
     prefix_zero,
     suffix_sum,
 )
-from .hashing import (
-    BucketHash,
-    CauchySource,
-    ZeroOneHash,
-    cauchy_at,
-    eval_bucket,
-    eval_zero_one,
-)
+from .hashing import BucketHash, CauchySource, ZeroOneHash
 from .sketches import (
     ProductSketchState,
     SketchBank,
@@ -50,8 +43,6 @@ from .sketches import (
     merge,
     polylog_l1_estimate,
     reference_sketch_value,
-    sketch_update,
-    sketch_value,
 )
 from .estimator import (
     CoverConfig,
@@ -60,7 +51,6 @@ from .estimator import (
     StreamDistanceEstimator,
     SubAlgorithms,
     TournamentConfig,
-    approximate_tensor,
     cover_algorithm,
     dimension_reduce,
     exact_sub_oracles,
@@ -100,16 +90,12 @@ __all__ = [
     "TupleStream",
     "ZeroOneHash",
     "absolute_vector",
-    "approximate_tensor",
     "build_frequency_table",
-    "cauchy_at",
     "cover_algorithm",
     "dense_independence_tensor",
     "dimension_reduce",
     "distance_from_tensor_norm",
     "epsilon_l1_estimate",
-    "eval_bucket",
-    "eval_zero_one",
     "exact_statistical_distance",
     "exact_sub_oracles",
     "generate_synthetic",
@@ -126,8 +112,6 @@ __all__ = [
     "reference_sketch_value",
     "run",
     "sampling_level",
-    "sketch_update",
-    "sketch_value",
     "split_compare_ratio",
     "suffix_sum",
     "tensor_tournament",

@@ -407,62 +407,26 @@ def run(cfg: RunConfig, stdin: Optional[IO] = None) -> EstimateReport:
             diagnostics=diagnostics,
         )
 
+    est = StreamDistanceEstimator(
+        cfg.k, cfg.n, cfg.epsilon, cfg.delta, seed=cfg.seed, overrides=overrides
+    )
     if cfg.mode == "sketch":
-        est = StreamDistanceEstimator(
-            cfg.k, cfg.n, cfg.epsilon, cfg.delta, seed=cfg.seed, overrides=overrides
-        )
         est.consume(reader)
         if est.m_seen == 0:
             raise EmptyStreamError("input stream is empty")
-        norm = est.tensor_norm_estimate()
-        raw = norm / (2.0 * float(est.m_seen) ** cfg.k)
-        diagnostics.update(est.diagnostics())
-        diagnostics["tensor_norm_estimate"] = norm
-        diagnostics["raw_distance_estimate"] = raw
         diagnostics["records_read"] = reader.records_read
         diagnostics["reader_traversals"] = reader.traversals
-        return EstimateReport(
-            distance_estimate=min(1.0, max(0.0, raw)),
-            m=est.m_seen,
-            n=cfg.n,
-            k=cfg.k,
-            mode="sketch",
-            seed=cfg.seed,
-            diagnostics=diagnostics,
-        )
+        return est.report(diagnostics)
 
     # both: one traversal of the reader, materialized so the oracle and the
     # sketch see identical data (requires the dense-mode budget).
     records = list(reader)
     if not records:
         raise EmptyStreamError("input stream is empty")
-    table = build_frequency_table(TupleStream(cfg.k, cfg.n, records))
-    exact = exact_statistical_distance(table)
-    est = StreamDistanceEstimator(
-        cfg.k, cfg.n, cfg.epsilon, cfg.delta, seed=cfg.seed, overrides=overrides
-    )
+    exact = exact_statistical_distance(build_frequency_table(TupleStream(cfg.k, cfg.n, records)))
     est.consume(records)
-    norm = est.tensor_norm_estimate()
-    raw = norm / (2.0 * float(est.m_seen) ** cfg.k)
-    estimate = min(1.0, max(0.0, raw))
-    diagnostics.update(est.diagnostics())
-    diagnostics["tensor_norm_estimate"] = norm
-    diagnostics["raw_distance_estimate"] = raw
     diagnostics["records_read"] = reader.records_read
-    exact_f = float(exact)
-    diagnostics["relative_error"] = (
-        abs(estimate - exact_f) / exact_f if exact_f > 0 else None
-    )
-    return EstimateReport(
-        distance_estimate=estimate,
-        exact_distance=exact_f,
-        m=table.m,
-        n=cfg.n,
-        k=cfg.k,
-        mode="both",
-        seed=cfg.seed,
-        diagnostics=diagnostics,
-    )
+    return est.report(diagnostics, exact_distance=float(exact))
 
 
 def _config_dict(cfg: RunConfig) -> Dict[str, object]:

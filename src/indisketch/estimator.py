@@ -1,8 +1,9 @@
 """The approximation stack over implicit tensors.
 
-Composition, bottom to top:
+One stack, built as a plan tree and then evaluated. Composition, bottom
+to top:
 
-1. *Certifying tournament* (``tensor_tournament``): given a coarse
+1. *Certifying tournament* (``_TournamentPlan``): given a coarse
    beta-factor estimator and a sharp (1 +- eps) estimator for the
    collapsed tensor, repeatedly split the masked coordinates in half with
    a pairwise hash and compare the two halves' coarse estimates. A
@@ -12,37 +13,39 @@ Composition, bottom to top:
    coordinate, guaranteed to find any coordinate holding all but an alpha
    fraction of the masked mass.
 
-2. *Cover* (``cover_algorithm``): hash coordinates into many buckets and
-   run one tournament per bucket; the positive outputs approximate
-   distinct coordinates and include every significant one.
+2. *Cover* (``_CoverPlan``): hash coordinates into many buckets and run
+   one tournament per bucket; the positive outputs approximate distinct
+   coordinates and include every significant one.
 
-3. *Layered summation* (``layered_l1_estimate``): run covers against
-   geometrically subsampled coordinate sets, bucket the returned values
-   into multiplicative layers, pick for each layer the deepest subsampling
+3. *Layered summation* (``_AmpPlan``): run covers against geometrically
+   subsampled coordinate sets, bucket the returned values into
+   multiplicative layers, pick for each layer the deepest subsampling
    level whose count falls in a calibrated window, and sum the rescaled
    counts. This turns covers into an L1 estimate of the whole vector.
 
-4. *Dimension reduction* (``dimension_reduce``): steps 1-3 applied to the
+4. *Dimension reduction* (``_ReducePlan``): steps 1-3 applied to the
    absolute-hyperplane vector of a tensor turn per-hyperplane estimators
    into a full-norm estimator, with median amplification of the 2/3
    success probability.
 
-5. *End-to-end* (``StreamDistanceEstimator`` / ``independence_distance``):
-   the reduction applied recursively to the independence tensor, with
-   every sub-estimator backed by one-pass product-sketch banks. All
-   randomness is drawn before the pass; each stream record fans out to
-   every registered bank exactly once.
-
-Exact sub-oracles built from the dense tensor module can be injected
-anywhere a sketch-backed estimator is expected, which is how most
-property tests isolate the combinatorial logic from sketch noise.
+``_build_reduce_plan`` builds the four stages as one tree of plan nodes
+from one set of constants (``_stack_configs``) and a leaf factory, which
+gives each non-empty tournament side a (coarse, sharp) pair of nodes.
+Sketch leaves (``StreamDistanceEstimator`` / ``independence_distance``)
+are product-sketch banks, all registered before the one pass, with a child
+reduction as the sharp node above the last depth. Oracle leaves
+(``tensor_tournament``, ``cover_algorithm``, ``dimension_reduce``) call
+injected ``SubAlgorithms`` when evaluated; ``layered_l1_estimate`` takes a
+caller's cover for each level. Exact sub-oracles built from the dense
+tensor module let property tests isolate the combinatorial logic from
+sketch noise while running the plan classes the sketch pipeline runs.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace as dataclass_replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -80,11 +83,7 @@ class SubAlgorithms:
 
     approx_a: Callable[[Mask, float], float]
     approx_b: Callable[[Mask, float, float], float]
-    beta: float
-
-    def __post_init__(self):
-        if self.beta < 1.0:
-            raise ConfigurationError("beta must be >= 1")
+    beta: float  # checked, like every beta of the stack, by TournamentConfig
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,6 @@ class TournamentConfig:
         delta: float,
         beta: float,
         rounds: Optional[int] = None,
-        rounds_scale: float = 1.0,
     ) -> "TournamentConfig":
         if not 0.0 < epsilon < 1.0:
             raise ConfigurationError(f"epsilon={epsilon} outside (0, 1)")
@@ -118,7 +116,9 @@ class TournamentConfig:
             raise ConfigurationError("beta must be >= 1")
         p = 1.0 - math.sqrt(1.0 - epsilon / 2.0)
         if rounds is None:
-            rounds = max(1, math.ceil(rounds_scale * math.log(1.0 / delta) / p))
+            rounds = max(1, math.ceil(math.log(1.0 / delta) / p))
+        if rounds < 1:
+            raise ConfigurationError("rounds must be >= 1")
         subcall_delta = p * epsilon / (4.0 * math.log(1.0 / delta))
         root = (1.0 - epsilon) ** 0.25
         lam = 1.0 + 2.0 * root / (1.0 - root)
@@ -277,9 +277,7 @@ class EstimatorOverrides:
     max_chunk: int = 8192
 
     def replace(self, **kw) -> "EstimatorOverrides":
-        current = {f.name: getattr(self, f.name) for f in fields(self)}
-        current.update(kw)
-        return EstimatorOverrides(**current)
+        return dataclass_replace(self, **kw)
 
     @classmethod
     def formula_profile(cls) -> "EstimatorOverrides":
@@ -298,8 +296,7 @@ class EstimatorOverrides:
 
 
 # ---------------------------------------------------------------------------
-# pure decision helpers (shared by the oracle-driven functions and the
-# sketch-backed pipeline)
+# pure decision helpers of the plan classes
 # ---------------------------------------------------------------------------
 
 
@@ -351,14 +348,11 @@ def _assign_layer(value: float, shift: float, cfg: LayerConfig) -> Optional[int]
     return l
 
 
-def _window_holds(count: int, cfg: LayerConfig) -> bool:
-    chi = cfg.count_threshold
-    return chi / (1.0 + cfg.epsilon) ** 2 < count <= (1.0 + 3.0 * cfg.epsilon) * chi
-
-
 def _layer_sum(counts: Dict[Tuple[int, int], int], cfg: LayerConfig, shift: float) -> float:
     """Select the deepest in-window level per layer and sum the rescaled counts."""
     growth = 1.0 + cfg.epsilon
+    chi = cfg.count_threshold
+    lo, hi = chi / growth**2, (1.0 + 3.0 * cfg.epsilon) * chi  # the count window
     by_layer: Dict[int, Dict[int, int]] = defaultdict(dict)
     for (l, j), c in counts.items():
         by_layer[l][j] = c
@@ -366,7 +360,7 @@ def _layer_sum(counts: Dict[Tuple[int, int], int], cfg: LayerConfig, shift: floa
     for l, per_level in by_layer.items():
         z = 0
         for j, c in per_level.items():
-            if j > 0 and _window_holds(c, cfg):
+            if j > 0 and lo < c <= hi:
                 z = max(z, j)
         c = per_level.get(z, 0)
         total += growth ** (z + l) * c
@@ -374,7 +368,7 @@ def _layer_sum(counts: Dict[Tuple[int, int], int], cfg: LayerConfig, shift: floa
 
 
 # ---------------------------------------------------------------------------
-# randomness derivation shared between construction and evaluation
+# randomness derivation of the plan builders
 # ---------------------------------------------------------------------------
 
 _TAG_SPLIT = 0x7A01
@@ -388,17 +382,11 @@ _TAG_BANK_B = 0x7A08
 _TAG_CHILD = 0x7A09
 
 
-def _as_mask(H, n: int) -> Mask:
-    m = np.asarray(H, dtype=np.uint8)
-    if m.shape != (n,):
-        raise ConfigurationError(f"mask must have shape ({n},), got {m.shape}")
-    return m
-
-
 def _split_masks(H: Mask, rounds: int, seed: int):
     """Per-round halving masks (round, kept-by-1, kept-by-0); the split
     hashes of all rounds are tabulated in one step."""
-    seeds = [derive_key(seed, _TAG_SPLIT, r) for r in range(rounds)]
+    split = derive_key(seed, _TAG_SPLIT)
+    seeds = [derive_key(split, r) for r in range(rounds)]  # = derive_key(seed, _TAG_SPLIT, r)
     kept1 = H * zero_one_tables(seeds, H.shape[0], 0.5)
     kept0 = H - kept1
     for r in range(rounds):
@@ -439,8 +427,7 @@ def _draw_phase(seed: int, steps: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# oracle-driven operations (the public stack; also used with sketch-backed
-# callables)
+# vector helpers and the constants of one reduction
 # ---------------------------------------------------------------------------
 
 
@@ -457,61 +444,6 @@ def split_compare_ratio(V, Z) -> Tuple[float, float]:
     return x, float(v.sum() - x)
 
 
-def tensor_tournament(
-    H, cfg: TournamentConfig, subs: SubAlgorithms, seed: int = 0
-) -> float:
-    """Certifying tournament over the masked absolute-hyperplane vector.
-
-    Returns 0 or an approximation of some masked coordinate; any
-    coordinate holding a (1 - alpha) fraction of the masked mass is found
-    and approximated with probability 1 - delta. Output approximations
-    carry a (1 +- 3*epsilon) guarantee in terms of the round epsilon.
-    """
-    n = np.asarray(H).shape[0]
-    H = _as_mask(H, n)
-    ratio = cfg.ratio_threshold * cfg.beta**2
-    round_values = []
-    for r, m0, m1 in _split_masks(H, cfg.rounds, seed):
-        u = []
-        for side, mask in enumerate((m0, m1)):
-            if not mask.any():
-                u.append(0.0)
-                continue
-            try:
-                sharp = subs.approx_b(mask, cfg.epsilon, cfg.subcall_delta)
-                coarse = subs.approx_a(mask, cfg.subcall_delta)
-            except Exception as e:  # annotate with round context
-                raise SubAlgorithmError(f"round {r}, side {side}: {e}") from e
-            u.append(max(coarse / cfg.beta, sharp, 0.0))
-        round_values.append(_decide_round(u[0], u[1], ratio))
-    return _combine_rounds(round_values)
-
-
-def cover_algorithm(
-    H,
-    cfg: CoverConfig,
-    tcfg: TournamentConfig,
-    subs: SubAlgorithms,
-    seed: int = 0,
-) -> Dict[int, float]:
-    """One tournament per occupied hash bucket; strictly positive outputs.
-
-    With probability 1 - delta the outputs approximate distinct positive
-    coordinates of the masked vector and include every
-    epsilon-significant one.
-    """
-    n = np.asarray(H).shape[0]
-    H = _as_mask(H, n)
-    out: Dict[int, float] = {}
-    for s, mask in _bucket_masks(H, cfg.rho, seed):
-        u = tensor_tournament(
-            mask, tcfg, subs, seed=int(derive_key(seed, _TAG_TOURN, s))
-        )
-        if u > 0.0:
-            out[s] = u
-    return out
-
-
 def sampling_level(x: float, cfg: LayerConfig) -> int:
     """Smallest level f with x <= threshold*(1+eps)^f (requires x > threshold)."""
     chi = cfg.count_threshold
@@ -526,27 +458,251 @@ def sampling_level(x: float, cfg: LayerConfig) -> int:
     return f
 
 
+StackConfigs = Tuple[LayerConfig, TournamentConfig, CoverConfig, int]
+
+
+def _stack_configs(
+    n: int,
+    epsilon: float,
+    delta: float,
+    beta: float,
+    ov: EstimatorOverrides,
+    value_bound: Optional[float] = None,
+) -> StackConfigs:
+    """The layer, tournament and cover configurations of one reduction and
+    its amplification count, for either kind of leaf."""
+    if ov.amplification is not None and ov.amplification < 1:
+        raise ConfigurationError("amplification must be >= 1")
+    bound = value_bound if value_bound is not None else (ov.value_bound or 2.0**48)
+    lcfg = LayerConfig.from_targets(epsilon, n, bound, scale_override=ov.scale_override)
+    cover_eps = lcfg.cover_precision
+    if ov.cover_epsilon is not None:
+        cover_eps = max(cover_eps, ov.cover_epsilon)
+    tcfg = TournamentConfig.from_targets(
+        cover_eps / 3.0, max(lcfg.cover_delta / 4.0, 1e-9), beta, rounds=ov.rounds
+    )
+    ccfg = CoverConfig.from_targets(
+        cover_eps, lcfg.cover_delta, tcfg.alpha, rho=ov.rho, rho_cap=ov.rho_cap
+    )
+    amp = ov.amplification
+    if amp is None:
+        amp = max(1, math.ceil(24.0 * math.log(1.0 / delta)))
+    return lcfg, tcfg, ccfg, amp
+
+
+# ---------------------------------------------------------------------------
+# the plan tree; a node's evaluate(med) reads the registry's median table
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _LeafRef:
+    """A registered bank, evaluated as its median |sketch value|."""
+
+    handle: Tuple
+
+    def evaluate(self, med) -> float:
+        key, start, stop = self.handle
+        return med[key][start // (stop - start)]
+
+
+@dataclass
+class _Call:
+    """A node evaluated as ``fn(*args)``: a sub-oracle or a caller's cover."""
+
+    fn: Callable
+    args: Tuple
+
+    def evaluate(self, _med):
+        return self.fn(*self.args)
+
+
+# leaves(mask, tournament config, tournament seed, round, side) -> (coarse, sharp)
+Leaves = Callable[[Mask, TournamentConfig, int, int, int], Tuple[object, object]]
+
+
+@dataclass
+class _TournamentPlan:
+    """Certifying tournament over the masked absolute-hyperplane vector.
+
+    Evaluates to 0 or an approximation of some masked coordinate; any
+    coordinate holding a (1 - alpha) fraction of the masked mass is found
+    and approximated with probability 1 - delta. Output approximations
+    carry a (1 +- 3*epsilon) guarantee in terms of the round epsilon.
+    """
+
+    cfg: TournamentConfig
+    rounds: List[Tuple[Optional[Tuple[object, object]], Optional[Tuple[object, object]]]]
+
+    def evaluate(self, med) -> float:
+        beta = self.cfg.beta
+        ratio = self.cfg.ratio_threshold * beta**2
+        vals = []
+        for rd, sides in enumerate(self.rounds):
+            u = [0.0, 0.0]
+            for side, pair in enumerate(sides):
+                if pair is None:
+                    continue
+                try:
+                    u[side] = max(pair[0].evaluate(med) / beta, pair[1].evaluate(med), 0.0)
+                except Exception as e:  # annotate with round context
+                    raise SubAlgorithmError(f"round {rd}, side {side}: {e}") from e
+            vals.append(_decide_round(u[0], u[1], ratio))
+        return _combine_rounds(vals)
+
+
+@dataclass
+class _CoverPlan:
+    """One tournament per occupied hash bucket.
+
+    With probability 1 - delta the positive outputs approximate distinct
+    positive coordinates of the masked vector and include every
+    epsilon-significant one.
+    """
+
+    buckets: Dict[int, _TournamentPlan]
+
+    def outputs(self, med) -> Dict[int, float]:
+        out = {}
+        for s, plan in self.buckets.items():
+            u = plan.evaluate(med)
+            if u > 0.0:
+                out[s] = u
+        return out
+
+    def evaluate(self, med) -> List[float]:
+        return list(self.outputs(med).values())
+
+
+@dataclass
+class _AmpPlan:
+    """Layered summation of cover outputs across subsampling levels."""
+
+    q: int
+    lcfg: LayerConfig
+    levels: List[Tuple[int, object]]
+
+    def evaluate(self, med) -> float:
+        shift = (1.0 + self.lcfg.phase_ratio) ** self.q
+        counts: Dict[Tuple[int, int], int] = defaultdict(int)
+        for j, cover in self.levels:
+            for value in cover.evaluate(med):
+                l = _assign_layer(float(value), shift, self.lcfg)
+                if l is not None:
+                    counts[(l, j)] += 1
+        return _layer_sum(counts, self.lcfg, shift)
+
+
+@dataclass
+class _ReducePlan:
+    """The median of independent layered summations."""
+
+    amps: List[_AmpPlan]
+
+    def evaluate(self, med) -> float:
+        return _median([a.evaluate(med) for a in self.amps])
+
+
+def _tournament_plan(
+    H: Mask, cfg: TournamentConfig, seed: int, leaves: Leaves
+) -> _TournamentPlan:
+    rounds = []
+    for rd, m0, m1 in _split_masks(H, cfg.rounds, seed):
+        # an empty side reads 0; count_nonzero is one C call, ndarray.any is not
+        rounds.append((
+            leaves(m0, cfg, seed, rd, 0) if np.count_nonzero(m0) else None,
+            leaves(m1, cfg, seed, rd, 1) if np.count_nonzero(m1) else None,
+        ))
+    return _TournamentPlan(cfg=cfg, rounds=rounds)
+
+
+def _cover_plan(
+    H: Mask, cfg: CoverConfig, tcfg: TournamentConfig, seed: int, leaves: Leaves
+) -> _CoverPlan:
+    return _CoverPlan(buckets={
+        s: _tournament_plan(mask, tcfg, int(derive_key(seed, _TAG_TOURN, s)), leaves)
+        for s, mask in _bucket_masks(H, cfg.rho, seed)
+    })
+
+
+def _amp_plan(
+    n: int, cfg: LayerConfig, seed: int, cover: Callable[[Mask, int], object]
+) -> _AmpPlan:
+    """``cover(mask, level_seed)`` gives the cover node of each level."""
+    levels = [(j, cover(mask, lseed)) for j, mask, lseed in _level_masks(n, cfg, seed)]
+    return _AmpPlan(q=_draw_phase(seed, cfg.phase_steps), lcfg=cfg, levels=levels)
+
+
+def _build_reduce_plan(n: int, configs: StackConfigs, seed: int, leaves: Leaves) -> _ReducePlan:
+    """The tournament -> cover -> layer stack of one dimension reduction.
+    Everything random is drawn here; a sketch-backed factory registers its
+    banks as the plan is built, before the pass."""
+    lcfg, tcfg, ccfg, amp = configs
+
+    def cover(mask: Mask, level_seed: int) -> _CoverPlan:
+        return _cover_plan(mask, ccfg, tcfg, level_seed, leaves)
+
+    return _ReducePlan(
+        amps=[_amp_plan(n, lcfg, int(derive_key(seed, _TAG_AMP, r)), cover) for r in range(amp)]
+    )
+
+
+def _oracle_leaves(subs: SubAlgorithms) -> Leaves:
+    """Leaves that call the sub-oracles at the tournament's epsilon and failure rate."""
+
+    def leaves(mask: Mask, cfg: TournamentConfig, *_seed) -> Tuple[_Call, _Call]:
+        return (
+            _Call(subs.approx_a, (mask, cfg.subcall_delta)),
+            _Call(subs.approx_b, (mask, cfg.epsilon, cfg.subcall_delta)),
+        )
+
+    return leaves
+
+
+# ---------------------------------------------------------------------------
+# the public stack: thin drivers over the plan tree with oracle leaves
+# ---------------------------------------------------------------------------
+
+
+def _as_mask(H) -> Mask:
+    m = np.asarray(H, dtype=np.uint8)
+    if m.ndim != 1:
+        raise ConfigurationError(f"mask must be one-dimensional, got shape {m.shape}")
+    return m
+
+
+def tensor_tournament(
+    H, cfg: TournamentConfig, subs: SubAlgorithms, seed: int = 0
+) -> float:
+    """Certifying tournament (``_TournamentPlan``) over exact or injected sub-oracles."""
+    return _tournament_plan(_as_mask(H), cfg, seed, _oracle_leaves(subs)).evaluate(None)
+
+
+def cover_algorithm(
+    H,
+    cfg: CoverConfig,
+    tcfg: TournamentConfig,
+    subs: SubAlgorithms,
+    seed: int = 0,
+) -> Dict[int, float]:
+    """Cover (``_CoverPlan``): the strictly positive tournament outputs by bucket."""
+    return _cover_plan(_as_mask(H), cfg, tcfg, seed, _oracle_leaves(subs)).outputs(None)
+
+
 def layered_l1_estimate(
     n: int,
     cfg: LayerConfig,
     run_cover: Callable[[Mask, int], Iterable[float]],
     seed: int = 0,
 ) -> float:
-    """Layered summation of cover outputs across subsampling levels.
+    """Layered summation (``_AmpPlan``) of a caller's covers.
 
     ``run_cover(mask, seed)`` must return the positive values of a cover
     of the vector restricted to the masked coordinates, at precision
     ``cfg.cover_precision`` and failure ``cfg.cover_delta``.
     """
-    q = _draw_phase(seed, cfg.phase_steps)
-    shift = (1.0 + cfg.phase_ratio) ** q
-    counts: Dict[Tuple[int, int], int] = defaultdict(int)
-    for j, mask, level_seed in _level_masks(n, cfg, seed):
-        for value in run_cover(mask, level_seed):
-            l = _assign_layer(float(value), shift, cfg)
-            if l is not None:
-                counts[(l, j)] += 1
-    return _layer_sum(counts, cfg, shift)
+    plan = _amp_plan(n, cfg, seed, lambda mask, lseed: _Call(run_cover, (mask, lseed)))
+    return plan.evaluate(None)
 
 
 def dimension_reduce(
@@ -564,40 +720,10 @@ def dimension_reduce(
     absolute-hyperplane vector and amplifies the 2/3 success probability
     by a median of independent runs.
     """
-    ov = overrides or EstimatorOverrides()
-    bound = value_bound if value_bound is not None else (ov.value_bound or 2.0**48)
-    lcfg = LayerConfig.from_targets(
-        epsilon, n, bound, scale_override=ov.scale_override
+    configs = _stack_configs(
+        n, epsilon, delta, subs.beta, overrides or EstimatorOverrides(), value_bound
     )
-    cover_eps = lcfg.cover_precision
-    if ov.cover_epsilon is not None:
-        cover_eps = max(cover_eps, ov.cover_epsilon)
-    tour_eps = cover_eps / 3.0
-    tcfg = TournamentConfig.from_targets(
-        tour_eps,
-        max(lcfg.cover_delta / 4.0, 1e-9),
-        subs.beta,
-        rounds=ov.rounds,
-    )
-    ccfg = CoverConfig.from_targets(
-        cover_eps,
-        lcfg.cover_delta,
-        tcfg.alpha,
-        rho=ov.rho,
-        rho_cap=ov.rho_cap,
-    )
-
-    def run_cover(mask: Mask, cover_seed: int) -> List[float]:
-        return list(cover_algorithm(mask, ccfg, tcfg, subs, seed=cover_seed).values())
-
-    amp = ov.amplification
-    if amp is None:
-        amp = max(1, math.ceil(24.0 * math.log(1.0 / delta)))
-    estimates = [
-        layered_l1_estimate(n, lcfg, run_cover, seed=int(derive_key(seed, _TAG_AMP, r)))
-        for r in range(amp)
-    ]
-    return _median(estimates)
+    return _build_reduce_plan(n, configs, seed, _oracle_leaves(subs)).evaluate(None)
 
 
 def exact_sub_oracles(M, beta: float = 1.0) -> SubAlgorithms:
@@ -630,13 +756,10 @@ def vector_sub_oracles(v, beta: float = 1.0) -> SubAlgorithms:
     if (vec < 0).any():
         raise ConfigurationError("vector oracles require nonnegative entries")
 
-    def approx_a(mask: Mask, _delta: float) -> float:
+    def masked_sum(mask: Mask, *_eps_delta: float) -> float:
         return float(vec @ mask)
 
-    def approx_b(mask: Mask, _eps: float, _delta: float) -> float:
-        return float(vec @ mask)
-
-    return SubAlgorithms(approx_a=approx_a, approx_b=approx_b, beta=beta)
+    return SubAlgorithms(approx_a=masked_sum, approx_b=masked_sum, beta=beta)
 
 
 # ---------------------------------------------------------------------------
@@ -730,182 +853,24 @@ class _BankRegistry:
         return table
 
 
-@dataclass
-class _LeafRef:
-    """A registered bank, evaluated as its median |sketch value|."""
+def _bank_leaves(
+    reg: _BankRegistry, depth: int, prefix: List[Mask], configs: StackConfigs, ov: EstimatorOverrides
+) -> Leaves:
+    """Leaves of the sketch pipeline at ``depth``: a coarse bank, and a sharp
+    bank at the last depth or a child reduction above it."""
 
-    handle: Tuple
+    def leaves(mask: Mask, _cfg, seed: int, rd: int, side: int):
+        banked = prefix + [mask]
+        a_seed = int(derive_key(seed, _TAG_BANK_A, rd, side))
+        coarse = _LeafRef(reg.add_bank(banked, depth, ov.polylog_reps, a_seed))
+        if depth + 2 == reg.k:
+            b_seed = int(derive_key(seed, _TAG_BANK_B, rd, side))
+            return coarse, _LeafRef(reg.add_bank(banked, reg.k - 1, ov.eps_reps, b_seed))
+        child_seed = int(derive_key(seed, _TAG_CHILD, rd, side))
+        child = _bank_leaves(reg, depth + 1, banked, configs, ov)
+        return coarse, _build_reduce_plan(reg.n, configs, child_seed, child)
 
-    def evaluate(self, med) -> float:
-        key, start, stop = self.handle
-        return med[key][start // (stop - start)]
-
-
-@dataclass
-class _TournamentPlan:
-    cfg: TournamentConfig
-    rounds: List[Tuple[Optional[Tuple[_LeafRef, object]], Optional[Tuple[_LeafRef, object]]]]
-
-    def evaluate(self, med) -> float:
-        ratio = self.cfg.ratio_threshold * self.cfg.beta**2
-        vals = []
-        for side0, side1 in self.rounds:
-            u = []
-            for node in (side0, side1):
-                if node is None:
-                    u.append(0.0)
-                    continue
-                a_ref, b_node = node
-                coarse = a_ref.evaluate(med)
-                sharp = b_node.evaluate(med)
-                u.append(max(coarse / self.cfg.beta, sharp, 0.0))
-            vals.append(_decide_round(u[0], u[1], ratio))
-        return _combine_rounds(vals)
-
-
-@dataclass
-class _CoverPlan:
-    buckets: Dict[int, _TournamentPlan]
-
-    def evaluate(self, med) -> List[float]:
-        out = []
-        for plan in self.buckets.values():
-            u = plan.evaluate(med)
-            if u > 0.0:
-                out.append(u)
-        return out
-
-
-@dataclass
-class _AmpPlan:
-    q: int
-    lcfg: LayerConfig
-    levels: List[Tuple[int, _CoverPlan]]
-
-    def evaluate(self, med) -> float:
-        shift = (1.0 + self.lcfg.phase_ratio) ** self.q
-        counts: Dict[Tuple[int, int], int] = defaultdict(int)
-        for j, cover in self.levels:
-            for value in cover.evaluate(med):
-                l = _assign_layer(value, shift, self.lcfg)
-                if l is not None:
-                    counts[(l, j)] += 1
-        return _layer_sum(counts, self.lcfg, shift)
-
-
-@dataclass
-class _ReducePlan:
-    amps: List[_AmpPlan]
-    diagnostics: Dict[str, object]
-
-    def evaluate(self, med) -> float:
-        return _median([a.evaluate(med) for a in self.amps])
-
-
-def _build_reduce_plan(
-    reg: _BankRegistry,
-    k: int,
-    n: int,
-    depth: int,
-    prefix: List[Mask],
-    epsilon: float,
-    delta: float,
-    seed: int,
-    ov: EstimatorOverrides,
-    beta: float,
-) -> _ReducePlan:
-    """Register all banks of one dimension-reduction instance and record the
-    evaluation structure. Everything random is drawn here, before the pass.
-    """
-    bound = ov.value_bound or 2.0**48
-    lcfg = LayerConfig.from_targets(epsilon, n, bound, scale_override=ov.scale_override)
-    cover_eps = lcfg.cover_precision
-    if ov.cover_epsilon is not None:
-        cover_eps = max(cover_eps, ov.cover_epsilon)
-    tour_eps = cover_eps / 3.0
-    tcfg = TournamentConfig.from_targets(
-        tour_eps, max(lcfg.cover_delta / 4.0, 1e-9), beta, rounds=ov.rounds
-    )
-    ccfg = CoverConfig.from_targets(
-        cover_eps, lcfg.cover_delta, tcfg.alpha, rho=ov.rho, rho_cap=ov.rho_cap
-    )
-    amp = ov.amplification
-    if amp is None:
-        amp = max(1, math.ceil(24.0 * math.log(1.0 / delta)))
-
-    amps: List[_AmpPlan] = []
-    for r in range(amp):
-        seed_r = int(derive_key(seed, _TAG_AMP, r))
-        level_plans: List[Tuple[int, _CoverPlan]] = []
-        for j, level_mask, level_seed in _level_masks(n, lcfg, seed_r):
-            buckets: Dict[int, _TournamentPlan] = {}
-            for s, bucket_mask in _bucket_masks(level_mask, ccfg.rho, level_seed):
-                tour_seed = int(derive_key(level_seed, _TAG_TOURN, s))
-                rounds = []
-                for rd, m0, m1 in _split_masks(bucket_mask, tcfg.rounds, tour_seed):
-                    sides = []
-                    for side, mask in enumerate((m0, m1)):
-                        if not mask.any():
-                            sides.append(None)
-                            continue
-                        leaf_seed = derive_key(tour_seed, _TAG_BANK_A, rd, side)
-                        a_ref = _LeafRef(
-                            handle=reg.add_bank(
-                                prefix + [mask], depth, ov.polylog_reps, int(leaf_seed)
-                            )
-                        )
-                        if depth + 1 == k - 1:
-                            b_seed = derive_key(tour_seed, _TAG_BANK_B, rd, side)
-                            b_node: object = _LeafRef(
-                                handle=reg.add_bank(
-                                    prefix + [mask], k - 1, ov.eps_reps, int(b_seed)
-                                )
-                            )
-                        else:
-                            child_seed = int(derive_key(tour_seed, _TAG_CHILD, rd, side))
-                            b_node = _build_reduce_plan(
-                                reg,
-                                k,
-                                n,
-                                depth + 1,
-                                prefix + [mask],
-                                epsilon,
-                                delta,
-                                child_seed,
-                                ov,
-                                beta,
-                            )
-                        sides.append((a_ref, b_node))
-                    rounds.append((sides[0], sides[1]))
-                buckets[s] = _TournamentPlan(cfg=tcfg, rounds=rounds)
-            level_plans.append((j, _CoverPlan(buckets=buckets)))
-        amps.append(
-            _AmpPlan(q=_draw_phase(seed_r, lcfg.phase_steps), lcfg=lcfg, levels=level_plans)
-        )
-    diagnostics = {
-        "depth": depth,
-        "epsilon": epsilon,
-        "delta": delta,
-        "beta": beta,
-        "amplification": amp,
-        "rounds": tcfg.rounds,
-        "ratio_threshold": tcfg.ratio_threshold,
-        "alpha": tcfg.alpha,
-        "subcall_delta": tcfg.subcall_delta,
-        "detect_prob": tcfg.detect_prob,
-        "rho": ccfg.rho,
-        "cover_epsilon": ccfg.epsilon,
-        "cover_delta": lcfg.cover_delta,
-        "count_threshold": lcfg.count_threshold,
-        "base_count": lcfg.base_count,
-        "phase_steps": lcfg.phase_steps,
-        "phase_ratio": lcfg.phase_ratio,
-        "cover_precision": lcfg.cover_precision,
-        "levels": lcfg.levels,
-        "layers": lcfg.layers,
-        "scale_override": lcfg.scale,
-    }
-    return _ReducePlan(amps=amps, diagnostics=diagnostics)
+    return leaves
 
 
 class StreamDistanceEstimator:
@@ -938,19 +903,13 @@ class StreamDistanceEstimator:
             ov = ov.replace(beta=max(2.0, math.log2(max(n, 4))) ** k)
         if ov.omega is None:
             ov = ov.replace(omega=default_truncation(k, n))
+        elif not ov.omega > 0.0:
+            raise ConfigurationError("omega must be positive")
         self.overrides = ov
+        self.configs = _stack_configs(n, epsilon, delta, ov.beta, ov)
         self.registry = _BankRegistry(k, n, ov.omega)
         self.plan = _build_reduce_plan(
-            self.registry,
-            k,
-            n,
-            depth=0,
-            prefix=[],
-            epsilon=epsilon,
-            delta=delta,
-            seed=self.seed,
-            ov=ov,
-            beta=ov.beta,
+            n, self.configs, self.seed, _bank_leaves(self.registry, 0, [], self.configs, ov)
         )
         self.registry.freeze()
         self.records_consumed = 0
@@ -996,32 +955,66 @@ class StreamDistanceEstimator:
         return sum(g["joint"].shape[0] for g in self.registry.groups.values())
 
     def diagnostics(self) -> Dict[str, object]:
-        d = dict(self.plan.diagnostics)
-        d.update(
-            {
-                "bank_rows": self.bank_rows(),
-                "eps_reps": self.overrides.eps_reps,
-                "polylog_reps": self.overrides.polylog_reps,
-                "omega": self.overrides.omega,
-                "seed": self.seed,
-            }
+        lcfg, tcfg, ccfg, amp = self.configs
+        ov = self.overrides
+        return {
+            "depth": 0,
+            "epsilon": self.epsilon,
+            "delta": self.delta,
+            "beta": ov.beta,
+            "amplification": amp,
+            "rounds": tcfg.rounds,
+            "ratio_threshold": tcfg.ratio_threshold,
+            "alpha": tcfg.alpha,
+            "subcall_delta": tcfg.subcall_delta,
+            "detect_prob": tcfg.detect_prob,
+            "rho": ccfg.rho,
+            "cover_epsilon": ccfg.epsilon,
+            "cover_delta": lcfg.cover_delta,
+            "count_threshold": lcfg.count_threshold,
+            "base_count": lcfg.base_count,
+            "phase_steps": lcfg.phase_steps,
+            "phase_ratio": lcfg.phase_ratio,
+            "cover_precision": lcfg.cover_precision,
+            "levels": lcfg.levels,
+            "layers": lcfg.layers,
+            "scale_override": lcfg.scale,
+            "bank_rows": self.bank_rows(),
+            "eps_reps": ov.eps_reps,
+            "polylog_reps": ov.polylog_reps,
+            "omega": ov.omega,
+            "seed": self.seed,
+        }
+
+    def report(
+        self,
+        diagnostics: Optional[Dict[str, object]] = None,
+        exact_distance: Optional[float] = None,
+    ) -> EstimateReport:
+        """The distance report: norm / (2 m^k), clamped to [0, 1], with the
+        run diagnostics after ``diagnostics``. Given the exact distance, the
+        report is of mode "both" and carries the relative error."""
+        norm = self.tensor_norm_estimate()
+        raw = norm / (2.0 * float(self.m_seen) ** self.k)
+        estimate = min(1.0, max(0.0, raw))
+        diag = dict(diagnostics or {})
+        diag.update(self.diagnostics())
+        diag["tensor_norm_estimate"] = norm
+        diag["raw_distance_estimate"] = raw
+        if exact_distance is not None:
+            diag["relative_error"] = (
+                abs(estimate - exact_distance) / exact_distance if exact_distance > 0 else None
+            )
+        return EstimateReport(
+            distance_estimate=estimate,
+            exact_distance=exact_distance,
+            m=self.m_seen,
+            n=self.n,
+            k=self.k,
+            mode="sketch" if exact_distance is None else "both",
+            seed=self.seed,
+            diagnostics=diag,
         )
-        return d
-
-
-def approximate_tensor(
-    stream: TupleStream,
-    epsilon: float,
-    delta: float,
-    seed: int = 0,
-    overrides: Optional[EstimatorOverrides] = None,
-) -> float:
-    """(1 +- eps, delta) estimate of the independence-tensor norm, one pass."""
-    est = StreamDistanceEstimator(
-        stream.k, stream.n, epsilon, delta, seed=seed, overrides=overrides
-    )
-    est.consume(stream)
-    return est.tensor_norm_estimate()
 
 
 def independence_distance(
@@ -1036,20 +1029,4 @@ def independence_distance(
         stream.k, stream.n, epsilon, delta, seed=seed, overrides=overrides
     )
     est.consume(stream)
-    if est.registry.m_seen < 1:
-        raise EmptyStreamError("cannot estimate the distance of an empty stream")
-    norm = est.tensor_norm_estimate()
-    m, k = est.registry.m_seen, stream.k
-    raw = norm / (2.0 * float(m) ** k)
-    diag = est.diagnostics()
-    diag["tensor_norm_estimate"] = norm
-    diag["raw_distance_estimate"] = raw
-    return EstimateReport(
-        distance_estimate=min(1.0, max(0.0, raw)),
-        m=m,
-        n=stream.n,
-        k=stream.k,
-        mode="sketch",
-        seed=int(seed),
-        diagnostics=diag,
-    )
+    return est.report()

@@ -222,14 +222,6 @@ class BucketHash:
         return (np.uint64(1) + v % np.uint64(self.buckets)).astype(np.int64)
 
 
-def eval_zero_one(h: ZeroOneHash, i: int) -> int:
-    return h(i)
-
-
-def eval_bucket(h: BucketHash, i: int) -> int:
-    return h(i)
-
-
 @dataclass(frozen=True)
 class CauchySource:
     """Indexed standard-Cauchy generator: value(i) = tan(pi*(u_i - 1/2)).
@@ -260,10 +252,6 @@ class CauchySource:
     def table(self, n):
         """Values at indices 1..n (index 0 of the array <-> i=1)."""
         return self.table_at(np.arange(1, n + 1))
-
-
-def cauchy_at(src: CauchySource, i: int) -> float:
-    return src(i)
 
 
 def batched_cauchy_tables(

@@ -233,15 +233,6 @@ class ProductSketchState:
         return state
 
 
-def sketch_update(state: ProductSketchState, rec: TupleKey) -> ProductSketchState:
-    state.update(rec)
-    return state
-
-
-def sketch_value(state: ProductSketchState):
-    return state.value()
-
-
 def merge(a: ProductSketchState, b: ProductSketchState) -> ProductSketchState:
     """Componentwise sum of two states over disjoint sub-streams.
 

@@ -73,13 +73,6 @@ class FrequencyTable:
     joint: Dict[TupleKey, int]
     margins: List[Dict[int, int]]
 
-    def joint_count(self, i: TupleKey) -> int:
-        return self.joint.get(tuple(i), 0)
-
-    def margin_count(self, dim: int, value: int) -> int:
-        """Count of `value` in 1-based dimension `dim`."""
-        return self.margins[dim - 1].get(value, 0)
-
 
 def _integral(x, index: Optional[int]) -> int:
     """``x`` as an int; MalformedInputError unless it is an integral number."""

@@ -422,6 +422,26 @@ class TestMain:
         assert code == EXIT_CONFIG
         assert "'rounds2' is not KEY=VALUE" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override,message",
+        [
+            ("rounds=0", "rounds must be >= 1"),
+            ("amplification=0", "amplification must be >= 1"),
+            ("omega=0", "omega must be positive"),
+            ("omega=-2.5", "omega must be positive"),
+            ("omega=nan", "omega must be positive"),
+        ],
+    )
+    def test_override_that_would_zero_the_estimate_exit(self, override, message, capsys):
+        code = main(
+            ["--k", "2", "--n", "2", "--generate", "diagonal", "--m", "40",
+             "--mode", "sketch", "--override", override]
+        )
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"configuration error: {message}\n"
+
     def test_budget_exit(self):
         code = main(
             ["--k", "2", "--n", "8192", "--generate", "diagonal", "--m", "5",

@@ -16,9 +16,10 @@ from indisketch import (
     LayerConfig,
     ProductSketchState,
     StreamDistanceEstimator,
+    SubAlgorithmError,
+    SubAlgorithms,
     TournamentConfig,
     TupleStream,
-    approximate_tensor,
     build_frequency_table,
     cover_algorithm,
     dense_independence_tensor,
@@ -33,7 +34,13 @@ from indisketch import (
     tensor_tournament,
 )
 from indisketch import estimator, sketches
-from indisketch.estimator import _BankRegistry, _LeafRef, _median, vector_sub_oracles
+from indisketch.estimator import (
+    _BankRegistry,
+    _LeafRef,
+    _median,
+    _split_masks,
+    vector_sub_oracles,
+)
 from indisketch.hashing import ZeroOneHash
 
 
@@ -47,6 +54,15 @@ def diag_embed(v):
 
 def ones_mask(n):
     return np.ones(n, dtype=np.uint8)
+
+
+def sketch_norm(stream, epsilon, delta, seed, overrides=None):
+    """One-pass estimate of the independence-tensor norm of ``stream``."""
+    est = StreamDistanceEstimator(
+        stream.k, stream.n, epsilon, delta, seed=seed, overrides=overrides
+    )
+    est.consume(stream)
+    return est.tensor_norm_estimate()
 
 
 class TestConfigs:
@@ -101,6 +117,24 @@ class TestConfigs:
         with pytest.raises(MalformedInputError) as err:
             est.consume([np.array([[1.0, 2.0], [3.0, 2.5]])])
         assert "non-integer coordinate 2.5" in str(err.value)
+
+    def test_overrides_that_would_zero_the_estimate_rejected(self):
+        with pytest.raises(ConfigurationError, match="rounds must be >= 1"):
+            TournamentConfig.from_targets(0.1, 0.1, beta=1.0, rounds=0)
+        subs = exact_sub_oracles(diag_embed([3, 1, 1, 1]), beta=1.0)
+        for bad, message in [
+            ({"rounds": 0}, "rounds must be >= 1"),
+            ({"amplification": 0}, "amplification must be >= 1"),
+            ({"amplification": -2}, "amplification must be >= 1"),
+        ]:
+            ov = EstimatorOverrides(**bad)
+            with pytest.raises(ConfigurationError, match=message):
+                StreamDistanceEstimator(2, 4, 0.3, 0.1, overrides=ov)
+            with pytest.raises(ConfigurationError, match=message):
+                dimension_reduce(4, subs, 0.3, 0.1, overrides=ov)
+        for omega in (0.0, -1.0, math.nan):
+            with pytest.raises(ConfigurationError, match="omega must be positive"):
+                StreamDistanceEstimator(2, 4, 0.3, 0.1, overrides=EstimatorOverrides(omega=omega))
 
     def test_layer_scale_override(self):
         full = LayerConfig.from_targets(0.3, 64, value_bound=1e6)
@@ -177,6 +211,33 @@ class TestTournament:
             for s in range(100)
         )
         assert zeros >= 90
+
+
+class TestSubAlgorithmError:
+    """A failing sub-oracle surfaces as SubAlgorithmError naming its round and side."""
+
+    @staticmethod
+    def subs_failing_at(coordinate):
+        def approx(mask, *_):
+            if mask[coordinate - 1]:
+                raise ValueError(f"oracle down at {coordinate}")
+            return float(mask.sum())
+
+        return SubAlgorithms(approx_a=approx, approx_b=approx, beta=1.0)
+
+    def test_tournament(self):
+        H, seed = ones_mask(8), 4
+        _, _, m1 = next(_split_masks(H, 1, seed))
+        side = int(m1[2])  # the side of round 0 holding coordinate 3
+        cfg = TournamentConfig.from_targets(0.1, 0.1, beta=1.0, rounds=3)
+        with pytest.raises(SubAlgorithmError) as err:
+            tensor_tournament(H, cfg, self.subs_failing_at(3), seed=seed)
+        assert str(err.value) == f"round 0, side {side}: oracle down at 3"
+        assert isinstance(err.value.__cause__, ValueError)
+
+    def test_dimension_reduce(self):
+        with pytest.raises(SubAlgorithmError, match=r"^round \d+, side [01]: oracle down at 3$"):
+            dimension_reduce(8, self.subs_failing_at(3), 0.3, 0.1, seed=1)
 
 
 class TestCover:
@@ -323,12 +384,12 @@ class TestPipeline:
         truth = l1_norm(dense_independence_tensor(table))
         hits = 0
         for s in range(20):
-            est = approximate_tensor(TupleStream(2, 2, stream), 0.3, 0.1, seed=s)
+            est = sketch_norm(TupleStream(2, 2, stream), 0.3, 0.1, seed=s)
             hits += 0.6 * truth <= est <= 1.4 * truth
         assert hits >= 15
 
     def test_single_tuple_stream(self):
-        est = approximate_tensor(TupleStream(2, 4, [(2, 3)]), 0.3, 0.1, seed=1)
+        est = sketch_norm(TupleStream(2, 4, [(2, 3)]), 0.3, 0.1, seed=1)
         assert est == pytest.approx(0.0, abs=1e-6)
 
     @pytest.mark.slow
@@ -341,7 +402,7 @@ class TestPipeline:
         )
         hits = 0
         for s in range(10):
-            est = approximate_tensor(
+            est = sketch_norm(
                 TupleStream(3, 3, stream), 0.5, 0.2, seed=s, overrides=lean
             )
             hits += 0.5 * truth <= est <= 1.5 * truth

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from indisketch import BucketHash, CauchySource, ZeroOneHash, cauchy_at, eval_bucket, eval_zero_one
+from indisketch import BucketHash, CauchySource, ZeroOneHash
 from indisketch.hashing import (
     FOLD_BLOCK,
     batched_cauchy_tables,
@@ -25,7 +25,7 @@ CHI2_999_DF15 = 37.697
 class TestZeroOneHash:
     def test_deterministic(self):
         h = ZeroOneHash(seed=101, n=100, q=0.5)
-        assert h(5) == h(5) == eval_zero_one(h, 5)
+        assert h(5) == h(5) == ZeroOneHash(seed=101, n=100, q=0.5)(5)
 
     def test_table_matches_scalar(self):
         h = ZeroOneHash(seed=3, n=64, q=0.3)
@@ -69,7 +69,7 @@ class TestBucketHash:
 
     def test_deterministic(self):
         h = BucketHash(seed=5, n=10, buckets=7)
-        assert eval_bucket(h, 3) == h(3)
+        assert BucketHash(seed=5, n=10, buckets=7)(3) == h(3)
         assert h.table().tolist() == [h(i) for i in range(1, 11)]
 
     def test_uniformity_chi_square(self):
@@ -88,7 +88,7 @@ class TestCauchySource:
 
     def test_deterministic(self):
         src = CauchySource(seed=11)
-        assert cauchy_at(src, 3) == cauchy_at(src, 3)
+        assert src(3) == src(3) == CauchySource(seed=11)(3)
 
     def test_truncation_clamps(self):
         plain = CauchySource(seed=303)

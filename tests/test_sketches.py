@@ -27,8 +27,6 @@ from indisketch import (
     polylog_l1_estimate,
     prefix_zero,
     reference_sketch_value,
-    sketch_update,
-    sketch_value,
     suffix_sum,
 )
 from indisketch.sketches import required_epsilon_reps
@@ -55,17 +53,17 @@ class TestUpdateRules:
         st_ = ProductSketchState(k=2, n=2, s=0, s_prime=0, prefix=[], coeff=[[1, 1], [1, 1]])
         assert st_.joint == 0 and st_.margins == [0, 0]
         with pytest.raises(EmptyStreamError):
-            sketch_value(st_)
+            st_.value()
 
     def test_masked_prefix_annihilates_joint(self):
         st_ = ProductSketchState(
             k=2, n=2, s=1, s_prime=1, prefix=[[0, 0]], coeff=[[1.5, 2.5]]
         )
         for rec in [(1, 1), (2, 2), (1, 2)]:
-            sketch_update(st_, rec)
+            st_.update(rec)
         assert st_.joint == 0
         assert st_.margins[0] == 0
-        assert sketch_value(st_) == 0
+        assert st_.value() == 0
 
     def test_hand_expanded_value(self):
         # substituted coefficient values against the tensor expansion
