@@ -83,7 +83,11 @@ class SubAlgorithms:
 
     approx_a: Callable[[Mask, float], float]
     approx_b: Callable[[Mask, float, float], float]
-    beta: float  # checked, like every beta of the stack, by TournamentConfig
+    beta: float
+
+    def __post_init__(self):
+        if self.beta < 1.0:
+            raise ConfigurationError("beta must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -421,11 +425,6 @@ def _level_masks(n: int, cfg: LayerConfig, seed: int):
         yield j, mask, int(derive_key(seed, _TAG_LEVEL, j))
 
 
-def _draw_phase(seed: int, steps: int) -> int:
-    u = float(counter_uniform(derive_key(seed, _TAG_PHASE), 0))
-    return min(steps - 1, int(u * steps))
-
-
 # ---------------------------------------------------------------------------
 # vector helpers and the constants of one reduction
 # ---------------------------------------------------------------------------
@@ -471,6 +470,8 @@ def _stack_configs(
 ) -> StackConfigs:
     """The layer, tournament and cover configurations of one reduction and
     its amplification count, for either kind of leaf."""
+    if not 0.0 < delta < 1.0:
+        raise ConfigurationError(f"delta={delta} outside (0, 1)")
     if ov.amplification is not None and ov.amplification < 1:
         raise ConfigurationError("amplification must be >= 1")
     bound = value_bound if value_bound is not None else (ov.value_bound or 2.0**48)
@@ -630,7 +631,9 @@ def _amp_plan(
 ) -> _AmpPlan:
     """``cover(mask, level_seed)`` gives the cover node of each level."""
     levels = [(j, cover(mask, lseed)) for j, mask, lseed in _level_masks(n, cfg, seed)]
-    return _AmpPlan(q=_draw_phase(seed, cfg.phase_steps), lcfg=cfg, levels=levels)
+    u = float(counter_uniform(derive_key(seed, _TAG_PHASE), 0))
+    q = min(cfg.phase_steps - 1, int(u * cfg.phase_steps))  # the layer grid's phase
+    return _AmpPlan(q=q, lcfg=cfg, levels=levels)
 
 
 def _build_reduce_plan(n: int, configs: StackConfigs, seed: int, leaves: Leaves) -> _ReducePlan:
@@ -893,8 +896,6 @@ class StreamDistanceEstimator:
     ):
         if k < 2:
             raise ConfigurationError("arity k must be >= 2")
-        if not 0.0 < epsilon < 1.0 or not 0.0 < delta < 1.0:
-            raise ConfigurationError("epsilon and delta must lie in (0, 1)")
         self.k, self.n = k, n
         self.epsilon, self.delta = epsilon, delta
         self.seed = int(seed)

@@ -142,6 +142,11 @@ def _field_values(a, b, n: int) -> np.ndarray:
     return (a * i + b) % np.uint64(FIELD_PRIME)
 
 
+def _check_index(i, n: int) -> None:
+    if not 1 <= int(i) <= n:
+        raise IndexError(f"index {i} outside [1, {n}]")
+
+
 def _threshold(q: float) -> int:
     if not (0.0 <= q <= 1.0):
         raise ValueError(f"probability q={q} outside [0, 1]")
@@ -178,17 +183,13 @@ class ZeroOneHash:
         object.__setattr__(self, "b", b)
 
     def __call__(self, i):
-        self._check(i)
+        _check_index(i, self.n)
         return int((self.a * int(i) + self.b) % FIELD_PRIME < self.threshold)
 
     def table(self, n=None):
         """Vectorized evaluation over [1, n] as a uint8 array (index 0 <-> i=1)."""
         v = _field_values(self.a, self.b, self.n if n is None else n)
         return (v < np.uint64(self.threshold)).astype(np.uint8)
-
-    def _check(self, i):
-        if not 1 <= int(i) <= self.n:
-            raise IndexError(f"index {i} outside [1, {self.n}]")
 
 
 @dataclass(frozen=True)
@@ -213,8 +214,7 @@ class BucketHash:
         object.__setattr__(self, "b", b)
 
     def __call__(self, i):
-        if not 1 <= int(i) <= self.n:
-            raise IndexError(f"index {i} outside [1, {self.n}]")
+        _check_index(i, self.n)
         return 1 + ((self.a * int(i) + self.b) % FIELD_PRIME) % self.buckets
 
     def table(self, n=None):

@@ -136,6 +136,16 @@ class TestConfigs:
             with pytest.raises(ConfigurationError, match="omega must be positive"):
                 StreamDistanceEstimator(2, 4, 0.3, 0.1, overrides=EstimatorOverrides(omega=omega))
 
+    def test_delta_outside_unit_interval_rejected(self):
+        # with a fixed amplification count no formula reads delta, so both
+        # routes check it up front
+        subs = exact_sub_oracles(diag_embed([3, 1, 1, 1]), beta=1.0)
+        for delta in (0.0, 1.0, 1.5):
+            with pytest.raises(ConfigurationError, match=f"delta={delta} outside"):
+                StreamDistanceEstimator(2, 4, 0.3, delta)
+            with pytest.raises(ConfigurationError, match=f"delta={delta} outside"):
+                dimension_reduce(4, subs, 0.3, delta)
+
     def test_layer_scale_override(self):
         full = LayerConfig.from_targets(0.3, 64, value_bound=1e6)
         small = LayerConfig.from_targets(0.3, 64, value_bound=1e6, scale_override=1e-4)
