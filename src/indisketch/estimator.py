@@ -435,10 +435,7 @@ def split_compare_ratio(V, Z) -> Tuple[float, float]:
     v = np.asarray(V, dtype=np.float64)
     if (v < 0).any():
         raise ConfigurationError("split comparison requires nonnegative entries")
-    z = np.asarray(
-        Z if not callable(Z) or isinstance(Z, np.ndarray) else Z.table(v.shape[0]),
-        dtype=np.float64,
-    )
+    z = np.asarray(Z.table(v.shape[0]) if callable(Z) else Z, dtype=np.float64)
     x = float((v * z).sum())
     return x, float(v.sum() - x)
 
@@ -857,7 +854,11 @@ class _BankRegistry:
 
 
 def _bank_leaves(
-    reg: _BankRegistry, depth: int, prefix: List[Mask], configs: StackConfigs, ov: EstimatorOverrides
+    reg: _BankRegistry,
+    depth: int,
+    prefix: List[Mask],
+    configs: StackConfigs,
+    ov: EstimatorOverrides,
 ) -> Leaves:
     """Leaves of the sketch pipeline at ``depth``: a coarse bank, and a sharp
     bank at the last depth or a child reduction above it."""
