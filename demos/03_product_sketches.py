@@ -5,7 +5,8 @@ per dimension). After the pass, m^(k-1)*joint - prod(margins) equals the
 contraction of the masked, collapsed independence tensor against the
 per-coordinate Cauchy tables -- an exact polynomial identity, shown here
 with rational probe values. Median banks of such sketches then estimate
-tensor norms.
+tensor norms. Because the sums are linear, two estimators fed disjoint
+parts of a stream merge into the state of the whole stream.
 
 Run:  python demos/03_product_sketches.py
 """
@@ -17,12 +18,12 @@ import numpy as np
 from indisketch import (
     ProductSketchState,
     SketchBank,
+    StreamDistanceEstimator,
     TupleStream,
     build_frequency_table,
     dense_independence_tensor,
     epsilon_l1_estimate,
     l1_norm,
-    merge,
     polylog_l1_estimate,
     prefix_zero,
     reference_sketch_value,
@@ -46,17 +47,22 @@ assert lhs == rhs
 
 print()
 print("=== linearity: sketch halves, then merge ===")
-a = ProductSketchState.from_seeds(2, 2, 0, 0, [], seed=7)
-b = ProductSketchState.from_seeds(2, 2, 0, 0, [], seed=7)
-whole = ProductSketchState.from_seeds(2, 2, 0, 0, [], seed=7)
-for rec in stream[:2]:
-    a.update(rec)
-for rec in stream[2:]:
-    b.update(rec)
-for rec in stream:
-    whole.update(rec)
-print(f"merge(a, b).value() = {merge(a, b).value():.6f}")
-print(f"whole.value()       = {whole.value():.6f}")
+
+
+def estimator():
+    return StreamDistanceEstimator(2, 2, epsilon=0.3, delta=0.1, seed=7)
+
+
+a, b, whole = estimator(), estimator(), estimator()
+a.consume(stream[:2])
+b.consume(stream[2:])
+# consume ends with a flush, so whole sums the same two chunks
+whole.consume(stream[:2])
+whole.consume(stream[2:])
+a.merge(b.snapshot())
+print(f"a merged with b: norm estimate {a.tensor_norm_estimate():.6f}, m = {a.m_seen}")
+print(f"whole stream   : norm estimate {whole.tensor_norm_estimate():.6f}, m = {whole.m_seen}")
+assert a.report().to_json() == whole.report().to_json()
 
 print()
 print("=== the sharp estimator: median of |sketch| over a bank ===")

@@ -36,25 +36,21 @@ from .tensor import (
     suffix_sum,
 )
 from .hashing import BucketHash, CauchySource, ZeroOneHash
-from .sketches import (
-    ProductSketchState,
-    SketchBank,
-    epsilon_l1_estimate,
-    merge,
-    polylog_l1_estimate,
-    reference_sketch_value,
-)
+from .sketches import ProductSketchState, reference_sketch_value
 from .estimator import (
     CoverConfig,
     EstimatorOverrides,
     LayerConfig,
+    SketchBank,
     StreamDistanceEstimator,
     SubAlgorithms,
     TournamentConfig,
     cover_algorithm,
     dimension_reduce,
+    epsilon_l1_estimate,
     exact_sub_oracles,
     independence_distance,
+    polylog_l1_estimate,
     vector_sub_oracles,
     layered_l1_estimate,
     sampling_level,
@@ -105,7 +101,6 @@ __all__ = [
     "is_significant",
     "l1_norm",
     "layered_l1_estimate",
-    "merge",
     "parse_records",
     "polylog_l1_estimate",
     "prefix_zero",

@@ -45,12 +45,18 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, replace as dataclass_replace
+from dataclasses import asdict, dataclass, replace as dataclass_replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigurationError, EmptyStreamError, SubAlgorithmError
+from .errors import (
+    ConfigurationError,
+    EmptyStreamError,
+    MalformedInputError,
+    MergeIncompatibleError,
+    SubAlgorithmError,
+)
 from .hashing import (
     FOLD_BLOCK,
     BucketHash,
@@ -61,8 +67,23 @@ from .hashing import (
     derive_key,
     zero_one_tables,
 )
-from .sketches import fold_counts, repetition_seeds, row_medians
-from .stream import EstimateReport, TupleKey, TupleStream, TupleTally, record_blocks
+from .sketches import (
+    _as_table,
+    fold_counts,
+    repetition_seeds,
+    required_epsilon_reps,
+    required_polylog_reps,
+    row_medians,
+)
+from .stream import (
+    EstimateReport,
+    TupleKey,
+    TupleStream,
+    TupleTally,
+    _integral,
+    checked_tuple,
+    record_blocks,
+)
 
 Mask = np.ndarray  # uint8 0/1 vector over [1, n], index 0 <-> coordinate 1
 
@@ -806,9 +827,9 @@ class _BankRegistry:
     def freeze(self):
         """Materialize all tables; no banks may be added afterwards.
 
-        Per-row Cauchy tables replay exactly what repetition r of a
-        SketchBank built from the same bank seed would draw, so any row can
-        be cross-checked against the reference implementation.
+        Row r of a bank draws exactly the Cauchy tables of
+        ``ProductSketchState.from_seeds(..., seed=bank seed, rep=r)``, so
+        any row can be cross-checked against the scalar reference.
         """
         for key, entries in self._pending.items():
             s, s_prime = key
@@ -825,12 +846,20 @@ class _BankRegistry:
         self._pending.clear()
         self.frozen = True
 
-    def bulk_update(self, counts: TupleTally):
+    def bulk_update(self, tuples: np.ndarray, counts: np.ndarray):
+        """Fold the distinct ``tuples`` (D, k) with their record ``counts`` into every row."""
         if not self.frozen:
             raise ConfigurationError("freeze the registry before streaming")
         fields = ("prefix", "bank", "coeff", "joint", "margins")
         groups = [(sp, *(g[f] for f in fields)) for (_s, sp), g in self.groups.items()]
-        self.m_seen += fold_counts(counts.tuples(), counts.counts, self.n, groups)
+        self.m_seen += fold_counts(tuples, counts, self.n, groups)
+
+    def values(self, key: Tuple[int, int], lo: int, hi: int) -> np.ndarray:
+        """m^(k-1) * joint - prod(margins) of rows [lo, hi) of a group, as a new array."""
+        g = self.groups[key]
+        v = float(self.m_seen) ** (self.k - 1) * g["joint"][lo:hi]
+        v -= np.prod(g["margins"][lo:hi], axis=1)
+        return v
 
     def medians(self) -> Dict[Tuple[int, int], List[float]]:
         """Each bank's median |m^(k-1) * joint - prod(margins)|, per group in bank order.
@@ -838,19 +867,116 @@ class _BankRegistry:
         Rows are taken in blocks of whole banks, so no temporary holds more
         than FOLD_BLOCK values, or one bank's when that is larger.
         """
-        scale = float(self.m_seen) ** (self.k - 1)
         table = {}
         for key, g in self.groups.items():
             reps = self._reps[key]
             step = max(1, FOLD_BLOCK // reps) * reps
-            joint, margins = g["joint"], g["margins"]
             med: List[float] = []
-            for lo in range(0, len(joint), step):
-                v = scale * joint[lo : lo + step]
-                v -= np.prod(margins[lo : lo + step], axis=1)
+            for lo in range(0, len(g["joint"]), step):
+                v = self.values(key, lo, lo + step)
                 med += row_medians(np.abs(v, out=v).reshape(-1, reps)).tolist()
+                del v  # else the next block is built while this one is held
             table[key] = med
         return table
+
+
+class SketchBank:
+    """One bank of product-sketch repetitions: a one-bank ``_BankRegistry``.
+
+    The bank's s prefix masks are shared by all repetitions, and repetition
+    r draws its Cauchy tables from ``seed`` as registry row r does.
+    ``joint``, ``margins`` and ``m_seen`` are the registry's own.
+    """
+
+    def __init__(
+        self,
+        k: int,
+        n: int,
+        s: int,
+        s_prime: int,
+        prefix_hashes: Sequence,
+        repetitions: int,
+        seed: int,
+        omega: Optional[float] = None,
+    ):
+        if not 0 <= s_prime <= s <= k:
+            raise ConfigurationError(f"need 0 <= s'={s_prime} <= s={s} <= k={k}")
+        masks = [_as_table(h, n) for h in prefix_hashes]
+        if len(masks) != s:
+            raise ConfigurationError(f"expected {s} prefix masks, got {len(masks)}")
+        self.k, self.n, self.s, self.s_prime = k, n, s, s_prime
+        self.repetitions = repetitions
+        self.registry = _BankRegistry(k, n, default_truncation(k, n) if omega is None else omega)
+        self.leaf = _LeafRef(self.registry.add_bank(masks, s_prime, repetitions, seed))
+        self.registry.freeze()
+        group = self.registry.groups[(s, s_prime)]
+        self.joint, self.margins = group["joint"], group["margins"]
+
+    @property
+    def m_seen(self) -> int:
+        return self.registry.m_seen
+
+    def update(self, rec: TupleKey) -> None:
+        self.bulk_update({tuple(rec): 1})
+
+    def bulk_update(self, counts: Dict[TupleKey, int]) -> None:
+        """Fold a dictionary of tuple -> nonnegative integral record count."""
+        tuples, c = [], []
+        for rec, x in counts.items():
+            tuples.append(checked_tuple(rec, self.k, self.n))
+            c.append(_integral(x, None, "count"))
+            if c[-1] < 0:
+                raise MalformedInputError(f"negative count {x!r} of tuple {tuples[-1]}")
+        T = np.array(tuples, dtype=np.int64).reshape(len(tuples), self.k)
+        self.registry.bulk_update(T, np.array(c, dtype=np.int64))
+
+    def _check_seen(self):
+        if self.m_seen < 1:
+            raise EmptyStreamError("sketch values require at least one tuple")
+
+    def values(self) -> np.ndarray:
+        """Per-repetition sketch values m^(k-1)*joint - prod(margins)."""
+        self._check_seen()
+        return self.registry.values(*self.leaf.handle)
+
+    def median(self) -> float:
+        """The median |sketch value|, as the registry's medians() takes it."""
+        self._check_seen()
+        return self.leaf.evaluate(self.registry.medians())
+
+
+def epsilon_l1_estimate(
+    bank: SketchBank, epsilon: float, delta: float, c: float = 8.0
+) -> float:
+    """(1 +- eps)-estimate of the fully collapsed masked tensor norm.
+
+    The bank must target s = s' = k-1 (a single untruncated Cauchy family)
+    and carry at least c/eps^2 * ln(1/delta) repetitions.
+    """
+    if bank.s != bank.k - 1 or bank.s_prime != bank.k - 1:
+        raise ConfigurationError(
+            f"epsilon estimator needs s = s' = k-1, got s={bank.s}, s'={bank.s_prime}"
+        )
+    need = required_epsilon_reps(epsilon, delta, c)
+    if bank.repetitions < need:
+        raise ConfigurationError(
+            f"bank has {bank.repetitions} repetitions, needs >= {need}"
+        )
+    return bank.median()
+
+
+def polylog_l1_estimate(bank: SketchBank, delta: float, c: float = 64.0) -> float:
+    """Median-amplified product-sketch magnitude for arbitrary (s, s').
+
+    Within [target/beta, beta*target] for beta = log2(n)^k with probability
+    at least 1-delta given c * ln(1/delta) repetitions.
+    """
+    need = required_polylog_reps(delta, c)
+    if bank.repetitions < need:
+        raise ConfigurationError(
+            f"bank has {bank.repetitions} repetitions, needs >= {need}"
+        )
+    return bank.median()
 
 
 def _bank_leaves(
@@ -877,13 +1003,17 @@ def _bank_leaves(
     return leaves
 
 
+SNAPSHOT_FORMAT = "indisketch-snapshot/1"
+
+
 class StreamDistanceEstimator:
     """One-pass sketch pipeline for the independence-tensor norm.
 
     Construction draws every hash and Cauchy seed and registers every
     product-sketch bank; ``update``/``consume`` feed stream tuples exactly
     once; ``tensor_norm_estimate`` evaluates the tournament/cover/layer
-    recursion on the final accumulators.
+    recursion on the final accumulators. ``snapshot`` and ``merge`` split
+    a pass across estimators of one configuration.
     """
 
     def __init__(
@@ -907,6 +1037,8 @@ class StreamDistanceEstimator:
             ov = ov.replace(omega=default_truncation(k, n))
         elif not ov.omega > 0.0:
             raise ConfigurationError("omega must be positive")
+        if ov.max_chunk < 1:
+            raise ConfigurationError("max_chunk must be >= 1")
         self.overrides = ov
         self.configs = _stack_configs(n, epsilon, delta, ov.beta, ov)
         self.registry = _BankRegistry(k, n, ov.omega)
@@ -929,7 +1061,7 @@ class StreamDistanceEstimator:
     def _tally(self, blocks: Iterable[np.ndarray]) -> None:
         """Count blocks into the chunk, flushing it the moment it holds
         ``max_chunk`` distinct tuples, as a record-at-a-time count would."""
-        limit = max(1, self.overrides.max_chunk)
+        limit = self.overrides.max_chunk
         for block in blocks:
             while len(block):
                 taken = self._chunk.add(block, limit)
@@ -940,8 +1072,49 @@ class StreamDistanceEstimator:
 
     def _flush(self):
         if len(self._chunk):
-            self.registry.bulk_update(self._chunk)
+            self.registry.bulk_update(self._chunk.tuples(), self._chunk.counts)
             self._chunk = TupleTally(self.k, self.n)
+
+    def _configuration(self) -> Dict[str, object]:
+        return {
+            "k": self.k,
+            "n": self.n,
+            "epsilon": self.epsilon,
+            "delta": self.delta,
+            "seed": self.seed,
+            "overrides": asdict(self.overrides),
+        }
+
+    def snapshot(self) -> Dict[str, object]:
+        """The pass so far, after a flush: a copy of every accumulator.
+
+        An estimator of the same configuration (``k``, ``n``, ``epsilon``,
+        ``delta``, ``seed``, effective overrides) draws the same
+        randomness, so by linearity it can ``merge`` this snapshot: one
+        restores a snapshot by merging it into a fresh estimator.
+        """
+        self._flush()
+        return {
+            "format": SNAPSHOT_FORMAT,
+            "configuration": self._configuration(),
+            "m_seen": self.registry.m_seen,
+            "groups": {
+                key: {"joint": g["joint"].copy(), "margins": g["margins"].copy()}
+                for key, g in self.registry.groups.items()
+            },
+        }
+
+    def merge(self, snapshot: Dict[str, object]) -> None:
+        """Add the accumulators of a snapshot taken over a disjoint part of
+        the stream; the result is the state of the combined stream."""
+        if snapshot.get("format") != SNAPSHOT_FORMAT:
+            raise ConfigurationError(f"unknown snapshot format {snapshot.get('format')!r}")
+        if snapshot["configuration"] != self._configuration():
+            raise MergeIncompatibleError("snapshot was taken with another configuration")
+        for key, g in self.registry.groups.items():
+            g["joint"] += snapshot["groups"][key]["joint"]
+            g["margins"] += snapshot["groups"][key]["margins"]
+        self.registry.m_seen += snapshot["m_seen"]
 
     @property
     def m_seen(self) -> int:

@@ -3,8 +3,8 @@
 Everything here is a pure function of (seed, index): pairwise-independent
 hash families over a prime field, and indexed Cauchy / truncated-Cauchy
 generators. No per-index state is ever stored, so any value can be
-re-evaluated at any time, which is what lets a sketch bank replay the
-same randomness across stream chunks, merges and serialization.
+re-evaluated at any time, which is what lets estimators of one
+configuration replay the same randomness and merge their snapshots.
 
 The generator core is a counter-based 64-bit mixer (splitmix64 finalizer)
 keyed by an arbitrary tuple of integers. It is not cryptographic; it is

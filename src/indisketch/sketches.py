@@ -21,39 +21,26 @@ an exact polynomial identity in the C tables (verified against the dense
 tensor semantics in the tests). All updates are additive, so states over
 disjoint sub-streams merge by componentwise summation.
 
-Estimators:
-
-* ``epsilon_l1_estimate`` -- median of |value| over a bank whose target is
-  the fully collapsed tensor (s = s' = k-1, a single untruncated Cauchy
-  family); within (1 +- eps) of the target norm with probability 1-delta
-  given Omega(1/eps^2 * log(1/delta)) repetitions.
-* ``polylog_l1_estimate`` -- median of |value| over a bank for arbitrary
-  (s, s'); a log^k(n)-factor approximation amplified from constant success
-  probability by O(log(1/delta)) repetitions.
+``ProductSketchState`` is the scalar reference of this rule (exact with
+rational tables) and ``reference_sketch_value`` its dense-tensor
+expansion. Production rows live in ``estimator._BankRegistry``, which
+folds chunks into them with ``fold_counts`` and takes their medians with
+``row_medians``; the repetition floors of its sharp and coarse
+estimators are defined here.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, EmptyStreamError, MergeIncompatibleError
-from .hashing import (
-    FOLD_BLOCK,
-    CauchySource,
-    batched_cauchy_tables,
-    default_truncation,
-    derive_key,
-)
+from .errors import ConfigurationError, EmptyStreamError
+from .hashing import FOLD_BLOCK, CauchySource, default_truncation, derive_key
 from .stream import FrequencyTable, TupleKey, checked_tuple
 from . import tensor as tensor_ops
-
-SKETCH_SCHEMA_VERSION = "product-sketch/1"
-
 
 def family_seed(seed: int, rep: int, family: int) -> int:
     """Seed of one Cauchy family inside one repetition of a bank."""
@@ -100,7 +87,7 @@ def _as_table(h, n):
         return [h(i) for i in range(1, n + 1)]
     seq = list(h)
     if len(seq) != n:
-        raise ValueError(f"hash table must have length {n}, got {len(seq)}")
+        raise ConfigurationError(f"hash table must have length {n}, got {len(seq)}")
     return seq
 
 
@@ -121,7 +108,6 @@ class ProductSketchState:
     joint: object = 0
     margins: List[object] = field(default_factory=list)
     m_seen: int = 0
-    description: Tuple = ()
 
     def __post_init__(self):
         if not 0 <= self.s_prime <= self.s <= self.k:
@@ -134,8 +120,6 @@ class ProductSketchState:
             raise ConfigurationError(f"expected {self.k - self.s_prime} coefficient tables")
         if not self.margins:
             self.margins = [0] * self.k
-        if not self.description:
-            self.description = _fingerprint(self.prefix, self.coeff)
 
     @classmethod
     def from_seeds(
@@ -153,7 +137,7 @@ class ProductSketchState:
 
         The first family is untruncated, the rest clamp at omega
         (default 100*k*n). With the same (seed, rep) this draws exactly the
-        tables of repetition `rep` of a SketchBank built from `seed`.
+        tables of repetition `rep` of a registry bank built from `seed`.
         """
         if omega is None:
             omega = default_truncation(k, n)
@@ -164,8 +148,6 @@ class ProductSketchState:
             src = CauchySource(seed=family_seed(seed, rep, j), truncation=trunc)
             coeff.append(src.table(n))
         prefix = [_as_table(h, n) for h in prefix_hashes]
-        # description stays the content fingerprint so that states restored
-        # from snapshots remain merge-compatible with their seeded originals
         return cls(k=k, n=n, s=s, s_prime=s_prime, prefix=prefix, coeff=coeff)
 
     def update(self, rec: TupleKey) -> None:
@@ -197,65 +179,6 @@ class ProductSketchState:
         for g in self.margins:
             prod = prod * g
         return self.m_seen ** (self.k - 1) * self.joint - prod
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "format": SKETCH_SCHEMA_VERSION,
-            "k": self.k,
-            "n": self.n,
-            "s": self.s,
-            "s_prime": self.s_prime,
-            "prefix": [[float(v) for v in tab] for tab in self.prefix],
-            "coeff": [[float(v) for v in tab] for tab in self.coeff],
-            "joint": float(self.joint),
-            "margins": [float(g) for g in self.margins],
-            "m_seen": self.m_seen,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "ProductSketchState":
-        if d.get("format") != SKETCH_SCHEMA_VERSION:
-            raise ConfigurationError(f"unknown sketch snapshot format {d.get('format')!r}")
-        state = cls(
-            k=int(d["k"]),
-            n=int(d["n"]),
-            s=int(d["s"]),
-            s_prime=int(d["s_prime"]),
-            prefix=[list(t) for t in d["prefix"]],
-            coeff=[np.asarray(t, dtype=np.float64) for t in d["coeff"]],
-            joint=float(d["joint"]),
-            margins=[float(g) for g in d["margins"]],
-            m_seen=int(d["m_seen"]),
-        )
-        return state
-
-
-def merge(a: ProductSketchState, b: ProductSketchState) -> ProductSketchState:
-    """Componentwise sum of two states over disjoint sub-streams.
-
-    Requires identical configuration and randomness; the result equals the
-    state of the concatenated stream.
-    """
-    if (a.k, a.n, a.s, a.s_prime) != (b.k, b.n, b.s, b.s_prime):
-        raise MergeIncompatibleError("sketch configurations differ")
-    if a.description != b.description:
-        raise MergeIncompatibleError("sketch randomness differs")
-    out = ProductSketchState(
-        k=a.k,
-        n=a.n,
-        s=a.s,
-        s_prime=a.s_prime,
-        prefix=a.prefix,
-        coeff=a.coeff,
-        joint=a.joint + b.joint,
-        margins=[x + y for x, y in zip(a.margins, b.margins)],
-        m_seen=a.m_seen + b.m_seen,
-        description=a.description,
-    )
-    return out
 
 
 def fold_counts(tuples: np.ndarray, counts: np.ndarray, n: int, groups) -> int:
@@ -312,94 +235,6 @@ def fold_counts(tuples: np.ndarray, counts: np.ndarray, n: int, groups) -> int:
     return int(c.sum())
 
 
-def _fingerprint(prefix, coeff) -> Tuple:
-    def tab_key(tab):
-        return tuple(float(v) for v in tab)
-
-    return (
-        "explicit",
-        tuple(tab_key(t) for t in prefix),
-        tuple(tab_key(t) for t in coeff),
-    )
-
-
-class SketchBank:
-    """A bank of repetitions sharing prefix masks with independent Cauchy seeds.
-
-    Accumulators are vectorized across repetitions; every state observes
-    exactly the same stream. ``bulk_update`` folds a dictionary of tuple
-    counts into the bank, which by linearity of the updates equals feeding
-    the tuples one at a time (stream partitioning + merge).
-    """
-
-    def __init__(
-        self,
-        k: int,
-        n: int,
-        s: int,
-        s_prime: int,
-        prefix_hashes: Sequence,
-        repetitions: int,
-        seed: int,
-        omega: Optional[float] = None,
-        purpose: str = "epsilon",
-    ):
-        if not 0 <= s_prime <= s <= k:
-            raise ConfigurationError(f"need 0 <= s'={s_prime} <= s={s} <= k={k}")
-        if repetitions < 1:
-            raise ConfigurationError("repetitions must be >= 1")
-        if omega is None:
-            omega = default_truncation(k, n)
-        self.k, self.n, self.s, self.s_prime = k, n, s, s_prime
-        self.repetitions = repetitions
-        self.seed = int(seed)
-        self.omega = float(omega)
-        self.purpose = purpose
-        self.prefix = np.asarray(
-            [_as_table(h, n) for h in prefix_hashes], dtype=np.float64
-        ).reshape(s, n)
-        fams = k - s_prime
-        self.coeff = batched_cauchy_tables(
-            repetition_seeds(seed, repetitions), fams, n, self.omega
-        )
-        self.joint = np.zeros(repetitions, dtype=np.float64)
-        self.margins = np.zeros((repetitions, k), dtype=np.float64)
-        self.m_seen = 0
-
-    def update(self, rec: TupleKey) -> None:
-        self.bulk_update({tuple(rec): 1})
-
-    def bulk_update(self, counts: Dict[TupleKey, int]) -> None:
-        tuples = [checked_tuple(t, self.k, self.n) for t in counts]
-        T = np.array(tuples, dtype=np.int64).reshape(len(tuples), self.k)
-        c = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
-        rows = np.zeros(self.repetitions, np.int32)
-        group = (self.s_prime, self.prefix[None], rows, self.coeff, self.joint, self.margins)
-        self.m_seen += fold_counts(T, c, self.n, [group])
-
-    def values(self) -> np.ndarray:
-        """Per-repetition sketch values m^(k-1)*joint - prod(margins)."""
-        if self.m_seen < 1:
-            raise EmptyStreamError("sketch values require at least one tuple")
-        scale = float(self.m_seen) ** (self.k - 1)
-        return scale * self.joint - np.prod(self.margins, axis=1)
-
-    def state(self, r: int) -> ProductSketchState:
-        """Extract repetition r as a scalar state (shares randomness tables)."""
-        st = ProductSketchState(
-            k=self.k,
-            n=self.n,
-            s=self.s,
-            s_prime=self.s_prime,
-            prefix=[self.prefix[j] for j in range(self.s)],
-            coeff=[self.coeff[r, j] for j in range(self.k - self.s_prime)],
-            joint=float(self.joint[r]),
-            margins=[float(g) for g in self.margins[r]],
-            m_seen=self.m_seen,
-        )
-        return st
-
-
 def required_epsilon_reps(epsilon: float, delta: float, c: float = 8.0) -> int:
     """Repetition floor c/eps^2 * ln(1/delta) for the epsilon estimator."""
     if not 0 < epsilon < 1 or not 0 < delta < 1:
@@ -412,40 +247,6 @@ def required_polylog_reps(delta: float, c: float = 64.0) -> int:
     if not 0 < delta < 1:
         raise ConfigurationError("delta must lie in (0, 1)")
     return max(1, math.ceil(c * math.log(1.0 / delta)))
-
-
-def epsilon_l1_estimate(
-    bank: SketchBank, epsilon: float, delta: float, c: float = 8.0
-) -> float:
-    """(1 +- eps)-estimate of the fully collapsed masked tensor norm.
-
-    The bank must target s = s' = k-1 (a single untruncated Cauchy family)
-    and carry at least c/eps^2 * ln(1/delta) repetitions.
-    """
-    if bank.s != bank.k - 1 or bank.s_prime != bank.k - 1:
-        raise ConfigurationError(
-            f"epsilon estimator needs s = s' = k-1, got s={bank.s}, s'={bank.s_prime}"
-        )
-    need = required_epsilon_reps(epsilon, delta, c)
-    if bank.repetitions < need:
-        raise ConfigurationError(
-            f"bank has {bank.repetitions} repetitions, needs >= {need}"
-        )
-    return float(row_medians(np.abs(bank.values())[None])[0])
-
-
-def polylog_l1_estimate(bank: SketchBank, delta: float, c: float = 64.0) -> float:
-    """Median-amplified product-sketch magnitude for arbitrary (s, s').
-
-    Within [target/beta, beta*target] for beta = log2(n)^k with probability
-    at least 1-delta given c * ln(1/delta) repetitions.
-    """
-    need = required_polylog_reps(delta, c)
-    if bank.repetitions < need:
-        raise ConfigurationError(
-            f"bank has {bank.repetitions} repetitions, needs >= {need}"
-        )
-    return float(row_medians(np.abs(bank.values())[None])[0])
 
 
 def reference_sketch_value(

@@ -74,7 +74,7 @@ class FrequencyTable:
     margins: List[Dict[int, int]]
 
 
-def _integral(x, index: Optional[int]) -> int:
+def _integral(x, index: Optional[int], what: str = "coordinate") -> int:
     """``x`` as an int; MalformedInputError unless it is an integral number."""
     try:
         v = int(x)
@@ -82,7 +82,7 @@ def _integral(x, index: Optional[int]) -> int:
     except (TypeError, ValueError, OverflowError):
         integral = False
     if not integral:
-        raise MalformedInputError(f"non-integer coordinate {x!r}", index)
+        raise MalformedInputError(f"non-integer {what} {x!r}", index)
     return v
 
 

@@ -430,6 +430,7 @@ class TestMain:
             ("omega=0", "omega must be positive"),
             ("omega=-2.5", "omega must be positive"),
             ("omega=nan", "omega must be positive"),
+            ("max_chunk=0", "max_chunk must be >= 1"),
         ],
     )
     def test_override_that_would_zero_the_estimate_exit(self, override, message, capsys):

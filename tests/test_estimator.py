@@ -485,9 +485,9 @@ class TestFlushContraction:
             banks.append((handle, [np.array(h) for h in prefix], seed))
             return handle
 
-        def counting_update(reg, counts):
-            flushes.append(len(counts))
-            bulk_update(reg, counts)
+        def counting_update(reg, tuples, counts):
+            flushes.append(len(tuples))
+            bulk_update(reg, tuples, counts)
 
         monkeypatch.setattr(_BankRegistry, "add_bank", recording_add)
         monkeypatch.setattr(_BankRegistry, "bulk_update", counting_update)
@@ -627,9 +627,9 @@ class TestBlockTally:
         flushes = []
         bulk_update = _BankRegistry.bulk_update
 
-        def counting_update(reg, counts):
-            flushes[-1].append(len(counts))
-            bulk_update(reg, counts)
+        def counting_update(reg, tuples, counts):
+            flushes[-1].append(len(tuples))
+            bulk_update(reg, tuples, counts)
 
         monkeypatch.setattr(_BankRegistry, "bulk_update", counting_update)
         ov = EstimatorOverrides(

@@ -1,7 +1,7 @@
-"""Product-sketch mechanics: update rules, linearity, the coefficient
-identity against the dense tensor semantics, and the two estimators."""
+"""Product-sketch mechanics: update rules, linearity (estimator snapshots
+and merge), the coefficient identity against the dense tensor semantics,
+and the two estimators."""
 
-import json
 import math
 import random
 import tracemalloc
@@ -14,16 +14,18 @@ from hypothesis import given, settings, strategies as st
 from indisketch import (
     ConfigurationError,
     EmptyStreamError,
+    EstimatorOverrides,
     MalformedInputError,
     MergeIncompatibleError,
     ProductSketchState,
     SketchBank,
+    StreamDistanceEstimator,
     TupleStream,
     build_frequency_table,
     dense_independence_tensor,
     epsilon_l1_estimate,
+    generate_synthetic,
     l1_norm,
-    merge,
     polylog_l1_estimate,
     prefix_zero,
     reference_sketch_value,
@@ -106,69 +108,60 @@ class TestCoefficientIdentity:
                         )
 
 
+# a small k = 3 plan, so that the merge tests stay fast
+SMALL = EstimatorOverrides(amplification=1, rounds=1, eps_reps=3, polylog_reps=2)
+
+
+def estimator(k, n, seed=7, overrides=None):
+    return StreamDistanceEstimator(k, n, 0.3, 0.1, seed=seed, overrides=overrides)
+
+
 class TestLinearity:
-    @given(
-        st.lists(
-            st.tuples(st.integers(1, 3), st.integers(1, 3)),
-            min_size=2,
-            max_size=12,
-        ),
-        st.randoms(use_true_random=False),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_merge_equals_concatenation(self, recs, rnd):
-        cut = rnd.randint(0, len(recs))
-        d1, d2 = recs[:cut], recs[cut:]
-
-        def fresh():
-            return ProductSketchState.from_seeds(
-                2, 3, 1, 1, [[1, 0, 1]], seed=99
-            )
-
-        a, b, whole = fresh(), fresh(), fresh()
-        for r in d1:
-            a.update(r)
-        for r in d2:
-            b.update(r)
-        for r in recs:
-            whole.update(r)
-        merged = merge(a, b)
-        assert merged.m_seen == whole.m_seen
-        assert merged.joint == pytest.approx(whole.joint)
-        assert merged.margins == pytest.approx(whole.margins)
+    def test_merge_equals_concatenation(self):
+        # consume ends with a flush, so the halves split the whole run's pass
+        # on a flush boundary and the sums are those of the whole run, bit for bit
+        for k, n, ov in [(2, 8, None), (3, 3, SMALL)]:
+            recs = list(generate_synthetic("mixture(0.5)", k, n, 300, seed=k))
+            first, second = recs[:130], recs[130:]
+            whole = estimator(k, n, overrides=ov)
+            whole.consume(first)
+            whole.consume(second)
+            want = whole.report().to_json()
+            a, b = estimator(k, n, overrides=ov), estimator(k, n, overrides=ov)
+            a.consume(first)
+            b.consume(second)
+            for parts in ((a, b), (b, a)):
+                restored = estimator(k, n, overrides=ov)
+                for part in parts:
+                    restored.merge(part.snapshot())
+                assert restored.m_seen == len(recs)
+                assert restored.report().to_json() == want
+            resumed = estimator(k, n, overrides=ov)
+            resumed.merge(a.snapshot())
+            resumed.consume(second)
+            assert resumed.report().to_json() == want
 
     def test_merge_with_empty_is_identity(self):
-        a = ProductSketchState.from_seeds(2, 3, 0, 0, [], seed=5)
-        e = ProductSketchState.from_seeds(2, 3, 0, 0, [], seed=5)
-        for r in [(1, 2), (3, 3)]:
-            a.update(r)
-        out = merge(a, e)
-        assert out.joint == a.joint and out.m_seen == a.m_seen
-
-    def test_merge_commutative_associative(self):
-        rnd = random.Random(0)
-        parts = [
-            [tuple(rnd.randint(1, 3) for _ in range(2)) for _ in range(4)]
-            for _ in range(3)
-        ]
-
-        def sketch(recs):
-            s = ProductSketchState.from_seeds(2, 3, 1, 0, [[1, 1, 0]], seed=1)
-            for r in recs:
-                s.update(r)
-            return s
-
-        s1, s2, s3 = (sketch(p) for p in parts)
-        lhs = merge(merge(s1, s2), s3)
-        rhs = merge(s3, merge(s2, s1))
-        assert lhs.joint == pytest.approx(rhs.joint)
-        assert lhs.margins == pytest.approx(rhs.margins)
+        a = estimator(2, 3)
+        a.consume([(1, 2), (3, 3), (2, 2), (1, 1)])
+        want = a.report().to_json()
+        a.merge(estimator(2, 3).snapshot())
+        assert a.report().to_json() == want
 
     def test_merge_randomness_mismatch(self):
-        a = ProductSketchState.from_seeds(2, 3, 0, 0, [], seed=1)
-        b = ProductSketchState.from_seeds(2, 3, 0, 0, [], seed=2)
-        with pytest.raises(MergeIncompatibleError):
-            merge(a, b)
+        a = estimator(2, 3)
+        a.consume([(1, 2), (3, 3)])
+        others = [
+            estimator(2, 3, seed=8),
+            estimator(2, 3, overrides=EstimatorOverrides(eps_reps=100)),
+            estimator(2, 3, overrides=EstimatorOverrides(max_chunk=16)),
+            StreamDistanceEstimator(2, 3, 0.25, 0.1, seed=7),
+        ]
+        for other in others:
+            other.consume([(1, 1)])
+            with pytest.raises(MergeIncompatibleError):
+                a.merge(other.snapshot())
+        assert a.m_seen == 2
 
     def test_permutation_invariance(self):
         recs = [(1, 2), (3, 1), (2, 2), (3, 3)]
@@ -245,10 +238,16 @@ class TestBank:
 
     def test_bulk_rejects_malformed_tuples(self):
         bank = SketchBank(2, 3, 1, 0, [[1, 1, 0]], repetitions=4, seed=7)
-        for bad in ({(1, 2, 3): 1}, {(1, 4): 2}, {(0, 1): 1}):
+        bad_counts = ({(1, 2): -3}, {(1, 2): 2.5}, {(1, 2): "2"}, {(1, 1): 1, (1, 2): -1})
+        for bad in ({(1, 2, 3): 1}, {(1, 4): 2}, {(0, 1): 1}, *bad_counts):
             with pytest.raises(MalformedInputError):
                 bank.bulk_update(bad)
         assert bank.m_seen == 0 and not bank.joint.any()
+
+    def test_rejects_malformed_masks(self):
+        for masks in ([], [[1, 1, 0]] * 2, [[1, 1]], [[1, 1, 0, 1]]):
+            with pytest.raises(ConfigurationError):
+                SketchBank(2, 3, 1, 0, masks, repetitions=4, seed=7)
 
     def test_bulk_equals_per_tuple(self):
         recs = [(1, 2), (1, 2), (3, 1), (2, 2), (1, 2)]
@@ -372,44 +371,10 @@ class TestPolylogEstimate:
 
 
 class TestSerialization:
-    def test_round_trip(self):
-        st_ = ProductSketchState.from_seeds(2, 4, 1, 1, [[1, 0, 1, 1]], seed=21)
-        for r in [(1, 2), (3, 4), (2, 2)]:
-            st_.update(r)
-        blob = st_.to_json()
-        back = ProductSketchState.from_dict(json.loads(blob))
-        assert back.value() == pytest.approx(st_.value())
-        assert back.m_seen == st_.m_seen
-
     def test_unknown_format_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ProductSketchState.from_dict({"format": "nope/9"})
-
-    def test_restored_state_merges_with_seeded_original(self):
-        recs = [(1, 1), (2, 3), (3, 3), (1, 2)]
-        a = ProductSketchState.from_seeds(2, 3, 1, 0, [[1, 0, 1]], seed=2)
-        b = ProductSketchState.from_seeds(2, 3, 1, 0, [[1, 0, 1]], seed=2)
-        whole = ProductSketchState.from_seeds(2, 3, 1, 0, [[1, 0, 1]], seed=2)
-        for r in recs[:2]:
-            a.update(r)
-        for r in recs[2:]:
-            b.update(r)
-        for r in recs:
-            whole.update(r)
-        restored = ProductSketchState.from_dict(json.loads(a.to_json()))
-        out = merge(restored, b)
-        assert out.value() == pytest.approx(whole.value())
-
-    def test_snapshot_supports_pass_splitting(self):
-        # serialize after half the stream, restore, finish, compare
-        recs = [(1, 1), (2, 3), (3, 3), (1, 2)]
-        full = ProductSketchState.from_seeds(2, 3, 1, 0, [[1, 0, 1]], seed=2)
-        for r in recs:
-            full.update(r)
-        half = ProductSketchState.from_seeds(2, 3, 1, 0, [[1, 0, 1]], seed=2)
-        for r in recs[:2]:
-            half.update(r)
-        resumed = ProductSketchState.from_dict(json.loads(half.to_json()))
-        for r in recs[2:]:
-            resumed.update(r)
-        assert resumed.value() == pytest.approx(full.value())
+        a = estimator(2, 3)
+        for fmt in ("product-sketch/1", "nope/9", None):
+            snap = a.snapshot()
+            snap["format"] = fmt
+            with pytest.raises(ConfigurationError):
+                a.merge(snap)
