@@ -116,30 +116,67 @@ def estimator(k, n, seed=7, overrides=None):
     return StreamDistanceEstimator(k, n, 0.3, 0.1, seed=seed, overrides=overrides)
 
 
+def split_run(k, n, ov):
+    """Two estimators fed the halves of a stream, and the report of one
+    estimator fed the whole. ``consume`` ends with a flush, so the halves
+    split the whole run's pass on a flush boundary and the sums are those of
+    the whole run, bit for bit."""
+    recs = list(generate_synthetic("mixture(0.5)", k, n, 300, seed=k))
+    first, second = recs[:130], recs[130:]
+    whole = estimator(k, n, overrides=ov)
+    whole.consume(first)
+    whole.consume(second)
+    a, b = estimator(k, n, overrides=ov), estimator(k, n, overrides=ov)
+    a.consume(first)
+    b.consume(second)
+    return a, b, second, whole.report().to_json()
+
+
+SPLITS = [(2, 8, None), (3, 3, SMALL)]
+
+
+def assert_same_accumulators(x, y, exact=True):
+    assert x["m_seen"] == y["m_seen"]
+    assert x["groups"].keys() == y["groups"].keys()
+    for key, g in x["groups"].items():
+        for name in ("joint", "margins"):
+            if exact:
+                assert np.array_equal(g[name], y["groups"][key][name])
+            else:
+                np.testing.assert_allclose(g[name], y["groups"][key][name], rtol=1e-12)
+
+
 class TestLinearity:
     def test_merge_equals_concatenation(self):
-        # consume ends with a flush, so the halves split the whole run's pass
-        # on a flush boundary and the sums are those of the whole run, bit for bit
-        for k, n, ov in [(2, 8, None), (3, 3, SMALL)]:
-            recs = list(generate_synthetic("mixture(0.5)", k, n, 300, seed=k))
-            first, second = recs[:130], recs[130:]
-            whole = estimator(k, n, overrides=ov)
-            whole.consume(first)
-            whole.consume(second)
-            want = whole.report().to_json()
-            a, b = estimator(k, n, overrides=ov), estimator(k, n, overrides=ov)
-            a.consume(first)
-            b.consume(second)
+        for k, n, ov in SPLITS:
+            a, b, _, want = split_run(k, n, ov)
             for parts in ((a, b), (b, a)):
-                restored = estimator(k, n, overrides=ov)
+                merged = estimator(k, n, overrides=ov)
                 for part in parts:
-                    restored.merge(part.snapshot())
-                assert restored.m_seen == len(recs)
-                assert restored.report().to_json() == want
-            resumed = estimator(k, n, overrides=ov)
-            resumed.merge(a.snapshot())
-            resumed.consume(second)
-            assert resumed.report().to_json() == want
+                    merged.merge(part.snapshot())
+                assert merged.m_seen == a.m_seen + b.m_seen
+                assert merged.report().to_json() == want
+
+    def test_merge_commutative_associative(self):
+        # estimator merge is a float +=: associative only to rounding
+        rnd = random.Random(0)
+        snaps = []
+        for _ in range(3):
+            part = estimator(2, 3)
+            part.consume([tuple(rnd.randint(1, 3) for _ in range(2)) for _ in range(4)])
+            snaps.append(part.snapshot())
+        s1, s2, s3 = snaps
+        lhs = estimator(2, 3)
+        for snap in (s1, s2, s3):
+            lhs.merge(snap)
+        inner = estimator(2, 3)
+        inner.merge(s2)
+        inner.merge(s1)
+        rhs = estimator(2, 3)
+        rhs.merge(s3)
+        rhs.merge(inner.snapshot())
+        assert lhs.m_seen == rhs.m_seen == 12
+        assert_same_accumulators(lhs.snapshot(), rhs.snapshot(), exact=False)
 
     def test_merge_with_empty_is_identity(self):
         a = estimator(2, 3)
@@ -371,6 +408,19 @@ class TestPolylogEstimate:
 
 
 class TestSerialization:
+    def test_round_trip(self):
+        a = estimator(2, 4)
+        a.consume([(1, 2), (3, 4), (2, 2)])
+        snap = a.snapshot()
+        back = estimator(2, 4)
+        back.merge(snap)
+        assert back.m_seen == a.m_seen == 3
+        assert_same_accumulators(back.snapshot(), snap)
+        assert back.report().to_json() == a.report().to_json()
+        # the snapshot is a copy: the estimator it came from runs on
+        a.consume([(4, 4)])
+        assert_same_accumulators(back.snapshot(), snap)
+
     def test_unknown_format_rejected(self):
         a = estimator(2, 3)
         for fmt in ("product-sketch/1", "nope/9", None):
@@ -378,3 +428,22 @@ class TestSerialization:
             snap["format"] = fmt
             with pytest.raises(ConfigurationError):
                 a.merge(snap)
+
+    def test_restored_state_merges_with_seeded_original(self):
+        # a restored half merges into an estimator that consumed the other half
+        for k, n, ov in SPLITS:
+            a, b, _, want = split_run(k, n, ov)
+            restored = estimator(k, n, overrides=ov)
+            restored.merge(a.snapshot())
+            b.merge(restored.snapshot())
+            assert b.report().to_json() == want
+
+    def test_snapshot_supports_pass_splitting(self):
+        # snapshot after the first half, restore, finish the pass, compare
+        for k, n, ov in SPLITS:
+            a, _, second, want = split_run(k, n, ov)
+            resumed = estimator(k, n, overrides=ov)
+            resumed.merge(a.snapshot())
+            resumed.consume(second)
+            assert resumed.m_seen == 300
+            assert resumed.report().to_json() == want
