@@ -15,9 +15,11 @@ import argparse
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import islice
-from typing import IO, BinaryIO, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (
+    IO, BinaryIO, Dict, Iterable, Iterator, List, Optional, Tuple, Union, get_args, get_type_hints
+)
 
 import numpy as np
 
@@ -60,7 +62,6 @@ class RunConfig:
     output_format: str = "json"
     generate: Optional[str] = None
     m: Optional[int] = None
-    mixture_rho: float = 0.5
     overrides: Dict[str, str] = field(default_factory=dict)
 
     def validate(self) -> None:
@@ -285,17 +286,17 @@ def parse_records(
         first += count
 
 
-def generate_synthetic(
-    kind: str, k: int, n: int, m: int, seed: int, mixture_rho: float = 0.5
-) -> Iterator[TupleKey]:
+def generate_synthetic(kind: str, k: int, n: int, m: int, seed: int) -> Iterator[TupleKey]:
     """Deterministic synthetic streams.
 
     independent: coordinates i.i.d. uniform on [1, n]; diagonal: constant
     tuples (i, ..., i) with i uniform; mixture(rho): each tuple diagonal
-    with probability rho, otherwise independent.
+    with probability rho, otherwise independent; a bare mixture is
+    mixture(0.5).
     """
     if m < 1:
         raise ConfigurationError("m must be >= 1")
+    mixture_rho = 0.5
     if kind.startswith("mixture"):
         if "(" in kind:
             try:
@@ -327,22 +328,6 @@ def generate_synthetic(
         yield from map(tuple, coords.tolist())
 
 
-_OVERRIDE_TYPES = {
-    "amplification": int,
-    "rounds": int,
-    "eps_reps": int,
-    "polylog_reps": int,
-    "beta": float,
-    "cover_epsilon": float,
-    "rho": int,
-    "rho_cap": int,
-    "scale_override": float,
-    "omega": float,
-    "value_bound": float,
-    "max_chunk": int,
-}
-
-
 def _split_override(pair: str) -> Tuple[str, str]:
     """One ``KEY=VALUE`` command-line pair as (key, value)."""
     if "=" not in pair:
@@ -352,13 +337,18 @@ def _split_override(pair: str) -> Tuple[str, str]:
 
 
 def parse_overrides(values: Dict[str, str]) -> EstimatorOverrides:
-    """Typed estimator overrides from their key -> value strings."""
+    """Typed estimator overrides from their key -> value strings. The keys
+    are the fields of ``EstimatorOverrides``, each parsed as the type it
+    declares (``T`` of an ``Optional[T]``)."""
+    names = {f.name for f in fields(EstimatorOverrides)}
     ov = EstimatorOverrides()
     for key, value in sorted(values.items()):
-        if key not in _OVERRIDE_TYPES:
+        if key not in names:
             raise ConfigurationError(f"unknown override key {key!r}")
+        hint = get_type_hints(EstimatorOverrides)[key]  # per key: a run without overrides skips it
+        parse = next(t for t in get_args(hint) or (hint,) if t is not type(None))
         try:
-            ov = ov.replace(**{key: _OVERRIDE_TYPES[key](value)})
+            ov = ov.replace(**{key: parse(value)})
         except ValueError:
             raise ConfigurationError(f"bad value for override {key}: {value!r}") from None
     return ov
@@ -377,7 +367,7 @@ def run(cfg: RunConfig, stdin: Optional[IO] = None) -> EstimateReport:
 
     if cfg.generate is not None:
         records: Iterable = generate_synthetic(
-            cfg.generate, cfg.k, cfg.n, cfg.m or 0, cfg.seed, cfg.mixture_rho
+            cfg.generate, cfg.k, cfg.n, cfg.m or 0, cfg.seed
         )
     else:
         if cfg.input_path in (None, "-"):
@@ -476,8 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         metavar="KEY=VALUE",
-        help="estimator override (repeatable): amplification, rounds, eps_reps, "
-        "polylog_reps, beta, cover_epsilon, rho, scale_override, omega, ...",
+        help="estimator override (repeatable): "
+        + ", ".join(f.name for f in fields(EstimatorOverrides)),
     )
     p.add_argument(
         "--generate",

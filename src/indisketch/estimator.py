@@ -93,6 +93,11 @@ Mask = np.ndarray  # uint8 0/1 vector over [1, n], index 0 <-> coordinate 1
 # ---------------------------------------------------------------------------
 
 
+def _check_beta(beta: float) -> None:
+    if not 1.0 <= beta < math.inf:
+        raise ConfigurationError("beta must be finite and >= 1")
+
+
 @dataclass(frozen=True)
 class SubAlgorithms:
     """Injected per-hyperplane estimators for one tensor.
@@ -107,8 +112,7 @@ class SubAlgorithms:
     beta: float
 
     def __post_init__(self):
-        if self.beta < 1.0:
-            raise ConfigurationError("beta must be >= 1")
+        _check_beta(self.beta)
 
 
 @dataclass(frozen=True)
@@ -137,8 +141,7 @@ class TournamentConfig:
             raise ConfigurationError(f"epsilon={epsilon} outside (0, 1)")
         if not 0.0 < delta < 1.0:
             raise ConfigurationError(f"delta={delta} outside (0, 1)")
-        if beta < 1.0:
-            raise ConfigurationError("beta must be >= 1")
+        _check_beta(beta)
         p = 1.0 - math.sqrt(1.0 - epsilon / 2.0)
         if rounds is None:
             rounds = max(1, math.ceil(math.log(1.0 / delta) / p))
@@ -177,7 +180,6 @@ class CoverConfig:
         delta: float,
         alpha: float,
         rho: Optional[int] = None,
-        rho_cap: int = 2**31 - 1,
     ) -> "CoverConfig":
         if not 0.0 < epsilon < 1.0 or not 0.0 < delta < 1.0:
             raise ConfigurationError("epsilon and delta must lie in (0, 1)")
@@ -185,7 +187,7 @@ class CoverConfig:
             raise ConfigurationError("alpha must be positive")
         eps_sig = epsilon**2 * delta / 3.0
         if rho is None:
-            rho = min(rho_cap, math.ceil(1.0 / (eps_sig * alpha)))
+            rho = min(2**31 - 1, math.ceil(1.0 / (eps_sig * alpha)))
         if rho < 1:
             raise ConfigurationError("bucket count must be >= 1")
         return cls(
@@ -204,12 +206,13 @@ class LayerConfig:
     ``scale_override`` multiplies the count threshold, the calibration
     base and the phase-step count down to desk scale; the achieved failure
     rates are then measured by the acceptance suite rather than assumed
-    from the proofs.
+    from the proofs. ``value_bound`` only sets the layer count that
+    calibrates ``base_count``; the layer grid itself has no top.
     """
 
     epsilon: float
     levels: int            # number of geometric subsampling levels
-    layers: int            # number of multiplicative value layers
+    layers: int            # value layers up to value_bound, for base_count
     base_count: int        # failure/precision calibration constant
     count_threshold: int   # minimum windowed layer count
     phase_steps: int
@@ -225,8 +228,6 @@ class LayerConfig:
         n: int,
         value_bound: float,
         scale_override: Optional[float] = None,
-        levels: Optional[int] = None,
-        layers: Optional[int] = None,
         base_count: Optional[int] = None,
         count_threshold: Optional[int] = None,
         phase_steps: Optional[int] = None,
@@ -234,12 +235,8 @@ class LayerConfig:
         if not 0.0 < epsilon < 1.0:
             raise ConfigurationError(f"epsilon={epsilon} outside (0, 1)")
         growth = math.log1p(epsilon)
-        a = levels if levels is not None else max(1, math.ceil(math.log(max(n, 2)) / growth))
-        b = (
-            layers
-            if layers is not None
-            else max(1, math.ceil(math.log(max(value_bound, 2.0)) / growth))
-        )
+        a = max(1, math.ceil(math.log(max(n, 2)) / growth))
+        b = max(1, math.ceil(math.log(max(value_bound, 2.0)) / growth))
         scale = 1.0 if scale_override is None else float(scale_override)
         if not 0.0 < scale <= 1.0:
             raise ConfigurationError("scale_override must lie in (0, 1]")
@@ -295,10 +292,8 @@ class EstimatorOverrides:
     beta: Optional[float] = 2.0           # configured coarse factor; None: log2(n)^k
     cover_epsilon: Optional[float] = 0.3  # floor for the per-cover precision
     rho: Optional[int] = None
-    rho_cap: int = 2**31 - 1
     scale_override: Optional[float] = None
     omega: Optional[float] = None
-    value_bound: Optional[float] = None
     max_chunk: int = 8192
 
     def replace(self, **kw) -> "EstimatorOverrides":
@@ -358,7 +353,9 @@ def _combine_rounds(round_values: Iterable[float]) -> float:
 
 
 def _assign_layer(value: float, shift: float, cfg: LayerConfig) -> Optional[int]:
-    """Layer index l with shift*(1+eps)^l <= value < shift*(1+eps)^(l+1)."""
+    """Layer index l with shift*(1+eps)^l <= value < shift*(1+eps)^(l+1);
+    None below the bottom layer l = -1. The grid has no top: a value above
+    ``cfg.layers`` is counted, not dropped."""
     if value <= 0.0:
         return None
     growth = 1.0 + cfg.epsilon
@@ -368,9 +365,7 @@ def _assign_layer(value: float, shift: float, cfg: LayerConfig) -> Optional[int]
         l += 1
     while growth**l > x:
         l -= 1
-    if l < -1 or l > cfg.layers:
-        return None
-    return l
+    return l if l >= -1 else None
 
 
 def _layer_sum(counts: Dict[Tuple[int, int], int], cfg: LayerConfig, shift: float) -> float:
@@ -484,25 +479,34 @@ def _stack_configs(
     delta: float,
     beta: float,
     ov: EstimatorOverrides,
-    value_bound: Optional[float] = None,
 ) -> StackConfigs:
     """The layer, tournament and cover configurations of one reduction and
-    its amplification count, for either kind of leaf."""
+    its amplification count, for either kind of leaf. Every override is
+    checked here or by the config it feeds; one outside its domain is a
+    ``ConfigurationError``."""
     if not 0.0 < delta < 1.0:
         raise ConfigurationError(f"delta={delta} outside (0, 1)")
     if ov.amplification is not None and ov.amplification < 1:
         raise ConfigurationError("amplification must be >= 1")
-    bound = value_bound if value_bound is not None else (ov.value_bound or 2.0**48)
-    lcfg = LayerConfig.from_targets(epsilon, n, bound, scale_override=ov.scale_override)
+    if ov.beta is not None:
+        _check_beta(ov.beta)
+    if ov.cover_epsilon is not None and not 0.0 < ov.cover_epsilon < 1.0:
+        raise ConfigurationError("cover_epsilon must lie in (0, 1)")
+    if ov.omega is not None and not ov.omega > 0.0:
+        raise ConfigurationError("omega must be positive")
+    if ov.omega == math.inf:
+        raise ConfigurationError("omega must be finite")
+    if ov.max_chunk < 1:
+        raise ConfigurationError("max_chunk must be >= 1")
+    # the value bound only sets the layer count that calibrates base_count
+    lcfg = LayerConfig.from_targets(epsilon, n, 2.0**48, scale_override=ov.scale_override)
     cover_eps = lcfg.cover_precision
     if ov.cover_epsilon is not None:
         cover_eps = max(cover_eps, ov.cover_epsilon)
     tcfg = TournamentConfig.from_targets(
         cover_eps / 3.0, max(lcfg.cover_delta / 4.0, 1e-9), beta, rounds=ov.rounds
     )
-    ccfg = CoverConfig.from_targets(
-        cover_eps, lcfg.cover_delta, tcfg.alpha, rho=ov.rho, rho_cap=ov.rho_cap
-    )
+    ccfg = CoverConfig.from_targets(cover_eps, lcfg.cover_delta, tcfg.alpha, rho=ov.rho)
     amp = ov.amplification
     if amp is None:
         amp = max(1, math.ceil(24.0 * math.log(1.0 / delta)))
@@ -733,7 +737,6 @@ def dimension_reduce(
     delta: float,
     seed: int = 0,
     overrides: Optional[EstimatorOverrides] = None,
-    value_bound: Optional[float] = None,
 ) -> float:
     """Full-norm estimate of a tensor from its per-hyperplane estimators.
 
@@ -741,9 +744,7 @@ def dimension_reduce(
     absolute-hyperplane vector and amplifies the 2/3 success probability
     by a median of independent runs.
     """
-    configs = _stack_configs(
-        n, epsilon, delta, subs.beta, overrides or EstimatorOverrides(), value_bound
-    )
+    configs = _stack_configs(n, epsilon, delta, subs.beta, overrides or EstimatorOverrides())
     return _build_reduce_plan(n, configs, seed, _oracle_leaves(subs)).evaluate(None)
 
 
@@ -1035,10 +1036,6 @@ class StreamDistanceEstimator:
             ov = ov.replace(beta=max(2.0, math.log2(max(n, 4))) ** k)
         if ov.omega is None:
             ov = ov.replace(omega=default_truncation(k, n))
-        elif not ov.omega > 0.0:
-            raise ConfigurationError("omega must be positive")
-        if ov.max_chunk < 1:
-            raise ConfigurationError("max_chunk must be >= 1")
         self.overrides = ov
         self.configs = _stack_configs(n, epsilon, delta, ov.beta, ov)
         self.registry = _BankRegistry(k, n, ov.omega)

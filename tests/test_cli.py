@@ -1,11 +1,13 @@
 """Record parsing, synthetic generators and the command-line front end."""
 
+import dataclasses
 import io
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+import typing
 from unittest import mock
 
 import numpy as np
@@ -13,6 +15,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from indisketch import (
+    ConfigurationError,
+    EstimatorOverrides,
     MalformedInputError,
     TupleStream,
     build_frequency_table,
@@ -431,6 +435,15 @@ class TestMain:
             ("omega=-2.5", "omega must be positive"),
             ("omega=nan", "omega must be positive"),
             ("max_chunk=0", "max_chunk must be >= 1"),
+            ("beta=nan", "beta must be finite and >= 1"),
+            ("beta=inf", "beta must be finite and >= 1"),
+            ("cover_epsilon=0", "cover_epsilon must lie in (0, 1)"),
+            ("cover_epsilon=-1", "cover_epsilon must lie in (0, 1)"),
+            ("cover_epsilon=nan", "cover_epsilon must lie in (0, 1)"),
+            ("cover_epsilon=2", "cover_epsilon must lie in (0, 1)"),
+            ("omega=inf", "omega must be finite"),
+            ("value_bound=1", "unknown override key 'value_bound'"),
+            ("rho_cap=5", "unknown override key 'rho_cap'"),
         ],
     )
     def test_override_that_would_zero_the_estimate_exit(self, override, message, capsys):
@@ -442,6 +455,22 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"configuration error: {message}\n"
+
+    def test_override_keys_are_the_estimator_fields(self):
+        # the CLI takes its keys and types from EstimatorOverrides alone
+        hints = typing.get_type_hints(EstimatorOverrides)
+        names = [f.name for f in dataclasses.fields(EstimatorOverrides)]
+        for name in names:
+            value = getattr(cli.parse_overrides({name: "2"}), name)
+            assert value == 2 and isinstance(value, hints[name])
+        ov = cli.parse_overrides({"beta": "2", "rounds": "2"})
+        assert type(ov.beta) is float and ov.beta == 2.0
+        assert type(ov.rounds) is int and ov.rounds == 2
+        with pytest.raises(ConfigurationError, match="bad value for override rounds: '2.5'"):
+            cli.parse_overrides({"rounds": "2.5"})
+        help_text = " ".join(cli.build_parser().format_help().split())
+        listed = help_text.split("estimator override (repeatable): ")[1]
+        assert listed.startswith(", ".join(names) + " ")
 
     def test_budget_exit(self):
         code = main(

@@ -126,6 +126,16 @@ class TestConfigs:
             ({"rounds": 0}, "rounds must be >= 1"),
             ({"amplification": 0}, "amplification must be >= 1"),
             ({"amplification": -2}, "amplification must be >= 1"),
+            ({"beta": 0.5}, "beta must be finite and >= 1"),
+            ({"beta": math.nan}, "beta must be finite and >= 1"),
+            ({"beta": math.inf}, "beta must be finite and >= 1"),
+            ({"cover_epsilon": 0.0}, r"cover_epsilon must lie in \(0, 1\)"),
+            ({"cover_epsilon": -1.0}, r"cover_epsilon must lie in \(0, 1\)"),
+            ({"cover_epsilon": math.nan}, r"cover_epsilon must lie in \(0, 1\)"),
+            ({"cover_epsilon": 2.0}, r"cover_epsilon must lie in \(0, 1\)"),
+            ({"omega": 0.0}, "omega must be positive"),
+            ({"omega": math.inf}, "omega must be finite"),
+            ({"max_chunk": 0}, "max_chunk must be >= 1"),
         ]:
             ov = EstimatorOverrides(**bad)
             with pytest.raises(ConfigurationError, match=message):
@@ -135,6 +145,11 @@ class TestConfigs:
         for omega in (0.0, -1.0, math.nan):
             with pytest.raises(ConfigurationError, match="omega must be positive"):
                 StreamDistanceEstimator(2, 4, 0.3, 0.1, overrides=EstimatorOverrides(omega=omega))
+        for beta in (math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match="beta must be finite and >= 1"):
+                TournamentConfig.from_targets(0.1, 0.1, beta=beta)
+            with pytest.raises(ConfigurationError, match="beta must be finite and >= 1"):
+                vector_sub_oracles([1.0], beta=beta)
 
     def test_delta_outside_unit_interval_rejected(self):
         # with a fixed amplification count no formula reads delta, so both
@@ -355,6 +370,26 @@ class TestLayerGrid:
             for s in range(40):
                 est = layered_l1_estimate(64, cfg, exact_cover_oracle(v), seed=s)
                 assert lo <= est <= hi
+
+    def test_grid_has_no_top(self):
+        # the value bound 2^48 only calibrates the counts: values above its
+        # top layer are counted, so the estimate scales with the input
+        v = np.array([3.0, 1.0, 1.0, 1.0])
+        unit = dimension_reduce(4, vector_sub_oracles(v), 0.3, 0.1, seed=0)
+        for c in (1e15, 1e16):
+            est = dimension_reduce(4, vector_sub_oracles(c * v), 0.3, 0.1, seed=0)
+            assert est / c == pytest.approx(unit, rel=0.1)
+        # at k = 3 the sketch values grow like m^2 and pass the top layer
+        # between these stream lengths
+        lean = EstimatorOverrides(amplification=3, rounds=2, eps_reps=64, polylog_reps=12)
+        short, long = (
+            independence_distance(
+                TupleStream(3, 2, list(generate_synthetic("mixture(0.5)", 3, 2, m, seed=1))),
+                0.3, 0.1, seed=1, overrides=lean,
+            ).distance_estimate
+            for m in (20_000, 150_000)
+        )
+        assert long == pytest.approx(short, rel=0.1)
 
 
 class TestDimensionReduce:
