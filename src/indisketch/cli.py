@@ -15,7 +15,7 @@ import argparse
 import io
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from itertools import islice
 from typing import (
     IO, BinaryIO, Dict, Iterable, Iterator, List, Optional, Tuple, Union, get_args, get_type_hints
@@ -33,11 +33,15 @@ from .errors import (
 from .estimator import EstimatorOverrides, StreamDistanceEstimator
 from .hashing import FOLD_BLOCK, counter_uniform, derive_key
 from .stream import (
+    MODES,
     RECORD_BLOCK,
     EstimateReport,
     TupleKey,
     TupleStream,
     build_frequency_table,
+    checked_count,
+    checked_domain,
+    checked_unit,
     exact_statistical_distance,
 )
 
@@ -48,10 +52,15 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 DENSE_MODE_BUDGET = 2**24
+FORMATS = ("json", "tsv")
+GENERATORS = ("independent", "diagonal", "mixture")
 
 
 @dataclass
 class RunConfig:
+    """The settings of one run, declared and defaulted here only: the command
+    line's flags set these fields, and a report's ``config`` echoes them."""
+
     k: int
     n: int
     epsilon: float = 0.3
@@ -65,28 +74,24 @@ class RunConfig:
     overrides: Dict[str, str] = field(default_factory=dict)
 
     def validate(self) -> None:
-        if self.k < 2:
-            raise ConfigurationError("k must be >= 2")
-        if self.n < 1:
-            raise ConfigurationError("n must be >= 1")
-        if self.mode not in ("exact", "sketch", "both"):
+        """Check every setting before any work; integral k, n and m become ints."""
+        self.k, self.n = checked_domain(self.k, self.n)
+        if self.mode not in MODES:
             raise ConfigurationError(f"unknown mode {self.mode!r}")
-        if self.mode != "exact" and not 0.0 < self.epsilon < 1.0:
-            raise ConfigurationError("epsilon must lie in (0, 1)")
-        if self.mode != "exact" and not 0.0 < self.delta < 1.0:
-            raise ConfigurationError("delta must lie in (0, 1)")
-        if self.output_format not in ("json", "tsv"):
+        if self.mode != "exact":
+            checked_unit("epsilon", self.epsilon)
+            checked_unit("delta", self.delta)
+        if self.output_format not in FORMATS:
             raise ConfigurationError(f"unknown format {self.output_format!r}")
         if self.mode == "both" and self.n**self.k > DENSE_MODE_BUDGET:
             raise BudgetExceededError(
                 f"mode=both requires n^k <= {DENSE_MODE_BUDGET}, got {self.n ** self.k}"
             )
         if self.generate is not None:
-            base = self.generate.split("(")[0]
-            if base not in ("independent", "diagonal", "mixture"):
-                raise ConfigurationError(f"unknown generator kind {self.generate!r}")
-            if self.m is None or self.m < 1:
+            generator_spec(self.generate)
+            if self.m is None:
                 raise ConfigurationError("--generate requires --m >= 1")
+            self.m = checked_count("m", self.m)
 
 
 class CountingReader:
@@ -286,28 +291,36 @@ def parse_records(
         first += count
 
 
+def generator_spec(spec: str) -> Tuple[str, float]:
+    """(kind, rho) of ``independent``, ``diagonal``, ``mixture`` (rho 0.5) or
+    ``mixture(RHO)``, RHO in [0, 1]; ConfigurationError for any other spec."""
+    kind, paren, arg = spec.partition("(")
+    if kind not in GENERATORS or (paren and kind != "mixture"):
+        raise ConfigurationError(f"unknown generator kind {spec!r}")
+    rho = 0.5
+    if paren:
+        try:
+            if not arg.endswith(")"):
+                raise ValueError(arg)
+            rho = float(arg[:-1])
+        except ValueError:
+            raise ConfigurationError(f"cannot parse mixture kind {spec!r}") from None
+    if not 0.0 <= rho <= 1.0:
+        raise ConfigurationError("mixture rho must lie in [0, 1]")
+    return kind, rho
+
+
 def generate_synthetic(kind: str, k: int, n: int, m: int, seed: int) -> Iterator[TupleKey]:
-    """Deterministic synthetic streams.
+    """Deterministic synthetic streams, checked at the first draw.
 
     independent: coordinates i.i.d. uniform on [1, n]; diagonal: constant
     tuples (i, ..., i) with i uniform; mixture(rho): each tuple diagonal
     with probability rho, otherwise independent; a bare mixture is
     mixture(0.5).
     """
-    if m < 1:
-        raise ConfigurationError("m must be >= 1")
-    mixture_rho = 0.5
-    if kind.startswith("mixture"):
-        if "(" in kind:
-            try:
-                mixture_rho = float(kind[kind.index("(") + 1 : kind.rindex(")")])
-            except (ValueError, IndexError):
-                raise ConfigurationError(f"cannot parse mixture kind {kind!r}") from None
-        if not 0.0 <= mixture_rho <= 1.0:
-            raise ConfigurationError("mixture rho must lie in [0, 1]")
-        kind = "mixture"
-    if kind not in ("independent", "diagonal", "mixture"):
-        raise ConfigurationError(f"unknown generator kind {kind!r}")
+    k, n = checked_domain(k, n)
+    m = checked_count("m", m)
+    kind, mixture_rho = generator_spec(kind)
     key = derive_key(seed, 0x6E0)
 
     def draw(i, *parts):
@@ -366,9 +379,7 @@ def run(cfg: RunConfig, stdin: Optional[IO] = None) -> EstimateReport:
     overrides = parse_overrides(cfg.overrides)
 
     if cfg.generate is not None:
-        records: Iterable = generate_synthetic(
-            cfg.generate, cfg.k, cfg.n, cfg.m or 0, cfg.seed
-        )
+        records: Iterable = generate_synthetic(cfg.generate, cfg.k, cfg.n, cfg.m, cfg.seed)
     else:
         if cfg.input_path in (None, "-"):
             # a stdin without a byte layer gives str lines, which parse_records also takes
@@ -420,18 +431,11 @@ def run(cfg: RunConfig, stdin: Optional[IO] = None) -> EstimateReport:
 
 
 def _config_dict(cfg: RunConfig) -> Dict[str, object]:
-    return {
-        "k": cfg.k,
-        "n": cfg.n,
-        "epsilon": cfg.epsilon,
-        "delta": cfg.delta,
-        "mode": cfg.mode,
-        "seed": cfg.seed,
-        "input": cfg.input_path,
-        "generate": cfg.generate,
-        "m": cfg.m,
-        "overrides": dict(sorted(cfg.overrides.items())),
-    }
+    """The settings as a report shows them: ``input_path`` as ``input``, no format."""
+    d = asdict(cfg)
+    d["input"] = d.pop("input_path")
+    del d["output_format"]
+    return d
 
 
 def format_report(report: EstimateReport, fmt: str) -> str:
@@ -448,57 +452,44 @@ def format_report(report: EstimateReport, fmt: str) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command line; each flag's dest is a ``RunConfig`` field, and an
+    unset flag is left out, so the field's default applies."""
     p = argparse.ArgumentParser(
         prog="indisketch",
         description="Estimate the statistical distance between the joint and "
         "product distributions of a stream of k-tuples.",
+        argument_default=argparse.SUPPRESS,
     )
-    p.add_argument("--input", default=None, help="record file, or '-' for stdin")
+    p.add_argument(
+        "--input", dest="input_path", metavar="INPUT", help="record file, or '-' for stdin"
+    )
     p.add_argument("--k", type=int, required=True, help="tuple arity (>= 2)")
     p.add_argument("--n", type=int, required=True, help="domain size per coordinate")
-    p.add_argument("--epsilon", type=float, default=0.3)
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--mode", choices=("exact", "sketch", "both"), default="exact")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("json", "tsv"), default="json")
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--delta", type=float)
+    p.add_argument("--mode", choices=MODES)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--format", dest="output_format", choices=FORMATS)
     p.add_argument(
         "--override",
+        dest="overrides",
         action="append",
-        default=[],
         metavar="KEY=VALUE",
         help="estimator override (repeatable): "
         + ", ".join(f.name for f in fields(EstimatorOverrides)),
     )
-    p.add_argument(
-        "--generate",
-        default=None,
-        help="synthesize the input: independent | diagonal | mixture(RHO)",
-    )
-    p.add_argument("--m", type=int, default=None, help="length of a generated stream")
+    p.add_argument("--generate", help="synthesize the input: independent | diagonal | mixture(RHO)")
+    p.add_argument("--m", type=int, help="length of a generated stream")
     return p
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
     try:
-        cfg = RunConfig(
-            k=args.k,
-            n=args.n,
-            epsilon=args.epsilon,
-            delta=args.delta,
-            mode=args.mode,
-            seed=args.seed,
-            input_path=args.input,
-            output_format=args.format,
-            generate=args.generate,
-            m=args.m,
-            overrides=dict(_split_override(pair) for pair in args.override),
-        )
+        args["overrides"] = dict(map(_split_override, args.get("overrides", ())))
+        cfg = RunConfig(**args)
         report = run(cfg)
-    except (MalformedInputError, EmptyStreamError) as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as e:
+    except (MalformedInputError, EmptyStreamError, OSError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except BudgetExceededError as e:

@@ -69,6 +69,7 @@ from .hashing import (
 )
 from .sketches import (
     _as_table,
+    checked_depths,
     fold_counts,
     repetition_seeds,
     required_epsilon_reps,
@@ -81,7 +82,10 @@ from .stream import (
     TupleStream,
     TupleTally,
     _integral,
+    checked_count,
+    checked_domain,
     checked_tuple,
+    checked_unit,
     record_blocks,
 )
 
@@ -137,16 +141,13 @@ class TournamentConfig:
         beta: float,
         rounds: Optional[int] = None,
     ) -> "TournamentConfig":
-        if not 0.0 < epsilon < 1.0:
-            raise ConfigurationError(f"epsilon={epsilon} outside (0, 1)")
-        if not 0.0 < delta < 1.0:
-            raise ConfigurationError(f"delta={delta} outside (0, 1)")
+        checked_unit("epsilon", epsilon)
+        checked_unit("delta", delta)
         _check_beta(beta)
         p = 1.0 - math.sqrt(1.0 - epsilon / 2.0)
         if rounds is None:
             rounds = max(1, math.ceil(math.log(1.0 / delta) / p))
-        if rounds < 1:
-            raise ConfigurationError("rounds must be >= 1")
+        rounds = checked_count("rounds", rounds)
         subcall_delta = p * epsilon / (4.0 * math.log(1.0 / delta))
         root = (1.0 - epsilon) ** 0.25
         lam = 1.0 + 2.0 * root / (1.0 - root)
@@ -155,7 +156,7 @@ class TournamentConfig:
             delta=delta,
             beta=beta,
             detect_prob=p,
-            rounds=int(rounds),
+            rounds=rounds,
             subcall_delta=subcall_delta,
             base_ratio=lam,
             ratio_threshold=(1.0 + epsilon) * lam,
@@ -181,21 +182,19 @@ class CoverConfig:
         alpha: float,
         rho: Optional[int] = None,
     ) -> "CoverConfig":
-        if not 0.0 < epsilon < 1.0 or not 0.0 < delta < 1.0:
-            raise ConfigurationError("epsilon and delta must lie in (0, 1)")
+        checked_unit("epsilon", epsilon)
+        checked_unit("delta", delta)
         if alpha <= 0.0:
             raise ConfigurationError("alpha must be positive")
         eps_sig = epsilon**2 * delta / 3.0
         if rho is None:
             rho = min(2**31 - 1, math.ceil(1.0 / (eps_sig * alpha)))
-        if rho < 1:
-            raise ConfigurationError("bucket count must be >= 1")
         return cls(
             epsilon=epsilon,
             delta=delta,
             alpha=alpha,
             significance=eps_sig,
-            rho=int(rho),
+            rho=checked_count("rho", rho),
         )
 
 
@@ -232,8 +231,7 @@ class LayerConfig:
         count_threshold: Optional[int] = None,
         phase_steps: Optional[int] = None,
     ) -> "LayerConfig":
-        if not 0.0 < epsilon < 1.0:
-            raise ConfigurationError(f"epsilon={epsilon} outside (0, 1)")
+        checked_unit("epsilon", epsilon)
         growth = math.log1p(epsilon)
         a = max(1, math.ceil(math.log(max(n, 2)) / growth))
         b = max(1, math.ceil(math.log(max(value_bound, 2.0)) / growth))
@@ -242,18 +240,14 @@ class LayerConfig:
             raise ConfigurationError("scale_override must lie in (0, 1]")
         cp = base_count if base_count is not None else 10 * (a + b)
         cp = max(2, math.ceil(cp * scale))
-        chi = (
-            count_threshold
-            if count_threshold is not None
-            else math.ceil(16.0 / epsilon**3 * cp)
-        )
-        chi = max(4, math.ceil(chi * scale)) if count_threshold is None else int(chi)
-        q_steps = (
-            phase_steps
-            if phase_steps is not None
-            else math.ceil(20.0 * cp / epsilon**2)
-        )
-        q_steps = max(2, math.ceil(q_steps * scale)) if phase_steps is None else int(q_steps)
+        if count_threshold is None:
+            chi = max(4, math.ceil(math.ceil(16.0 / epsilon**3 * cp) * scale))
+        else:
+            chi = checked_count("count_threshold", count_threshold)
+        if phase_steps is None:
+            q_steps = max(2, math.ceil(math.ceil(20.0 * cp / epsilon**2) * scale))
+        else:
+            q_steps = checked_count("phase_steps", phase_steps)
         zeta = (1.0 + epsilon) ** (1.0 / q_steps) - 1.0
         if zeta < epsilon / (2.0 * q_steps) - 1e-12:
             raise ConfigurationError("phase ratio fell below epsilon / (2 * steps)")
@@ -479,15 +473,17 @@ def _stack_configs(
     delta: float,
     beta: float,
     ov: EstimatorOverrides,
-) -> StackConfigs:
+) -> Tuple[StackConfigs, EstimatorOverrides]:
     """The layer, tournament and cover configurations of one reduction and
-    its amplification count, for either kind of leaf. Every override is
-    checked here or by the config it feeds; one outside its domain is a
-    ``ConfigurationError``."""
-    if not 0.0 < delta < 1.0:
-        raise ConfigurationError(f"delta={delta} outside (0, 1)")
-    if ov.amplification is not None and ov.amplification < 1:
-        raise ConfigurationError("amplification must be >= 1")
+    its amplification count, for either kind of leaf, with the overrides'
+    counts as ints. ``delta`` and every override are checked here or by the
+    config they feed; one outside its domain is a ``ConfigurationError``."""
+    checked_unit("delta", delta)
+    ov = ov.replace(**{
+        name: checked_count(name, getattr(ov, name))
+        for name in ("amplification", "eps_reps", "polylog_reps", "max_chunk")
+        if getattr(ov, name) is not None
+    })
     if ov.beta is not None:
         _check_beta(ov.beta)
     if ov.cover_epsilon is not None and not 0.0 < ov.cover_epsilon < 1.0:
@@ -496,8 +492,6 @@ def _stack_configs(
         raise ConfigurationError("omega must be positive")
     if ov.omega == math.inf:
         raise ConfigurationError("omega must be finite")
-    if ov.max_chunk < 1:
-        raise ConfigurationError("max_chunk must be >= 1")
     # the value bound only sets the layer count that calibrates base_count
     lcfg = LayerConfig.from_targets(epsilon, n, 2.0**48, scale_override=ov.scale_override)
     cover_eps = lcfg.cover_precision
@@ -510,7 +504,7 @@ def _stack_configs(
     amp = ov.amplification
     if amp is None:
         amp = max(1, math.ceil(24.0 * math.log(1.0 / delta)))
-    return lcfg, tcfg, ccfg, amp
+    return (lcfg, tcfg, ccfg, amp), ov
 
 
 # ---------------------------------------------------------------------------
@@ -744,7 +738,8 @@ def dimension_reduce(
     absolute-hyperplane vector and amplifies the 2/3 success probability
     by a median of independent runs.
     """
-    configs = _stack_configs(n, epsilon, delta, subs.beta, overrides or EstimatorOverrides())
+    n = checked_count("n", n)
+    configs, _ = _stack_configs(n, epsilon, delta, subs.beta, overrides or EstimatorOverrides())
     return _build_reduce_plan(n, configs, seed, _oracle_leaves(subs)).evaluate(None)
 
 
@@ -814,16 +809,15 @@ class _BankRegistry:
         """Register `reps` repetitions; returns a handle for later medians."""
         if self.frozen:
             raise ConfigurationError("registry is frozen once the pass begins")
-        if reps < 1:
-            raise ConfigurationError("repetitions must be >= 1")
         key = (len(prefix), s_prime)
-        if self._reps.setdefault(key, reps) != reps:
-            raise ConfigurationError(
-                f"group {key} has {self._reps[key]} repetitions per bank, not {reps}"
-            )
-        start = len(self._pending[key]) * reps
+        have = self._reps.get(key)
+        if have is None:  # a group's first bank sets, and checks, its count
+            have = self._reps[key] = checked_count("repetitions", reps)
+        elif have != reps:
+            raise ConfigurationError(f"group {key} has {have} repetitions per bank, not {reps}")
+        start = len(self._pending[key]) * have
         self._pending[key].append((prefix, int(seed)))
-        return (key, start, start + reps)
+        return (key, start, start + have)
 
     def freeze(self):
         """Materialize all tables; no banks may be added afterwards.
@@ -900,8 +894,7 @@ class SketchBank:
         seed: int,
         omega: Optional[float] = None,
     ):
-        if not 0 <= s_prime <= s <= k:
-            raise ConfigurationError(f"need 0 <= s'={s_prime} <= s={s} <= k={k}")
+        s, s_prime = checked_depths(k, s, s_prime)
         masks = [_as_table(h, n) for h in prefix_hashes]
         if len(masks) != s:
             raise ConfigurationError(f"expected {s} prefix masks, got {len(masks)}")
@@ -958,11 +951,7 @@ def epsilon_l1_estimate(
         raise ConfigurationError(
             f"epsilon estimator needs s = s' = k-1, got s={bank.s}, s'={bank.s_prime}"
         )
-    need = required_epsilon_reps(epsilon, delta, c)
-    if bank.repetitions < need:
-        raise ConfigurationError(
-            f"bank has {bank.repetitions} repetitions, needs >= {need}"
-        )
+    checked_count("repetitions", bank.repetitions, least=required_epsilon_reps(epsilon, delta, c))
     return bank.median()
 
 
@@ -972,11 +961,7 @@ def polylog_l1_estimate(bank: SketchBank, delta: float, c: float = 64.0) -> floa
     Within [target/beta, beta*target] for beta = log2(n)^k with probability
     at least 1-delta given c * ln(1/delta) repetitions.
     """
-    need = required_polylog_reps(delta, c)
-    if bank.repetitions < need:
-        raise ConfigurationError(
-            f"bank has {bank.repetitions} repetitions, needs >= {need}"
-        )
+    checked_count("repetitions", bank.repetitions, least=required_polylog_reps(delta, c))
     return bank.median()
 
 
@@ -1026,8 +1011,7 @@ class StreamDistanceEstimator:
         seed: int = 0,
         overrides: Optional[EstimatorOverrides] = None,
     ):
-        if k < 2:
-            raise ConfigurationError("arity k must be >= 2")
+        k, n = checked_domain(k, n)
         self.k, self.n = k, n
         self.epsilon, self.delta = epsilon, delta
         self.seed = int(seed)
@@ -1036,8 +1020,8 @@ class StreamDistanceEstimator:
             ov = ov.replace(beta=max(2.0, math.log2(max(n, 4))) ** k)
         if ov.omega is None:
             ov = ov.replace(omega=default_truncation(k, n))
+        self.configs, ov = _stack_configs(n, epsilon, delta, ov.beta, ov)
         self.overrides = ov
-        self.configs = _stack_configs(n, epsilon, delta, ov.beta, ov)
         self.registry = _BankRegistry(k, n, ov.omega)
         self.plan = _build_reduce_plan(
             n, self.configs, self.seed, _bank_leaves(self.registry, 0, [], self.configs, ov)

@@ -33,13 +33,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConfigurationError, EmptyStreamError
 from .hashing import FOLD_BLOCK, CauchySource, default_truncation, derive_key
-from .stream import FrequencyTable, TupleKey, checked_tuple
+from .stream import FrequencyTable, TupleKey, checked_count, checked_tuple, checked_unit
 from . import tensor as tensor_ops
 
 def family_seed(seed: int, rep: int, family: int) -> int:
@@ -91,6 +91,15 @@ def _as_table(h, n):
     return seq
 
 
+def checked_depths(k: int, s, s_prime) -> Tuple[int, int]:
+    """The prefix depth s and collapse depth s' of a product sketch as ints;
+    ConfigurationError unless 0 <= s' <= s <= k."""
+    s_prime = checked_count("s'", s_prime, least=0)
+    s = checked_count("s", s, least=s_prime)
+    checked_count("k", k, least=s)
+    return s, s_prime
+
+
 @dataclass
 class ProductSketchState:
     """Scalar product-sketch accumulator; exact when given rational tables.
@@ -110,10 +119,7 @@ class ProductSketchState:
     m_seen: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.s_prime <= self.s <= self.k:
-            raise ConfigurationError(
-                f"need 0 <= s'={self.s_prime} <= s={self.s} <= k={self.k}"
-            )
+        self.s, self.s_prime = checked_depths(self.k, self.s, self.s_prime)
         if len(self.prefix) != self.s:
             raise ConfigurationError(f"expected {self.s} prefix tables")
         if len(self.coeff) != self.k - self.s_prime:
@@ -237,15 +243,14 @@ def fold_counts(tuples: np.ndarray, counts: np.ndarray, n: int, groups) -> int:
 
 def required_epsilon_reps(epsilon: float, delta: float, c: float = 8.0) -> int:
     """Repetition floor c/eps^2 * ln(1/delta) for the epsilon estimator."""
-    if not 0 < epsilon < 1 or not 0 < delta < 1:
-        raise ConfigurationError("epsilon and delta must lie in (0, 1)")
+    checked_unit("epsilon", epsilon)
+    checked_unit("delta", delta)
     return max(1, math.ceil(c / epsilon**2 * math.log(1.0 / delta)))
 
 
 def required_polylog_reps(delta: float, c: float = 64.0) -> int:
     """Repetition floor c * ln(1/delta) for the log^k(n) estimator."""
-    if not 0 < delta < 1:
-        raise ConfigurationError("delta must lie in (0, 1)")
+    checked_unit("delta", delta)
     return max(1, math.ceil(c * math.log(1.0 / delta)))
 
 

@@ -30,7 +30,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import EmptyStreamError, MalformedInputError
+from .errors import ConfigurationError, EmptyStreamError, MalformedInputError
 
 TupleKey = Tuple[int, ...]
 
@@ -39,25 +39,20 @@ TupleKey = Tuple[int, ...]
 # enough that a block's temporaries stay well under a megabyte.
 RECORD_BLOCK = 4096
 
+MODES = ("exact", "sketch", "both")  # what a run reports: the oracle, the sketch or both
+
 
 @dataclass
 class TupleStream:
-    """A stream of k-tuples over [1, n]^k.
-
-    `source` may be any iterable of tuples; `m` (the stream length) is only
-    known after a full traversal unless supplied.
-    """
+    """A stream of k-tuples over [1, n]^k from any iterable ``source``;
+    ``k`` and ``n`` pass ``checked_domain``."""
 
     k: int
     n: int
     source: Iterable[TupleKey]
-    m: Optional[int] = None
 
     def __post_init__(self):
-        if self.k < 2:
-            raise MalformedInputError(f"arity k={self.k} must be >= 2")
-        if self.n < 1:
-            raise MalformedInputError(f"domain size n={self.n} must be >= 1")
+        self.k, self.n = checked_domain(self.k, self.n)
 
     def __iter__(self) -> Iterator[TupleKey]:
         return iter(self.source)
@@ -84,6 +79,29 @@ def _integral(x, index: Optional[int], what: str = "coordinate") -> int:
     if not integral:
         raise MalformedInputError(f"non-integer {what} {x!r}", index)
     return v
+
+
+def checked_count(name: str, x, least: int = 1) -> int:
+    """``x`` as an int; ConfigurationError unless it is integral, as
+    ``_integral`` judges a coordinate, and at least ``least``."""
+    try:
+        v = _integral(x, None, name)
+    except MalformedInputError as e:
+        raise ConfigurationError(str(e)) from None
+    if v < least:
+        raise ConfigurationError(f"{name} must be >= {least}")
+    return v
+
+
+def checked_domain(k, n) -> Tuple[int, int]:
+    """``k`` and ``n`` of [n]^k as ints; ConfigurationError unless k >= 2 and n >= 1."""
+    return checked_count("k", k, least=2), checked_count("n", n)
+
+
+def checked_unit(name: str, x) -> None:
+    """ConfigurationError unless 0 < x < 1, the range of epsilon and delta."""
+    if not 0.0 < x < 1.0:
+        raise ConfigurationError(f"{name}={x} outside (0, 1)")
 
 
 def checked_tuple(rec, k: int, n: int, index: Optional[int] = None) -> TupleKey:
@@ -289,12 +307,7 @@ def independence_tensor_entry(table: FrequencyTable, i: TupleKey) -> int:
     """
     if table.m < 1:
         raise EmptyStreamError("independence tensor requires a nonempty stream")
-    i = tuple(int(x) for x in i)
-    if len(i) != table.k:
-        raise MalformedInputError(f"index arity {len(i)} != k={table.k}")
-    for x in i:
-        if not 1 <= x <= table.n:
-            raise MalformedInputError(f"index value {x} outside [1, {table.n}]")
+    i = checked_tuple(i, table.k, table.n)
     prod = 1
     for l, x in enumerate(i):
         prod *= table.margins[l].get(x, 0)
@@ -366,7 +379,7 @@ class EstimateReport:
     schema_version: str = REPORT_SCHEMA_VERSION
 
     def __post_init__(self):
-        if self.mode not in ("exact", "sketch", "both"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         has_exact = self.exact_distance is not None
         if has_exact != (self.mode in ("exact", "both")):

@@ -24,7 +24,7 @@ from indisketch import (
     generate_synthetic,
     parse_records,
 )
-from indisketch import cli
+from indisketch import cli, estimator
 from indisketch.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
@@ -292,6 +292,23 @@ class TestGenerateSynthetic:
         with pytest.raises(ConfigurationError):
             next(gen)
 
+    def test_generator_spec(self):
+        assert cli.generator_spec("independent") == ("independent", 0.5)
+        assert cli.generator_spec("mixture") == ("mixture", 0.5)
+        assert cli.generator_spec("mixture(0.25)") == ("mixture", 0.25)
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["mixture(1.5)", "mixture(x)", "mixture(0.5", "mixture(0.5)x", "diagonal(0.5)", "mix"],
+    )
+    def test_bad_spec_rejected_before_the_plan(self, spec, monkeypatch):
+        def no_plan(*_args):
+            raise AssertionError("the plan was built before the spec was checked")
+
+        monkeypatch.setattr(estimator, "_build_reduce_plan", no_plan)
+        with pytest.raises(ConfigurationError):
+            run(RunConfig(k=3, n=4, mode="sketch", generate=spec, m=10))
+
     @pytest.mark.parametrize("kind", ["mixture(0.3)", "independent", "diagonal"])
     def test_blocks_replay_per_record_draws(self, kind, monkeypatch):
         # blocks of 7 records, the last one partial, against the per-record definition
@@ -410,6 +427,21 @@ class TestMain:
     def test_bad_configuration_exit(self):
         code = main(["--k", "1", "--n", "2", "--generate", "diagonal", "--m", "5"])
         assert code == EXIT_CONFIG
+
+    def test_generate_without_m_exit(self, capsys):
+        assert main(["--k", "2", "--n", "2", "--generate", "diagonal"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "configuration error: --generate requires --m >= 1\n"
+
+    def test_flags_set_run_config_fields(self):
+        # an unset flag is left out, so the RunConfig default applies
+        parser = cli.build_parser()
+        assert vars(parser.parse_args(["--k", "2", "--n", "3"])) == {"k": 2, "n": 3}
+        every = parser.parse_args(
+            ["--input", "x", "--k", "2", "--n", "3", "--epsilon", "0.2", "--delta", "0.2",
+             "--mode", "both", "--seed", "1", "--format", "tsv", "--override", "rho=2",
+             "--generate", "diagonal", "--m", "5"]
+        )
+        assert set(vars(every)) == {f.name for f in dataclasses.fields(RunConfig)}
 
     def test_bad_override_exit(self):
         code = main(

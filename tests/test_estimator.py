@@ -136,6 +136,11 @@ class TestConfigs:
             ({"omega": 0.0}, "omega must be positive"),
             ({"omega": math.inf}, "omega must be finite"),
             ({"max_chunk": 0}, "max_chunk must be >= 1"),
+            ({"eps_reps": 2.5}, "non-integer eps_reps 2.5"),
+            ({"amplification": 2.5}, "non-integer amplification 2.5"),
+            ({"max_chunk": 2.5}, "non-integer max_chunk 2.5"),
+            ({"rounds": 1.5}, "non-integer rounds 1.5"),
+            ({"rho": 3.5}, "non-integer rho 3.5"),
         ]:
             ov = EstimatorOverrides(**bad)
             with pytest.raises(ConfigurationError, match=message):
@@ -160,6 +165,16 @@ class TestConfigs:
                 StreamDistanceEstimator(2, 4, 0.3, delta)
             with pytest.raises(ConfigurationError, match=f"delta={delta} outside"):
                 dimension_reduce(4, subs, 0.3, delta)
+
+    def test_layer_counts_checked(self):
+        for bad, message in [
+            ({"count_threshold": 2.5}, "non-integer count_threshold 2.5"),
+            ({"count_threshold": 0}, "count_threshold must be >= 1"),
+            ({"phase_steps": 2.5}, "non-integer phase_steps 2.5"),
+            ({"phase_steps": 0}, "phase_steps must be >= 1"),
+        ]:
+            with pytest.raises(ConfigurationError, match=message):
+                LayerConfig.from_targets(0.3, 16, 1e3, **bad)
 
     def test_layer_scale_override(self):
         full = LayerConfig.from_targets(0.3, 64, value_bound=1e6)
@@ -466,6 +481,12 @@ class TestPipeline:
         stream = [(a, b) for a in range(1, 5) for b in range(1, 5)] * 8
         rep = independence_distance(TupleStream(2, 4, stream), 0.3, 0.1, seed=3)
         assert rep.distance_estimate <= 0.3
+
+    def test_integral_float_domain_gives_the_int_estimate(self):
+        stream = [(1, 1), (2, 2), (1, 3), (4, 2)] * 15
+        a = independence_distance(TupleStream(2, 4.0, stream), 0.3, 0.1, seed=4)
+        b = independence_distance(TupleStream(2, 4, stream), 0.3, 0.1, seed=4)
+        assert a.to_json() == b.to_json()
 
     def test_reports_are_deterministic(self):
         stream = [(1, 1), (2, 2), (1, 2)] * 20

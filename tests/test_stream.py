@@ -9,16 +9,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from indisketch import (
+    ConfigurationError,
     EmptyStreamError,
     EstimateReport,
     FrequencyTable,
     MalformedInputError,
+    StreamDistanceEstimator,
     TupleStream,
     build_frequency_table,
+    dimension_reduce,
     distance_from_tensor_norm,
     exact_statistical_distance,
     independence_tensor_entry,
 )
+from indisketch.cli import RunConfig, run
+from indisketch.estimator import vector_sub_oracles
 from indisketch import stream as stream_mod
 from indisketch.stream import RECORD_BLOCK, TupleTally, checked_tuple, record_blocks
 
@@ -124,6 +129,32 @@ class TestCoordinateChecks:
         with pytest.raises(MalformedInputError) as err:
             list(record_blocks(source + [(3, 1)], 2, 2, start=10))
         assert err.value.index == 10 + RECORD_BLOCK + 5
+
+
+@pytest.mark.parametrize(
+    "k,n,message",
+    [
+        (2.5, 4, "non-integer k 2.5"),
+        (1, 4, "k must be >= 2"),
+        (2, 0, "n must be >= 1"),
+        (2, -1, "n must be >= 1"),
+        (2, 2.5, "non-integer n 2.5"),
+    ],
+)
+def test_domain_checked_on_every_route(k, n, message):
+    """[n]^k needs an integral k >= 2 and n >= 1 on every route: a stream,
+    a run (which validates its RunConfig first), the one-pass estimator and
+    the oracle reduction, which has no arity."""
+    routes = [
+        lambda: TupleStream(k, n, []),
+        lambda: run(RunConfig(k=k, n=n, generate="diagonal", m=5)),
+        lambda: StreamDistanceEstimator(k, n, 0.3, 0.1),
+    ]
+    if k == 2:
+        routes.append(lambda: dimension_reduce(n, vector_sub_oracles([1.0]), 0.3, 0.1))
+    for route in routes:
+        with pytest.raises(ConfigurationError, match=message):
+            route()
 
 
 GOOD_COORD = st.integers(1, 3)
@@ -238,6 +269,17 @@ class TestIndependenceTensorEntry:
     def test_empty_stream_error(self):
         with pytest.raises(EmptyStreamError):
             independence_tensor_entry(table_of([]), (1, 1))
+
+    def test_index_checked_as_a_record(self):
+        t = table_of([(1, 1), (2, 2)])
+        assert independence_tensor_entry(t, (np.int64(1), 2.0)) == -1
+        for index, message in [
+            ((1.5, 1), "non-integer coordinate 1.5"),  # never read as (1, 1)
+            ((1, 1, 1), "expected 2 coordinates, got 3"),
+            ((3, 1), "coordinate 3 outside"),
+        ]:
+            with pytest.raises(MalformedInputError, match=message):
+                independence_tensor_entry(t, index)
 
     def test_bound(self):
         t = table_of([(1, 1)] * 4)
