@@ -8,12 +8,14 @@ reproduce them bit for bit, because a bank's tables are pure functions of
 
 import hashlib
 import json
+import random
 
 import numpy as np
 import pytest
 
 from indisketch import (
     CoverConfig,
+    EstimatorOverrides,
     LayerConfig,
     TournamentConfig,
     TupleStream,
@@ -26,7 +28,16 @@ from indisketch import (
     tensor_tournament,
 )
 from indisketch.cli import generate_synthetic
-from indisketch.estimator import StreamDistanceEstimator, _split_masks, vector_sub_oracles
+from indisketch.estimator import (
+    StreamDistanceEstimator,
+    _AmpPlan,
+    _CoverPlan,
+    _LeafRef,
+    _ReducePlan,
+    _TournamentPlan,
+    _split_masks,
+    vector_sub_oracles,
+)
 from indisketch.hashing import (
     BucketHash,
     CauchySource,
@@ -173,6 +184,100 @@ def test_registry_tables_of_a_k3_estimator():
         hashlib.sha256(diag).hexdigest()
         == "b0513d9b9601825db9162fa2e669116402098fc055b291c03b1d3e9da04fd870"
     )
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _plan_tree(node):
+    """The plan tree as nested lists: every phase, level, bucket and round
+    in evaluation order, with each leaf as its bank handle [s, s', start, stop]."""
+    if isinstance(node, _LeafRef):
+        (s, s_prime), start, stop = node.handle
+        return [s, s_prime, start, stop]
+    if isinstance(node, _ReducePlan):
+        return [_plan_tree(a) for a in node.amps]
+    if isinstance(node, _AmpPlan):
+        return [node.q, [[j, _plan_tree(c)] for j, c in node.levels]]
+    if isinstance(node, _CoverPlan):
+        return [[s, _plan_tree(t)] for s, t in node.buckets.items()]
+    if isinstance(node, _TournamentPlan):
+        return [[p and [_plan_tree(x) for x in p] for p in sides] for sides in node.rounds]
+    raise TypeError(f"not a plan node: {node!r}")
+
+
+@pytest.mark.parametrize(
+    "k,n,seed,overrides,expected,shapes,plan",
+    [
+        (2, 8, 3, None, {
+            (1, 0): ("1e897be58c3734104df02177c97ac1f83f636dc840d43c2889608bac97da0358",
+                     "05c1ef5a85ffde57aefc19d6a0f89e9134d4b10f91dfd9e3375713f77dad33db",
+                     "c880b80dca3873800f1a72d78dee05836bc9874df7f4e021c5c12e4bc9eaad17"),
+            (1, 1): ("1e897be58c3734104df02177c97ac1f83f636dc840d43c2889608bac97da0358",
+                     "4ed97b5198999561fdeabd88bd5660ea13db17ff5c39eeceafddff8c59d56dba",
+                     "3fb485199da7f938db51837c350ec1a641d118832c595ddfc56da1a4fdaebd68"),
+        }, {(1, 0): (5184, 2, 8), (1, 1): (43200, 1, 8)},
+            "0e5009f570a40c04c0ae1e937933f6cddde8ca9196f753bffc4ba8dc735dbccb"),
+        # three depths and four groups
+        (4, 2, 5, EstimatorOverrides(amplification=2, rounds=1), {
+            (1, 0): ("94b5e5683baeea24c24128521f595d5bcc874bf4763236cadd45ceb710a40414",
+                     "94617adc10b6bda9b1a802c1aaef2ee7cd88aff59ed929ad396ddef2363627ec",
+                     "268ae85af93df88cf9fde28f685b022f819ddc6644e02be4d1d733ca1bcd4209"),
+            (2, 1): ("6f805958aa99da5eb88a075e3deb73aaa6d788f597f934fd5fe08a84c7a0f0e1",
+                     "101dfee6bb8ff5cc0bab7a05ec294e2a06fe399f9b94d2d42546921d0acfce9d",
+                     "38a3dc188cc12d4b3a4c15c0336ef32613535f769e71ea8ed8da3511bc495030"),
+            (3, 2): ("3b2ce704fc0870171abf65e438ddce029792655f52be61957aad1f46d13e36bc",
+                     "83b3007683a8329bbf6fb92396ab8b0075607d4dcf1507f382df71c3e8b1db79",
+                     "274abc4d687b4f785ec9145f66981bc1557a9a9ce3bbb799f894cc265f974da4"),
+            (3, 3): ("3b2ce704fc0870171abf65e438ddce029792655f52be61957aad1f46d13e36bc",
+                     "7a4107e13162d2bc6b242eaf1a5bac2330e12cb948b847784b17a01a82705e31",
+                     "04002c603c30efad0f23636585443a328e2884a95749051e0daabc45115b1ee8"),
+        }, {(1, 0): (96, 4, 2), (2, 1): (384, 3, 2), (3, 2): (1536, 2, 2), (3, 3): (12800, 1, 2)},
+            "f5305c083d9079aaaa78c3f866ccdffd0517abb28fc8a11fe0e64ca019472b73"),
+    ],
+    ids=["k2-n8", "k4-n2-three-depths"],
+)
+def test_registry_and_plan_of_an_estimator(k, n, seed, overrides, expected, shapes, plan):
+    """Every group's prefix, bank and coefficient arrays, the group order, and
+    the plan tree with its leaves' handles in evaluation order."""
+    est = StreamDistanceEstimator(k, n, 0.3, 0.1, seed=seed, overrides=overrides)
+    got = {
+        key: tuple(_sha(np.ascontiguousarray(g[f]).tobytes()) for f in ("prefix", "bank", "coeff"))
+        for key, g in est.registry.groups.items()
+    }
+    assert got == expected and list(got) == list(expected)
+    assert {key: g["coeff"].shape for key, g in est.registry.groups.items()} == shapes
+    assert _sha(json.dumps(_plan_tree(est.plan)).encode()) == plan
+
+
+class TestFormulaRounds:
+    """The 91-round tournaments of the cover criterion (epsilon 0.1, delta 0.1)."""
+
+    tcfg = TournamentConfig.from_targets(0.1, 0.1, beta=1.0)
+
+    def test_split_masks(self):
+        assert self.tcfg.rounds == 91
+        H = np.ones(64, dtype=np.uint8)
+        masks = np.array([[m0, m1] for _, m0, m1 in _split_masks(H, 91, 12345)])
+        assert masks.shape == (91, 2, 64) and int(masks.sum()) == 5824
+        assert _sha(masks.tobytes()) == (
+            "2ad9ec580d08a73d351f290fdd1ec4e187ddfe0fb645b03d16a723719a4c5545"
+        )
+
+    def test_cover_algorithm(self):
+        ccfg = CoverConfig.from_targets(0.3, 0.1, self.tcfg.alpha, rho=127)
+        rnd = random.Random(9)
+        got = []
+        for s in range(4):
+            v = np.ones(64)
+            v[rnd.sample(range(64), 2)] = 130.0
+            out = cover_algorithm(np.ones(64, np.uint8), ccfg, self.tcfg, vector_sub_oracles(v), seed=s)
+            got.append(sorted(out.items()))
+        assert [len(g) for g in got] == [64, 64, 64, 64]
+        assert _sha(json.dumps(got).encode()) == (
+            "e5360cd86fe725d39d65c26c6f66550ee01d56d1bd07c21fb1bef5b86cfc7c1b"
+        )
 
 
 class TestOracleRoute:
