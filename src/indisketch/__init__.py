@@ -53,7 +53,6 @@ from .estimator import (
     polylog_l1_estimate,
     vector_sub_oracles,
     layered_l1_estimate,
-    sampling_level,
     split_compare_ratio,
     tensor_tournament,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "prefix_zero",
     "reference_sketch_value",
     "run",
-    "sampling_level",
     "split_compare_ratio",
     "suffix_sum",
     "tensor_tournament",

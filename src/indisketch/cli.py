@@ -74,8 +74,9 @@ class RunConfig:
     overrides: Dict[str, str] = field(default_factory=dict)
 
     def validate(self) -> None:
-        """Check every setting before any work; integral k, n and m become ints."""
+        """Check every setting before any work; integral k, n, m and seed become ints."""
         self.k, self.n = checked_domain(self.k, self.n)
+        self.seed = checked_count("seed", self.seed, least=None)
         if self.mode not in MODES:
             raise ConfigurationError(f"unknown mode {self.mode!r}")
         if self.mode != "exact":

@@ -28,17 +28,17 @@ to top:
    into a full-norm estimator, with median amplification of the 2/3
    success probability.
 
-``_build_reduce_plan`` builds the four stages as one tree of plan nodes
-from one set of constants (``_stack_configs``) and a leaf factory, which
-gives each non-empty tournament side a (coarse, sharp) pair of nodes.
-Sketch leaves (``StreamDistanceEstimator`` / ``independence_distance``)
+``_build_reduce_plan`` builds the four stages as one tree of plan nodes, one
+depth at a time, from one set of constants (``_stack_configs``) and a leaf
+factory, which gives each non-empty tournament side a (coarse, sharp) pair of
+nodes. Sketch leaves (``StreamDistanceEstimator`` / ``independence_distance``)
 are product-sketch banks, all registered before the one pass, with a child
 reduction as the sharp node above the last depth. Oracle leaves
 (``tensor_tournament``, ``cover_algorithm``, ``dimension_reduce``) call
 injected ``SubAlgorithms`` when evaluated; ``layered_l1_estimate`` takes a
-caller's cover for each level. Exact sub-oracles built from the dense
-tensor module let property tests isolate the combinatorial logic from
-sketch noise while running the plan classes the sketch pipeline runs.
+caller's cover for each level. Exact sub-oracles built from the dense tensor
+module let property tests isolate the combinatorial logic from sketch noise
+while running the plan classes the sketch pipeline runs.
 """
 
 from __future__ import annotations
@@ -59,9 +59,8 @@ from .errors import (
 )
 from .hashing import (
     FOLD_BLOCK,
-    BucketHash,
-    ZeroOneHash,
     batched_cauchy_tables,
+    bucket_tables,
     counter_uniform,
     default_truncation,
     derive_key,
@@ -396,43 +395,17 @@ _TAG_BANK_B = 0x7A08
 _TAG_CHILD = 0x7A09
 
 
-def _split_masks(H: Mask, rounds: int, seed: int):
-    """Per-round halving masks (round, kept-by-1, kept-by-0); the split
-    hashes of all rounds are tabulated in one step."""
-    split = derive_key(seed, _TAG_SPLIT)
-    seeds = [derive_key(split, r) for r in range(rounds)]  # = derive_key(seed, _TAG_SPLIT, r)
-    kept1 = H * zero_one_tables(seeds, H.shape[0], 0.5)
-    kept0 = H - kept1
-    for r in range(rounds):
-        yield r, kept0[r], kept1[r]
+def _seeds(seed) -> np.ndarray:
+    """A caller's integral seed as a one-element uint64 array, mod 2^64 like ``derive_key``."""
+    return np.array([checked_count("seed", seed, least=None) % 2**64], dtype=np.uint64)
 
 
-def _bucket_masks(H: Mask, rho: int, seed: int):
-    """Occupied (bucket, mask) pairs; unoccupied buckets are exactly null."""
-    n = H.shape[0]
-    g = BucketHash(seed=int(derive_key(seed, _TAG_BUCKET)), n=n, buckets=rho).table(n)
-    # a set rather than np.unique, which imports numpy.ma on its first call
-    for s in sorted(set(g[H > 0].tolist())):
-        yield s, (H * (g == s)).astype(np.uint8)
-
-
-def _level_masks(n: int, cfg: LayerConfig, seed: int):
-    """Subsampling levels (j, mask, level seed); levels that can never
-    enter the count window are skipped (their counts are bounded by the
-    selected-coordinate population, which already falls below the window).
-    """
-    floor = cfg.count_threshold / (1.0 + cfg.epsilon) ** 2
-    yield 0, np.ones(n, dtype=np.uint8), int(derive_key(seed, _TAG_LEVEL, 0))
-    if n <= floor:
-        return
-    for j in range(1, cfg.levels + 1):
-        keep = (1.0 + cfg.epsilon) ** (-j)
-        mask = ZeroOneHash(
-            seed=int(derive_key(seed, _TAG_LEVEL, j, 1)), n=n, q=keep
-        ).table(n)
-        if int(mask.sum()) <= floor:
-            continue
-        yield j, mask, int(derive_key(seed, _TAG_LEVEL, j))
+def _split_masks(H: np.ndarray, rounds: int, seeds: np.ndarray) -> np.ndarray:
+    """Each tournament's per-round halves (kept-by-0, kept-by-1), (T, rounds, 2, n), from its
+    mask (a row of H) and seed; the split hashes of all rounds are tabulated in one step."""
+    split = derive_key(seeds[:, None], _TAG_SPLIT, np.arange(rounds, dtype=np.uint64))
+    kept1 = H[:, None, :] * zero_one_tables(split, H.shape[1], 0.5)
+    return np.stack([H[:, None, :] - kept1, kept1], axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -448,20 +421,6 @@ def split_compare_ratio(V, Z) -> Tuple[float, float]:
     z = np.asarray(Z.table(v.shape[0]) if callable(Z) else Z, dtype=np.float64)
     x = float((v * z).sum())
     return x, float(v.sum() - x)
-
-
-def sampling_level(x: float, cfg: LayerConfig) -> int:
-    """Smallest level f with x <= threshold*(1+eps)^f (requires x > threshold)."""
-    chi = cfg.count_threshold
-    if x <= chi:
-        raise ConfigurationError(f"sampling_level domain requires x > {chi}, got {x}")
-    growth = 1.0 + cfg.epsilon
-    f = math.ceil(math.log(x / chi) / math.log(growth) - 1e-12)
-    while chi * growth**f < x:
-        f += 1
-    while f > 1 and chi * growth ** (f - 1) >= x:
-        f -= 1
-    return f
 
 
 StackConfigs = Tuple[LayerConfig, TournamentConfig, CoverConfig, int]
@@ -534,8 +493,9 @@ class _Call:
         return self.fn(*self.args)
 
 
-# leaves(mask, tournament config, tournament seed, round, side) -> (coarse, sharp)
-Leaves = Callable[[Mask, TournamentConfig, int, int, int], Tuple[object, object]]
+# leaves(side masks (S, n), tournament config, tournament seeds, rounds, sides, instances)
+# -> a (coarse, sharp) pair per side; leaves.descend() -> (child reductions, their seeds)
+Leaves = Callable[..., List[Tuple[object, object]]]
 
 
 @dataclass
@@ -549,7 +509,7 @@ class _TournamentPlan:
     """
 
     cfg: TournamentConfig
-    rounds: List[Tuple[Optional[Tuple[object, object]], Optional[Tuple[object, object]]]]
+    rounds: List[List[Optional[Tuple[object, object]]]]  # [side 0, side 1] per round
 
     def evaluate(self, med) -> float:
         beta = self.cfg.beta
@@ -620,67 +580,100 @@ class _ReducePlan:
         return _median([a.evaluate(med) for a in self.amps])
 
 
-def _tournament_plan(
-    H: Mask, cfg: TournamentConfig, seed: int, leaves: Leaves
-) -> _TournamentPlan:
-    rounds = []
-    for rd, m0, m1 in _split_masks(H, cfg.rounds, seed):
-        # an empty side reads 0; count_nonzero is one C call, ndarray.any is not
-        rounds.append((
-            leaves(m0, cfg, seed, rd, 0) if np.count_nonzero(m0) else None,
-            leaves(m1, cfg, seed, rd, 1) if np.count_nonzero(m1) else None,
-        ))
-    return _TournamentPlan(cfg=cfg, rounds=rounds)
+def _tournament_plans(
+    H, seeds, inst, cfg: TournamentConfig, leaves: Leaves
+) -> List[_TournamentPlan]:
+    """The tournaments of the masks H (T, n) with seeds and instances (T,);
+    ``leaves`` is called once, with every nonempty side of every round."""
+    sides = _split_masks(H, cfg.rounds, seeds)
+    t, rd, side = np.nonzero(sides.any(axis=3))  # an empty side reads 0
+    pairs = leaves(sides[t, rd, side], cfg, seeds[t], rd, side, inst[t])
+    plans = [_TournamentPlan(cfg, [[None, None] for _ in range(cfg.rounds)]) for _ in H]
+    for ti, r, si, pair in zip(t.tolist(), rd.tolist(), side.tolist(), pairs):
+        plans[ti].rounds[r][si] = pair
+    return plans
 
 
-def _cover_plan(
-    H: Mask, cfg: CoverConfig, tcfg: TournamentConfig, seed: int, leaves: Leaves
-) -> _CoverPlan:
-    return _CoverPlan(buckets={
-        s: _tournament_plan(mask, tcfg, int(derive_key(seed, _TAG_TOURN, s)), leaves)
-        for s, mask in _bucket_masks(H, cfg.rho, seed)
-    })
+def _cover_plans(
+    H, seeds, inst, cfg: CoverConfig, tcfg: TournamentConfig, leaves: Leaves
+) -> List[_CoverPlan]:
+    """The covers of the masks H (C, n) with seeds and instances (C,): one
+    tournament per occupied bucket; unoccupied buckets are exactly null."""
+    g = bucket_tables(derive_key(seeds, _TAG_BUCKET), H.shape[1], cfg.rho)
+    c, i = np.nonzero(H)
+    keys = np.sort(c * cfg.rho + (g[c, i] - 1))
+    keys = keys[np.diff(keys, prepend=-1) != 0]  # (cover, bucket) pairs in order
+    owner, bucket = keys // cfg.rho, keys % cfg.rho + 1
+    masks = H[owner] * (g[owner] == bucket[:, None])
+    tseeds = derive_key(seeds[owner], _TAG_TOURN, bucket)
+    plans = [_CoverPlan({}) for _ in H]
+    tplans = _tournament_plans(masks, tseeds, inst[owner], tcfg, leaves)
+    for o, s, plan in zip(owner.tolist(), bucket.tolist(), tplans):
+        plans[o].buckets[s] = plan
+    return plans
 
 
-def _amp_plan(
-    n: int, cfg: LayerConfig, seed: int, cover: Callable[[Mask, int], object]
-) -> _AmpPlan:
-    """``cover(mask, level_seed)`` gives the cover node of each level."""
-    levels = [(j, cover(mask, lseed)) for j, mask, lseed in _level_masks(n, cfg, seed)]
-    u = float(counter_uniform(derive_key(seed, _TAG_PHASE), 0))
-    q = min(cfg.phase_steps - 1, int(u * cfg.phase_steps))  # the layer grid's phase
-    return _AmpPlan(q=q, lcfg=cfg, levels=levels)
+def _amp_plans(n: int, cfg: LayerConfig, seeds, covers: Callable) -> List[_AmpPlan]:
+    """The layered summations seeded by ``seeds``; ``covers(masks, level seeds,
+    owners)`` gives every kept level's cover node. Levels that can never enter
+    the count window are skipped (their counts are bounded by the selected-
+    coordinate population, which already falls below it); level 0 keeps all."""
+    level_seeds = derive_key(seeds[:, None], _TAG_LEVEL, np.arange(cfg.levels + 1, dtype=np.uint64))
+    keep = [(1.0 + cfg.epsilon) ** (-j) for j in range(cfg.levels + 1)]
+    masks = zero_one_tables(derive_key(level_seeds, 1), n, keep)
+    kept = masks.sum(axis=2) > cfg.count_threshold / (1.0 + cfg.epsilon) ** 2
+    kept[:, 0] = True
+    a, j = np.nonzero(kept)
+    u = counter_uniform(derive_key(seeds, _TAG_PHASE), 0)
+    q = np.minimum(cfg.phase_steps - 1, (u * cfg.phase_steps).astype(np.int64))  # the grid's phase
+    plans = [_AmpPlan(q=x, lcfg=cfg, levels=[]) for x in q.tolist()]
+    for ai, ji, cover in zip(a.tolist(), j.tolist(), covers(masks[a, j], level_seeds[a, j], a)):
+        plans[ai].levels.append((ji, cover))
+    return plans
 
 
 def _build_reduce_plan(n: int, configs: StackConfigs, seed: int, leaves: Leaves) -> _ReducePlan:
-    """The tournament -> cover -> layer stack of one dimension reduction.
-    Everything random is drawn here; a sketch-backed factory registers its
-    banks as the plan is built, before the pass."""
+    """The tournament -> cover -> layer stack of one dimension reduction. All
+    reductions of one depth pass each stage together, drawing seeds and masks
+    as arrays, and meet ``leaves`` in one call; the child reductions it hands
+    back from ``descend()`` are the next depth. Everything random is drawn
+    here; a sketch-backed factory registers its banks before the pass."""
     lcfg, tcfg, ccfg, amp = configs
 
-    def cover(mask: Mask, level_seed: int) -> _CoverPlan:
-        return _cover_plan(mask, ccfg, tcfg, level_seed, leaves)
+    def covers(masks, level_seeds, owner):
+        return _cover_plans(masks, level_seeds, owner // amp, ccfg, tcfg, leaves)
 
-    return _ReducePlan(
-        amps=[_amp_plan(n, lcfg, int(derive_key(seed, _TAG_AMP, r)), cover) for r in range(amp)]
-    )
+    root = _ReducePlan([])
+    plans, seeds = [root], _seeds(seed)
+    while plans:
+        amp_seeds = derive_key(seeds[:, None], _TAG_AMP, np.arange(amp, dtype=np.uint64))
+        amps = _amp_plans(n, lcfg, amp_seeds.ravel(), covers)
+        for i, plan in enumerate(plans):
+            plan.amps = amps[i * amp : (i + 1) * amp]
+        plans, seeds = leaves.descend()
+    return root
 
 
-def _oracle_leaves(subs: SubAlgorithms) -> Leaves:
+@dataclass
+class _OracleLeaves:
     """Leaves that call the sub-oracles at the tournament's epsilon and failure rate."""
 
-    def leaves(mask: Mask, cfg: TournamentConfig, *_seed) -> Tuple[_Call, _Call]:
-        return (
-            _Call(subs.approx_a, (mask, cfg.subcall_delta)),
-            _Call(subs.approx_b, (mask, cfg.epsilon, cfg.subcall_delta)),
-        )
+    subs: SubAlgorithms
 
-    return leaves
+    def __call__(self, masks, cfg: TournamentConfig, *_per_side) -> List[Tuple[_Call, _Call]]:
+        a, b, d = self.subs.approx_a, self.subs.approx_b, cfg.subcall_delta
+        return [(_Call(a, (m, d)), _Call(b, (m, cfg.epsilon, d))) for m in masks]
+
+    def descend(self):
+        return [], None  # no child reductions
 
 
 # ---------------------------------------------------------------------------
 # the public stack: thin drivers over the plan tree with oracle leaves
 # ---------------------------------------------------------------------------
+
+
+_ONE = np.zeros(1, dtype=np.int64)  # the instance of a driver's one tournament or cover
 
 
 def _as_mask(H) -> Mask:
@@ -694,7 +687,8 @@ def tensor_tournament(
     H, cfg: TournamentConfig, subs: SubAlgorithms, seed: int = 0
 ) -> float:
     """Certifying tournament (``_TournamentPlan``) over exact or injected sub-oracles."""
-    return _tournament_plan(_as_mask(H), cfg, seed, _oracle_leaves(subs)).evaluate(None)
+    (plan,) = _tournament_plans(_as_mask(H)[None], _seeds(seed), _ONE, cfg, _OracleLeaves(subs))
+    return plan.evaluate(None)
 
 
 def cover_algorithm(
@@ -705,7 +699,8 @@ def cover_algorithm(
     seed: int = 0,
 ) -> Dict[int, float]:
     """Cover (``_CoverPlan``): the strictly positive tournament outputs by bucket."""
-    return _cover_plan(_as_mask(H), cfg, tcfg, seed, _oracle_leaves(subs)).outputs(None)
+    (plan,) = _cover_plans(_as_mask(H)[None], _seeds(seed), _ONE, cfg, tcfg, _OracleLeaves(subs))
+    return plan.outputs(None)
 
 
 def layered_l1_estimate(
@@ -720,7 +715,11 @@ def layered_l1_estimate(
     of the vector restricted to the masked coordinates, at precision
     ``cfg.cover_precision`` and failure ``cfg.cover_delta``.
     """
-    plan = _amp_plan(n, cfg, seed, lambda mask, lseed: _Call(run_cover, (mask, lseed)))
+
+    def covers(masks, level_seeds, _owner):
+        return [_Call(run_cover, (m, s)) for m, s in zip(masks, level_seeds.tolist())]
+
+    (plan,) = _amp_plans(n, cfg, _seeds(seed), covers)
     return plan.evaluate(None)
 
 
@@ -740,7 +739,7 @@ def dimension_reduce(
     """
     n = checked_count("n", n)
     configs, _ = _stack_configs(n, epsilon, delta, subs.beta, overrides or EstimatorOverrides())
-    return _build_reduce_plan(n, configs, seed, _oracle_leaves(subs)).evaluate(None)
+    return _build_reduce_plan(n, configs, seed, _OracleLeaves(subs)).evaluate(None)
 
 
 def exact_sub_oracles(M, beta: float = 1.0) -> SubAlgorithms:
@@ -797,7 +796,7 @@ class _BankRegistry:
 
     def __init__(self, k: int, n: int, omega: float):
         self.k, self.n, self.omega = k, n, float(omega)
-        self._pending: Dict[Tuple[int, int], List[Tuple[Sequence[Mask], int]]] = (
+        self._pending: Dict[Tuple[int, int], List[Tuple[np.ndarray, np.ndarray]]] = (
             defaultdict(list)
         )
         self._reps: Dict[Tuple[int, int], int] = {}
@@ -805,19 +804,20 @@ class _BankRegistry:
         self.m_seen = 0
         self.frozen = False
 
-    def add_bank(self, prefix: Sequence[Mask], s_prime: int, reps: int, seed: int):
-        """Register `reps` repetitions; returns a handle for later medians."""
+    def add_bank(self, prefix: np.ndarray, s_prime: int, reps: int, seeds) -> List[Tuple]:
+        """Register one bank of `reps` repetitions per row of ``prefix``
+        (banks, s, n) and of ``seeds``; returns their handles for later medians."""
         if self.frozen:
             raise ConfigurationError("registry is frozen once the pass begins")
-        key = (len(prefix), s_prime)
+        key = (prefix.shape[1], s_prime)
         have = self._reps.get(key)
         if have is None:  # a group's first bank sets, and checks, its count
             have = self._reps[key] = checked_count("repetitions", reps)
         elif have != reps:
             raise ConfigurationError(f"group {key} has {have} repetitions per bank, not {reps}")
-        start = len(self._pending[key]) * have
-        self._pending[key].append((prefix, int(seed)))
-        return (key, start, start + have)
+        first = sum(len(p) for p, _ in self._pending[key])
+        self._pending[key].append((prefix, np.asarray(seeds).astype(np.uint64)))
+        return [(key, b * have, (b + 1) * have) for b in range(first, first + len(prefix))]
 
     def freeze(self):
         """Materialize all tables; no banks may be added afterwards.
@@ -826,19 +826,18 @@ class _BankRegistry:
         ``ProductSketchState.from_seeds(..., seed=bank seed, rep=r)``, so
         any row can be cross-checked against the scalar reference.
         """
-        for key, entries in self._pending.items():
-            s, s_prime = key
-            reps = self._reps[key]
-            prefixes, seeds = zip(*entries)
-            row_seeds = repetition_seeds(np.array(seeds, dtype=np.uint64), reps)
+        for key in list(self._pending):
+            prefixes, seeds = zip(*self._pending.pop(key))
+            prefix = np.concatenate(prefixes, dtype=np.float64)
+            row_seeds = repetition_seeds(np.concatenate(seeds), self._reps[key])
+            del prefixes, seeds  # the registered arrays are not held through the Cauchy fill
             self.groups[key] = {
-                "prefix": np.array(prefixes, dtype=np.float64).reshape(len(entries), s, self.n),
-                "bank": np.repeat(np.arange(len(entries), dtype=np.int32), reps),
-                "coeff": batched_cauchy_tables(row_seeds, self.k - s_prime, self.n, self.omega),
+                "prefix": prefix,
+                "bank": np.repeat(np.arange(len(prefix), dtype=np.int32), self._reps[key]),
+                "coeff": batched_cauchy_tables(row_seeds, self.k - key[1], self.n, self.omega),
                 "joint": np.zeros(len(row_seeds), dtype=np.float64),
                 "margins": np.zeros((len(row_seeds), self.k), dtype=np.float64),
             }
-        self._pending.clear()
         self.frozen = True
 
     def bulk_update(self, tuples: np.ndarray, counts: np.ndarray):
@@ -901,7 +900,8 @@ class SketchBank:
         self.k, self.n, self.s, self.s_prime = k, n, s, s_prime
         self.repetitions = repetitions
         self.registry = _BankRegistry(k, n, default_truncation(k, n) if omega is None else omega)
-        self.leaf = _LeafRef(self.registry.add_bank(masks, s_prime, repetitions, seed))
+        prefix = np.array(masks, dtype=np.float64).reshape(1, s, n)
+        self.leaf = _LeafRef(self.registry.add_bank(prefix, s_prime, repetitions, [seed])[0])
         self.registry.freeze()
         group = self.registry.groups[(s, s_prime)]
         self.joint, self.margins = group["joint"], group["margins"]
@@ -965,28 +965,33 @@ def polylog_l1_estimate(bank: SketchBank, delta: float, c: float = 64.0) -> floa
     return bank.median()
 
 
-def _bank_leaves(
-    reg: _BankRegistry,
-    depth: int,
-    prefix: List[Mask],
-    configs: StackConfigs,
-    ov: EstimatorOverrides,
-) -> Leaves:
-    """Leaves of the sketch pipeline at ``depth``: a coarse bank, and a sharp
-    bank at the last depth or a child reduction above it."""
+class _BankLeaves:
+    """Leaves of the sketch pipeline, one depth at a time: each side's
+    coarse bank, and its sharp bank at the last depth or a child reduction
+    above it. A depth's banks of one group are registered in one call."""
 
-    def leaves(mask: Mask, _cfg, seed: int, rd: int, side: int):
-        banked = prefix + [mask]
-        a_seed = int(derive_key(seed, _TAG_BANK_A, rd, side))
-        coarse = _LeafRef(reg.add_bank(banked, depth, ov.polylog_reps, a_seed))
+    def __init__(self, reg: _BankRegistry, ov: EstimatorOverrides):
+        self.reg, self.ov = reg, ov
+        self.prefix = np.zeros((1, 0, reg.n), dtype=np.uint8)  # each instance's masks above it
+
+    def __call__(self, masks, _cfg, seeds, rd, side, inst):
+        reg, ov, depth = self.reg, self.ov, self.prefix.shape[1]
+        banked = np.concatenate([self.prefix[inst], masks[:, None]], axis=1)
+        a_seeds = derive_key(seeds, _TAG_BANK_A, rd, side)
+        coarse = reg.add_bank(banked, depth, ov.polylog_reps, a_seeds)
         if depth + 2 == reg.k:
-            b_seed = int(derive_key(seed, _TAG_BANK_B, rd, side))
-            return coarse, _LeafRef(reg.add_bank(banked, reg.k - 1, ov.eps_reps, b_seed))
-        child_seed = int(derive_key(seed, _TAG_CHILD, rd, side))
-        child = _bank_leaves(reg, depth + 1, banked, configs, ov)
-        return coarse, _build_reduce_plan(reg.n, configs, child_seed, child)
+            b_seeds = derive_key(seeds, _TAG_BANK_B, rd, side)
+            sharp = map(_LeafRef, reg.add_bank(banked, reg.k - 1, ov.eps_reps, b_seeds))
+            self.children = ([], None, None)
+        else:
+            sharp = [_ReducePlan([]) for _ in coarse]
+            self.children = (sharp, derive_key(seeds, _TAG_CHILD, rd, side), banked)
+        return list(zip(map(_LeafRef, coarse), sharp))
 
-    return leaves
+    def descend(self):
+        """The child reductions of the depth just built and their seeds."""
+        plans, seeds, self.prefix = self.children
+        return plans, seeds
 
 
 SNAPSHOT_FORMAT = "indisketch-snapshot/1"
@@ -1014,7 +1019,7 @@ class StreamDistanceEstimator:
         k, n = checked_domain(k, n)
         self.k, self.n = k, n
         self.epsilon, self.delta = epsilon, delta
-        self.seed = int(seed)
+        self.seed = checked_count("seed", seed, least=None)
         ov = overrides or EstimatorOverrides()
         if ov.beta is None:
             ov = ov.replace(beta=max(2.0, math.log2(max(n, 4))) ** k)
@@ -1023,9 +1028,7 @@ class StreamDistanceEstimator:
         self.configs, ov = _stack_configs(n, epsilon, delta, ov.beta, ov)
         self.overrides = ov
         self.registry = _BankRegistry(k, n, ov.omega)
-        self.plan = _build_reduce_plan(
-            n, self.configs, self.seed, _bank_leaves(self.registry, 0, [], self.configs, ov)
-        )
+        self.plan = _build_reduce_plan(n, self.configs, self.seed, _BankLeaves(self.registry, ov))
         self.registry.freeze()
         self.records_consumed = 0
         self._chunk = TupleTally(k, n)

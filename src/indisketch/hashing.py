@@ -14,11 +14,11 @@ arithmetic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
 
 import numpy as np
+
+from .stream import _integral, checked_count, checked_unit
 
 # Prime modulus for the (a*i + b) mod p family. Must exceed 2^31 so that
 # threshold probabilities are quantized no coarser than 2^-31, and must be
@@ -125,17 +125,17 @@ _TAG_ZERO_ONE = 0x5A01
 _TAG_BUCKET = 0x5A02
 
 
-def _field_coefficients(seed, tag: int) -> Tuple[int, int]:
-    """(a, b) of the field hash (a*i + b) mod p keyed by (seed, tag)."""
-    key = int(derive_key(seed, tag))
-    return (
-        _mix64_int((key + 1) & _MASK) % FIELD_PRIME,
-        _mix64_int((key + 2) & _MASK) % FIELD_PRIME,
-    )
+def _field_coefficients(seeds, tag: int):
+    """(a, b) of the field hash (a*i + b) mod p keyed by (seed, tag) of each seed (or one seed)."""
+    if isinstance(seeds, (list, tuple)):
+        seeds = np.array([int(s) & _MASK for s in seeds], dtype=np.uint64)
+    key = derive_key(seeds, tag)
+    with np.errstate(over="ignore"):
+        return tuple(_mix64_into(key + np.uint64(c)) % np.uint64(FIELD_PRIME) for c in (1, 2))
 
 
 def _field_values(a, b, n: int) -> np.ndarray:
-    """(a*i + b) mod p at i = 1..n; one row per coefficient pair when a, b are sequences."""
+    """(a*i + b) mod p at i = 1..n; one row per coefficient pair when a, b are arrays."""
     i = np.arange(1, n + 1, dtype=np.uint64)
     a = np.asarray(a, dtype=np.uint64)[..., None]
     b = np.asarray(b, dtype=np.uint64)[..., None]
@@ -143,21 +143,29 @@ def _field_values(a, b, n: int) -> np.ndarray:
 
 
 def _check_index(i, n: int) -> None:
-    if not 1 <= int(i) <= n:
+    if not 1 <= _integral(i, None, "index") <= n:
         raise IndexError(f"index {i} outside [1, {n}]")
 
 
-def _threshold(q: float) -> int:
-    if not (0.0 <= q <= 1.0):
-        raise ValueError(f"probability q={q} outside [0, 1]")
-    return int(round(q * FIELD_PRIME))
+def _threshold(q) -> np.ndarray:
+    """round(q * p) of each probability q in [0, 1]."""
+    for x in np.ravel(q).tolist():
+        checked_unit("q", x, closed=True)
+    return np.rint(np.asarray(q, dtype=np.float64) * FIELD_PRIME).astype(np.uint64)
 
 
-def zero_one_tables(seeds: Sequence, n: int, q: float) -> np.ndarray:
-    """Tables of ZeroOneHash(seed, n, q) for many seeds in one step: (len(seeds), n) uint8."""
-    coeffs = [_field_coefficients(s, _TAG_ZERO_ONE) for s in seeds]
-    a, b = np.array(coeffs, dtype=np.uint64).reshape(-1, 2).T
-    return (_field_values(a, b, n) < np.uint64(_threshold(q))).astype(np.uint8)
+def zero_one_tables(seeds, n: int, q) -> np.ndarray:
+    """Tables of ZeroOneHash(seed, n, q) for many seeds in one step: uint8 of
+    the seeds' shape + (n,). ``q`` is one probability or one per seed."""
+    a, b = _field_coefficients(seeds, _TAG_ZERO_ONE)
+    return (_field_values(a, b, n) < _threshold(q)[..., None]).astype(np.uint8)
+
+
+def bucket_tables(seeds, n: int, buckets: int) -> np.ndarray:
+    """Tables of BucketHash(seed, n, buckets) for many seeds in one step: seeds' shape + (n,)."""
+    a, b = _field_coefficients(seeds, _TAG_BUCKET)
+    rho = np.uint64(checked_count("buckets", buckets))
+    return (np.uint64(1) + _field_values(a, b, n) % rho).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -177,10 +185,10 @@ class ZeroOneHash:
     threshold: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "threshold", _threshold(self.q))
+        object.__setattr__(self, "threshold", int(_threshold(self.q)))
         a, b = _field_coefficients(self.seed, _TAG_ZERO_ONE)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "a", int(a))
+        object.__setattr__(self, "b", int(b))
 
     def __call__(self, i):
         _check_index(i, self.n)
@@ -188,8 +196,7 @@ class ZeroOneHash:
 
     def table(self, n=None):
         """Vectorized evaluation over [1, n] as a uint8 array (index 0 <-> i=1)."""
-        v = _field_values(self.a, self.b, self.n if n is None else n)
-        return (v < np.uint64(self.threshold)).astype(np.uint8)
+        return zero_one_tables(self.seed, self.n if n is None else n, self.q)
 
 
 @dataclass(frozen=True)
@@ -207,19 +214,17 @@ class BucketHash:
     b: int = field(init=False)
 
     def __post_init__(self):
-        if self.buckets < 1:
-            raise ValueError("buckets must be >= 1")
+        object.__setattr__(self, "buckets", checked_count("buckets", self.buckets))
         a, b = _field_coefficients(self.seed, _TAG_BUCKET)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "a", int(a))
+        object.__setattr__(self, "b", int(b))
 
     def __call__(self, i):
         _check_index(i, self.n)
         return 1 + ((self.a * int(i) + self.b) % FIELD_PRIME) % self.buckets
 
     def table(self, n=None):
-        v = _field_values(self.a, self.b, self.n if n is None else n)
-        return (np.uint64(1) + v % np.uint64(self.buckets)).astype(np.int64)
+        return bucket_tables(self.seed, self.n if n is None else n, self.buckets)
 
 
 @dataclass(frozen=True)
@@ -283,7 +288,3 @@ def default_truncation(k: int, n: int) -> float:
     """Default clamp magnitude for the truncated Cauchy families: 100*k*n."""
     return 100.0 * k * n
 
-
-def cauchy_from_uniform(u: float) -> float:
-    """Reference inverse-CDF map used by tests: tan(pi*(u - 1/2))."""
-    return math.tan(math.pi * (u - 0.5))

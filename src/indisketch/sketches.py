@@ -42,10 +42,6 @@ from .hashing import FOLD_BLOCK, CauchySource, default_truncation, derive_key
 from .stream import FrequencyTable, TupleKey, checked_count, checked_tuple, checked_unit
 from . import tensor as tensor_ops
 
-def family_seed(seed: int, rep: int, family: int) -> int:
-    """Seed of one Cauchy family inside one repetition of a bank."""
-    return int(derive_key(seed, 0xCA, rep, family))
-
 
 def repetition_seeds(seed, repetitions) -> np.ndarray:
     """Per-repetition base seeds; family j of row r is derive_key(rows[r], j).
@@ -151,7 +147,7 @@ class ProductSketchState:
         coeff = []
         for j in range(fams):
             trunc = None if j == 0 else omega
-            src = CauchySource(seed=family_seed(seed, rep, j), truncation=trunc)
+            src = CauchySource(seed=int(derive_key(seed, 0xCA, rep, j)), truncation=trunc)
             coeff.append(src.table(n))
         prefix = [_as_table(h, n) for h in prefix_hashes]
         return cls(k=k, n=n, s=s, s_prime=s_prime, prefix=prefix, coeff=coeff)

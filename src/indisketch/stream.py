@@ -81,14 +81,14 @@ def _integral(x, index: Optional[int], what: str = "coordinate") -> int:
     return v
 
 
-def checked_count(name: str, x, least: int = 1) -> int:
+def checked_count(name: str, x, least: Optional[int] = 1) -> int:
     """``x`` as an int; ConfigurationError unless it is integral, as
-    ``_integral`` judges a coordinate, and at least ``least``."""
+    ``_integral`` judges a coordinate, and at least ``least`` (if not None)."""
     try:
         v = _integral(x, None, name)
     except MalformedInputError as e:
         raise ConfigurationError(str(e)) from None
-    if v < least:
+    if least is not None and v < least:
         raise ConfigurationError(f"{name} must be >= {least}")
     return v
 
@@ -98,10 +98,10 @@ def checked_domain(k, n) -> Tuple[int, int]:
     return checked_count("k", k, least=2), checked_count("n", n)
 
 
-def checked_unit(name: str, x) -> None:
-    """ConfigurationError unless 0 < x < 1, the range of epsilon and delta."""
-    if not 0.0 < x < 1.0:
-        raise ConfigurationError(f"{name}={x} outside (0, 1)")
+def checked_unit(name: str, x, closed: bool = False) -> None:
+    """ConfigurationError unless 0 < x < 1 (epsilon, delta), or 0 <= x <= 1 if ``closed``."""
+    if not (0.0 <= x <= 1.0 if closed else 0.0 < x < 1.0):
+        raise ConfigurationError(f"{name}={x} outside {'[0, 1]' if closed else '(0, 1)'}")
 
 
 def checked_tuple(rec, k: int, n: int, index: Optional[int] = None) -> TupleKey:

@@ -3,6 +3,7 @@
 import math
 import sys
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -29,11 +30,10 @@ from indisketch import (
     independence_distance,
     l1_norm,
     layered_l1_estimate,
-    sampling_level,
     split_compare_ratio,
     tensor_tournament,
 )
-from indisketch import estimator, sketches
+from indisketch import estimator, hashing, sketches
 from indisketch.estimator import (
     _BankRegistry,
     _LeafRef,
@@ -184,25 +184,6 @@ class TestConfigs:
         assert small.phase_ratio >= 0.3 / (2 * small.phase_steps) - 1e-12
 
 
-class TestSamplingLevel:
-    def test_first_bracket_boundary(self):
-        cfg = LayerConfig.from_targets(0.3, 16, 1e3, count_threshold=100)
-        assert sampling_level(100 * 1.3, cfg) == 1
-
-    def test_doubling(self):
-        cfg = LayerConfig.from_targets(0.1, 16, 1e3, count_threshold=100)
-        assert sampling_level(200.0, cfg) == math.ceil(math.log(2) / math.log(1.1))
-
-    def test_exact_bracket_endpoint(self):
-        cfg = LayerConfig.from_targets(0.3, 16, 1e3, count_threshold=100)
-        assert sampling_level(100 * 1.3**5, cfg) == 5
-
-    def test_domain(self):
-        cfg = LayerConfig.from_targets(0.3, 16, 1e3, count_threshold=100)
-        with pytest.raises(ConfigurationError):
-            sampling_level(99.0, cfg)
-
-
 class TestSplitCompareRatio:
     def test_balanced_split(self):
         assert split_compare_ratio([1, 1, 1, 1], [1, 1, 0, 0]) == (2.0, 2.0)
@@ -267,7 +248,7 @@ class TestSubAlgorithmError:
 
     def test_tournament(self):
         H, seed = ones_mask(8), 4
-        _, _, m1 = next(_split_masks(H, 1, seed))
+        m1 = _split_masks(H[None], 1, np.array([seed], dtype=np.uint64))[0, 0, 1]
         side = int(m1[2])  # the side of round 0 holding coordinate 3
         cfg = TournamentConfig.from_targets(0.1, 0.1, beta=1.0, rounds=3)
         with pytest.raises(SubAlgorithmError) as err:
@@ -536,10 +517,10 @@ class TestFlushContraction:
         banks, flushes = [], []
         add_bank, bulk_update = _BankRegistry.add_bank, _BankRegistry.bulk_update
 
-        def recording_add(reg, prefix, s_prime, reps, seed):
-            handle = add_bank(reg, prefix, s_prime, reps, seed)
-            banks.append((handle, [np.array(h) for h in prefix], seed))
-            return handle
+        def recording_add(reg, prefix, s_prime, reps, seeds):
+            handles = add_bank(reg, prefix, s_prime, reps, seeds)
+            banks.extend(zip(handles, prefix.copy(), np.asarray(seeds).tolist()))
+            return handles
 
         def counting_update(reg, tuples, counts):
             flushes.append(len(tuples))
@@ -609,7 +590,7 @@ class TestMedianTable:
         handles = []
         for s_prime, (reps, values) in enumerate(groups):  # groups (1, 0) and (1, 1)
             for b in range(len(values) // reps):
-                handles.append(reg.add_bank([np.array([1, 0], np.uint8)], s_prime, reps, b))
+                handles += reg.add_bank(np.array([[[1, 0]]], np.uint8), s_prime, reps, [b])
         reg.freeze()
         for s_prime, (_reps, values) in enumerate(groups):
             reg.groups[(1, s_prime)]["joint"][:] = values  # margins stay 0, so values are exact
@@ -627,14 +608,46 @@ class TestMedianTable:
 
     def test_one_repetition_count_per_group(self):
         reg = _BankRegistry(2, 2, omega=100.0)
-        mask = np.array([1, 1], np.uint8)
-        assert reg.add_bank([mask], 0, 3, seed=1) == ((1, 0), 0, 3)
-        assert reg.add_bank([mask], 1, 4, seed=2) == ((1, 1), 0, 4)
-        assert reg.add_bank([mask], 0, 3, seed=3) == ((1, 0), 3, 6)
+        mask = np.array([[[1, 1]]], np.uint8)
+        assert reg.add_bank(mask, 0, 3, [1]) == [((1, 0), 0, 3)]
+        assert reg.add_bank(mask, 1, 4, [2]) == [((1, 1), 0, 4)]
+        assert reg.add_bank(mask, 0, 3, [3]) == [((1, 0), 3, 6)]
         with pytest.raises(ConfigurationError, match="3 repetitions per bank, not 4"):
-            reg.add_bank([mask], 0, 4, seed=4)
+            reg.add_bank(mask, 0, 4, [4])
         with pytest.raises(ConfigurationError):
-            reg.add_bank([mask], 1, 0, seed=5)
+            reg.add_bank(mask, 1, 0, [5])
+
+
+def test_build_derives_per_depth_not_per_bank(monkeypatch):
+    """A k = 3, n = 4 construction (23,436 banks) derives its seeds and
+    masks with a fixed number of array calls per depth and registers each
+    group's banks in one call; built one tournament side at a time, it made
+    56,105 derive_key and 3,924 zero_one_tables calls. The Cauchy fill adds
+    one derive_key per row block and family, repetition_seeds two per group."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for mod in (estimator, hashing, sketches):
+        monkeypatch.setattr(mod, "derive_key", counting("derive_key", mod.derive_key))
+    for mod in (estimator, hashing):
+        tables = counting("zero_one_tables", mod.zero_one_tables)
+        monkeypatch.setattr(mod, "zero_one_tables", tables)
+    monkeypatch.setattr(_BankRegistry, "add_bank", counting("add_bank", _BankRegistry.add_bank))
+    est = StreamDistanceEstimator(3, 4, 0.3, 0.1, seed=1)
+    groups = est.registry.groups.values()
+    assert sum(len(g["prefix"]) for g in groups) == 23_436
+    step = hashing.FOLD_BLOCK // 4
+    fill = sum(-(-len(g["bank"]) // step) * g["coeff"].shape[1] + 2 for g in groups)
+    depths = 2
+    assert calls["derive_key"] - fill <= 16 * depths
+    assert calls["zero_one_tables"] <= 2 * depths
+    assert calls["add_bank"] == len(groups) == 3
 
 
 def test_evaluation_memory_stays_per_block():

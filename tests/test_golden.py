@@ -135,7 +135,8 @@ def test_cauchy_tables():
 
 def test_split_masks_of_one_tournament():
     H = np.array([1, 1, 0, 1, 1, 1, 0, 1], dtype=np.uint8)
-    got = [(r, m0.tolist(), m1.tolist()) for r, m0, m1 in _split_masks(H, 4, 2**64 - 5)]
+    sides = _split_masks(H[None], 4, np.array([2**64 - 5], dtype=np.uint64))[0]
+    got = [(r, m0.tolist(), m1.tolist()) for r, (m0, m1) in enumerate(sides)]
     assert got == [
         (0, [1, 1, 0, 0, 1, 1, 0, 0], [0, 0, 0, 1, 0, 0, 0, 1]),
         (1, [0, 1, 0, 0, 1, 0, 0, 1], [1, 0, 0, 1, 0, 1, 0, 0]),
@@ -259,7 +260,7 @@ class TestFormulaRounds:
     def test_split_masks(self):
         assert self.tcfg.rounds == 91
         H = np.ones(64, dtype=np.uint8)
-        masks = np.array([[m0, m1] for _, m0, m1 in _split_masks(H, 91, 12345)])
+        masks = _split_masks(H[None], 91, np.array([12345], dtype=np.uint64))[0]
         assert masks.shape == (91, 2, 64) and int(masks.sum()) == 5824
         assert _sha(masks.tobytes()) == (
             "2ad9ec580d08a73d351f290fdd1ec4e187ddfe0fb645b03d16a723719a4c5545"
@@ -272,7 +273,8 @@ class TestFormulaRounds:
         for s in range(4):
             v = np.ones(64)
             v[rnd.sample(range(64), 2)] = 130.0
-            out = cover_algorithm(np.ones(64, np.uint8), ccfg, self.tcfg, vector_sub_oracles(v), seed=s)
+            subs = vector_sub_oracles(v)
+            out = cover_algorithm(np.ones(64, np.uint8), ccfg, self.tcfg, subs, seed=s)
             got.append(sorted(out.items()))
         assert [len(g) for g in got] == [64, 64, 64, 64]
         assert _sha(json.dumps(got).encode()) == (

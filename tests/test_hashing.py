@@ -6,11 +6,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from indisketch import BucketHash, CauchySource, ZeroOneHash
+from indisketch import (
+    BucketHash,
+    CauchySource,
+    ConfigurationError,
+    MalformedInputError,
+    ZeroOneHash,
+)
 from indisketch.hashing import (
     FOLD_BLOCK,
     batched_cauchy_tables,
-    cauchy_from_uniform,
     counter_uniform,
     derive_key,
     zero_one_tables,
@@ -81,11 +86,32 @@ class TestBucketHash:
         assert stat <= CHI2_999_DF15
 
 
-class TestCauchySource:
-    def test_inverse_cdf_anchors(self):
-        assert cauchy_from_uniform(0.5) == pytest.approx(0.0)
-        assert cauchy_from_uniform(0.75) == pytest.approx(1.0)
+@pytest.mark.parametrize(
+    "h", [ZeroOneHash(seed=1, n=8, q=0.5), BucketHash(seed=1, n=8, buckets=4)], ids=repr
+)
+def test_non_integral_index_rejected(h):
+    assert h(2.0) == h(2) and h(np.int64(8)) == h(8)
+    for i in (1.5, 2.7, float("nan"), float("inf"), "2", None):
+        with pytest.raises(MalformedInputError, match="non-integer index"):
+            h(i)
+    with pytest.raises(IndexError):
+        h(9)
 
+
+def test_hash_settings_are_configuration_errors():
+    for buckets in (0, -3, 2.5, float("nan")):
+        with pytest.raises(ConfigurationError, match="buckets"):
+            BucketHash(seed=1, n=8, buckets=buckets)
+    for q in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ConfigurationError, match=r"outside \[0, 1\]"):
+            ZeroOneHash(seed=1, n=8, q=q)
+        with pytest.raises(ConfigurationError):
+            zero_one_tables(np.arange(2, dtype=np.uint64), 8, [0.5, q])
+    assert ZeroOneHash(seed=1, n=8, q=0.0).table().tolist() == [0] * 8
+    assert BucketHash(seed=1, n=8, buckets=4.0).buckets == 4
+
+
+class TestCauchySource:
     def test_deterministic(self):
         src = CauchySource(seed=11)
         assert src(3) == src(3) == CauchySource(seed=11)(3)

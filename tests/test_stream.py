@@ -22,7 +22,7 @@ from indisketch import (
     exact_statistical_distance,
     independence_tensor_entry,
 )
-from indisketch.cli import RunConfig, run
+from indisketch.cli import RunConfig, format_report, run
 from indisketch.estimator import vector_sub_oracles
 from indisketch import stream as stream_mod
 from indisketch.stream import RECORD_BLOCK, TupleTally, checked_tuple, record_blocks
@@ -155,6 +155,30 @@ def test_domain_checked_on_every_route(k, n, message):
     for route in routes:
         with pytest.raises(ConfigurationError, match=message):
             route()
+
+
+@pytest.mark.parametrize("seed", [2.7, 1.5, -0.5, float("nan"), "3", None])
+def test_seed_checked_as_integral(seed):
+    """A non-integral seed is a configuration error on every route, not a
+    seed truncated to an int while the report's config shows the original."""
+    routes = [
+        lambda: run(RunConfig(k=2, n=4, mode="sketch", generate="diagonal", m=20, seed=seed)),
+        lambda: run(RunConfig(k=2, n=4, mode="exact", generate="diagonal", m=20, seed=seed)),
+        lambda: StreamDistanceEstimator(2, 4, 0.3, 0.1, seed=seed),
+        lambda: dimension_reduce(4, vector_sub_oracles([1.0] * 4), 0.3, 0.1, seed=seed),
+    ]
+    for route in routes:
+        with pytest.raises(ConfigurationError, match="seed"):
+            route()
+
+
+def test_negative_and_integral_float_seeds_accepted():
+    assert StreamDistanceEstimator(2, 4, 0.3, 0.1, seed=-3.0).seed == -3
+    reports = [
+        format_report(run(RunConfig(k=2, n=4, mode="sketch", generate="diagonal", m=20, seed=s)), "json")
+        for s in (-2.0, -2)
+    ]
+    assert reports[0] == reports[1] and '"seed": -2,' in reports[0]
 
 
 GOOD_COORD = st.integers(1, 3)
