@@ -588,7 +588,7 @@ def _tournament_plans(
     sides = _split_masks(H, cfg.rounds, seeds)
     t, rd, side = np.nonzero(sides.any(axis=3))  # an empty side reads 0
     pairs = leaves(sides[t, rd, side], cfg, seeds[t], rd, side, inst[t])
-    plans = [_TournamentPlan(cfg, [[None, None] for _ in range(cfg.rounds)]) for _ in H]
+    plans = [_TournamentPlan(cfg, [[None, None] for _ in range(cfg.rounds)]) for _ in range(len(H))]
     for ti, r, si, pair in zip(t.tolist(), rd.tolist(), side.tolist(), pairs):
         plans[ti].rounds[r][si] = pair
     return plans
@@ -606,7 +606,7 @@ def _cover_plans(
     owner, bucket = keys // cfg.rho, keys % cfg.rho + 1
     masks = H[owner] * (g[owner] == bucket[:, None])
     tseeds = derive_key(seeds[owner], _TAG_TOURN, bucket)
-    plans = [_CoverPlan({}) for _ in H]
+    plans = [_CoverPlan({}) for _ in range(len(H))]
     tplans = _tournament_plans(masks, tseeds, inst[owner], tcfg, leaves)
     for o, s, plan in zip(owner.tolist(), bucket.tolist(), tplans):
         plans[o].buckets[s] = plan

@@ -287,4 +287,3 @@ def batched_cauchy_tables(
 def default_truncation(k: int, n: int) -> float:
     """Default clamp magnitude for the truncated Cauchy families: 100*k*n."""
     return 100.0 * k * n
-

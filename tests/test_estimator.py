@@ -622,8 +622,9 @@ def test_build_derives_per_depth_not_per_bank(monkeypatch):
     """A k = 3, n = 4 construction (23,436 banks) derives its seeds and
     masks with a fixed number of array calls per depth and registers each
     group's banks in one call; built one tournament side at a time, it made
-    56,105 derive_key and 3,924 zero_one_tables calls. The Cauchy fill adds
-    one derive_key per row block and family, repetition_seeds two per group."""
+    60,029 derive_key, 3,924 zero_one_tables and 23,436 add_bank calls. The
+    Cauchy fill adds one derive_key per row block and family, and
+    repetition_seeds two per group."""
     calls = Counter()
 
     def counting(name, fn):
