@@ -17,6 +17,7 @@ from indisketch import (
     CoverConfig,
     EstimatorOverrides,
     LayerConfig,
+    SubAlgorithms,
     TournamentConfig,
     TupleStream,
     build_frequency_table,
@@ -298,6 +299,41 @@ class TestOracleRoute:
         M = dense_independence_tensor(build_frequency_table(TupleStream(k, n, recs)))
         subs = exact_sub_oracles(M, beta=1.0)
         assert [dimension_reduce(n, subs, 0.3, 0.1, seed=s) for s in (0, 1, 2)] == expected
+
+    @pytest.mark.parametrize(
+        "k,n,m,stream_seed,calls,expected",
+        [
+            (2, 8, 300, 21, 1296,
+             "8b314789364749eb66d77b3cf6fb2040f7aba4423fade590f4cc4c3cdad16225"),
+            (3, 3, 120, 22, 486,
+             "f72c9f0abe296ec20bca1bd15cb5511c91a09384cf41404590b681b933ad37f3"),
+        ],
+    )
+    def test_dimension_reduce_sub_oracle_calls(self, k, n, m, stream_seed, calls, expected):
+        """Every approx_a / approx_b call, in order: the function, the mask's
+        dtype and bytes, and the epsilon / delta arguments."""
+        recs = list(generate_synthetic("mixture(0.5)", k, n, m, seed=stream_seed))
+        M = dense_independence_tensor(build_frequency_table(TupleStream(k, n, recs)))
+        exact = exact_sub_oracles(M, beta=1.0)
+        digest, count = hashlib.sha256(), [0]
+
+        def recorded(name, fn):
+            def call(mask, *args):
+                count[0] += 1
+                digest.update(name + mask.dtype.str.encode() + mask.tobytes())
+                digest.update(np.array(args, dtype=np.float64).tobytes())
+                return fn(mask, *args)
+
+            return call
+
+        subs = SubAlgorithms(
+            approx_a=recorded(b"a", exact.approx_a),
+            approx_b=recorded(b"b", exact.approx_b),
+            beta=1.0,
+        )
+        for s in (0, 1, 2):
+            dimension_reduce(n, subs, 0.3, 0.1, seed=s)
+        assert (count[0], digest.hexdigest()) == (calls, expected)
 
     def test_tensor_tournament(self):
         H = np.ones(32, dtype=np.uint8)
