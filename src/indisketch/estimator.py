@@ -1,9 +1,9 @@
 """The approximation stack over implicit tensors.
 
-One stack, built as a plan tree and then evaluated. Composition, bottom
-to top:
+One stack, built as index arrays one recursion depth at a time and then
+evaluated one depth at a time. Composition, bottom to top:
 
-1. *Certifying tournament* (``_TournamentPlan``): given a coarse
+1. *Certifying tournament* (``_tournaments``): given a coarse
    beta-factor estimator and a sharp (1 +- eps) estimator for the
    collapsed tensor, repeatedly split the masked coordinates in half with
    a pairwise hash and compare the two halves' coarse estimates. A
@@ -13,32 +13,37 @@ to top:
    coordinate, guaranteed to find any coordinate holding all but an alpha
    fraction of the masked mass.
 
-2. *Cover* (``_CoverPlan``): hash coordinates into many buckets and run
+2. *Cover* (``_buckets``): hash coordinates into many buckets and run
    one tournament per bucket; the positive outputs approximate distinct
    coordinates and include every significant one.
 
-3. *Layered summation* (``_AmpPlan``): run covers against geometrically
-   subsampled coordinate sets, bucket the returned values into
-   multiplicative layers, pick for each layer the deepest subsampling
-   level whose count falls in a calibrated window, and sum the rescaled
-   counts. This turns covers into an L1 estimate of the whole vector.
+3. *Layered summation* (``_levels``, ``_layered_sums``): run covers
+   against geometrically subsampled coordinate sets, bucket the returned
+   values into multiplicative layers, pick for each layer the deepest
+   subsampling level whose count falls in a calibrated window, and sum the
+   rescaled counts. This turns covers into an L1 estimate of the whole
+   vector.
 
-4. *Dimension reduction* (``_ReducePlan``): steps 1-3 applied to the
-   absolute-hyperplane vector of a tensor turn per-hyperplane estimators
-   into a full-norm estimator, with median amplification of the 2/3
-   success probability.
+4. *Dimension reduction* (``_build_reduce_plan``, ``_evaluate_plan``):
+   steps 1-3 applied to the absolute-hyperplane vector of a tensor turn
+   per-hyperplane estimators into a full-norm estimator, with median
+   amplification of the 2/3 success probability.
 
-``_build_reduce_plan`` builds the four stages as one tree of plan nodes, one
-depth at a time, from one set of constants (``_stack_configs``) and a leaf
-factory, which gives each non-empty tournament side a (coarse, sharp) pair of
-nodes. Sketch leaves (``StreamDistanceEstimator`` / ``independence_distance``)
-are product-sketch banks, all registered before the one pass, with a child
-reduction as the sharp node above the last depth. Oracle leaves
-(``tensor_tournament``, ``cover_algorithm``, ``dimension_reduce``) call
-injected ``SubAlgorithms`` when evaluated; ``layered_l1_estimate`` takes a
-caller's cover for each level. Exact sub-oracles built from the dense tensor
-module let property tests isolate the combinatorial logic from sketch noise
-while running the plan classes the sketch pipeline runs.
+``_build_reduce_plan`` builds the stack from one set of constants
+(``_stack_configs``) as one ``_Depth`` of index arrays per recursion
+depth: runs, kept levels, occupied buckets and nonempty tournament sides,
+each with a leaf factory's (coarse, sharp) leaves. Sketch leaves
+(``StreamDistanceEstimator`` / ``independence_distance``) are
+product-sketch banks, all registered before the one pass, with the child
+reductions of the next depth as the sharp leaves above the last depth.
+``_evaluate_plan`` works bottom-up: leaf values, then the round decisions
+and round minimum as array expressions, then the layer counts per run and
+the median per reduction. Oracle leaves (``tensor_tournament``,
+``cover_algorithm``, ``dimension_reduce``) are side masks, evaluated by
+calling injected ``SubAlgorithms``; ``layered_l1_estimate`` takes a
+caller's cover for each level. Exact sub-oracles built from the dense
+tensor module let property tests isolate the combinatorial logic from
+sketch noise while running the stage evaluators the sketch pipeline runs.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import asdict, dataclass, replace as dataclass_replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -309,78 +314,6 @@ class EstimatorOverrides:
 
 
 # ---------------------------------------------------------------------------
-# pure decision helpers of the plan classes
-# ---------------------------------------------------------------------------
-
-
-def _decide_round(u0: float, u1: float, ratio: float) -> float:
-    """One tournament round: the side beating the other by `ratio`, else 0."""
-    win1 = u1 >= ratio * u0
-    win0 = u0 >= ratio * u1
-    if win0 and win1:
-        return 0.0  # simultaneous wins only happen at u0 = u1 = 0
-    if win1:
-        return u1
-    if win0:
-        return u0
-    return 0.0
-
-
-def _median(values) -> float:
-    """``np.median`` of a nonempty 1-D sequence, to the bit: the one-row
-    case of ``row_medians``."""
-    return float(row_medians(np.asarray(values, dtype=np.float64).reshape(1, -1))[0])
-
-
-def _combine_rounds(round_values: Iterable[float]) -> float:
-    """Raw minimum over all round outputs.
-
-    A single null round certifies the absence of a dominant coordinate and
-    zeroes the result; this is what drives the false-positive probability
-    down exponentially in the round count. In the detection regime (one
-    coordinate holding all but an alpha fraction of the mass) every round
-    fires, so the minimum is a minimum over valid approximations.
-    """
-    vals = list(round_values)
-    return min(vals) if vals else 0.0
-
-
-def _assign_layer(value: float, shift: float, cfg: LayerConfig) -> Optional[int]:
-    """Layer index l with shift*(1+eps)^l <= value < shift*(1+eps)^(l+1);
-    None below the bottom layer l = -1. The grid has no top: a value above
-    ``cfg.layers`` is counted, not dropped."""
-    if value <= 0.0:
-        return None
-    growth = 1.0 + cfg.epsilon
-    x = value / shift
-    l = math.floor(math.log(x) / math.log(growth) + 1e-12)
-    while growth ** (l + 1) <= x:
-        l += 1
-    while growth**l > x:
-        l -= 1
-    return l if l >= -1 else None
-
-
-def _layer_sum(counts: Dict[Tuple[int, int], int], cfg: LayerConfig, shift: float) -> float:
-    """Select the deepest in-window level per layer and sum the rescaled counts."""
-    growth = 1.0 + cfg.epsilon
-    chi = cfg.count_threshold
-    lo, hi = chi / growth**2, (1.0 + 3.0 * cfg.epsilon) * chi  # the count window
-    by_layer: Dict[int, Dict[int, int]] = defaultdict(dict)
-    for (l, j), c in counts.items():
-        by_layer[l][j] = c
-    total = 0.0
-    for l, per_level in by_layer.items():
-        z = 0
-        for j, c in per_level.items():
-            if j > 0 and lo < c <= hi:
-                z = max(z, j)
-        c = per_level.get(z, 0)
-        total += growth ** (z + l) * c
-    return shift * total
-
-
-# ---------------------------------------------------------------------------
 # randomness derivation of the plan builders
 # ---------------------------------------------------------------------------
 
@@ -467,213 +400,223 @@ def _stack_configs(
 
 
 # ---------------------------------------------------------------------------
-# the plan tree; a node's evaluate(med) reads the registry's median table
+# the plan: each stage of a depth as index arrays, in evaluation order
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _LeafRef:
-    """A registered bank, evaluated as its median |sketch value|."""
-
-    handle: Tuple
-
-    def evaluate(self, med) -> float:
-        key, start, stop = self.handle
-        return med[key][start // (stop - start)]
-
-
-@dataclass
-class _Call:
-    """A node evaluated as ``fn(*args)``: a sub-oracle or a caller's cover."""
-
-    fn: Callable
-    args: Tuple
-
-    def evaluate(self, _med):
-        return self.fn(*self.args)
+def _levels(n: int, cfg: LayerConfig, seeds):
+    """The layered summations seeded by ``seeds``: each run's phase q, and
+    its kept levels (run, j) with their masks and seeds. Levels that can
+    never enter the count window are skipped (their counts are bounded by
+    the selected-coordinate population, which already falls below it);
+    level 0 keeps all."""
+    level_seeds = derive_key(seeds[:, None], _TAG_LEVEL, np.arange(cfg.levels + 1, dtype=np.uint64))
+    keep = [(1.0 + cfg.epsilon) ** (-j) for j in range(cfg.levels + 1)]
+    masks = zero_one_tables(derive_key(level_seeds, 1), n, keep)
+    kept = masks.sum(axis=2) > cfg.count_threshold / (1.0 + cfg.epsilon) ** 2
+    kept[:, 0] = True
+    run, j = np.nonzero(kept)
+    u = counter_uniform(derive_key(seeds, _TAG_PHASE), 0)
+    q = np.minimum(cfg.phase_steps - 1, (u * cfg.phase_steps).astype(np.int64))  # the grid's phase
+    return q, run, j, masks[run, j], level_seeds[run, j]
 
 
-# leaves(side masks (S, n), tournament config, tournament seeds, rounds, sides, instances)
-# -> a (coarse, sharp) pair per side; leaves.descend() -> (child reductions, their seeds)
-Leaves = Callable[..., List[Tuple[object, object]]]
-
-
-@dataclass
-class _TournamentPlan:
-    """Certifying tournament over the masked absolute-hyperplane vector.
-
-    Evaluates to 0 or an approximation of some masked coordinate; any
-    coordinate holding a (1 - alpha) fraction of the masked mass is found
-    and approximated with probability 1 - delta. Output approximations
-    carry a (1 +- 3*epsilon) guarantee in terms of the round epsilon.
-    """
-
-    cfg: TournamentConfig
-    rounds: List[List[Optional[Tuple[object, object]]]]  # [side 0, side 1] per round
-
-    def evaluate(self, med) -> float:
-        beta = self.cfg.beta
-        ratio = self.cfg.ratio_threshold * beta**2
-        vals = []
-        for rd, sides in enumerate(self.rounds):
-            u = [0.0, 0.0]
-            for side, pair in enumerate(sides):
-                if pair is None:
-                    continue
-                try:
-                    u[side] = max(pair[0].evaluate(med) / beta, pair[1].evaluate(med), 0.0)
-                except Exception as e:  # annotate with round context
-                    raise SubAlgorithmError(f"round {rd}, side {side}: {e}") from e
-            vals.append(_decide_round(u[0], u[1], ratio))
-        return _combine_rounds(vals)
-
-
-@dataclass
-class _CoverPlan:
-    """One tournament per occupied hash bucket.
-
-    With probability 1 - delta the positive outputs approximate distinct
-    positive coordinates of the masked vector and include every
-    epsilon-significant one.
-    """
-
-    buckets: Dict[int, _TournamentPlan]
-
-    def outputs(self, med) -> Dict[int, float]:
-        out = {}
-        for s, plan in self.buckets.items():
-            u = plan.evaluate(med)
-            if u > 0.0:
-                out[s] = u
-        return out
-
-    def evaluate(self, med) -> List[float]:
-        return list(self.outputs(med).values())
-
-
-@dataclass
-class _AmpPlan:
-    """Layered summation of cover outputs across subsampling levels."""
-
-    q: int
-    lcfg: LayerConfig
-    levels: List[Tuple[int, object]]
-
-    def evaluate(self, med) -> float:
-        shift = (1.0 + self.lcfg.phase_ratio) ** self.q
-        counts: Dict[Tuple[int, int], int] = defaultdict(int)
-        for j, cover in self.levels:
-            for value in cover.evaluate(med):
-                l = _assign_layer(float(value), shift, self.lcfg)
-                if l is not None:
-                    counts[(l, j)] += 1
-        return _layer_sum(counts, self.lcfg, shift)
-
-
-@dataclass
-class _ReducePlan:
-    """The median of independent layered summations."""
-
-    amps: List[_AmpPlan]
-
-    def evaluate(self, med) -> float:
-        return _median([a.evaluate(med) for a in self.amps])
-
-
-def _tournament_plans(
-    H, seeds, inst, cfg: TournamentConfig, leaves: Leaves
-) -> List[_TournamentPlan]:
-    """The tournaments of the masks H (T, n) with seeds and instances (T,);
-    ``leaves`` is called once, with every nonempty side of every round."""
-    sides = _split_masks(H, cfg.rounds, seeds)
-    t, rd, side = np.nonzero(sides.any(axis=3))  # an empty side reads 0
-    pairs = leaves(sides[t, rd, side], cfg, seeds[t], rd, side, inst[t])
-    plans = [_TournamentPlan(cfg, [[None, None] for _ in range(cfg.rounds)]) for _ in range(len(H))]
-    for ti, r, si, pair in zip(t.tolist(), rd.tolist(), side.tolist(), pairs):
-        plans[ti].rounds[r][si] = pair
-    return plans
-
-
-def _cover_plans(
-    H, seeds, inst, cfg: CoverConfig, tcfg: TournamentConfig, leaves: Leaves
-) -> List[_CoverPlan]:
-    """The covers of the masks H (C, n) with seeds and instances (C,): one
-    tournament per occupied bucket; unoccupied buckets are exactly null."""
+def _buckets(H, seeds, cfg: CoverConfig):
+    """The occupied buckets (cover, bucket) of the covers of the masks H
+    (C, n) with seeds (C,), in order, with each one's mask and tournament
+    seed. A cover runs one tournament per occupied bucket; unoccupied
+    buckets are exactly null."""
     g = bucket_tables(derive_key(seeds, _TAG_BUCKET), H.shape[1], cfg.rho)
     c, i = np.nonzero(H)
     keys = np.sort(c * cfg.rho + (g[c, i] - 1))
     keys = keys[np.diff(keys, prepend=-1) != 0]  # (cover, bucket) pairs in order
     owner, bucket = keys // cfg.rho, keys % cfg.rho + 1
     masks = H[owner] * (g[owner] == bucket[:, None])
-    tseeds = derive_key(seeds[owner], _TAG_TOURN, bucket)
-    plans = [_CoverPlan({}) for _ in range(len(H))]
-    tplans = _tournament_plans(masks, tseeds, inst[owner], tcfg, leaves)
-    for o, s, plan in zip(owner.tolist(), bucket.tolist(), tplans):
-        plans[o].buckets[s] = plan
-    return plans
+    return owner, bucket, masks, derive_key(seeds[owner], _TAG_TOURN, bucket)
 
 
-def _amp_plans(n: int, cfg: LayerConfig, seeds, covers: Callable) -> List[_AmpPlan]:
-    """The layered summations seeded by ``seeds``; ``covers(masks, level seeds,
-    owners)`` gives every kept level's cover node. Levels that can never enter
-    the count window are skipped (their counts are bounded by the selected-
-    coordinate population, which already falls below it); level 0 keeps all."""
-    level_seeds = derive_key(seeds[:, None], _TAG_LEVEL, np.arange(cfg.levels + 1, dtype=np.uint64))
-    keep = [(1.0 + cfg.epsilon) ** (-j) for j in range(cfg.levels + 1)]
-    masks = zero_one_tables(derive_key(level_seeds, 1), n, keep)
-    kept = masks.sum(axis=2) > cfg.count_threshold / (1.0 + cfg.epsilon) ** 2
-    kept[:, 0] = True
-    a, j = np.nonzero(kept)
-    u = counter_uniform(derive_key(seeds, _TAG_PHASE), 0)
-    q = np.minimum(cfg.phase_steps - 1, (u * cfg.phase_steps).astype(np.int64))  # the grid's phase
-    plans = [_AmpPlan(q=x, lcfg=cfg, levels=[]) for x in q.tolist()]
-    for ai, ji, cover in zip(a.tolist(), j.tolist(), covers(masks[a, j], level_seeds[a, j], a)):
-        plans[ai].levels.append((ji, cover))
-    return plans
+def _sides(H, seeds, cfg: TournamentConfig):
+    """The nonempty sides (tournament, round, side) of the tournaments of
+    the masks H (T, n) with seeds (T,), in order, with each one's mask; an
+    empty side reads 0."""
+    sides = _split_masks(H, cfg.rounds, seeds)
+    t, rd, side = np.nonzero(sides.any(axis=3))
+    return t, rd, side, sides[t, rd, side]
 
 
-def _build_reduce_plan(n: int, configs: StackConfigs, seed: int, leaves: Leaves) -> _ReducePlan:
-    """The tournament -> cover -> layer stack of one dimension reduction. All
-    reductions of one depth pass each stage together, drawing seeds and masks
-    as arrays, and meet ``leaves`` in one call; the child reductions it hands
-    back from ``descend()`` are the next depth. Everything random is drawn
-    here; a sketch-backed factory registers its banks before the pass."""
+class _Depth(NamedTuple):
+    """Every reduction of one recursion depth, as the index arrays of its
+    stages in evaluation order. Run r belongs to reduction r // amp; below
+    the first depth, reduction i is the sharp leaf of side i of the depth
+    above."""
+
+    q: np.ndarray             # each amplification run's phase
+    level_run: np.ndarray     # the kept levels (run, j)
+    level_j: np.ndarray
+    bucket_level: np.ndarray  # the occupied buckets (level, bucket): one tournament each
+    bucket: np.ndarray
+    side_t: np.ndarray        # the nonempty sides (tournament, round, side)
+    side_rd: np.ndarray
+    side_s: np.ndarray
+    coarse: object            # each side's coarse leaf
+    sharp: object             # and sharp leaf; None: the next depth's reductions
+
+
+# leaves(prefix (S, depth + 1, n), seeds, rounds, sides) -> (coarse, sharp) leaves of S sides
+Leaves = Callable[..., Tuple[object, object]]
+
+
+def _build_reduce_plan(n: int, configs: StackConfigs, seed: int, leaves: Leaves) -> List[_Depth]:
+    """The tournament -> cover -> layer stack of one dimension reduction, one
+    ``_Depth`` per recursion depth. All reductions of one depth pass each
+    stage together, drawing seeds and masks as arrays, and meet ``leaves``
+    in one call with each side's masks from the first depth down; a side
+    without a sharp leaf gets a child reduction at the next depth.
+    Everything random is drawn here; sketch leaves register their banks
+    before the pass."""
     lcfg, tcfg, ccfg, amp = configs
-
-    def covers(masks, level_seeds, owner):
-        return _cover_plans(masks, level_seeds, owner // amp, ccfg, tcfg, leaves)
-
-    root = _ReducePlan([])
-    plans, seeds = [root], _seeds(seed)
-    while plans:
+    plan, seeds, prefix = [], _seeds(seed), np.zeros((1, 0, n), dtype=np.uint8)
+    while True:
         amp_seeds = derive_key(seeds[:, None], _TAG_AMP, np.arange(amp, dtype=np.uint64))
-        amps = _amp_plans(n, lcfg, amp_seeds.ravel(), covers)
-        for i, plan in enumerate(plans):
-            plan.amps = amps[i * amp : (i + 1) * amp]
-        plans, seeds = leaves.descend()
-    return root
-
-
-@dataclass
-class _OracleLeaves:
-    """Leaves that call the sub-oracles at the tournament's epsilon and failure rate."""
-
-    subs: SubAlgorithms
-
-    def __call__(self, masks, cfg: TournamentConfig, *_per_side) -> List[Tuple[_Call, _Call]]:
-        a, b, d = self.subs.approx_a, self.subs.approx_b, cfg.subcall_delta
-        return [(_Call(a, (m, d)), _Call(b, (m, cfg.epsilon, d))) for m in masks]
-
-    def descend(self):
-        return [], None  # no child reductions
+        q, level_run, level_j, masks, level_seeds = _levels(n, lcfg, amp_seeds.ravel())
+        bucket_level, bucket, masks, tseeds = _buckets(masks, level_seeds, ccfg)
+        t, rd, side, masks = _sides(masks, tseeds, tcfg)
+        prefix = np.concatenate([prefix[level_run[bucket_level[t]] // amp], masks[:, None]], axis=1)
+        coarse, sharp = leaves(prefix, tseeds[t], rd, side)
+        plan.append(_Depth(q, level_run, level_j, bucket_level, bucket, t, rd, side, coarse, sharp))
+        if sharp is not None:
+            return plan
+        seeds = derive_key(tseeds[t], _TAG_CHILD, rd, side)
 
 
 # ---------------------------------------------------------------------------
-# the public stack: thin drivers over the plan tree with oracle leaves
+# stage evaluators: each takes one stage of a whole depth as arrays
 # ---------------------------------------------------------------------------
 
 
-_ONE = np.zeros(1, dtype=np.int64)  # the instance of a driver's one tournament or cover
+def _decide_round(u0: np.ndarray, u1: np.ndarray, ratio: float) -> np.ndarray:
+    """Each round's output: the side beating the other by `ratio`, else 0.
+    Both sides win only at u0 = u1 = 0, which outputs 0."""
+    win1, win0 = u1 >= ratio * u0, u0 >= ratio * u1
+    return np.where(win1 & ~win0, u1, np.where(win0 & ~win1, u0, 0.0))
+
+
+def _tournaments(cfg: TournamentConfig, count: int, t, rd, side, coarse, sharp) -> np.ndarray:
+    """The outputs (count,) of certifying tournaments over the masked
+    absolute-hyperplane vector, from each nonempty side's (tournament,
+    round, side) and its coarse beta-factor and sharp (1 +- eps) values.
+
+    A side reads max(coarse / beta, sharp, 0), in that order as Python's
+    max takes it; an empty side reads 0. A tournament's output is the raw
+    minimum over its rounds: a single null round certifies the absence of
+    a dominant coordinate and zeroes it, which drives the false-positive
+    probability down exponentially in the round count. In the detection
+    regime (one coordinate holding all but an alpha fraction of the masked
+    mass) every round fires, so the output approximates that coordinate
+    with probability 1 - delta, with a (1 +- 3*epsilon) guarantee in
+    terms of the round epsilon.
+    """
+    beta = cfg.beta
+    v = coarse / beta
+    v = np.where(sharp > v, sharp, v)
+    u = np.zeros((count, cfg.rounds, 2))
+    u[t, rd, side] = np.where(0.0 > v, 0.0, v)
+    return _decide_round(u[..., 0], u[..., 1], cfg.ratio_threshold * beta**2).min(axis=1)
+
+
+def _assign_layer(value: float, shift: float, cfg: LayerConfig) -> Optional[int]:
+    """Layer index l with shift*(1+eps)^l <= value < shift*(1+eps)^(l+1);
+    None below the bottom layer l = -1. The grid has no top: a value above
+    ``cfg.layers`` is counted, not dropped."""
+    if value <= 0.0:
+        return None
+    growth = 1.0 + cfg.epsilon
+    x = value / shift
+    l = math.floor(math.log(x) / math.log(growth) + 1e-12)
+    while growth ** (l + 1) <= x:
+        l += 1
+    while growth**l > x:
+        l -= 1
+    return l if l >= -1 else None
+
+
+def _layer_sum(counts: Dict[Tuple[int, int], int], cfg: LayerConfig, shift: float) -> float:
+    """Select the deepest in-window level per layer and sum the rescaled counts."""
+    growth = 1.0 + cfg.epsilon
+    chi = cfg.count_threshold
+    lo, hi = chi / growth**2, (1.0 + 3.0 * cfg.epsilon) * chi  # the count window
+    by_layer: Dict[int, Dict[int, int]] = defaultdict(dict)
+    for (l, j), c in counts.items():
+        by_layer[l][j] = c
+    total = 0.0
+    for l, per_level in by_layer.items():
+        z = 0
+        for j, c in per_level.items():
+            if j > 0 and lo < c <= hi:
+                z = max(z, j)
+        c = per_level.get(z, 0)
+        total += growth ** (z + l) * c
+    return shift * total
+
+
+def _layered_sums(
+    cfg: LayerConfig, q: np.ndarray, outputs: Iterable[Tuple[int, int, float]]
+) -> np.ndarray:
+    """The layered sum of each amplification run (phase q), from the cover
+    outputs (run, level j, value) in evaluation order: each positive value
+    is counted at its (layer, level), in insertion order, per run."""
+    shifts = [(1.0 + cfg.phase_ratio) ** x for x in q.tolist()]
+    counts: List[Dict[Tuple[int, int], int]] = [defaultdict(int) for _ in shifts]
+    for run, j, value in outputs:
+        l = _assign_layer(value, shifts[run], cfg)
+        if l is not None:
+            counts[run][(l, j)] += 1
+    return np.array([_layer_sum(c, cfg, shift) for c, shift in zip(counts, shifts)])
+
+
+def _evaluate_plan(plan: List[_Depth], configs: StackConfigs, leaf_values: Callable) -> float:
+    """The root reduction's value, bottom-up one depth at a time.
+
+    ``leaf_values(depth, below)`` gives each side's coarse and sharp values,
+    where ``below`` holds the values of the next depth's reductions. A
+    cover's outputs are its positive tournament outputs, which approximate
+    distinct coordinates and include every significant one; each reduction
+    is the median of its runs' layered sums.
+    """
+    lcfg, tcfg, _, amp = configs
+    below = None
+    for d in reversed(plan):
+        coarse, sharp = leaf_values(d, below)
+        out = _tournaments(tcfg, len(d.bucket), d.side_t, d.side_rd, d.side_s, coarse, sharp)
+        fired = np.flatnonzero(out > 0.0)
+        level = d.bucket_level[fired]
+        outputs = zip(d.level_run[level].tolist(), d.level_j[level].tolist(), out[fired].tolist())
+        below = row_medians(_layered_sums(lcfg, d.q, outputs).reshape(-1, amp))
+    return float(below[0])
+
+
+# ---------------------------------------------------------------------------
+# the public stack: thin drivers over the stage evaluators with oracle leaves
+# ---------------------------------------------------------------------------
+
+
+def _oracle_values(subs: SubAlgorithms, cfg: TournamentConfig, masks, rd, side):
+    """approx_a and approx_b of each side mask, in order, at the tournament's
+    epsilon and failure rate; a failure names the side's round."""
+    a, b = np.empty(len(masks)), np.empty(len(masks))
+    for i, m in enumerate(masks):
+        try:
+            a[i] = subs.approx_a(m, cfg.subcall_delta)
+            b[i] = subs.approx_b(m, cfg.epsilon, cfg.subcall_delta)
+        except Exception as e:
+            raise SubAlgorithmError(f"round {rd[i]}, side {side[i]}: {e}") from e
+    return a, b
+
+
+def _oracle_tournaments(H, seeds, cfg: TournamentConfig, subs: SubAlgorithms) -> np.ndarray:
+    """The outputs of the tournaments of the masks H with seeds over the sub-oracles."""
+    t, rd, side, masks = _sides(H, seeds, cfg)
+    return _tournaments(cfg, len(H), t, rd, side, *_oracle_values(subs, cfg, masks, rd, side))
 
 
 def _as_mask(H) -> Mask:
@@ -686,9 +629,8 @@ def _as_mask(H) -> Mask:
 def tensor_tournament(
     H, cfg: TournamentConfig, subs: SubAlgorithms, seed: int = 0
 ) -> float:
-    """Certifying tournament (``_TournamentPlan``) over exact or injected sub-oracles."""
-    (plan,) = _tournament_plans(_as_mask(H)[None], _seeds(seed), _ONE, cfg, _OracleLeaves(subs))
-    return plan.evaluate(None)
+    """Certifying tournament (``_tournaments``) over exact or injected sub-oracles."""
+    return float(_oracle_tournaments(_as_mask(H)[None], _seeds(seed), cfg, subs)[0])
 
 
 def cover_algorithm(
@@ -698,9 +640,10 @@ def cover_algorithm(
     subs: SubAlgorithms,
     seed: int = 0,
 ) -> Dict[int, float]:
-    """Cover (``_CoverPlan``): the strictly positive tournament outputs by bucket."""
-    (plan,) = _cover_plans(_as_mask(H)[None], _seeds(seed), _ONE, cfg, tcfg, _OracleLeaves(subs))
-    return plan.outputs(None)
+    """Cover: the strictly positive tournament outputs by bucket."""
+    _, bucket, masks, seeds = _buckets(_as_mask(H)[None], _seeds(seed), cfg)
+    out = _oracle_tournaments(masks, seeds, tcfg, subs)
+    return {s: u for s, u in zip(bucket.tolist(), out.tolist()) if u > 0.0}
 
 
 def layered_l1_estimate(
@@ -709,18 +652,19 @@ def layered_l1_estimate(
     run_cover: Callable[[Mask, int], Iterable[float]],
     seed: int = 0,
 ) -> float:
-    """Layered summation (``_AmpPlan``) of a caller's covers.
+    """Layered summation (``_layered_sums``) of a caller's covers.
 
     ``run_cover(mask, seed)`` must return the positive values of a cover
     of the vector restricted to the masked coordinates, at precision
     ``cfg.cover_precision`` and failure ``cfg.cover_delta``.
     """
-
-    def covers(masks, level_seeds, _owner):
-        return [_Call(run_cover, (m, s)) for m, s in zip(masks, level_seeds.tolist())]
-
-    (plan,) = _amp_plans(n, cfg, _seeds(seed), covers)
-    return plan.evaluate(None)
+    q, _, level_j, masks, seeds = _levels(n, cfg, _seeds(seed))
+    outputs = (
+        (0, j, float(value))
+        for j, m, s in zip(level_j.tolist(), masks, seeds.tolist())
+        for value in run_cover(m, s)
+    )
+    return float(_layered_sums(cfg, q, outputs)[0])
 
 
 def dimension_reduce(
@@ -735,11 +679,16 @@ def dimension_reduce(
 
     Builds the tournament -> cover -> layered-summation stack over the
     absolute-hyperplane vector and amplifies the 2/3 success probability
-    by a median of independent runs.
+    by a median of independent runs. Each side's mask is both its leaves.
     """
     n = checked_count("n", n)
     configs, _ = _stack_configs(n, epsilon, delta, subs.beta, overrides or EstimatorOverrides())
-    return _build_reduce_plan(n, configs, seed, _OracleLeaves(subs)).evaluate(None)
+    plan = _build_reduce_plan(n, configs, seed, lambda prefix, *_: (prefix[:, -1],) * 2)
+
+    def leaf_values(d: _Depth, _below):
+        return _oracle_values(subs, configs[1], d.coarse, d.side_rd, d.side_s)
+
+    return _evaluate_plan(plan, configs, leaf_values)
 
 
 def exact_sub_oracles(M, beta: float = 1.0) -> SubAlgorithms:
@@ -788,10 +737,10 @@ class _BankRegistry:
 
     Rows are grouped by (prefix depth s, collapse depth s'); each row is
     one repetition with its own Cauchy tables, and each bank's prefix masks
-    are stored once with a row -> bank index. A flush folds the chunk's
-    distinct tuple counts into every group with ``fold_counts``. All banks
-    of a group have the same repetition count, so bank b of a group holds
-    rows [b * reps, (b + 1) * reps).
+    are stored once. A flush folds the chunk's distinct tuple counts into
+    every group with ``fold_counts``. All banks of a group have the same
+    repetition count, so bank b of a group holds rows
+    [b * reps, (b + 1) * reps).
     """
 
     def __init__(self, k: int, n: int, omega: float):
@@ -804,9 +753,10 @@ class _BankRegistry:
         self.m_seen = 0
         self.frozen = False
 
-    def add_bank(self, prefix: np.ndarray, s_prime: int, reps: int, seeds) -> List[Tuple]:
+    def add_bank(self, prefix: np.ndarray, s_prime: int, reps: int, seeds) -> Tuple:
         """Register one bank of `reps` repetitions per row of ``prefix``
-        (banks, s, n) and of ``seeds``; returns their handles for later medians."""
+        (banks, s, n) and of ``seeds``; returns their group and bank indices,
+        which index the group's ``medians()``."""
         if self.frozen:
             raise ConfigurationError("registry is frozen once the pass begins")
         key = (prefix.shape[1], s_prime)
@@ -817,7 +767,7 @@ class _BankRegistry:
             raise ConfigurationError(f"group {key} has {have} repetitions per bank, not {reps}")
         first = sum(len(p) for p, _ in self._pending[key])
         self._pending[key].append((prefix, np.asarray(seeds).astype(np.uint64)))
-        return [(key, b * have, (b + 1) * have) for b in range(first, first + len(prefix))]
+        return key, np.arange(first, first + len(prefix))
 
     def freeze(self):
         """Materialize all tables; no banks may be added afterwards.
@@ -833,7 +783,6 @@ class _BankRegistry:
             del prefixes, seeds  # the registered arrays are not held through the Cauchy fill
             self.groups[key] = {
                 "prefix": prefix,
-                "bank": np.repeat(np.arange(len(prefix), dtype=np.int32), self._reps[key]),
                 "coeff": batched_cauchy_tables(row_seeds, self.k - key[1], self.n, self.omega),
                 "joint": np.zeros(len(row_seeds), dtype=np.float64),
                 "margins": np.zeros((len(row_seeds), self.k), dtype=np.float64),
@@ -844,7 +793,7 @@ class _BankRegistry:
         """Fold the distinct ``tuples`` (D, k) with their record ``counts`` into every row."""
         if not self.frozen:
             raise ConfigurationError("freeze the registry before streaming")
-        fields = ("prefix", "bank", "coeff", "joint", "margins")
+        fields = ("prefix", "coeff", "joint", "margins")
         groups = [(sp, *(g[f] for f in fields)) for (_s, sp), g in self.groups.items()]
         self.m_seen += fold_counts(tuples, counts, self.n, groups)
 
@@ -855,8 +804,9 @@ class _BankRegistry:
         v -= np.prod(g["margins"][lo:hi], axis=1)
         return v
 
-    def medians(self) -> Dict[Tuple[int, int], List[float]]:
-        """Each bank's median |m^(k-1) * joint - prod(margins)|, per group in bank order.
+    def medians(self) -> Dict[Tuple[int, int], np.ndarray]:
+        """Each bank's median |m^(k-1) * joint - prod(margins)|, per group as
+        one float64 array in bank order.
 
         Rows are taken in blocks of whole banks, so no temporary holds more
         than FOLD_BLOCK values, or one bank's when that is larger.
@@ -864,13 +814,12 @@ class _BankRegistry:
         table = {}
         for key, g in self.groups.items():
             reps = self._reps[key]
-            step = max(1, FOLD_BLOCK // reps) * reps
-            med: List[float] = []
-            for lo in range(0, len(g["joint"]), step):
-                v = self.values(key, lo, lo + step)
-                med += row_medians(np.abs(v, out=v).reshape(-1, reps)).tolist()
+            step = max(1, FOLD_BLOCK // reps)
+            med = table[key] = np.empty(len(g["prefix"]))
+            for b0 in range(0, len(med), step):
+                v = self.values(key, b0 * reps, (b0 + step) * reps)
+                med[b0 : b0 + step] = row_medians(np.abs(v, out=v).reshape(-1, reps))
                 del v  # else the next block is built while this one is held
-            table[key] = med
         return table
 
 
@@ -901,7 +850,7 @@ class SketchBank:
         self.repetitions = repetitions
         self.registry = _BankRegistry(k, n, default_truncation(k, n) if omega is None else omega)
         prefix = np.array(masks, dtype=np.float64).reshape(1, s, n)
-        self.leaf = _LeafRef(self.registry.add_bank(prefix, s_prime, repetitions, [seed])[0])
+        self.registry.add_bank(prefix, s_prime, repetitions, [seed])
         self.registry.freeze()
         group = self.registry.groups[(s, s_prime)]
         self.joint, self.margins = group["joint"], group["margins"]
@@ -931,12 +880,12 @@ class SketchBank:
     def values(self) -> np.ndarray:
         """Per-repetition sketch values m^(k-1)*joint - prod(margins)."""
         self._check_seen()
-        return self.registry.values(*self.leaf.handle)
+        return self.registry.values((self.s, self.s_prime), 0, self.repetitions)
 
     def median(self) -> float:
         """The median |sketch value|, as the registry's medians() takes it."""
         self._check_seen()
-        return self.leaf.evaluate(self.registry.medians())
+        return float(self.registry.medians()[(self.s, self.s_prime)][0])
 
 
 def epsilon_l1_estimate(
@@ -965,33 +914,22 @@ def polylog_l1_estimate(bank: SketchBank, delta: float, c: float = 64.0) -> floa
     return bank.median()
 
 
-class _BankLeaves:
-    """Leaves of the sketch pipeline, one depth at a time: each side's
-    coarse bank, and its sharp bank at the last depth or a child reduction
-    above it. A depth's banks of one group are registered in one call."""
+def _bank_leaves(reg: _BankRegistry, ov: EstimatorOverrides) -> Leaves:
+    """Leaves of the sketch pipeline: each side's coarse bank, and its sharp
+    bank at the last depth; above it, a child reduction is the sharp leaf.
+    A leaf is a group and its bank indices, and one depth's banks of one
+    group are registered in one call."""
 
-    def __init__(self, reg: _BankRegistry, ov: EstimatorOverrides):
-        self.reg, self.ov = reg, ov
-        self.prefix = np.zeros((1, 0, reg.n), dtype=np.uint8)  # each instance's masks above it
-
-    def __call__(self, masks, _cfg, seeds, rd, side, inst):
-        reg, ov, depth = self.reg, self.ov, self.prefix.shape[1]
-        banked = np.concatenate([self.prefix[inst], masks[:, None]], axis=1)
+    def leaves(prefix, seeds, rd, side):
+        depth = prefix.shape[1] - 1
         a_seeds = derive_key(seeds, _TAG_BANK_A, rd, side)
-        coarse = reg.add_bank(banked, depth, ov.polylog_reps, a_seeds)
-        if depth + 2 == reg.k:
-            b_seeds = derive_key(seeds, _TAG_BANK_B, rd, side)
-            sharp = map(_LeafRef, reg.add_bank(banked, reg.k - 1, ov.eps_reps, b_seeds))
-            self.children = ([], None, None)
-        else:
-            sharp = [_ReducePlan([]) for _ in coarse]
-            self.children = (sharp, derive_key(seeds, _TAG_CHILD, rd, side), banked)
-        return list(zip(map(_LeafRef, coarse), sharp))
+        coarse = reg.add_bank(prefix, depth, ov.polylog_reps, a_seeds)
+        if depth + 2 < reg.k:
+            return coarse, None
+        b_seeds = derive_key(seeds, _TAG_BANK_B, rd, side)
+        return coarse, reg.add_bank(prefix, reg.k - 1, ov.eps_reps, b_seeds)
 
-    def descend(self):
-        """The child reductions of the depth just built and their seeds."""
-        plans, seeds, self.prefix = self.children
-        return plans, seeds
+    return leaves
 
 
 SNAPSHOT_FORMAT = "indisketch-snapshot/1"
@@ -1028,7 +966,7 @@ class StreamDistanceEstimator:
         self.configs, ov = _stack_configs(n, epsilon, delta, ov.beta, ov)
         self.overrides = ov
         self.registry = _BankRegistry(k, n, ov.omega)
-        self.plan = _build_reduce_plan(n, self.configs, self.seed, _BankLeaves(self.registry, ov))
+        self.plan = _build_reduce_plan(n, self.configs, self.seed, _bank_leaves(self.registry, ov))
         self.registry.freeze()
         self.records_consumed = 0
         self._chunk = TupleTally(k, n)
@@ -1108,7 +1046,13 @@ class StreamDistanceEstimator:
         self._flush()
         if self.registry.m_seen < 1:
             raise EmptyStreamError("no tuples were consumed")
-        return self.plan.evaluate(self.registry.medians())
+        med = self.registry.medians()
+
+        def leaf_values(d: _Depth, below):
+            (ckey, coarse), sharp = d.coarse, d.sharp
+            return med[ckey][coarse], below if sharp is None else med[sharp[0]][sharp[1]]
+
+        return _evaluate_plan(self.plan, self.configs, leaf_values)
 
     def bank_rows(self) -> int:
         return sum(g["joint"].shape[0] for g in self.registry.groups.values())

@@ -76,24 +76,30 @@ def mix64(x):
         return _mix64_into(z)
 
 
+def _word(x, what: str) -> int:
+    """An integral scalar mod 2^64; ConfigurationError if it is not integral."""
+    return checked_count(what, x, least=None) & _MASK
+
+
 def derive_key(seed, *parts):
     """Fold integers into a single 64-bit key, order-sensitively.
 
     `seed` and any part may be uint64 arrays for batched derivation;
     chaining holds: derive_key(s, a, b) == derive_key(derive_key(s, a), b).
-    Scalar seeds and parts fold in Python ints up to the first array part;
-    the result is an np.uint64 unless an array took part.
+    Scalar seeds and parts must be integral (integral floats and numpy
+    ints pass) and fold in Python ints up to the first array part; the
+    result is an np.uint64 unless an array took part.
     """
     if isinstance(seed, np.ndarray):
         # every part makes a fresh array, so the seed is copied only without parts
         h, rest = seed.astype(np.uint64, copy=not parts), parts
     else:
-        h = int(seed) & _MASK
+        h = _word(seed, "seed")
         for at, p in enumerate(parts):
             if isinstance(p, np.ndarray):
                 h, rest = np.uint64(h), parts[at:]
                 break
-            h = _mix64_int((h + _GOLDEN_INT + (int(p) & _MASK)) & _MASK)
+            h = _mix64_int((h + _GOLDEN_INT + _word(p, "key part")) & _MASK)
         else:
             return np.uint64(h)
     with np.errstate(over="ignore"):
@@ -101,7 +107,7 @@ def derive_key(seed, *parts):
             if isinstance(p, np.ndarray):
                 z = h + p.astype(np.uint64, copy=False)
             else:
-                z = h + np.uint64(int(p) & _MASK)
+                z = h + np.uint64(_word(p, "key part"))
             z += _GOLDEN
             h = _mix64_into(z)
     return h
@@ -128,7 +134,7 @@ _TAG_BUCKET = 0x5A02
 def _field_coefficients(seeds, tag: int):
     """(a, b) of the field hash (a*i + b) mod p keyed by (seed, tag) of each seed (or one seed)."""
     if isinstance(seeds, (list, tuple)):
-        seeds = np.array([int(s) & _MASK for s in seeds], dtype=np.uint64)
+        seeds = np.array([_word(s, "seed") for s in seeds], dtype=np.uint64)
     key = derive_key(seeds, tag)
     with np.errstate(over="ignore"):
         return tuple(_mix64_into(key + np.uint64(c)) % np.uint64(FIELD_PRIME) for c in (1, 2))
@@ -227,6 +233,13 @@ class BucketHash:
         return bucket_tables(self.seed, self.n if n is None else n, self.buckets)
 
 
+def _cauchy(key, indices, omega=None):
+    """The Cauchy map tan(pi*(u - 1/2)) of the counter uniforms of (key,
+    indices), clamped to [-omega, omega] when ``omega`` is set."""
+    v = np.tan(np.pi * (counter_uniform(key, indices) - 0.5))
+    return v if omega is None else np.clip(v, -omega, omega)
+
+
 @dataclass(frozen=True)
 class CauchySource:
     """Indexed standard-Cauchy generator: value(i) = tan(pi*(u_i - 1/2)).
@@ -248,11 +261,7 @@ class CauchySource:
 
     def table_at(self, indices):
         """Vectorized values at the given integer indices."""
-        u = counter_uniform(derive_key(self.seed, 0x5A03), np.asarray(indices))
-        v = np.tan(np.pi * (u - 0.5))
-        if self.truncation is not None:
-            v = np.clip(v, -self.truncation, self.truncation)
-        return v
+        return _cauchy(derive_key(self.seed, 0x5A03), np.asarray(indices), self.truncation)
 
     def table(self, n):
         """Values at indices 1..n (index 0 of the array <-> i=1)."""
@@ -276,11 +285,8 @@ def batched_cauchy_tables(
     for r0 in range(0, rows.shape[0], step):
         block = rows[r0 : r0 + step, None]
         for j in range(families):
-            u = counter_uniform(derive_key(block, j, 0x5A03), idx)
-            vals = np.tan(np.pi * (u - 0.5))
-            if j > 0:
-                np.clip(vals, -omega, omega, out=vals)
-            out[r0 : r0 + step, j] = vals
+            key = derive_key(block, j, 0x5A03)
+            out[r0 : r0 + step, j] = _cauchy(key, idx, omega if j else None)
     return out
 
 

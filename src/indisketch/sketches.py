@@ -188,9 +188,9 @@ def fold_counts(tuples: np.ndarray, counts: np.ndarray, n: int, groups) -> int:
 
     ``tuples`` holds the chunk's distinct tuples (D, k) over [1, n] and
     ``counts`` their record counts. Each group is
-    ``(s_prime, prefix, bank, coeff, joint, margins)``: ``prefix`` holds
-    each bank's s masks (banks, s, n), ``bank`` the nondecreasing bank of
-    each row, ``coeff`` each row's k - s' Cauchy tables (rows, k - s', n).
+    ``(s_prime, prefix, coeff, joint, margins)``: ``prefix`` holds each
+    bank's s masks (banks, s, n) and ``coeff`` each row's k - s' Cauchy
+    tables (rows, k - s', n), bank b owning rows [b * reps, (b + 1) * reps).
     By linearity this equals feeding the tuples one at a time: each
     bank's masked counts, summed onto the chunk's U distinct suffixes
     (coordinates s' to k), meet its rows' tables at those suffixes, and
@@ -207,8 +207,8 @@ def fold_counts(tuples: np.ndarray, counts: np.ndarray, n: int, groups) -> int:
     # each coordinate's distinct values and their total counts
     values, at = zip(*(np.unique(T[:, j], return_inverse=True) for j in range(k)))
     hists = [np.bincount(a, c) for a in at]
-    for s_prime, prefix, bank, coeff, joint, margins in groups:
-        s = prefix.shape[1]
+    for s_prime, prefix, coeff, joint, margins in groups:
+        s, reps = prefix.shape[1], len(coeff) // len(prefix)
         U, inv = np.unique(T[:, s_prime:], axis=0, return_inverse=True)
         bank_step, row_step = max(1, FOLD_BLOCK // D), max(1, FOLD_BLOCK // len(U))
         for b0 in range(0, len(prefix), bank_step):
@@ -222,10 +222,10 @@ def fold_counts(tuples: np.ndarray, counts: np.ndarray, n: int, groups) -> int:
             masked = [hists[j] * P[:, j, values[j]] for j in range(s)]
             # a collapsed coordinate's margin is its bank's masked mass
             masked[:s_prime] = [m.sum(axis=1, keepdims=True) for m in masked[:s_prime]]
-            lo, hi = np.searchsorted(bank, (b0, b0 + len(P)))
+            lo, hi = b0 * reps, (b0 + len(P)) * reps
             for r0 in range(lo, hi, row_step):
                 rows = slice(r0, min(r0 + row_step, hi))
-                local, C = bank[rows] - b0, coeff[rows]
+                local, C = np.arange(rows.start, rows.stop) // reps - b0, coeff[rows]
                 x = np.take(folded, local, axis=0)
                 for j in range(k - s_prime):
                     x *= C[:, j, U[:, j]]

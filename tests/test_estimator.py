@@ -36,8 +36,6 @@ from indisketch import (
 from indisketch import estimator, hashing, sketches
 from indisketch.estimator import (
     _BankRegistry,
-    _LeafRef,
-    _median,
     _split_masks,
     vector_sub_oracles,
 )
@@ -518,9 +516,10 @@ class TestFlushContraction:
         add_bank, bulk_update = _BankRegistry.add_bank, _BankRegistry.bulk_update
 
         def recording_add(reg, prefix, s_prime, reps, seeds):
-            handles = add_bank(reg, prefix, s_prime, reps, seeds)
+            key, ids = add_bank(reg, prefix, s_prime, reps, seeds)
+            handles = [(key, b * reps, (b + 1) * reps) for b in ids.tolist()]
             banks.extend(zip(handles, prefix.copy(), np.asarray(seeds).tolist()))
-            return handles
+            return key, ids
 
         def counting_update(reg, tuples, counts):
             flushes.append(len(tuples))
@@ -551,6 +550,11 @@ class TestFlushContraction:
                 assert g["margins"][start + r] == pytest.approx(st_.margins, rel=1e-12)
 
 
+def _median(values) -> float:
+    """``row_medians`` of one row."""
+    return sketches.row_medians(np.asarray(values, dtype=np.float64).reshape(1, -1))[0]
+
+
 @given(st.lists(st.floats(width=64, allow_nan=False), min_size=1, max_size=40))
 @settings(max_examples=300, deadline=None)
 def test_median_matches_numpy_to_the_bit(values):
@@ -570,6 +574,31 @@ def _same_float(a, b):
     return (math.isnan(a) and math.isnan(b)) or np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
+def _scalar_round(u0, u1, ratio):
+    """The round decision one round at a time: the reference of ``_decide_round``."""
+    win1, win0 = u1 >= ratio * u0, u0 >= ratio * u1
+    if win0 and win1:
+        return 0.0
+    return u1 if win1 else u0 if win0 else 0.0
+
+
+@given(st.lists(MEDIAN_VALUES, min_size=8, max_size=8), st.sampled_from([1.0, 2.0, 3.5]))
+@settings(max_examples=300, deadline=None)
+def test_tournament_arrays_match_the_scalar_rule(values, beta):
+    """Two rounds with both sides present: a side reads Python's
+    max(coarse / beta, sharp, 0), and the output is Python's min over the
+    rounds' decisions, to the bit, with signed zeros, infinities and NaNs."""
+    coarse, sharp = np.array(values[:4]), np.array(values[4:])
+    cfg = TournamentConfig.from_targets(0.1, 0.1, beta=beta, rounds=2)
+    ratio = cfg.ratio_threshold * beta**2
+    with np.errstate(all="ignore"):
+        u = [max(c / beta, s, 0.0) for c, s in zip(values[:4], values[4:])]
+        want = min(_scalar_round(u[2 * r], u[2 * r + 1], ratio) for r in range(2))
+        rd, side = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+        (got,) = estimator._tournaments(cfg, 1, np.zeros(4, int), rd, side, coarse, sharp)
+    assert _same_float(float(got), want)
+
+
 class TestMedianTable:
     """The registry's median table holds each bank's ``_median(|values|)``, to the bit."""
 
@@ -587,10 +616,11 @@ class TestMedianTable:
     @settings(max_examples=60, deadline=None)
     def test_table_is_median_of_each_bank(self, groups):
         reg = _BankRegistry(2, 2, omega=100.0)
-        handles = []
+        banks = []
         for s_prime, (reps, values) in enumerate(groups):  # groups (1, 0) and (1, 1)
             for b in range(len(values) // reps):
-                handles += reg.add_bank(np.array([[[1, 0]]], np.uint8), s_prime, reps, [b])
+                key, (i,) = reg.add_bank(np.array([[[1, 0]]], np.uint8), s_prime, reps, [b])
+                banks.append((key, i, reps))
         reg.freeze()
         for s_prime, (_reps, values) in enumerate(groups):
             reg.groups[(1, s_prime)]["joint"][:] = values  # margins stay 0, so values are exact
@@ -599,19 +629,21 @@ class TestMedianTable:
             with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
                 mp.setattr(estimator, "FOLD_BLOCK", block)
                 table = reg.medians()
-                for key, start, stop in handles:
-                    bank = np.abs(groups[key[1]][1][start:stop])
-                    got = _LeafRef((key, start, stop)).evaluate(table)
+                for key, i, reps in banks:
+                    bank = np.abs(groups[key[1]][1][i * reps : (i + 1) * reps])
+                    got = table[key][i]
                     assert np.float64(got).tobytes() == np.float64(_median(bank)).tobytes()
                     assert _same_float(got, np.median(bank))
+        assert all(m.dtype == np.float64 for m in table.values())
         assert [len(m) for m in table.values()] == [len(v) // r for r, v in groups]
 
     def test_one_repetition_count_per_group(self):
         reg = _BankRegistry(2, 2, omega=100.0)
         mask = np.array([[[1, 1]]], np.uint8)
-        assert reg.add_bank(mask, 0, 3, [1]) == [((1, 0), 0, 3)]
-        assert reg.add_bank(mask, 1, 4, [2]) == [((1, 1), 0, 4)]
-        assert reg.add_bank(mask, 0, 3, [3]) == [((1, 0), 3, 6)]
+        added = [reg.add_bank(mask, 0, 3, [1]), reg.add_bank(mask, 1, 4, [2])]
+        added.append(reg.add_bank(mask, 0, 3, [3]))
+        got = [(key, banks.tolist()) for key, banks in added]
+        assert got == [((1, 0), [0]), ((1, 1), [0]), ((1, 0), [1])]
         with pytest.raises(ConfigurationError, match="3 repetitions per bank, not 4"):
             reg.add_bank(mask, 0, 4, [4])
         with pytest.raises(ConfigurationError):
@@ -644,7 +676,7 @@ def test_build_derives_per_depth_not_per_bank(monkeypatch):
     groups = est.registry.groups.values()
     assert sum(len(g["prefix"]) for g in groups) == 23_436
     step = hashing.FOLD_BLOCK // 4
-    fill = sum(-(-len(g["bank"]) // step) * g["coeff"].shape[1] + 2 for g in groups)
+    fill = sum(-(-len(g["joint"]) // step) * g["coeff"].shape[1] + 2 for g in groups)
     depths = 2
     assert calls["derive_key"] - fill <= 16 * depths
     assert calls["zero_one_tables"] <= 2 * depths
@@ -663,9 +695,7 @@ def test_evaluation_memory_stays_per_block():
     finally:
         tracemalloc.stop()
     med = est.registry.medians()
-    table = sys.getsizeof(med) + sum(
-        sys.getsizeof(m) + sys.getsizeof(0.0) * len(m) for m in med.values()
-    )
+    table = sys.getsizeof(med) + sum(sys.getsizeof(m) for m in med.values())
     # beyond the table: two block-sized float temporaries at a time (the
     # scaled joint and the margin products, or a block and its partition)
     assert peak - table <= 2 * 8 * sketches.FOLD_BLOCK + (64 << 10)

@@ -31,11 +31,6 @@ from indisketch import (
 from indisketch.cli import generate_synthetic
 from indisketch.estimator import (
     StreamDistanceEstimator,
-    _AmpPlan,
-    _CoverPlan,
-    _LeafRef,
-    _ReducePlan,
-    _TournamentPlan,
     _split_masks,
     vector_sub_oracles,
 )
@@ -162,19 +157,16 @@ def test_registry_tables_of_a_k3_estimator():
     est = StreamDistanceEstimator(3, 3, 0.3, 0.1, seed=5)
     expected = {
         (1, 0): ("c6a3037d4beecacbf93c5951ac5776c110cd2df7c85de457fa788b8ea16575e5",
-                 "04100e157e15d30247fe88cee55be8378b9ced8fdaf698aad3e86acf493b2816",
                  "e928a75787525935adab4f56986649755c5524a7983a19d9595d8256aed7d374"),
         (2, 1): ("0da6e2b6d1a02b4811ace576f66415ace0248b05e9566fc3ad2854e49b288dcb",
-                 "6a9b346a016de7a42bf100c42cabaaa59754b50d72de48ed39f2d65b662464bc",
                  "15382ac4f048be6e5e8377fadc8d19578fbc00dc1491318225d126fe507f3233"),
         (2, 2): ("0da6e2b6d1a02b4811ace576f66415ace0248b05e9566fc3ad2854e49b288dcb",
-                 "8f8dca5e09fbda35fec640e4d4dc4b9e051cf56a2a81e30ad82154786cd8214d",
                  "6b5f00c2ea62b385b7c9abc16fb581e33506238a5f5623386a33e991639137c3"),
     }
     got = {
         key: tuple(
             hashlib.sha256(np.ascontiguousarray(g[f]).tobytes()).hexdigest()
-            for f in ("prefix", "bank", "coeff")
+            for f in ("prefix", "coeff")
         )
         for key, g in est.registry.groups.items()
     }
@@ -192,21 +184,34 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _plan_tree(node):
-    """The plan tree as nested lists: every phase, level, bucket and round
-    in evaluation order, with each leaf as its bank handle [s, s', start, stop]."""
-    if isinstance(node, _LeafRef):
-        (s, s_prime), start, stop = node.handle
-        return [s, s_prime, start, stop]
-    if isinstance(node, _ReducePlan):
-        return [_plan_tree(a) for a in node.amps]
-    if isinstance(node, _AmpPlan):
-        return [node.q, [[j, _plan_tree(c)] for j, c in node.levels]]
-    if isinstance(node, _CoverPlan):
-        return [[s, _plan_tree(t)] for s, t in node.buckets.items()]
-    if isinstance(node, _TournamentPlan):
-        return [[p and [_plan_tree(x) for x in p] for p in sides] for sides in node.rounds]
-    raise TypeError(f"not a plan node: {node!r}")
+def _plan_tree(est):
+    """The plan as nested lists: every phase, level, bucket and round in
+    evaluation order, with each leaf as its bank handle [s, s', start, stop],
+    read from the depth arrays bottom-up."""
+    rounds, amp = est.configs[1].rounds, est.configs[3]
+
+    def handles(leaves):
+        key, banks = leaves
+        g = est.registry.groups[key]
+        reps = len(g["joint"]) // len(g["prefix"])
+        return [[*key, b * reps, (b + 1) * reps] for b in banks.tolist()]
+
+    below = None
+    for d in reversed(est.plan):
+        tournaments = [[[None, None] for _ in range(rounds)] for _ in d.bucket]
+        sharps = below if d.sharp is None else handles(d.sharp)
+        sides = zip(d.side_t.tolist(), d.side_rd.tolist(), d.side_s.tolist())
+        for (t, rd, side), coarse, sharp in zip(sides, handles(d.coarse), sharps):
+            tournaments[t][rd][side] = [coarse, sharp]
+        covers = [[] for _ in d.level_run]
+        buckets = zip(d.bucket_level.tolist(), d.bucket.tolist(), tournaments)
+        for level, bucket, tournament in buckets:
+            covers[level].append([bucket, tournament])
+        runs = [[q, []] for q in d.q.tolist()]
+        for run, j, cover in zip(d.level_run.tolist(), d.level_j.tolist(), covers):
+            runs[run][1].append([j, cover])
+        below = [runs[r : r + amp] for r in range(0, len(runs), amp)]
+    return below[0]
 
 
 @pytest.mark.parametrize(
@@ -214,26 +219,20 @@ def _plan_tree(node):
     [
         (2, 8, 3, None, {
             (1, 0): ("1e897be58c3734104df02177c97ac1f83f636dc840d43c2889608bac97da0358",
-                     "05c1ef5a85ffde57aefc19d6a0f89e9134d4b10f91dfd9e3375713f77dad33db",
                      "c880b80dca3873800f1a72d78dee05836bc9874df7f4e021c5c12e4bc9eaad17"),
             (1, 1): ("1e897be58c3734104df02177c97ac1f83f636dc840d43c2889608bac97da0358",
-                     "4ed97b5198999561fdeabd88bd5660ea13db17ff5c39eeceafddff8c59d56dba",
                      "3fb485199da7f938db51837c350ec1a641d118832c595ddfc56da1a4fdaebd68"),
         }, {(1, 0): (5184, 2, 8), (1, 1): (43200, 1, 8)},
             "0e5009f570a40c04c0ae1e937933f6cddde8ca9196f753bffc4ba8dc735dbccb"),
         # three depths and four groups
         (4, 2, 5, EstimatorOverrides(amplification=2, rounds=1), {
             (1, 0): ("94b5e5683baeea24c24128521f595d5bcc874bf4763236cadd45ceb710a40414",
-                     "94617adc10b6bda9b1a802c1aaef2ee7cd88aff59ed929ad396ddef2363627ec",
                      "268ae85af93df88cf9fde28f685b022f819ddc6644e02be4d1d733ca1bcd4209"),
             (2, 1): ("6f805958aa99da5eb88a075e3deb73aaa6d788f597f934fd5fe08a84c7a0f0e1",
-                     "101dfee6bb8ff5cc0bab7a05ec294e2a06fe399f9b94d2d42546921d0acfce9d",
                      "38a3dc188cc12d4b3a4c15c0336ef32613535f769e71ea8ed8da3511bc495030"),
             (3, 2): ("3b2ce704fc0870171abf65e438ddce029792655f52be61957aad1f46d13e36bc",
-                     "83b3007683a8329bbf6fb92396ab8b0075607d4dcf1507f382df71c3e8b1db79",
                      "274abc4d687b4f785ec9145f66981bc1557a9a9ce3bbb799f894cc265f974da4"),
             (3, 3): ("3b2ce704fc0870171abf65e438ddce029792655f52be61957aad1f46d13e36bc",
-                     "7a4107e13162d2bc6b242eaf1a5bac2330e12cb948b847784b17a01a82705e31",
                      "04002c603c30efad0f23636585443a328e2884a95749051e0daabc45115b1ee8"),
         }, {(1, 0): (96, 4, 2), (2, 1): (384, 3, 2), (3, 2): (1536, 2, 2), (3, 3): (12800, 1, 2)},
             "f5305c083d9079aaaa78c3f866ccdffd0517abb28fc8a11fe0e64ca019472b73"),
@@ -241,16 +240,16 @@ def _plan_tree(node):
     ids=["k2-n8", "k4-n2-three-depths"],
 )
 def test_registry_and_plan_of_an_estimator(k, n, seed, overrides, expected, shapes, plan):
-    """Every group's prefix, bank and coefficient arrays, the group order, and
+    """Every group's prefix and coefficient arrays, the group order, and
     the plan tree with its leaves' handles in evaluation order."""
     est = StreamDistanceEstimator(k, n, 0.3, 0.1, seed=seed, overrides=overrides)
     got = {
-        key: tuple(_sha(np.ascontiguousarray(g[f]).tobytes()) for f in ("prefix", "bank", "coeff"))
+        key: tuple(_sha(np.ascontiguousarray(g[f]).tobytes()) for f in ("prefix", "coeff"))
         for key, g in est.registry.groups.items()
     }
     assert got == expected and list(got) == list(expected)
     assert {key: g["coeff"].shape for key, g in est.registry.groups.items()} == shapes
-    assert _sha(json.dumps(_plan_tree(est.plan)).encode()) == plan
+    assert _sha(json.dumps(_plan_tree(est)).encode()) == plan
 
 
 class TestFormulaRounds:

@@ -13,6 +13,7 @@ from indisketch import (
     MalformedInputError,
     ZeroOneHash,
 )
+from indisketch.cli import generate_synthetic
 from indisketch.hashing import (
     FOLD_BLOCK,
     batched_cauchy_tables,
@@ -96,6 +97,23 @@ def test_non_integral_index_rejected(h):
             h(i)
     with pytest.raises(IndexError):
         h(9)
+
+
+SEEDED = {
+    "derive_key": lambda seed: derive_key(seed, 1),
+    "ZeroOneHash": lambda seed: ZeroOneHash(seed=seed, n=8, q=0.5).table().tolist(),
+    "CauchySource": lambda seed: CauchySource(seed=seed).table(3).tolist(),
+    "generate_synthetic": lambda seed: list(generate_synthetic("diagonal", 2, 4, 3, seed=seed)),
+}
+
+
+@pytest.mark.parametrize("entry", SEEDED.values(), ids=SEEDED.keys())
+def test_non_integral_seed_rejected(entry):
+    """A seed is taken as an integer or not at all: 2.0 is 2, 2.7 an error."""
+    assert entry(2.0) == entry(2) == entry(np.int64(2))
+    for seed in (1.5, 2.7, float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError, match="non-integer seed"):
+            entry(seed)
 
 
 def test_hash_settings_are_configuration_errors():
