@@ -64,15 +64,17 @@ from .errors import (
 )
 from .hashing import (
     FOLD_BLOCK,
+    _word,
     batched_cauchy_tables,
     bucket_tables,
+    checked_omega,
     counter_uniform,
     default_truncation,
     derive_key,
+    hash_table,
     zero_one_tables,
 )
 from .sketches import (
-    _as_table,
     checked_depths,
     fold_counts,
     repetition_seeds,
@@ -330,7 +332,7 @@ _TAG_CHILD = 0x7A09
 
 def _seeds(seed) -> np.ndarray:
     """A caller's integral seed as a one-element uint64 array, mod 2^64 like ``derive_key``."""
-    return np.array([checked_count("seed", seed, least=None) % 2**64], dtype=np.uint64)
+    return np.array([_word(seed, "seed")])
 
 
 def _split_masks(H: np.ndarray, rounds: int, seeds: np.ndarray) -> np.ndarray:
@@ -351,7 +353,7 @@ def split_compare_ratio(V, Z) -> Tuple[float, float]:
     v = np.asarray(V, dtype=np.float64)
     if (v < 0).any():
         raise ConfigurationError("split comparison requires nonnegative entries")
-    z = np.asarray(Z.table(v.shape[0]) if callable(Z) else Z, dtype=np.float64)
+    z = hash_table(Z, v.shape[0]).astype(np.float64)
     x = float((v * z).sum())
     return x, float(v.sum() - x)
 
@@ -380,10 +382,8 @@ def _stack_configs(
         _check_beta(ov.beta)
     if ov.cover_epsilon is not None and not 0.0 < ov.cover_epsilon < 1.0:
         raise ConfigurationError("cover_epsilon must lie in (0, 1)")
-    if ov.omega is not None and not ov.omega > 0.0:
-        raise ConfigurationError("omega must be positive")
-    if ov.omega == math.inf:
-        raise ConfigurationError("omega must be finite")
+    if ov.omega is not None:
+        checked_omega(ov.omega)
     # the value bound only sets the layer count that calibrates base_count
     lcfg = LayerConfig.from_targets(epsilon, n, 2.0**48, scale_override=ov.scale_override)
     cover_eps = lcfg.cover_precision
@@ -744,7 +744,7 @@ class _BankRegistry:
     """
 
     def __init__(self, k: int, n: int, omega: float):
-        self.k, self.n, self.omega = k, n, float(omega)
+        self.k, self.n, self.omega = k, n, checked_omega(omega)
         self._pending: Dict[Tuple[int, int], List[Tuple[np.ndarray, np.ndarray]]] = (
             defaultdict(list)
         )
@@ -801,7 +801,10 @@ class _BankRegistry:
         """m^(k-1) * joint - prod(margins) of rows [lo, hi) of a group, as a new array."""
         g = self.groups[key]
         v = float(self.m_seen) ** (self.k - 1) * g["joint"][lo:hi]
-        v -= np.prod(g["margins"][lo:hi], axis=1)
+        prod = g["margins"][lo:hi, 0].copy()
+        for col in g["margins"][lo:hi, 1:].T:  # np.prod(axis=1)'s order, without its row loop
+            prod *= col
+        v -= prod
         return v
 
     def medians(self) -> Dict[Tuple[int, int], np.ndarray]:
@@ -843,7 +846,7 @@ class SketchBank:
         omega: Optional[float] = None,
     ):
         s, s_prime = checked_depths(k, s, s_prime)
-        masks = [_as_table(h, n) for h in prefix_hashes]
+        masks = [hash_table(h, n) for h in prefix_hashes]
         if len(masks) != s:
             raise ConfigurationError(f"expected {s} prefix masks, got {len(masks)}")
         self.k, self.n, self.s, self.s_prime = k, n, s, s_prime

@@ -14,10 +14,12 @@ arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .stream import _integral, checked_count, checked_unit
 
 # Prime modulus for the (a*i + b) mod p family. Must exceed 2^31 so that
@@ -25,13 +27,9 @@ from .stream import _integral, checked_count, checked_unit
 # small enough that a*i fits in uint64 (p^2 < 2^64).
 FIELD_PRIME = 2**31 + 11
 
-_MASK = 0xFFFFFFFFFFFFFFFF
-_GOLDEN_INT = 0x9E3779B97F4A7C15
-_MIX1_INT = 0xBF58476D1CE4E5B9
-_MIX2_INT = 0x94D049BB133111EB
-_GOLDEN = np.uint64(_GOLDEN_INT)
-_MIX1 = np.uint64(_MIX1_INT)
-_MIX2 = np.uint64(_MIX2_INT)
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 # float64 elements per temporary of a blocked numpy pass: a flush's fold,
 # a Cauchy table fill, a block of synthetic records (512 KiB)
@@ -42,19 +40,9 @@ FOLD_BLOCK = 1 << 16
 _U53 = float(2.0**-53)
 
 
-def _mix64_int(z: int) -> int:
-    """splitmix64 finalizer on a Python int in [0, 2^64)."""
-    z = ((z ^ (z >> 30)) * _MIX1_INT) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2_INT) & _MASK
-    return z ^ (z >> 31)
-
-
 def _mix64_into(z):
-    """splitmix64 finalizer on a fresh uint64 array, in place.
-
-    Numpy scalars are rebound instead; their callers ignore overflow
-    through np.errstate.
-    """
+    """splitmix64 finalizer of a fresh uint64 array, in place; a numpy scalar
+    is rebound instead, and its caller ignores overflow through np.errstate."""
     z ^= z >> np.uint64(30)
     z *= _MIX1
     z ^= z >> np.uint64(27)
@@ -64,21 +52,13 @@ def _mix64_into(z):
 
 
 def mix64(x):
-    """splitmix64 finalizer; accepts uint64 scalars or arrays, wraps mod 2^64.
-
-    Scalars are mixed in Python ints and returned as np.uint64; arrays
-    are mixed in one copy of the input.
-    """
-    z = np.array(x, dtype=np.uint64)
-    if z.ndim == 0:
-        return np.uint64(_mix64_int(int(z)))
-    with np.errstate(over="ignore"):
-        return _mix64_into(z)
+    """splitmix64 finalizer of a uint64 scalar (as np.uint64) or of a copy of an array."""
+    return _mix64_into(np.array(x, dtype=np.uint64))[()]
 
 
-def _word(x, what: str) -> int:
+def _word(x, what: str) -> np.uint64:
     """An integral scalar mod 2^64; ConfigurationError if it is not integral."""
-    return checked_count(what, x, least=None) & _MASK
+    return np.uint64(checked_count(what, x, least=None) % 2**64)
 
 
 def derive_key(seed, *parts):
@@ -87,27 +67,19 @@ def derive_key(seed, *parts):
     `seed` and any part may be uint64 arrays for batched derivation;
     chaining holds: derive_key(s, a, b) == derive_key(derive_key(s, a), b).
     Scalar seeds and parts must be integral (integral floats and numpy
-    ints pass) and fold in Python ints up to the first array part; the
-    result is an np.uint64 unless an array took part.
+    ints pass); the result is an np.uint64 unless an array took part.
     """
     if isinstance(seed, np.ndarray):
         # every part makes a fresh array, so the seed is copied only without parts
-        h, rest = seed.astype(np.uint64, copy=not parts), parts
+        h = seed.astype(np.uint64, copy=not parts)
     else:
         h = _word(seed, "seed")
-        for at, p in enumerate(parts):
-            if isinstance(p, np.ndarray):
-                h, rest = np.uint64(h), parts[at:]
-                break
-            h = _mix64_int((h + _GOLDEN_INT + _word(p, "key part")) & _MASK)
-        else:
-            return np.uint64(h)
     with np.errstate(over="ignore"):
-        for p in rest:
+        for p in parts:
             if isinstance(p, np.ndarray):
                 z = h + p.astype(np.uint64, copy=False)
             else:
-                z = h + np.uint64(_word(p, "key part"))
+                z = h + _word(p, "key part")
             z += _GOLDEN
             h = _mix64_into(z)
     return h
@@ -140,12 +112,11 @@ def _field_coefficients(seeds, tag: int):
         return tuple(_mix64_into(key + np.uint64(c)) % np.uint64(FIELD_PRIME) for c in (1, 2))
 
 
-def _field_values(a, b, n: int) -> np.ndarray:
-    """(a*i + b) mod p at i = 1..n; one row per coefficient pair when a, b are arrays."""
-    i = np.arange(1, n + 1, dtype=np.uint64)
+def _field_values(a, b, i) -> np.ndarray:
+    """(a*i + b) mod p at the indices i; one row per coefficient pair when a, b are arrays."""
     a = np.asarray(a, dtype=np.uint64)[..., None]
     b = np.asarray(b, dtype=np.uint64)[..., None]
-    return (a * i + b) % np.uint64(FIELD_PRIME)
+    return (a * np.asarray(i, dtype=np.uint64) + b) % np.uint64(FIELD_PRIME)
 
 
 def _check_index(i, n: int) -> None:
@@ -164,14 +135,14 @@ def zero_one_tables(seeds, n: int, q) -> np.ndarray:
     """Tables of ZeroOneHash(seed, n, q) for many seeds in one step: uint8 of
     the seeds' shape + (n,). ``q`` is one probability or one per seed."""
     a, b = _field_coefficients(seeds, _TAG_ZERO_ONE)
-    return (_field_values(a, b, n) < _threshold(q)[..., None]).astype(np.uint8)
+    return (_field_values(a, b, np.arange(1, n + 1)) < _threshold(q)[..., None]).astype(np.uint8)
 
 
 def bucket_tables(seeds, n: int, buckets: int) -> np.ndarray:
     """Tables of BucketHash(seed, n, buckets) for many seeds in one step: seeds' shape + (n,)."""
     a, b = _field_coefficients(seeds, _TAG_BUCKET)
     rho = np.uint64(checked_count("buckets", buckets))
-    return (np.uint64(1) + _field_values(a, b, n) % rho).astype(np.int64)
+    return (np.uint64(1) + _field_values(a, b, np.arange(1, n + 1)) % rho).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -192,13 +163,12 @@ class ZeroOneHash:
 
     def __post_init__(self):
         object.__setattr__(self, "threshold", int(_threshold(self.q)))
-        a, b = _field_coefficients(self.seed, _TAG_ZERO_ONE)
-        object.__setattr__(self, "a", int(a))
-        object.__setattr__(self, "b", int(b))
+        for name, c in zip("ab", _field_coefficients(self.seed, _TAG_ZERO_ONE)):
+            object.__setattr__(self, name, int(c))
 
     def __call__(self, i):
         _check_index(i, self.n)
-        return int((self.a * int(i) + self.b) % FIELD_PRIME < self.threshold)
+        return int(_field_values(self.a, self.b, [int(i)])[0] < self.threshold)
 
     def table(self, n=None):
         """Vectorized evaluation over [1, n] as a uint8 array (index 0 <-> i=1)."""
@@ -221,16 +191,29 @@ class BucketHash:
 
     def __post_init__(self):
         object.__setattr__(self, "buckets", checked_count("buckets", self.buckets))
-        a, b = _field_coefficients(self.seed, _TAG_BUCKET)
-        object.__setattr__(self, "a", int(a))
-        object.__setattr__(self, "b", int(b))
+        for name, c in zip("ab", _field_coefficients(self.seed, _TAG_BUCKET)):
+            object.__setattr__(self, name, int(c))
 
     def __call__(self, i):
         _check_index(i, self.n)
-        return 1 + ((self.a * int(i) + self.b) % FIELD_PRIME) % self.buckets
+        return 1 + int(_field_values(self.a, self.b, [int(i)])[0] % self.buckets)
 
     def table(self, n=None):
         return bucket_tables(self.seed, self.n if n is None else n, self.buckets)
+
+
+def hash_table(h, n: int) -> np.ndarray:
+    """A hash's values at 1..n as an array (index 0 <-> i=1): ``h.table(n)``
+    when it has one, ``h(i)`` of each i when it is callable, else ``h``
+    itself as a sequence; ConfigurationError unless that has length n."""
+    if hasattr(h, "table"):
+        h = h.table(n)
+    elif callable(h):
+        h = [h(i) for i in range(1, n + 1)]
+    t = np.asarray(h)
+    if t.shape != (n,):
+        raise ConfigurationError(f"hash table must have length {n}, got shape {t.shape}")
+    return t
 
 
 def _cauchy(key, indices, omega=None):
@@ -246,15 +229,15 @@ class CauchySource:
 
     u_i is the counter uniform of (seed, i), floored into
     [2^-53, 1 - 2^-53] so values stay finite. With `truncation` set to a
-    positive omega, values are clamped to [-omega, omega] exactly.
+    positive, finite omega, values are clamped to [-omega, omega] exactly.
     """
 
     seed: int
     truncation: float | None = None
 
     def __post_init__(self):
-        if self.truncation is not None and self.truncation <= 0:
-            raise ValueError("truncation must be positive when set")
+        if self.truncation is not None:
+            checked_omega(self.truncation)
 
     def __call__(self, i):
         return float(self.table_at(np.asarray([int(i)]))[0])
@@ -288,6 +271,16 @@ def batched_cauchy_tables(
             key = derive_key(block, j, 0x5A03)
             out[r0 : r0 + step, j] = _cauchy(key, idx, omega if j else None)
     return out
+
+
+def checked_omega(omega) -> float:
+    """The clamp magnitude of the truncated Cauchy families as a float;
+    ConfigurationError unless it is positive and finite."""
+    if not omega > 0.0:
+        raise ConfigurationError("omega must be positive")
+    if omega == math.inf:
+        raise ConfigurationError("omega must be finite")
+    return float(omega)
 
 
 def default_truncation(k: int, n: int) -> float:

@@ -38,7 +38,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigurationError, EmptyStreamError
-from .hashing import FOLD_BLOCK, CauchySource, default_truncation, derive_key
+from .hashing import FOLD_BLOCK, CauchySource, default_truncation, derive_key, hash_table
 from .stream import FrequencyTable, TupleKey, checked_count, checked_tuple, checked_unit
 from . import tensor as tensor_ops
 
@@ -72,19 +72,6 @@ def row_medians(values: np.ndarray) -> np.ndarray:
         med = np.mean(np.partition(values, (lo, hi), axis=1)[:, lo : hi + 1], axis=1)
     med[np.isnan(values).any(axis=1)] = np.nan
     return med
-
-
-def _as_table(h, n):
-    """Normalize a hash (array, sequence, callable or ZeroOneHash) to length-n values."""
-    if callable(h) and not isinstance(h, np.ndarray):
-        table = getattr(h, "table", None)
-        if table is not None:
-            return list(table(n))
-        return [h(i) for i in range(1, n + 1)]
-    seq = list(h)
-    if len(seq) != n:
-        raise ConfigurationError(f"hash table must have length {n}, got {len(seq)}")
-    return seq
 
 
 def checked_depths(k: int, s, s_prime) -> Tuple[int, int]:
@@ -141,15 +128,13 @@ class ProductSketchState:
         (default 100*k*n). With the same (seed, rep) this draws exactly the
         tables of repetition `rep` of a registry bank built from `seed`.
         """
-        if omega is None:
-            omega = default_truncation(k, n)
-        fams = k - s_prime
-        coeff = []
-        for j in range(fams):
-            trunc = None if j == 0 else omega
-            src = CauchySource(seed=int(derive_key(seed, 0xCA, rep, j)), truncation=trunc)
-            coeff.append(src.table(n))
-        prefix = [_as_table(h, n) for h in prefix_hashes]
+        omega = default_truncation(k, n) if omega is None else omega
+        coeff = [
+            CauchySource(int(derive_key(seed, 0xCA, rep, j)), omega if j else None).table(n)
+            for j in range(k - s_prime)
+        ]
+        # Python scalars, so the update rule stays exact with rational tables
+        prefix = [hash_table(h, n).tolist() for h in prefix_hashes]
         return cls(k=k, n=n, s=s, s_prime=s_prime, prefix=prefix, coeff=coeff)
 
     def update(self, rec: TupleKey) -> None:

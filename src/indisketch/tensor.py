@@ -28,6 +28,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .errors import BudgetExceededError, EmptyStreamError
+from .hashing import hash_table
 from .stream import FrequencyTable
 
 # Materializing more than this many entries fails loudly rather than degrade.
@@ -68,18 +69,6 @@ class DenseTensor:
 
     def __eq__(self, other):
         return isinstance(other, DenseTensor) and np.array_equal(self.array, other.array)
-
-
-def _mask_table(h: HashLike, n: int) -> np.ndarray:
-    if callable(h) and not isinstance(h, np.ndarray):
-        table = getattr(h, "table", None)
-        if table is not None:
-            return np.asarray(table(n), dtype=np.int64)
-        return np.asarray([int(h(i)) for i in range(1, n + 1)], dtype=np.int64)
-    t = np.asarray(h, dtype=np.int64)
-    if t.shape != (n,):
-        raise ValueError(f"hash table must have length {n}, got shape {t.shape}")
-    return t
 
 
 def l1_norm(M: DenseTensor) -> int:
@@ -123,7 +112,7 @@ def prefix_zero(M: DenseTensor, hashes: Sequence[HashLike]) -> DenseTensor:
         raise ValueError(f"{t} hashes exceed dimensionality {M.s}")
     out = M.array
     for axis, h in enumerate(hashes):
-        mask = _mask_table(h, M.n)
+        mask = hash_table(h, M.n).astype(np.int64)
         shape = [1] * M.s
         shape[axis] = M.n
         out = out * mask.reshape(shape)

@@ -10,8 +10,15 @@ from indisketch import (
     BucketHash,
     CauchySource,
     ConfigurationError,
+    DenseTensor,
+    EstimatorOverrides,
     MalformedInputError,
+    ProductSketchState,
+    SketchBank,
+    StreamDistanceEstimator,
     ZeroOneHash,
+    prefix_zero,
+    split_compare_ratio,
 )
 from indisketch.cli import generate_synthetic
 from indisketch.hashing import (
@@ -19,6 +26,7 @@ from indisketch.hashing import (
     batched_cauchy_tables,
     counter_uniform,
     derive_key,
+    hash_table,
     zero_one_tables,
 )
 from indisketch.sketches import repetition_seeds
@@ -127,6 +135,59 @@ def test_hash_settings_are_configuration_errors():
             zero_one_tables(np.arange(2, dtype=np.uint64), 8, [0.5, q])
     assert ZeroOneHash(seed=1, n=8, q=0.0).table().tolist() == [0] * 8
     assert BucketHash(seed=1, n=8, buckets=4.0).buckets == 4
+
+
+def bank_masks(h):
+    return SketchBank(2, 3, 1, 0, [h], 2, seed=1).registry.groups[(1, 0)]["prefix"].tolist()
+
+
+TABLE_TAKERS = {
+    "hash_table": lambda h: hash_table(h, 3).tolist(),
+    "split_compare_ratio": lambda h: split_compare_ratio([1.0, 2.0, 4.0], h),
+    "prefix_zero": lambda h: prefix_zero(DenseTensor(np.eye(3) + 1), [h]).array.tolist(),
+    "SketchBank": bank_masks,
+    "ProductSketchState": lambda h: ProductSketchState.from_seeds(2, 3, 1, 0, [h], seed=1).prefix,
+}
+
+
+@pytest.mark.parametrize("take", TABLE_TAKERS.values(), ids=TABLE_TAKERS.keys())
+def test_every_hash_form_is_one_table(take):
+    """A sequence, an array, a plain callable and a hash with .table(n) are
+    the same input; a table of any other length is a configuration error."""
+    want = take([1, 0, 1])
+    assert take(np.array([1, 0, 1], dtype=np.uint8)) == want
+    assert take(lambda i: i % 2) == want
+    h = ZeroOneHash(seed=5, n=3, q=0.5)
+    assert take(h) == take(h.table().tolist())
+    for bad in ([1, 0], [1, 0, 1, 1], np.ones((3, 1)), lambda i: [i, i]):
+        with pytest.raises(ConfigurationError, match="hash table must have length 3"):
+            take(bad)
+
+
+def test_product_sketch_state_keeps_python_scalars():
+    state = ProductSketchState.from_seeds(2, 3, 1, 0, [np.array([1, 0, 1], dtype=np.uint8)], seed=1)
+    assert [type(x) for x in state.prefix[0]] == [int] * 3
+
+
+OMEGA_TAKERS = {
+    "CauchySource": lambda omega: CauchySource(seed=1, truncation=omega),
+    "SketchBank": lambda omega: SketchBank(2, 4, 0, 0, [], 3, seed=1, omega=omega),
+    "ProductSketchState": lambda omega: ProductSketchState.from_seeds(2, 4, 0, 0, [], 1, omega),
+    "StreamDistanceEstimator": lambda omega: StreamDistanceEstimator(
+        2, 4, 0.3, 0.1, overrides=EstimatorOverrides(omega=omega)
+    ),
+}
+
+
+@pytest.mark.parametrize("take", OMEGA_TAKERS.values(), ids=OMEGA_TAKERS.keys())
+@pytest.mark.parametrize(
+    "omega,message",
+    [(0.0, "positive"), (-0.0, "positive"), (-1.0, "positive"), (math.nan, "positive"),
+     (math.inf, "finite")],
+)
+def test_truncation_must_be_positive_and_finite(take, omega, message):
+    with pytest.raises(ConfigurationError, match=f"omega must be {message}"):
+        take(omega)
 
 
 class TestCauchySource:
