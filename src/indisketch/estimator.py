@@ -620,10 +620,12 @@ def _oracle_tournaments(H, seeds, cfg: TournamentConfig, subs: SubAlgorithms) ->
 
 
 def _as_mask(H) -> Mask:
-    m = np.asarray(H, dtype=np.uint8)
+    m = np.asarray(H)
     if m.ndim != 1:
         raise ConfigurationError(f"mask must be one-dimensional, got shape {m.shape}")
-    return m
+    if not np.isin(m, (0, 1)).all():
+        raise ConfigurationError("mask entries must be 0 or 1")
+    return m.astype(np.uint8)
 
 
 def tensor_tournament(
@@ -658,6 +660,7 @@ def layered_l1_estimate(
     of the vector restricted to the masked coordinates, at precision
     ``cfg.cover_precision`` and failure ``cfg.cover_delta``.
     """
+    n = checked_count("n", n)
     q, _, level_j, masks, seeds = _levels(n, cfg, _seeds(seed))
     outputs = (
         (0, j, float(value))
@@ -737,62 +740,41 @@ class _BankRegistry:
 
     Rows are grouped by (prefix depth s, collapse depth s'); each row is
     one repetition with its own Cauchy tables, and each bank's prefix masks
-    are stored once. A flush folds the chunk's distinct tuple counts into
-    every group with ``fold_counts``. All banks of a group have the same
-    repetition count, so bank b of a group holds rows
-    [b * reps, (b + 1) * reps).
+    are stored once. ``add_bank`` allocates a group, tables and all; a
+    flush folds the chunk's distinct tuple counts into every group with
+    ``fold_counts``. All banks of a group have the same repetition count,
+    so bank b of a group holds rows [b * reps, (b + 1) * reps).
     """
 
     def __init__(self, k: int, n: int, omega: float):
         self.k, self.n, self.omega = k, n, checked_omega(omega)
-        self._pending: Dict[Tuple[int, int], List[Tuple[np.ndarray, np.ndarray]]] = (
-            defaultdict(list)
-        )
-        self._reps: Dict[Tuple[int, int], int] = {}
         self.groups: Dict[Tuple[int, int], Dict[str, np.ndarray]] = {}
         self.m_seen = 0
-        self.frozen = False
 
     def add_bank(self, prefix: np.ndarray, s_prime: int, reps: int, seeds) -> Tuple:
-        """Register one bank of `reps` repetitions per row of ``prefix``
-        (banks, s, n) and of ``seeds``; returns their group and bank indices,
-        which index the group's ``medians()``."""
-        if self.frozen:
-            raise ConfigurationError("registry is frozen once the pass begins")
-        key = (prefix.shape[1], s_prime)
-        have = self._reps.get(key)
-        if have is None:  # a group's first bank sets, and checks, its count
-            have = self._reps[key] = checked_count("repetitions", reps)
-        elif have != reps:
-            raise ConfigurationError(f"group {key} has {have} repetitions per bank, not {reps}")
-        first = sum(len(p) for p, _ in self._pending[key])
-        self._pending[key].append((prefix, np.asarray(seeds).astype(np.uint64)))
-        return key, np.arange(first, first + len(prefix))
-
-    def freeze(self):
-        """Materialize all tables; no banks may be added afterwards.
+        """Allocate the group of the banks of `reps` repetitions, one per
+        row of ``prefix`` (banks, s, n) and of ``seeds``; returns the group
+        and its bank indices, which index the group's ``medians()``. A
+        group is registered once, before any record is folded.
 
         Row r of a bank draws exactly the Cauchy tables of
         ``ProductSketchState.from_seeds(..., seed=bank seed, rep=r)``, so
         any row can be cross-checked against the scalar reference.
         """
-        for key in list(self._pending):
-            prefixes, seeds = zip(*self._pending.pop(key))
-            prefix = np.concatenate(prefixes, dtype=np.float64)
-            row_seeds = repetition_seeds(np.concatenate(seeds), self._reps[key])
-            del prefixes, seeds  # the registered arrays are not held through the Cauchy fill
-            self.groups[key] = {
-                "prefix": prefix,
-                "coeff": batched_cauchy_tables(row_seeds, self.k - key[1], self.n, self.omega),
-                "joint": np.zeros(len(row_seeds), dtype=np.float64),
-                "margins": np.zeros((len(row_seeds), self.k), dtype=np.float64),
-            }
-        self.frozen = True
+        key = (prefix.shape[1], s_prime)
+        if key in self.groups or self.m_seen:
+            raise ConfigurationError(f"group {key} must be registered once, before the pass")
+        row_seeds = repetition_seeds(np.asarray(seeds), checked_count("repetitions", reps))
+        self.groups[key] = {
+            "prefix": prefix.astype(np.float64),
+            "coeff": batched_cauchy_tables(row_seeds, self.k - s_prime, self.n, self.omega),
+            "joint": np.zeros(len(row_seeds), dtype=np.float64),
+            "margins": np.zeros((len(row_seeds), self.k), dtype=np.float64),
+        }
+        return key, np.arange(len(prefix))
 
     def bulk_update(self, tuples: np.ndarray, counts: np.ndarray):
         """Fold the distinct ``tuples`` (D, k) with their record ``counts`` into every row."""
-        if not self.frozen:
-            raise ConfigurationError("freeze the registry before streaming")
         fields = ("prefix", "coeff", "joint", "margins")
         groups = [(sp, *(g[f] for f in fields)) for (_s, sp), g in self.groups.items()]
         self.m_seen += fold_counts(tuples, counts, self.n, groups)
@@ -816,7 +798,7 @@ class _BankRegistry:
         """
         table = {}
         for key, g in self.groups.items():
-            reps = self._reps[key]
+            reps = len(g["joint"]) // len(g["prefix"])
             step = max(1, FOLD_BLOCK // reps)
             med = table[key] = np.empty(len(g["prefix"]))
             for b0 in range(0, len(med), step):
@@ -854,7 +836,6 @@ class SketchBank:
         self.registry = _BankRegistry(k, n, default_truncation(k, n) if omega is None else omega)
         prefix = np.array(masks, dtype=np.float64).reshape(1, s, n)
         self.registry.add_bank(prefix, s_prime, repetitions, [seed])
-        self.registry.freeze()
         group = self.registry.groups[(s, s_prime)]
         self.joint, self.margins = group["joint"], group["margins"]
 
@@ -970,7 +951,6 @@ class StreamDistanceEstimator:
         self.overrides = ov
         self.registry = _BankRegistry(k, n, ov.omega)
         self.plan = _build_reduce_plan(n, self.configs, self.seed, _bank_leaves(self.registry, ov))
-        self.registry.freeze()
         self.records_consumed = 0
         self._chunk = TupleTally(k, n)
 
@@ -1031,15 +1011,25 @@ class StreamDistanceEstimator:
 
     def merge(self, snapshot: Dict[str, object]) -> None:
         """Add the accumulators of a snapshot taken over a disjoint part of
-        the stream; the result is the state of the combined stream."""
+        the stream; the result is the state of the combined stream. The
+        whole snapshot is checked before anything is added."""
         if snapshot.get("format") != SNAPSHOT_FORMAT:
             raise ConfigurationError(f"unknown snapshot format {snapshot.get('format')!r}")
-        if snapshot["configuration"] != self._configuration():
+        if snapshot.get("configuration") != self._configuration():
             raise MergeIncompatibleError("snapshot was taken with another configuration")
-        for key, g in self.registry.groups.items():
-            g["joint"] += snapshot["groups"][key]["joint"]
-            g["margins"] += snapshot["groups"][key]["margins"]
-        self.registry.m_seen += snapshot["m_seen"]
+        groups, own = snapshot.get("groups"), self.registry.groups
+        if not isinstance(groups, dict) or groups.keys() != own.keys():
+            raise MergeIncompatibleError("snapshot holds other bank groups")
+        adds = [(g[f], groups[key].get(f)) for key, g in own.items() for f in ("joint", "margins")]
+        for mine, x in adds:
+            if not isinstance(x, np.ndarray) or (x.dtype, x.shape) != (mine.dtype, mine.shape):
+                raise MergeIncompatibleError(f"an accumulator is not float64 of shape {mine.shape}")
+        m = snapshot.get("m_seen")
+        if not isinstance(m, (int, np.integer)) or m < 0:
+            raise MergeIncompatibleError(f"m_seen {m!r} is not a count of records")
+        for mine, x in adds:
+            mine += x
+        self.registry.m_seen += int(m)
 
     @property
     def m_seen(self) -> int:

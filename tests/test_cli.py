@@ -365,6 +365,20 @@ class TestRun:
         assert rep.diagnostics["reader_traversals"] == 1
         assert rep.diagnostics["records_read"] == 200 == rep.m
 
+    @pytest.mark.parametrize("k,n", [(2, 8), (3, 4)])
+    def test_both_mode_is_the_exact_and_sketch_runs(self, k, n, tmp_path):
+        path = tmp_path / "in.txt"
+        recs = generate_synthetic("mixture(0.5)", k, n, 300, seed=k)
+        path.write_text("".join(",".join(map(str, r)) + "\n" for r in recs))
+        exact, sketch, both = (
+            run(RunConfig(k=k, n=n, mode=mode, seed=3, input_path=str(path)))
+            for mode in ("exact", "sketch", "both")
+        )
+        assert both.exact_distance.hex() == exact.exact_distance.hex()
+        assert both.distance_estimate.hex() == sketch.distance_estimate.hex()
+        norm = "tensor_norm_estimate"
+        assert both.diagnostics[norm].hex() == sketch.diagnostics[norm].hex()
+
     def test_reports_identical_for_identical_inputs(self, tmp_path):
         path = tmp_path / "in.txt"
         path.write_text("1,1\n2,2\n1,2\n" * 30)

@@ -292,6 +292,21 @@ class TestCover:
             assert abs(out[1] - 50_000) <= 0.3 * 50_000
 
 
+@pytest.mark.parametrize("entry", [0.5, 1.7, 256.0, 2, -1, 256])
+def test_mask_entries_are_zero_or_one(entry):
+    """A mask is never truncated to uint8; bools read as 0 and 1."""
+    subs = vector_sub_oracles([5, 1, 1, 1])
+    tcfg = TournamentConfig.from_targets(0.1, 0.05, beta=1.0)
+    ccfg = CoverConfig.from_targets(0.3, 0.1, tcfg.alpha, rho=5)
+    with pytest.raises(ConfigurationError, match="mask entries must be 0 or 1"):
+        tensor_tournament([1, 1, entry, 1], tcfg, subs, seed=1)
+    with pytest.raises(ConfigurationError, match="mask entries must be 0 or 1"):
+        cover_algorithm([1, 1, entry, 1], ccfg, tcfg, subs, seed=1)
+    bools, ints = [True, False, True, True], [1, 0, 1, 1]
+    assert tensor_tournament(bools, tcfg, subs, 1) == tensor_tournament(ints, tcfg, subs, 1)
+    assert cover_algorithm(bools, ccfg, tcfg, subs, 1) == cover_algorithm(ints, ccfg, tcfg, subs, 1)
+
+
 def exact_cover_oracle(v):
     """Cover oracle returning the exact positive masked entries."""
 
@@ -305,6 +320,12 @@ class TestLayeredEstimate:
     def test_zero_vector(self):
         cfg = LayerConfig.from_targets(0.3, 16, 1e4)
         assert layered_l1_estimate(16, cfg, exact_cover_oracle(np.zeros(16)), seed=0) == 0.0
+
+    @pytest.mark.parametrize("n", [2.5, 0, -3])
+    def test_bad_n_rejected(self, n):
+        cfg = LayerConfig.from_targets(0.3, 16, 1e4)
+        with pytest.raises(ConfigurationError, match=r"^(non-integer n |n must be >= 1)"):
+            layered_l1_estimate(n, cfg, exact_cover_oracle(np.ones(16)), seed=0)
 
     def test_single_entry(self):
         v = np.zeros(64)
@@ -618,10 +639,10 @@ class TestMedianTable:
         reg = _BankRegistry(2, 2, omega=100.0)
         banks = []
         for s_prime, (reps, values) in enumerate(groups):  # groups (1, 0) and (1, 1)
-            for b in range(len(values) // reps):
-                key, (i,) = reg.add_bank(np.array([[[1, 0]]], np.uint8), s_prime, reps, [b])
-                banks.append((key, i, reps))
-        reg.freeze()
+            count = len(values) // reps
+            prefix = np.tile(np.array([[[1, 0]]], np.uint8), (count, 1, 1))
+            key, ids = reg.add_bank(prefix, s_prime, reps, np.arange(count))
+            banks += [(key, i, reps) for i in ids.tolist()]
         for s_prime, (_reps, values) in enumerate(groups):
             reg.groups[(1, s_prime)]["joint"][:] = values  # margins stay 0, so values are exact
         reg.m_seen = 1
@@ -637,17 +658,21 @@ class TestMedianTable:
         assert all(m.dtype == np.float64 for m in table.values())
         assert [len(m) for m in table.values()] == [len(v) // r for r, v in groups]
 
-    def test_one_repetition_count_per_group(self):
+    def test_a_group_is_registered_once(self):
         reg = _BankRegistry(2, 2, omega=100.0)
-        mask = np.array([[[1, 1]]], np.uint8)
-        added = [reg.add_bank(mask, 0, 3, [1]), reg.add_bank(mask, 1, 4, [2])]
-        added.append(reg.add_bank(mask, 0, 3, [3]))
+        mask = np.array([[[1, 1]], [[1, 0]]], np.uint8)
+        added = [reg.add_bank(mask, 0, 3, [1, 2]), reg.add_bank(mask[:1], 1, 4, [3])]
         got = [(key, banks.tolist()) for key, banks in added]
-        assert got == [((1, 0), [0]), ((1, 1), [0]), ((1, 0), [1])]
-        with pytest.raises(ConfigurationError, match="3 repetitions per bank, not 4"):
-            reg.add_bank(mask, 0, 4, [4])
-        with pytest.raises(ConfigurationError):
-            reg.add_bank(mask, 1, 0, [5])
+        assert got == [((1, 0), [0, 1]), ((1, 1), [0])]
+        assert [len(g["joint"]) for g in reg.groups.values()] == [6, 4]
+        with pytest.raises(ConfigurationError, match=r"group \(1, 0\) must be registered once"):
+            reg.add_bank(mask, 0, 3, [4, 5])
+        with pytest.raises(ConfigurationError, match="repetitions must be >= 1"):
+            reg.add_bank(mask[:, :0], 0, 0, [6, 7])
+        reg.bulk_update(np.array([[1, 2]]), np.array([1]))
+        with pytest.raises(ConfigurationError, match="before the pass"):
+            reg.add_bank(mask[:, :0], 0, 3, [6, 7])
+        assert list(reg.groups) == [(1, 0), (1, 1)]
 
 
 def test_build_derives_per_depth_not_per_bank(monkeypatch):

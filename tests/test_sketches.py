@@ -188,17 +188,35 @@ class TestLinearity:
     def test_merge_randomness_mismatch(self):
         a = estimator(2, 3)
         a.consume([(1, 2), (3, 3)])
+        before = a.snapshot()
         others = [
             estimator(2, 3, seed=8),
             estimator(2, 3, overrides=EstimatorOverrides(eps_reps=100)),
             estimator(2, 3, overrides=EstimatorOverrides(max_chunk=16)),
             StreamDistanceEstimator(2, 3, 0.25, 0.1, seed=7),
         ]
+        snaps = []
         for other in others:
             other.consume([(1, 1)])
+            snaps.append(other.snapshot())
+        # malformed snapshots of the same configuration
+        same = estimator(2, 3)
+        same.consume([(1, 1)])
+        good = same.snapshot()
+        groups = good["groups"]
+        first, last = list(groups)[0], list(groups)[-1]
+        one_row = {"joint": np.ones(1), "margins": np.ones((1, 2))}
+        snaps += [
+            {**good, "groups": {key: g for key, g in groups.items() if key != last}},
+            {**good, "groups": {**groups, first: one_row}},
+            {**good, "groups": {**groups, last: {**groups[last], "margins": np.ones(2)}}},
+            {**good, "m_seen": -5},
+            {**good, "m_seen": 2.5},
+        ]
+        for snap in snaps:
             with pytest.raises(MergeIncompatibleError):
-                a.merge(other.snapshot())
-        assert a.m_seen == 2
+                a.merge(snap)
+        assert_same_accumulators(a.snapshot(), before)
 
     def test_permutation_invariance(self):
         recs = [(1, 2), (3, 1), (2, 2), (3, 3)]
