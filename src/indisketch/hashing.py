@@ -56,33 +56,33 @@ def mix64(x):
     return _mix64_into(np.array(x, dtype=np.uint64))[()]
 
 
-def _word(x, what: str) -> np.uint64:
-    """An integral scalar mod 2^64; ConfigurationError if it is not integral."""
-    return np.uint64(checked_count(what, x, least=None) % 2**64)
+def _word(x, what: str):
+    """An integral scalar mod 2^64 as an np.uint64, or an array of them as
+    uint64 (an integer array is cast, which wraps as ``% 2**64`` does, and
+    any other array goes value by value); ConfigurationError unless every
+    value is integral."""
+    if not isinstance(x, np.ndarray):
+        return np.uint64(checked_count(what, x, least=None) % 2**64)
+    if x.dtype.kind in "iu":
+        return x.astype(np.uint64, copy=False)
+    return np.array([_word(v, what) for v in x.ravel().tolist()], dtype=np.uint64).reshape(x.shape)
 
 
 def derive_key(seed, *parts):
     """Fold integers into a single 64-bit key, order-sensitively.
 
-    `seed` and any part may be uint64 arrays for batched derivation;
+    `seed` and any part may be integer arrays for batched derivation;
     chaining holds: derive_key(s, a, b) == derive_key(derive_key(s, a), b).
-    Scalar seeds and parts must be integral (integral floats and numpy
-    ints pass); the result is an np.uint64 unless an array took part.
+    Seeds and parts, scalar or array, must be integral (integral floats and
+    numpy ints pass); the result is an np.uint64 unless an array took part.
     """
-    if isinstance(seed, np.ndarray):
-        # every part makes a fresh array, so the seed is copied only without parts
-        h = seed.astype(np.uint64, copy=not parts)
-    else:
-        h = _word(seed, "seed")
+    h = _word(seed, "seed")
     with np.errstate(over="ignore"):
         for p in parts:
-            if isinstance(p, np.ndarray):
-                z = h + p.astype(np.uint64, copy=False)
-            else:
-                z = h + _word(p, "key part")
+            z = h + _word(p, "key part")
             z += _GOLDEN
             h = _mix64_into(z)
-    return h
+    return h.copy() if h is seed else h  # never the caller's array
 
 
 def counter_uniform(key, index):

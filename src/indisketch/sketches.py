@@ -140,12 +140,8 @@ class ProductSketchState:
     def update(self, rec: TupleKey) -> None:
         t = checked_tuple(rec, self.k, self.n)
         s, sp = self.s, self.s_prime
-        hprod = 1
-        for j in range(s):
-            hprod = hprod * self.prefix[j][t[j] - 1]
-        cprod = 1
-        for j in range(self.k - sp):
-            cprod = cprod * self.coeff[j][t[sp + j] - 1]
+        hprod = math.prod(self.prefix[j][t[j] - 1] for j in range(s))
+        cprod = math.prod(self.coeff[j][t[sp + j] - 1] for j in range(self.k - sp))
         self.joint = self.joint + hprod * cprod
         for j in range(self.k):
             x = t[j] - 1
@@ -162,10 +158,7 @@ class ProductSketchState:
         """m^(k-1) * joint - prod(margins); the sketch of the target tensor."""
         if self.m_seen < 1:
             raise EmptyStreamError("sketch value requires at least one tuple")
-        prod = 1
-        for g in self.margins:
-            prod = prod * g
-        return self.m_seen ** (self.k - 1) * self.joint - prod
+        return self.m_seen ** (self.k - 1) * self.joint - math.prod(self.margins)
 
 
 def fold_counts(tuples: np.ndarray, counts: np.ndarray, n: int, groups) -> int:
@@ -174,15 +167,17 @@ def fold_counts(tuples: np.ndarray, counts: np.ndarray, n: int, groups) -> int:
     ``tuples`` holds the chunk's distinct tuples (D, k) over [1, n] and
     ``counts`` their record counts. Each group is
     ``(s_prime, prefix, coeff, joint, margins)``: ``prefix`` holds each
-    bank's s masks (banks, s, n) and ``coeff`` each row's k - s' Cauchy
-    tables (rows, k - s', n), bank b owning rows [b * reps, (b + 1) * reps).
-    By linearity this equals feeding the tuples one at a time: each
-    bank's masked counts, summed onto the chunk's U distinct suffixes
-    (coordinates s' to k), meet its rows' tables at those suffixes, and
-    each margin meets them at its coordinate's distinct values. For D
-    distinct tuples the cost is O(banks * s * D + rows * k * U), never a
-    term in n^k; each temporary holds at most max(FOLD_BLOCK, D) floats.
-    Returns the record count.
+    bank's s masks (banks, s, n) and ``coeff`` each row's d = k - s'
+    Cauchy tables (rows, d, n), bank b owning rows [b * reps, (b + 1) * reps).
+    By linearity this equals feeding the tuples one at a time. Each bank's
+    masked counts go onto the grid of the chunk's L distinct leads (suffix
+    coordinates s' to k - 1) by its V distinct last values, which meets
+    the rows' last tables in one batched matrix product and then their
+    lead tables; margins are batched matrix-vector products. The cost is
+    O(banks * s * D + rows * (L * V + (d - 1) * L + sum_j values_j)),
+    never a term in n^k, and L * V is the suffix count U on a dense
+    chunk. Banks, and a large bank's rows and leads, go in blocks, so no
+    temporary holds over max(FOLD_BLOCK, D) floats. Returns the record count.
     """
     if not len(counts):
         return 0
@@ -192,33 +187,45 @@ def fold_counts(tuples: np.ndarray, counts: np.ndarray, n: int, groups) -> int:
     # each coordinate's distinct values and their total counts
     values, at = zip(*(np.unique(T[:, j], return_inverse=True) for j in range(k)))
     hists = [np.bincount(a, c) for a in at]
+    V, width = len(values[-1]), max(map(len, values))
     for s_prime, prefix, coeff, joint, margins in groups:
-        s, reps = prefix.shape[1], len(coeff) // len(prefix)
-        U, inv = np.unique(T[:, s_prime:], axis=0, return_inverse=True)
-        bank_step, row_step = max(1, FOLD_BLOCK // D), max(1, FOLD_BLOCK // len(U))
+        s, d, reps = prefix.shape[1], k - s_prime, len(coeff) // len(prefix)
+        C, J, M = (a.reshape(len(prefix), reps, *a.shape[1:]) for a in (coeff, joint, margins))
+        L, lead = np.unique(T[:, s_prime : k - 1], axis=0, return_inverse=True)
+        order = np.argsort(lead, kind="stable")  # so a block of leads is a slice of tuples
+        Tg, cg, lead, last = T[order], c[order], lead[order], at[-1][order]
+        bank_step = max(1, FOLD_BLOCK // max(D, reps * max(width, len(L)), V * len(L)))
+        rep_step = reps if bank_step * reps * width <= FOLD_BLOCK else max(1, FOLD_BLOCK // width)
+        lead_step = max(1, FOLD_BLOCK // (bank_step * max(rep_step, V)))
+        cuts = np.searchsorted(lead, np.arange(0, len(L) + lead_step, lead_step))
         for b0 in range(0, len(prefix), bank_step):
             P = prefix[b0 : b0 + bank_step]
-            w = np.tile(c, (len(P), 1))
+            B = len(P)
+            w = np.tile(cg, (B, 1))
             for j in range(s):
-                w *= P[:, j, T[:, j]]
-            # masked counts summed onto the distinct suffixes: (banks, U)
-            cells = (np.arange(len(P))[:, None] * len(U) + inv.reshape(-1)).ravel()
-            folded = np.bincount(cells, w.ravel(), len(P) * len(U)).reshape(len(P), -1)
+                w *= P[:, j, Tg[:, j]]
             masked = [hists[j] * P[:, j, values[j]] for j in range(s)]
             # a collapsed coordinate's margin is its bank's masked mass
             masked[:s_prime] = [m.sum(axis=1, keepdims=True) for m in masked[:s_prime]]
-            lo, hi = b0 * reps, (b0 + len(P)) * reps
-            for r0 in range(lo, hi, row_step):
-                rows = slice(r0, min(r0 + row_step, hi))
-                local, C = np.arange(rows.start, rows.stop) // reps - b0, coeff[rows]
-                x = np.take(folded, local, axis=0)
-                for j in range(k - s_prime):
-                    x *= C[:, j, U[:, j]]
-                joint[rows] += x.sum(axis=1)
-                for j in range(k):
-                    G = C[:, j - s_prime, values[j]] if j >= s_prime else 1.0
-                    W = np.take(masked[j], local, axis=0) if j < s else hists[j]
-                    margins[rows, j] += (G * W).sum(axis=1) if j < s else G @ W
+            if not d:
+                J[b0 : b0 + B] += w.sum(axis=1, keepdims=True)
+            for q0 in range(0, reps, rep_step):
+                at_rows = (slice(b0, b0 + B), slice(q0, q0 + rep_step))
+                Cb, Jb, Mb = C[at_rows], J[at_rows], M[at_rows]
+                for j in range(s_prime):
+                    Mb[:, :, j] += masked[j]
+                for j in range(s_prime, k):
+                    G = Cb[:, :, j - s_prime, values[j]]
+                    Mb[:, :, j] += (G @ masked[j][:, :, None])[..., 0] if j < s else G @ hists[j]
+                # G now holds the last tables at the last values
+                for i, l0 in enumerate(range(0, len(L) if d else 0, lead_step)):
+                    t0, t1, nl = cuts[i], cuts[i + 1], min(lead_step, len(L) - l0)
+                    cells = last[t0:t1] * nl + lead[t0:t1] - l0 + np.arange(B)[:, None] * (V * nl)
+                    F = np.bincount(cells.ravel(), w[:, t0:t1].ravel(), B * V * nl)
+                    Y = G @ F.reshape(B, V, nl)
+                    for j in range(d - 1):
+                        Y *= Cb[:, :, j, L[l0 : l0 + nl, j]]
+                    Jb += np.einsum("brl->br", Y)  # Y.sum(axis=2), faster over few leads
     return int(c.sum())
 
 
@@ -250,14 +257,7 @@ def reference_sketch_value(
     M = tensor_ops.dense_independence_tensor(table)
     masked = tensor_ops.prefix_zero(M, list(prefix_hashes))
     collapsed = tensor_ops.suffix_sum(masked, s_prime)
-    dims = table.k - s_prime
-    total = 0
-    if dims == 0:
-        return int(collapsed.array)
-    it = np.ndindex(*collapsed.array.shape)
-    for idx in it:
-        c = 1
-        for j, x in enumerate(idx):
-            c = c * coeff[j][x]
-        total = total + c * int(collapsed.array[idx])
-    return total
+    return sum(
+        math.prod(coeff[j][x] for j, x in enumerate(idx)) * int(collapsed.array[idx])
+        for idx in np.ndindex(*collapsed.array.shape)
+    )

@@ -570,6 +570,19 @@ class TestFlushContraction:
                 assert g["joint"][start + r] == pytest.approx(st_.joint, rel=1e-12)
                 assert g["margins"][start + r] == pytest.approx(st_.margins, rel=1e-12)
 
+    def test_report_does_not_follow_the_fold_block(self, monkeypatch):
+        """Fold blocks of 7 floats split every bank, repetition range and
+        lead range, which only reorders sums: the report is byte-identical."""
+        ov = EstimatorOverrides(amplification=1, rounds=2, eps_reps=5, polylog_reps=3)
+        recs = list(generate_synthetic("mixture(0.5)", 3, 4, 300, seed=8))
+        reports = []
+        for block in (sketches.FOLD_BLOCK, 7):
+            monkeypatch.setattr(sketches, "FOLD_BLOCK", block)
+            stream = TupleStream(3, 4, recs)
+            reports.append(independence_distance(stream, 0.3, 0.1, seed=4, overrides=ov).to_json())
+        assert reports[0] == reports[1]
+        assert '"distance_estimate"' in reports[0]
+
 
 def _median(values) -> float:
     """``row_medians`` of one row."""

@@ -112,6 +112,10 @@ SEEDED = {
     "ZeroOneHash": lambda seed: ZeroOneHash(seed=seed, n=8, q=0.5).table().tolist(),
     "CauchySource": lambda seed: CauchySource(seed=seed).table(3).tolist(),
     "generate_synthetic": lambda seed: list(generate_synthetic("diagonal", 2, 4, 3, seed=seed)),
+    "derive_key of an array": lambda seed: derive_key(np.array([seed, 5]), 1).tolist(),
+    "SketchBank": lambda seed: SketchBank(2, 4, 1, 0, [[1, 0, 1, 1]], 3, seed=seed)
+    .registry.groups[(1, 0)]["coeff"]
+    .tolist(),
 }
 
 
@@ -122,6 +126,25 @@ def test_non_integral_seed_rejected(entry):
     for seed in (1.5, 2.7, float("nan"), float("inf")):
         with pytest.raises(ConfigurationError, match="non-integer seed"):
             entry(seed)
+
+
+def test_array_seeds_and_parts_follow_the_scalar_rule():
+    """An array seed or part is taken value by value as a scalar one is:
+    integer arrays (negative values wrap mod 2^64) and integral floats keep
+    their keys, and a non-integral value is an error, not a truncation."""
+    want = [derive_key(x, 7, 9) for x in (-1, 3, 2**63 + 5)]
+    assert derive_key(np.array([-1, 3]), 7, 9).tolist() == want[:2]
+    assert derive_key(np.array([2**63 + 5], dtype=np.uint64), 7, 9).tolist() == want[2:]
+    assert derive_key(np.array([-1.0, 3.0]), 7, 9).tolist() == want[:2]
+    assert derive_key(np.array([2**63 + 5, -1], dtype=object), 7, 9).tolist() == [want[2], want[0]]
+    assert derive_key(3, np.array([7.0]), 9).tolist() == want[1:2]
+    for bad in (np.array([2.7]), np.array([[-1.5, 2.0]]), np.array([np.nan])):
+        with pytest.raises(ConfigurationError, match="non-integer seed"):
+            derive_key(bad, 1)
+        with pytest.raises(ConfigurationError, match="non-integer key part"):
+            derive_key(1, bad)
+    seeds = np.arange(3, dtype=np.uint64)
+    assert derive_key(seeds) is not seeds and derive_key(seeds).tolist() == [0, 1, 2]
 
 
 def test_hash_settings_are_configuration_errors():

@@ -5,6 +5,7 @@ and the two estimators."""
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +32,7 @@ from indisketch import (
     reference_sketch_value,
     suffix_sum,
 )
+from indisketch import sketches
 from indisketch.sketches import required_epsilon_reps
 
 
@@ -263,6 +265,42 @@ class TestBank:
             assert bank.joint[rep] == pytest.approx(st_.joint, rel=1e-12)
             assert bank.margins[rep] == pytest.approx(st_.margins, rel=1e-12)
 
+    @pytest.mark.parametrize("chunk", ["repeats", "permutation"])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_fold_matches_scalar_states_at_every_depth(self, k, chunk, monkeypatch):
+        """Every (s, s') at k = 2, 3, 4, s' = k - 1 and s' = k among them,
+        against the scalar rule. A permutation chunk's n distinct suffixes
+        fill 1/n of their lead-by-last grid when s' < k - 1. Small fold
+        blocks split the banks, a bank's repetitions and the leads, and
+        leave every accumulator within rtol 1e-12."""
+        n, reps = 7, 4
+        rng = np.random.default_rng(k)
+        if chunk == "permutation":
+            recs = list(zip(*(rng.permutation(n).tolist() for _ in range(k))))
+            recs = [tuple(x + 1 for x in r) for r in recs]
+        else:
+            recs = [tuple(r) for r in rng.integers(1, 4, (10, k)).tolist()]
+        chunks = (recs, recs[:3])  # one flush of the whole chunk, then a few repeats
+        masks = [rng.integers(0, 2, n) | (np.arange(n) % 3 == 0) for _ in range(k)]
+        for s in range(k + 1):
+            for s_prime in range(s + 1):
+                rows = []
+                for block in (sketches.FOLD_BLOCK, 40, 7):
+                    monkeypatch.setattr(sketches, "FOLD_BLOCK", block)
+                    bank = SketchBank(k, n, s, s_prime, masks[:s], repetitions=reps, seed=31)
+                    for part in chunks:
+                        bank.bulk_update(dict(Counter(part)))
+                    rows.append((bank.joint, bank.margins))
+                for r in range(reps):
+                    st_ = ProductSketchState.from_seeds(k, n, s, s_prime, masks[:s], seed=31, rep=r)
+                    for rec in chunks[0] + chunks[1]:
+                        st_.update(rec)
+                    assert rows[0][0][r] == pytest.approx(st_.joint, rel=1e-12)
+                    assert rows[0][1][r] == pytest.approx(st_.margins, rel=1e-12)
+                for joint, margins in rows[1:]:
+                    np.testing.assert_allclose(joint, rows[0][0], rtol=1e-12, atol=0)
+                    np.testing.assert_allclose(margins, rows[0][1], rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("shared_suffix", [False, True])
     def test_flush_memory_follows_the_chunk(self, shared_suffix):
         # n^k = 8e9 cells: a flush must scale with the chunk, not the domain,
@@ -286,6 +324,29 @@ class TestBank:
         assert peak < 1 << 20
         for rep in range(3):
             st_ = ProductSketchState.from_seeds(k, n, 2, 1, masks, seed=23, rep=rep)
+            for r in recs:
+                st_.update(r)
+            assert bank.joint[rep] == pytest.approx(st_.joint, rel=1e-12)
+            assert bank.margins[rep] == pytest.approx(st_.margins, rel=1e-12)
+
+    def test_flush_memory_of_an_empty_grid(self):
+        # 2,000 distinct suffixes (i, pi(i)) fill 1/2000 of their 4M-cell
+        # lead-by-last grid; leads go in blocks, so the fold holds a few
+        # FOLD_BLOCK temporaries, not the grid of one bank (32 MB)
+        k, n, reps = 3, 2000, 128
+        rng = np.random.default_rng(6)
+        masks = [rng.integers(0, 2, n), rng.integers(0, 2, n)]
+        last = rng.permutation(n) + 1
+        counts = {(int(rng.integers(1, n + 1)), i + 1, int(last[i])): 1 for i in range(n)}
+        bank = SketchBank(k, n, 2, 1, masks, repetitions=reps, seed=29)
+        tracemalloc.start()
+        bank.bulk_update(counts)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 6 * 8 * sketches.FOLD_BLOCK
+        recs = list(counts)
+        for rep in range(2):
+            st_ = ProductSketchState.from_seeds(k, n, 2, 1, masks, seed=29, rep=rep)
             for r in recs:
                 st_.update(r)
             assert bank.joint[rep] == pytest.approx(st_.joint, rel=1e-12)
