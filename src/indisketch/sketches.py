@@ -43,6 +43,11 @@ from .stream import FrequencyTable, TupleKey, checked_count, checked_tuple, chec
 from . import tensor as tensor_ops
 
 
+# fold_counts gathers per suffix when the suffixes fill less than 1/GRID_FILL
+# of their grid: there its matrix product is slower (x86_64, OpenBLAS)
+GRID_FILL = 64
+
+
 def repetition_seeds(seed, repetitions) -> np.ndarray:
     """Per-repetition base seeds; family j of row r is derive_key(rows[r], j).
 
@@ -140,8 +145,12 @@ class ProductSketchState:
     def update(self, rec: TupleKey) -> None:
         t = checked_tuple(rec, self.k, self.n)
         s, sp = self.s, self.s_prime
-        hprod = math.prod(self.prefix[j][t[j] - 1] for j in range(s))
-        cprod = math.prod(self.coeff[j][t[sp + j] - 1] for j in range(self.k - sp))
+        hprod = 1
+        for j in range(s):
+            hprod = hprod * self.prefix[j][t[j] - 1]
+        cprod = 1
+        for j in range(self.k - sp):
+            cprod = cprod * self.coeff[j][t[sp + j] - 1]
         self.joint = self.joint + hprod * cprod
         for j in range(self.k):
             x = t[j] - 1
@@ -158,7 +167,10 @@ class ProductSketchState:
         """m^(k-1) * joint - prod(margins); the sketch of the target tensor."""
         if self.m_seen < 1:
             raise EmptyStreamError("sketch value requires at least one tuple")
-        return self.m_seen ** (self.k - 1) * self.joint - math.prod(self.margins)
+        prod = 1
+        for g in self.margins:
+            prod = prod * g
+        return self.m_seen ** (self.k - 1) * self.joint - prod
 
 
 def fold_counts(tuples: np.ndarray, counts: np.ndarray, n: int, groups) -> int:
@@ -173,11 +185,15 @@ def fold_counts(tuples: np.ndarray, counts: np.ndarray, n: int, groups) -> int:
     masked counts go onto the grid of the chunk's L distinct leads (suffix
     coordinates s' to k - 1) by its V distinct last values, which meets
     the rows' last tables in one batched matrix product and then their
-    lead tables; margins are batched matrix-vector products. The cost is
-    O(banks * s * D + rows * (L * V + (d - 1) * L + sum_j values_j)),
-    never a term in n^k, and L * V is the suffix count U on a dense
-    chunk. Banks, and a large bank's rows and leads, go in blocks, so no
-    temporary holds over max(FOLD_BLOCK, D) floats. Returns the record count.
+    lead tables; margins are batched matrix-vector products. When the U
+    distinct suffixes fill less than 1/GRID_FILL of the grid, and when
+    s' = k, each suffix is its own lead with one last value, so its
+    tables are gathered once per row. The cost is O(banks * s * D +
+    rows * (L * V + (d - 1) * L + sum_j |values_j|)) on the grid, where
+    L * V = U on a dense chunk, and O(banks * s * D + rows * (d * U +
+    sum_j |values_j|)) per suffix; never a term in n^k. Banks, and a
+    large bank's rows and leads, go in blocks, so no temporary holds over
+    max(FOLD_BLOCK, D) floats. Returns the record count.
     """
     if not len(counts):
         return 0
@@ -191,12 +207,18 @@ def fold_counts(tuples: np.ndarray, counts: np.ndarray, n: int, groups) -> int:
     for s_prime, prefix, coeff, joint, margins in groups:
         s, d, reps = prefix.shape[1], k - s_prime, len(coeff) // len(prefix)
         C, J, M = (a.reshape(len(prefix), reps, *a.shape[1:]) for a in (coeff, joint, margins))
-        L, lead = np.unique(T[:, s_prime : k - 1], axis=0, return_inverse=True)
+        U, inv = np.unique(T[:, s_prime:], axis=0, return_inverse=True)
+        L, lead = np.unique(U[:, :-1], axis=0, return_inverse=True)
+        per_suffix = not d or len(L) * V > GRID_FILL * len(U)
+        if per_suffix:
+            L, lead, last, nv = U, inv.reshape(-1), np.zeros(D, np.int64), 1
+        else:
+            lead, last, nv = lead[inv.reshape(-1)], at[-1], V
         order = np.argsort(lead, kind="stable")  # so a block of leads is a slice of tuples
-        Tg, cg, lead, last = T[order], c[order], lead[order], at[-1][order]
-        bank_step = max(1, FOLD_BLOCK // max(D, reps * max(width, len(L)), V * len(L)))
+        Tg, cg, lead, last = T[order], c[order], lead[order], last[order]
+        bank_step = max(1, FOLD_BLOCK // max(D, reps * max(width, len(L)), nv * len(L)))
         rep_step = reps if bank_step * reps * width <= FOLD_BLOCK else max(1, FOLD_BLOCK // width)
-        lead_step = max(1, FOLD_BLOCK // (bank_step * max(rep_step, V)))
+        lead_step = max(1, FOLD_BLOCK // (bank_step * max(rep_step, nv)))
         cuts = np.searchsorted(lead, np.arange(0, len(L) + lead_step, lead_step))
         for b0 in range(0, len(prefix), bank_step):
             P = prefix[b0 : b0 + bank_step]
@@ -207,8 +229,6 @@ def fold_counts(tuples: np.ndarray, counts: np.ndarray, n: int, groups) -> int:
             masked = [hists[j] * P[:, j, values[j]] for j in range(s)]
             # a collapsed coordinate's margin is its bank's masked mass
             masked[:s_prime] = [m.sum(axis=1, keepdims=True) for m in masked[:s_prime]]
-            if not d:
-                J[b0 : b0 + B] += w.sum(axis=1, keepdims=True)
             for q0 in range(0, reps, rep_step):
                 at_rows = (slice(b0, b0 + B), slice(q0, q0 + rep_step))
                 Cb, Jb, Mb = C[at_rows], J[at_rows], M[at_rows]
@@ -217,13 +237,15 @@ def fold_counts(tuples: np.ndarray, counts: np.ndarray, n: int, groups) -> int:
                 for j in range(s_prime, k):
                     G = Cb[:, :, j - s_prime, values[j]]
                     Mb[:, :, j] += (G @ masked[j][:, :, None])[..., 0] if j < s else G @ hists[j]
-                # G now holds the last tables at the last values
-                for i, l0 in enumerate(range(0, len(L) if d else 0, lead_step)):
+                # G holds the last tables at the last values, or ones per suffix
+                if per_suffix:
+                    G = np.ones(Cb.shape[:2] + (1,))
+                for i, l0 in enumerate(range(0, len(L), lead_step)):
                     t0, t1, nl = cuts[i], cuts[i + 1], min(lead_step, len(L) - l0)
-                    cells = last[t0:t1] * nl + lead[t0:t1] - l0 + np.arange(B)[:, None] * (V * nl)
-                    F = np.bincount(cells.ravel(), w[:, t0:t1].ravel(), B * V * nl)
-                    Y = G @ F.reshape(B, V, nl)
-                    for j in range(d - 1):
+                    cells = last[t0:t1] * nl + lead[t0:t1] - l0 + np.arange(B)[:, None] * (nv * nl)
+                    F = np.bincount(cells.ravel(), w[:, t0:t1].ravel(), B * nv * nl)
+                    Y = G @ F.reshape(B, nv, nl)
+                    for j in range(L.shape[1]):
                         Y *= Cb[:, :, j, L[l0 : l0 + nl, j]]
                     Jb += np.einsum("brl->br", Y)  # Y.sum(axis=2), faster over few leads
     return int(c.sum())
@@ -257,7 +279,14 @@ def reference_sketch_value(
     M = tensor_ops.dense_independence_tensor(table)
     masked = tensor_ops.prefix_zero(M, list(prefix_hashes))
     collapsed = tensor_ops.suffix_sum(masked, s_prime)
-    return sum(
-        math.prod(coeff[j][x] for j, x in enumerate(idx)) * int(collapsed.array[idx])
-        for idx in np.ndindex(*collapsed.array.shape)
-    )
+    dims = table.k - s_prime
+    total = 0
+    if dims == 0:
+        return int(collapsed.array)
+    it = np.ndindex(*collapsed.array.shape)
+    for idx in it:
+        c = 1
+        for j, x in enumerate(idx):
+            c = c * coeff[j][x]
+        total = total + c * int(collapsed.array[idx])
+    return total

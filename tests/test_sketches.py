@@ -272,7 +272,8 @@ class TestBank:
         against the scalar rule. A permutation chunk's n distinct suffixes
         fill 1/n of their lead-by-last grid when s' < k - 1. Small fold
         blocks split the banks, a bank's repetitions and the leads, and
-        leave every accumulator within rtol 1e-12."""
+        GRID_FILL = 0 folds every suffix as its own lead; each leaves every
+        accumulator within rtol 1e-12."""
         n, reps = 7, 4
         rng = np.random.default_rng(k)
         if chunk == "permutation":
@@ -282,11 +283,13 @@ class TestBank:
             recs = [tuple(r) for r in rng.integers(1, 4, (10, k)).tolist()]
         chunks = (recs, recs[:3])  # one flush of the whole chunk, then a few repeats
         masks = [rng.integers(0, 2, n) | (np.arange(n) % 3 == 0) for _ in range(k)]
+        grid = sketches.GRID_FILL
         for s in range(k + 1):
             for s_prime in range(s + 1):
                 rows = []
-                for block in (sketches.FOLD_BLOCK, 40, 7):
+                for block, fill in ((sketches.FOLD_BLOCK, grid), (40, grid), (7, grid), (40, 0), (7, 0)):
                     monkeypatch.setattr(sketches, "FOLD_BLOCK", block)
+                    monkeypatch.setattr(sketches, "GRID_FILL", fill)
                     bank = SketchBank(k, n, s, s_prime, masks[:s], repetitions=reps, seed=31)
                     for part in chunks:
                         bank.bulk_update(dict(Counter(part)))
@@ -329,10 +332,13 @@ class TestBank:
             assert bank.joint[rep] == pytest.approx(st_.joint, rel=1e-12)
             assert bank.margins[rep] == pytest.approx(st_.margins, rel=1e-12)
 
-    def test_flush_memory_of_an_empty_grid(self):
+    @pytest.mark.parametrize("grid_fill", [sketches.GRID_FILL, math.inf])
+    def test_flush_memory_of_an_empty_grid(self, grid_fill, monkeypatch):
         # 2,000 distinct suffixes (i, pi(i)) fill 1/2000 of their 4M-cell
-        # lead-by-last grid; leads go in blocks, so the fold holds a few
+        # lead-by-last grid, so the fold gathers per suffix; made to take
+        # the grid, it blocks the leads, so either way it holds a few
         # FOLD_BLOCK temporaries, not the grid of one bank (32 MB)
+        monkeypatch.setattr(sketches, "GRID_FILL", grid_fill)
         k, n, reps = 3, 2000, 128
         rng = np.random.default_rng(6)
         masks = [rng.integers(0, 2, n), rng.integers(0, 2, n)]
@@ -348,6 +354,32 @@ class TestBank:
         for rep in range(2):
             st_ = ProductSketchState.from_seeds(k, n, 2, 1, masks, seed=29, rep=rep)
             for r in recs:
+                st_.update(r)
+            assert bank.joint[rep] == pytest.approx(st_.joint, rel=1e-12)
+            assert bank.margins[rep] == pytest.approx(st_.margins, rel=1e-12)
+
+    def test_sparse_flush_does_not_build_the_grid(self, monkeypatch):
+        # 5,000 permutation suffixes at n = 100,000 fill 1/5000 of their
+        # 25M-cell grid: every sum the fold builds has at most one cell
+        # per suffix, so the cost is that of per-suffix gathers
+        n, N, reps = 100_000, 5000, 64
+        rng = np.random.default_rng(8)
+        mask = rng.integers(0, 2, n)
+        counts = {(i + 1, int(x) + 1): 1 for i, x in enumerate(rng.permutation(n)[:N])}
+        bank = SketchBank(2, n, 1, 0, [mask], repetitions=reps, seed=37)
+        bincount = np.bincount
+
+        def bounded(x, weights=None, minlength=0):
+            out = bincount(x, weights, minlength)
+            assert out.size <= N, f"a fold sum of {out.size} cells for {N} suffixes"
+            return out
+
+        monkeypatch.setattr(np, "bincount", bounded)
+        bank.bulk_update(counts)
+        monkeypatch.undo()
+        for rep in range(2):
+            st_ = ProductSketchState.from_seeds(2, n, 1, 0, [mask], seed=37, rep=rep)
+            for r in counts:
                 st_.update(r)
             assert bank.joint[rep] == pytest.approx(st_.joint, rel=1e-12)
             assert bank.margins[rep] == pytest.approx(st_.margins, rel=1e-12)
