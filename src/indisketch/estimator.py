@@ -22,7 +22,10 @@ evaluated one depth at a time. Composition, bottom to top:
    values into multiplicative layers, pick for each layer the deepest
    subsampling level whose count falls in a calibrated window, and sum the
    rescaled counts. This turns covers into an L1 estimate of the whole
-   vector.
+   vector. All outputs of a depth are layered as arrays: layer edges by
+   search against Python's float powers, one count per (run, layer,
+   level) cell, one reduction for the levels and one weighted count per
+   run for the sums.
 
 4. *Dimension reduction* (``_build_reduce_plan``, ``_evaluate_plan``):
    steps 1-3 applied to the absolute-hyperplane vector of a tensor turn
@@ -36,9 +39,9 @@ each with a leaf factory's (coarse, sharp) leaves. Sketch leaves
 (``StreamDistanceEstimator`` / ``independence_distance``) are
 product-sketch banks, all registered before the one pass, with the child
 reductions of the next depth as the sharp leaves above the last depth.
-``_evaluate_plan`` works bottom-up: leaf values, then the round decisions
-and round minimum as array expressions, then the layer counts per run and
-the median per reduction. Oracle leaves (``tensor_tournament``,
+``_evaluate_plan`` works bottom-up: leaf values, then the round decisions,
+round minimum and layered sums as array expressions, then the median per
+reduction. Oracle leaves (``tensor_tournament``,
 ``cover_algorithm``, ``dimension_reduce``) are side masks, evaluated by
 calling injected ``SubAlgorithms``; ``layered_l1_estimate`` takes a
 caller's cover for each level. Exact sub-oracles built from the dense
@@ -49,7 +52,6 @@ sketch noise while running the stage evaluators the sketch pipeline runs.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import asdict, dataclass, replace as dataclass_replace
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -190,7 +192,7 @@ class CoverConfig:
     ) -> "CoverConfig":
         checked_unit("epsilon", epsilon)
         checked_unit("delta", delta)
-        if alpha <= 0.0:
+        if not alpha > 0.0:
             raise ConfigurationError("alpha must be positive")
         eps_sig = epsilon**2 * delta / 3.0
         if rho is None:
@@ -238,13 +240,15 @@ class LayerConfig:
         phase_steps: Optional[int] = None,
     ) -> "LayerConfig":
         checked_unit("epsilon", epsilon)
+        if not -math.inf < value_bound < math.inf:
+            raise ConfigurationError(f"value_bound={value_bound} must be finite")
         growth = math.log1p(epsilon)
         a = max(1, math.ceil(math.log(max(n, 2)) / growth))
         b = max(1, math.ceil(math.log(max(value_bound, 2.0)) / growth))
         scale = 1.0 if scale_override is None else float(scale_override)
         if not 0.0 < scale <= 1.0:
             raise ConfigurationError("scale_override must lie in (0, 1]")
-        cp = base_count if base_count is not None else 10 * (a + b)
+        cp = 10 * (a + b) if base_count is None else checked_count("base_count", base_count)
         cp = max(2, math.ceil(cp * scale))
         if count_threshold is None:
             chi = max(4, math.ceil(math.ceil(16.0 / epsilon**3 * cp) * scale))
@@ -351,8 +355,8 @@ def _split_masks(H: np.ndarray, rounds: int, seeds: np.ndarray) -> np.ndarray:
 def split_compare_ratio(V, Z) -> Tuple[float, float]:
     """Exact halves (X, Y) of a nonnegative vector under a 0/1 split hash."""
     v = np.asarray(V, dtype=np.float64)
-    if (v < 0).any():
-        raise ConfigurationError("split comparison requires nonnegative entries")
+    if not ((v >= 0) & (v < math.inf)).all():
+        raise ConfigurationError("split comparison requires finite nonnegative entries")
     z = hash_table(Z, v.shape[0]).astype(np.float64)
     x = float((v * z).sum())
     return x, float(v.sum() - x)
@@ -524,54 +528,45 @@ def _tournaments(cfg: TournamentConfig, count: int, t, rd, side, coarse, sharp) 
     return _decide_round(u[..., 0], u[..., 1], cfg.ratio_threshold * beta**2).min(axis=1)
 
 
-def _assign_layer(value: float, shift: float, cfg: LayerConfig) -> Optional[int]:
-    """Layer index l with shift*(1+eps)^l <= value < shift*(1+eps)^(l+1);
-    None below the bottom layer l = -1. The grid has no top: a value above
-    ``cfg.layers`` is counted, not dropped."""
-    if value <= 0.0:
-        return None
-    growth = 1.0 + cfg.epsilon
-    x = value / shift
-    l = math.floor(math.log(x) / math.log(growth) + 1e-12)
-    while growth ** (l + 1) <= x:
-        l += 1
-    while growth**l > x:
-        l -= 1
-    return l if l >= -1 else None
-
-
-def _layer_sum(counts: Dict[Tuple[int, int], int], cfg: LayerConfig, shift: float) -> float:
-    """Select the deepest in-window level per layer and sum the rescaled counts."""
-    growth = 1.0 + cfg.epsilon
-    chi = cfg.count_threshold
-    lo, hi = chi / growth**2, (1.0 + 3.0 * cfg.epsilon) * chi  # the count window
-    by_layer: Dict[int, Dict[int, int]] = defaultdict(dict)
-    for (l, j), c in counts.items():
-        by_layer[l][j] = c
-    total = 0.0
-    for l, per_level in by_layer.items():
-        z = 0
-        for j, c in per_level.items():
-            if j > 0 and lo < c <= hi:
-                z = max(z, j)
-        c = per_level.get(z, 0)
-        total += growth ** (z + l) * c
-    return shift * total
-
-
-def _layered_sums(
-    cfg: LayerConfig, q: np.ndarray, outputs: Iterable[Tuple[int, int, float]]
-) -> np.ndarray:
+def _layered_sums(cfg: LayerConfig, q: np.ndarray, run, j, value) -> np.ndarray:
     """The layered sum of each amplification run (phase q), from the cover
-    outputs (run, level j, value) in evaluation order: each positive value
-    is counted at its (layer, level), in insertion order, per run."""
-    shifts = [(1.0 + cfg.phase_ratio) ** x for x in q.tolist()]
-    counts: List[Dict[Tuple[int, int], int]] = [defaultdict(int) for _ in shifts]
-    for run, j, value in outputs:
-        l = _assign_layer(value, shifts[run], cfg)
-        if l is not None:
-            counts[run][(l, j)] += 1
-    return np.array([_layer_sum(c, cfg, shift) for c, shift in zip(counts, shifts)])
+    outputs (run, level j, value) in evaluation order, as arrays.
+
+    With growth = 1 + epsilon and a run's shift = (1 + phase_ratio)**q, a
+    positive value lies in layer l >= -1 when shift * growth**l <= value <
+    shift * growth**(l + 1), against edges of Python's float pow. The grid
+    has no top: a value above ``cfg.layers`` is counted. Each layer of a
+    run takes its deepest level whose count falls in the window, else level
+    0, and adds growth**(z + l) times that count; the layers are added in
+    the order they first appear. A non-finite output is a
+    ``SubAlgorithmError``.
+    """
+    bad = value[~np.isfinite(value)]
+    if len(bad):
+        raise SubAlgorithmError(f"cover output {bad[0]} is not finite")
+    growth = 1.0 + cfg.epsilon
+    shifts = np.array([(1.0 + cfg.phase_ratio) ** x for x in q.tolist()])
+    pos = value > 0.0
+    run, j = run[pos], j[pos]
+    x = value[pos] / shifts[run]
+    # the edges pass the largest value by a layer and reach the deepest weight
+    top = max(0, math.ceil(math.log(x.max(initial=1.0)) / math.log(growth))) + 1
+    levels = int(j.max(initial=0)) + 1
+    edges = np.array([growth**e for e in range(-1, top + levels)])  # edges[i] = growth**(i - 1)
+    layer = np.searchsorted(edges, x, side="right") - 1  # l + 1; -1 below the grid
+    ok = layer >= 0
+    cells, first, count = np.unique(
+        (run[ok] * len(edges) + layer[ok]) * levels + j[ok], return_index=True, return_counts=True
+    )
+    group, level = cells // levels, cells % levels  # each cell's (run, layer) and level
+    new = np.diff(group, prepend=-1) != 0
+    start, g = np.flatnonzero(new), np.cumsum(new) - 1
+    lo, hi = cfg.count_threshold / growth**2, (1.0 + 3.0 * cfg.epsilon) * cfg.count_threshold
+    z = np.maximum.reduceat(np.where((lo < count) & (count <= hi), level, 0), start)
+    pick = np.flatnonzero(level == z[g])  # none where level 0 is empty: that layer adds 0
+    pick = pick[np.argsort(np.minimum.reduceat(first, start)[g[pick]])]  # first-seen layers
+    terms = edges[level[pick] + group[pick] % len(edges)] * count[pick]
+    return shifts * np.bincount(group[pick] // len(edges), terms, minlength=len(q))
 
 
 def _evaluate_plan(plan: List[_Depth], configs: StackConfigs, leaf_values: Callable) -> float:
@@ -590,8 +585,8 @@ def _evaluate_plan(plan: List[_Depth], configs: StackConfigs, leaf_values: Calla
         out = _tournaments(tcfg, len(d.bucket), d.side_t, d.side_rd, d.side_s, coarse, sharp)
         fired = np.flatnonzero(out > 0.0)
         level = d.bucket_level[fired]
-        outputs = zip(d.level_run[level].tolist(), d.level_j[level].tolist(), out[fired].tolist())
-        below = row_medians(_layered_sums(lcfg, d.q, outputs).reshape(-1, amp))
+        sums = _layered_sums(lcfg, d.q, d.level_run[level], d.level_j[level], out[fired])
+        below = row_medians(sums.reshape(-1, amp))
     return float(below[0])
 
 
@@ -658,16 +653,15 @@ def layered_l1_estimate(
 
     ``run_cover(mask, seed)`` must return the positive values of a cover
     of the vector restricted to the masked coordinates, at precision
-    ``cfg.cover_precision`` and failure ``cfg.cover_delta``.
+    ``cfg.cover_precision`` and failure ``cfg.cover_delta``, as any
+    iterable of floats; a non-finite value is a ``SubAlgorithmError``.
     """
     n = checked_count("n", n)
-    q, _, level_j, masks, seeds = _levels(n, cfg, _seeds(seed))
-    outputs = (
-        (0, j, float(value))
-        for j, m, s in zip(level_j.tolist(), masks, seeds.tolist())
-        for value in run_cover(m, s)
-    )
-    return float(_layered_sums(cfg, q, outputs)[0])
+    q, run, level_j, masks, seeds = _levels(n, cfg, _seeds(seed))
+    values = [np.fromiter(run_cover(m, s), np.float64) for m, s in zip(masks, seeds.tolist())]
+    counts = [len(v) for v in values]
+    run, j = run.repeat(counts), level_j.repeat(counts)
+    return float(_layered_sums(cfg, q, run, j, np.concatenate(values))[0])
 
 
 def dimension_reduce(
@@ -721,8 +715,8 @@ def vector_sub_oracles(v, beta: float = 1.0) -> SubAlgorithms:
     the masked entry sum. Fast path for vector-level tournament/cover tests.
     """
     vec = np.asarray(v, dtype=np.float64)
-    if (vec < 0).any():
-        raise ConfigurationError("vector oracles require nonnegative entries")
+    if not ((vec >= 0) & (vec < math.inf)).all():
+        raise ConfigurationError("vector oracles require finite nonnegative entries")
 
     def masked_sum(mask: Mask, *_eps_delta: float) -> float:
         return float(vec @ mask)

@@ -170,9 +170,17 @@ class TestConfigs:
             ({"count_threshold": 0}, "count_threshold must be >= 1"),
             ({"phase_steps": 2.5}, "non-integer phase_steps 2.5"),
             ({"phase_steps": 0}, "phase_steps must be >= 1"),
+            ({"base_count": 2.5}, "non-integer base_count 2.5"),
+            ({"base_count": 0}, "base_count must be >= 1"),
+            ({"base_count": -5}, "base_count must be >= 1"),
+            ({"value_bound": math.nan}, "value_bound=nan must be finite"),
+            ({"value_bound": math.inf}, "value_bound=inf must be finite"),
         ]:
             with pytest.raises(ConfigurationError, match=message):
-                LayerConfig.from_targets(0.3, 16, 1e3, **bad)
+                LayerConfig.from_targets(**{"epsilon": 0.3, "n": 16, "value_bound": 1e3, **bad})
+        for alpha in (0.0, -1.0, math.nan):
+            with pytest.raises(ConfigurationError, match="alpha must be positive"):
+                CoverConfig.from_targets(0.3, 0.1, alpha)
 
     def test_layer_scale_override(self):
         full = LayerConfig.from_targets(0.3, 64, value_bound=1e6)
@@ -202,6 +210,14 @@ class TestSplitCompareRatio:
             x, y = split_compare_ratio(v, z)
             bad += (x >= lam * y) or (y >= lam * x)
         assert bad / trials <= math.sqrt(1 - eps) + 0.05
+
+
+@pytest.mark.parametrize("entry", [-1.0, math.nan, math.inf])
+def test_vector_entries_finite_and_nonnegative(entry):
+    with pytest.raises(ConfigurationError, match="split comparison requires finite nonnegative"):
+        split_compare_ratio([entry, 1, 1, 1], [1, 0, 1, 0])
+    with pytest.raises(ConfigurationError, match="vector oracles require finite nonnegative"):
+        vector_sub_oracles([entry, 1, 1, 1])
 
 
 class TestTournament:
@@ -257,6 +273,14 @@ class TestSubAlgorithmError:
     def test_dimension_reduce(self):
         with pytest.raises(SubAlgorithmError, match=r"^round \d+, side [01]: oracle down at 3$"):
             dimension_reduce(8, self.subs_failing_at(3), 0.3, 0.1, seed=1)
+
+    def test_non_finite_cover_output(self):
+        def approx(mask, *_):
+            return math.inf if mask[2] else float(mask.sum())
+
+        subs = SubAlgorithms(approx_a=approx, approx_b=approx, beta=1.0)
+        with pytest.raises(SubAlgorithmError, match="^cover output inf is not finite$"):
+            dimension_reduce(8, subs, 0.3, 0.1, seed=1)
 
 
 class TestCover:
@@ -326,6 +350,25 @@ class TestLayeredEstimate:
         cfg = LayerConfig.from_targets(0.3, 16, 1e4)
         with pytest.raises(ConfigurationError, match=r"^(non-integer n |n must be >= 1)"):
             layered_l1_estimate(n, cfg, exact_cover_oracle(np.ones(16)), seed=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cover_output(self, bad):
+        cfg = LayerConfig.from_targets(0.3, 16, 1e4)
+        with pytest.raises(SubAlgorithmError, match=f"^cover output {bad} is not finite$"):
+            layered_l1_estimate(16, cfg, lambda _mask, _seed: [2.0, bad], seed=0)
+
+    def test_cover_may_return_a_generator(self):
+        v = np.random.default_rng(4).uniform(0.0, 50.0, 64)
+        cfg = LayerConfig.from_targets(0.3, 64, 1e6, count_threshold=8, phase_steps=16)
+        listed = exact_cover_oracle(v)
+
+        def generated(mask, seed):
+            return (x for x in listed(mask, seed))
+
+        for s in range(3):
+            want = layered_l1_estimate(64, cfg, listed, seed=s)
+            assert want > 0.0
+            assert layered_l1_estimate(64, cfg, generated, seed=s) == want
 
     def test_single_entry(self):
         v = np.zeros(64)
@@ -631,6 +674,82 @@ def test_tournament_arrays_match_the_scalar_rule(values, beta):
         rd, side = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
         (got,) = estimator._tournaments(cfg, 1, np.zeros(4, int), rd, side, coarse, sharp)
     assert _same_float(float(got), want)
+
+
+def _scalar_layer(value, shift, growth):
+    """The layer of one positive value, by a log guess corrected against
+    Python's pow: the reference of ``_layered_sums``' edges. None below
+    layer -1."""
+    x = value / shift
+    l = math.floor(math.log(x) / math.log(growth) + 1e-12)
+    while growth ** (l + 1) <= x:
+        l += 1
+    while growth**l > x:
+        l -= 1
+    return l if l >= -1 else None
+
+
+def _scalar_layered_sums(cfg, q, outputs):
+    """The layered sums one output at a time, with a dict of layers per run
+    in first-seen order: the reference of ``_layered_sums``."""
+    growth = 1.0 + cfg.epsilon
+    lo, hi = cfg.count_threshold / growth**2, (1.0 + 3.0 * cfg.epsilon) * cfg.count_threshold
+    shifts = [(1.0 + cfg.phase_ratio) ** x for x in q]
+    layers = [{} for _ in shifts]  # per run: layer -> level -> count
+    for run, j, value in outputs:
+        l = _scalar_layer(value, shifts[run], growth) if value > 0.0 else None
+        if l is not None:
+            per_level = layers[run].setdefault(l, {})
+            per_level[j] = per_level.get(j, 0) + 1
+    sums = []
+    for shift, by_layer in zip(shifts, layers):
+        total = 0.0
+        for l, per_level in by_layer.items():
+            z = max([j for j, c in per_level.items() if j > 0 and lo < c <= hi], default=0)
+            total += growth ** (z + l) * per_level.get(z, 0)
+        sums.append(shift * total)
+    return sums
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_layered_sums_match_the_scalar_rule(data):
+    """Interleaved runs of several phases, with outputs on the layer edges
+    and one ulp either side, below the grid, zero, negative and above 2**48,
+    repeated so that counts land on both edges of a small window (exactly on
+    them at epsilon 0.5: count threshold 2 puts the top at 5.0, 9 the bottom
+    at 4.0): the array stage gives the scalar rule's sums to the bit."""
+    epsilon, chi = data.draw(st.sampled_from([(0.1, 1), (0.3, 3), (0.6, 4), (0.5, 2), (0.5, 9)]))
+    cfg = LayerConfig.from_targets(
+        epsilon, 64, 1e6, count_threshold=chi, phase_steps=data.draw(st.integers(2, 9))
+    )
+    q = data.draw(st.lists(st.integers(0, cfg.phase_steps - 1), min_size=1, max_size=3), "q")
+    growth, runs, levels = 1.0 + epsilon, st.integers(0, len(q) - 1), st.integers(0, 3)
+
+    def on_edge(run, l, toward):
+        edge = (1.0 + cfg.phase_ratio) ** q[run] * growth**l
+        return float(np.nextafter(edge, {-1: -math.inf, 0: edge, 1: math.inf}[toward]))
+
+    edge = st.builds(on_edge, runs, st.integers(-3, 120), st.sampled_from([-1, 0, 1]))
+    off_grid = st.one_of(
+        st.floats(0.0, 1.0 / growth),  # below the bottom edge of every phase
+        st.floats(max_value=0.0, allow_infinity=False),
+        st.floats(2.0**48, 1e300),
+    )
+    lo, hi = chi / growth**2, (1.0 + 3.0 * epsilon) * chi
+    repeats = st.sampled_from(sorted({1, int(lo), int(lo) + 1, int(hi), int(hi) + 1} - {0}))
+
+    def cells(value, most):
+        return data.draw(st.lists(st.tuples(runs, levels, value, repeats), max_size=most))
+
+    drawn = cells(edge, 12) + cells(off_grid, 4)
+    outputs = data.draw(st.permutations([c[:3] for c in drawn for _ in range(c[3])]), "outputs")
+    run = np.array([o[0] for o in outputs], dtype=np.int64)
+    j = np.array([o[1] for o in outputs], dtype=np.int64)
+    v = np.array([o[2] for o in outputs], dtype=np.float64)
+    got = estimator._layered_sums(cfg, np.array(q), run, j, v)
+    want = np.array(_scalar_layered_sums(cfg, q, outputs), dtype=np.float64)
+    assert got.tobytes() == want.tobytes()
 
 
 class TestMedianTable:
