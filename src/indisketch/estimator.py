@@ -41,23 +41,25 @@ product-sketch banks, all registered before the one pass, with the child
 reductions of the next depth as the sharp leaves above the last depth.
 ``_evaluate_plan`` works bottom-up: leaf values, then the round decisions,
 round minimum and layered sums as array expressions, then the median per
-reduction. Oracle leaves (``tensor_tournament``,
-``cover_algorithm``, ``dimension_reduce``) are side masks, evaluated by
-calling injected ``SubAlgorithms``; ``layered_l1_estimate`` takes a
-caller's cover for each level. Exact sub-oracles built from the dense
-tensor module let property tests isolate the combinatorial logic from
+reduction. Oracle leaves (``tensor_tournament``, ``cover_algorithm``,
+``dimension_reduce``) are a depth's side masks as one table, evaluated by
+one call of each injected ``SubAlgorithms`` estimator; ``layered_l1_estimate``
+takes a caller's cover for each level. Exact sub-oracles built from the
+dense tensor module let property tests isolate the combinatorial logic from
 sketch noise while running the stage evaluators the sketch pipeline runs.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import asdict, dataclass, replace as dataclass_replace
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import (
+    BudgetExceededError,
     ConfigurationError,
     EmptyStreamError,
     MalformedInputError,
@@ -96,6 +98,7 @@ from .stream import (
     checked_unit,
     record_blocks,
 )
+from .tensor import DenseTensor, absolute_vector, l1_norm
 
 Mask = np.ndarray  # uint8 0/1 vector over [1, n], index 0 <-> coordinate 1
 
@@ -112,15 +115,15 @@ def _check_beta(beta: float) -> None:
 
 @dataclass(frozen=True)
 class SubAlgorithms:
-    """Injected per-hyperplane estimators for one tensor.
+    """Injected per-hyperplane estimators for one tensor, over mask tables.
 
-    ``approx_a(mask, delta)`` returns a beta-factor estimate of
-    l1_norm(prefix_zero(M, [mask])); ``approx_b(mask, eps, delta)`` returns
-    a (1 +- eps) estimate of l1_norm(suffix_sum(prefix_zero(M, [mask]), 1)).
-    """
+    Per row ``mask`` of an (S, n) uint8 table, ``approx_a(masks, delta)``
+    estimates l1_norm(prefix_zero(M, [mask])) within a factor beta, and
+    ``approx_b(masks, eps, delta)`` l1_norm(suffix_sum(prefix_zero(M, [mask]), 1))
+    within 1 +- eps; each returns one float array of shape (S,)."""
 
-    approx_a: Callable[[Mask, float], float]
-    approx_b: Callable[[Mask, float, float], float]
+    approx_a: Callable[[np.ndarray, float], np.ndarray]
+    approx_b: Callable[[np.ndarray, float, float], np.ndarray]
     beta: float
 
     def __post_init__(self):
@@ -243,7 +246,7 @@ class LayerConfig:
         if not -math.inf < value_bound < math.inf:
             raise ConfigurationError(f"value_bound={value_bound} must be finite")
         growth = math.log1p(epsilon)
-        a = max(1, math.ceil(math.log(max(n, 2)) / growth))
+        a = max(1, math.ceil(math.log(max(checked_count("n", n), 2)) / growth))
         b = max(1, math.ceil(math.log(max(value_bound, 2.0)) / growth))
         scale = 1.0 if scale_override is None else float(scale_override)
         if not 0.0 < scale <= 1.0:
@@ -535,11 +538,11 @@ def _layered_sums(cfg: LayerConfig, q: np.ndarray, run, j, value) -> np.ndarray:
     With growth = 1 + epsilon and a run's shift = (1 + phase_ratio)**q, a
     positive value lies in layer l >= -1 when shift * growth**l <= value <
     shift * growth**(l + 1), against edges of Python's float pow. The grid
-    has no top: a value above ``cfg.layers`` is counted. Each layer of a
-    run takes its deepest level whose count falls in the window, else level
-    0, and adds growth**(z + l) times that count; the layers are added in
-    the order they first appear. A non-finite output is a
-    ``SubAlgorithmError``.
+    has no top: a value above ``cfg.layers`` is counted, one above the
+    largest finite power in that power's layer. Each layer of a run takes
+    its deepest level whose count falls in the window, else level 0, and
+    adds growth**(z + l) times that count; the layers are added in the
+    order they first appear. A non-finite output is a ``SubAlgorithmError``.
     """
     bad = value[~np.isfinite(value)]
     if len(bad):
@@ -552,7 +555,10 @@ def _layered_sums(cfg: LayerConfig, q: np.ndarray, run, j, value) -> np.ndarray:
     # the edges pass the largest value by a layer and reach the deepest weight
     top = max(0, math.ceil(math.log(x.max(initial=1.0)) / math.log(growth))) + 1
     levels = int(j.max(initial=0)) + 1
-    edges = np.array([growth**e for e in range(-1, top + levels)])  # edges[i] = growth**(i - 1)
+    edges = np.full(top + levels + 1, math.inf)  # edges[i] = growth**(i - 1) while finite
+    with suppress(OverflowError):
+        for i in range(len(edges)):
+            edges[i] = growth ** (i - 1)
     layer = np.searchsorted(edges, x, side="right") - 1  # l + 1; -1 below the grid
     ok = layer >= 0
     cells, first, count = np.unique(
@@ -596,16 +602,22 @@ def _evaluate_plan(plan: List[_Depth], configs: StackConfigs, leaf_values: Calla
 
 
 def _oracle_values(subs: SubAlgorithms, cfg: TournamentConfig, masks, rd, side):
-    """approx_a and approx_b of each side mask, in order, at the tournament's
-    epsilon and failure rate; a failure names the side's round."""
-    a, b = np.empty(len(masks)), np.empty(len(masks))
-    for i, m in enumerate(masks):
-        try:
-            a[i] = subs.approx_a(m, cfg.subcall_delta)
-            b[i] = subs.approx_b(m, cfg.epsilon, cfg.subcall_delta)
-        except Exception as e:
-            raise SubAlgorithmError(f"round {rd[i]}, side {side[i]}: {e}") from e
-    return a, b
+    """approx_a and approx_b of the side masks (S, n): one call and one float
+    array (S,) each. A failed table is retried side by side, a then b, so the
+    error names the first failing side's round and side."""
+    calls = {"approx_a": [cfg.subcall_delta], "approx_b": [cfg.epsilon, cfg.subcall_delta]}
+    try:
+        values = [getattr(subs, name)(masks, *args) for name, args in calls.items()]
+    except Exception as e:
+        if len(masks) == 1:
+            raise SubAlgorithmError(f"round {rd[0]}, side {side[0]}: {e}") from e
+        for i in range(len(masks)):
+            _oracle_values(subs, cfg, masks[i : i + 1], rd[i : i + 1], side[i : i + 1])
+        raise SubAlgorithmError(f"a table of {len(masks)} sides: {e}") from e
+    for name, v in zip(calls, values):
+        if not (isinstance(v, np.ndarray) and v.dtype.kind == "f" and v.shape == (len(masks),)):
+            raise SubAlgorithmError(f"{name} must return a float array of shape ({len(masks)},)")
+    return values
 
 
 def _oracle_tournaments(H, seeds, cfg: TournamentConfig, subs: SubAlgorithms) -> np.ndarray:
@@ -623,9 +635,7 @@ def _as_mask(H) -> Mask:
     return m.astype(np.uint8)
 
 
-def tensor_tournament(
-    H, cfg: TournamentConfig, subs: SubAlgorithms, seed: int = 0
-) -> float:
+def tensor_tournament(H, cfg: TournamentConfig, subs: SubAlgorithms, seed: int = 0) -> float:
     """Certifying tournament (``_tournaments``) over exact or injected sub-oracles."""
     return float(_oracle_tournaments(_as_mask(H)[None], _seeds(seed), cfg, subs)[0])
 
@@ -688,21 +698,21 @@ def dimension_reduce(
     return _evaluate_plan(plan, configs, leaf_values)
 
 
-def exact_sub_oracles(M, beta: float = 1.0) -> SubAlgorithms:
-    """Exact dense-tensor sub-estimators for tests and demos.
+def exact_sub_oracles(M: DenseTensor, beta: float = 1.0) -> SubAlgorithms:
+    """Exact dense-tensor sub-estimators for tests and demos, one int64
+    contraction per table: ``approx_a`` gives each mask's exact masked norm
+    (trivially a valid beta-factor estimate), ``approx_b`` its exact collapsed
+    masked norm. Every partial sum of a masked row or column is bounded by
+    l1_norm(M), which must stay below 2^63."""
+    if l1_norm(M) >= 2**63:
+        raise BudgetExceededError("l1_norm(M) >= 2^63 would overflow the int64 contraction")
+    rows, hyperplanes = M.array.reshape(M.n, -1), absolute_vector(M).array
 
-    ``approx_a`` returns the exact masked norm (trivially a valid
-    beta-factor estimate), ``approx_b`` the exact collapsed masked norm.
-    """
-    from . import tensor as tensor_ops
+    def approx_a(masks: np.ndarray, _delta: float) -> np.ndarray:
+        return (masks @ hyperplanes).astype(np.float64)
 
-    def approx_a(mask: Mask, _delta: float) -> float:
-        return float(tensor_ops.l1_norm(tensor_ops.prefix_zero(M, [mask])))
-
-    def approx_b(mask: Mask, _eps: float, _delta: float) -> float:
-        return float(
-            tensor_ops.l1_norm(tensor_ops.suffix_sum(tensor_ops.prefix_zero(M, [mask]), 1))
-        )
+    def approx_b(masks: np.ndarray, _eps: float, _delta: float) -> np.ndarray:
+        return np.abs(masks @ rows).sum(axis=1).astype(np.float64)
 
     return SubAlgorithms(approx_a=approx_a, approx_b=approx_b, beta=beta)
 
@@ -711,17 +721,17 @@ def vector_sub_oracles(v, beta: float = 1.0) -> SubAlgorithms:
     """Exact sub-estimators for an explicit nonnegative vector.
 
     Models the tensor whose hyperplanes are disjoint singletons holding the
-    vector entries, for which both the masked norm and its collapse equal
-    the masked entry sum. Fast path for vector-level tournament/cover tests.
+    vector entries, whose masked norm and its collapse are both ``masks @ v``.
+    Fast path for vector-level tournament/cover tests.
     """
     vec = np.asarray(v, dtype=np.float64)
     if not ((vec >= 0) & (vec < math.inf)).all():
         raise ConfigurationError("vector oracles require finite nonnegative entries")
 
-    def masked_sum(mask: Mask, *_eps_delta: float) -> float:
-        return float(vec @ mask)
+    def masked_sums(masks: np.ndarray, *_eps_delta: float) -> np.ndarray:
+        return masks @ vec
 
-    return SubAlgorithms(approx_a=masked_sum, approx_b=masked_sum, beta=beta)
+    return SubAlgorithms(approx_a=masked_sums, approx_b=masked_sums, beta=beta)
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ class DenseTensor:
 
 def l1_norm(M: DenseTensor) -> int:
     """Sum of absolute entries, exact."""
-    return int(np.abs(M.array).sum(dtype=object))
+    return int(np.abs(M.array).view(np.uint64).sum(dtype=object))
 
 
 def hyperplane(M: DenseTensor, l: int) -> DenseTensor:

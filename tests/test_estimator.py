@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from indisketch import (
+    BudgetExceededError,
     ConfigurationError,
     CoverConfig,
     DenseTensor,
@@ -30,7 +31,9 @@ from indisketch import (
     independence_distance,
     l1_norm,
     layered_l1_estimate,
+    prefix_zero,
     split_compare_ratio,
+    suffix_sum,
     tensor_tournament,
 )
 from indisketch import estimator, hashing, sketches
@@ -175,6 +178,10 @@ class TestConfigs:
             ({"base_count": -5}, "base_count must be >= 1"),
             ({"value_bound": math.nan}, "value_bound=nan must be finite"),
             ({"value_bound": math.inf}, "value_bound=inf must be finite"),
+            ({"n": math.nan}, "non-integer n nan"),
+            ({"n": math.inf}, "non-integer n inf"),
+            ({"n": 2.5}, "non-integer n 2.5"),
+            ({"n": -3}, "n must be >= 1"),
         ]:
             with pytest.raises(ConfigurationError, match=message):
                 LayerConfig.from_targets(**{"epsilon": 0.3, "n": 16, "value_bound": 1e3, **bad})
@@ -253,10 +260,10 @@ class TestSubAlgorithmError:
 
     @staticmethod
     def subs_failing_at(coordinate):
-        def approx(mask, *_):
-            if mask[coordinate - 1]:
+        def approx(masks, *_):
+            if masks[:, coordinate - 1].any():
                 raise ValueError(f"oracle down at {coordinate}")
-            return float(mask.sum())
+            return masks.sum(axis=1, dtype=np.float64)
 
         return SubAlgorithms(approx_a=approx, approx_b=approx, beta=1.0)
 
@@ -275,12 +282,95 @@ class TestSubAlgorithmError:
             dimension_reduce(8, self.subs_failing_at(3), 0.3, 0.1, seed=1)
 
     def test_non_finite_cover_output(self):
-        def approx(mask, *_):
-            return math.inf if mask[2] else float(mask.sum())
+        def approx(masks, *_):
+            return np.where(masks[:, 2] == 1, math.inf, masks.sum(axis=1, dtype=np.float64))
 
         subs = SubAlgorithms(approx_a=approx, approx_b=approx, beta=1.0)
         with pytest.raises(SubAlgorithmError, match="^cover output inf is not finite$"):
             dimension_reduce(8, subs, 0.3, 0.1, seed=1)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda masks: 1.0,  # would broadcast over the sides
+            lambda masks: np.ones(1),
+            lambda masks: np.ones(len(masks) + 1),
+            lambda masks: np.ones((len(masks), 1)),
+            lambda masks: np.ones(len(masks), dtype=np.int64),
+            lambda masks: [1.0] * len(masks),
+        ],
+    )
+    def test_values_must_be_one_float_per_mask(self, bad):
+        good = vector_sub_oracles(np.ones(8))
+        cfg = TournamentConfig.from_targets(0.1, 0.1, beta=1.0, rounds=3)
+        for name, subs in [
+            ("approx_a", SubAlgorithms(lambda m, *_: bad(m), good.approx_b, beta=1.0)),
+            ("approx_b", SubAlgorithms(good.approx_a, lambda m, *_: bad(m), beta=1.0)),
+        ]:
+            message = rf"^{name} must return a float array of shape \(6,\)$"
+            with pytest.raises(SubAlgorithmError, match=message):
+                tensor_tournament(ones_mask(8), cfg, subs, seed=4)
+
+    def test_a_table_failing_on_no_single_side(self):
+        def approx(masks, *_):
+            if len(masks) > 1:
+                raise ValueError("one side at a time")
+            return masks.sum(axis=1, dtype=np.float64)
+
+        subs = SubAlgorithms(approx_a=approx, approx_b=approx, beta=1.0)
+        cfg = TournamentConfig.from_targets(0.1, 0.1, beta=1.0, rounds=3)
+        with pytest.raises(SubAlgorithmError, match="^a table of 6 sides: one side at a time$"):
+            tensor_tournament(ones_mask(8), cfg, subs, seed=4)
+
+
+class TestTableOracles:
+    """The table oracles against their per-mask definitions, which stay here as the reference."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exact_oracles_match_the_per_mask_definition(self, k, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        A = rng.integers(-50, 51, size=(n,) * k)
+        A[rng.integers(n)] = 0  # an all-zero hyperplane
+        M = DenseTensor(A)
+        masks = rng.integers(0, 2, size=(12, n)).astype(np.uint8)
+        masks[0], masks[1] = 0, 1
+        subs = exact_sub_oracles(M)
+        a, b = subs.approx_a(masks, 0.1), subs.approx_b(masks, 0.3, 0.1)
+        assert a.dtype == b.dtype == np.float64 and a.shape == b.shape == (12,)
+        for i, mask in enumerate(masks):
+            assert a[i] == float(l1_norm(prefix_zero(M, [mask])))
+            assert b[i] == float(l1_norm(suffix_sum(prefix_zero(M, [mask]), 1)))
+
+    def test_exact_oracles_exact_below_2_63(self):
+        M = DenseTensor(np.array([[2**62, 0], [-(2**62) + 1, 0]]))
+        masks = np.array([[1, 1], [1, 0], [0, 1]], dtype=np.uint8)
+        subs = exact_sub_oracles(M)
+        want = [float(l1_norm(prefix_zero(M, [m]))) for m in masks]
+        assert subs.approx_a(masks, 0.1).tolist() == want == [float(2**63 - 1), 2.0**62, float(2**62 - 1)]
+        assert subs.approx_b(masks, 0.3, 0.1).tolist() == [1.0, 2.0**62, float(2**62 - 1)]
+
+    @pytest.mark.parametrize(
+        "A", [[[2**62, 2**62], [0, 0]], [[-(2**63), 0], [0, 0]], [[2**62, 0], [0, -(2**62)]]]
+    )
+    def test_l1_norm_from_2_63_rejected(self, A):
+        with pytest.raises(BudgetExceededError, match="2\\^63"):
+            exact_sub_oracles(DenseTensor(np.array(A, dtype=np.int64)))
+
+    @pytest.mark.parametrize("integral", [True, False])
+    def test_vector_oracles_match_the_per_mask_sum(self, integral):
+        rng = np.random.default_rng(5)
+        v = rng.integers(0, 1000, 37).astype(np.float64) if integral else rng.uniform(0, 1e3, 37)
+        masks = rng.integers(0, 2, size=(40, 37)).astype(np.uint8)
+        subs = vector_sub_oracles(v)
+        a, b = subs.approx_a(masks, 0.1), subs.approx_b(masks, 0.3, 0.1)
+        want = np.array([float(v @ mask) for mask in masks])
+        if integral:
+            assert a.tolist() == b.tolist() == want.tolist()
+        else:  # gemv and dot may add in different orders
+            np.testing.assert_allclose(a, want, rtol=1e-15, atol=0)
+            np.testing.assert_array_equal(a, b)
 
 
 class TestCover:
@@ -356,6 +446,13 @@ class TestLayeredEstimate:
         cfg = LayerConfig.from_targets(0.3, 16, 1e4)
         with pytest.raises(SubAlgorithmError, match=f"^cover output {bad} is not finite$"):
             layered_l1_estimate(16, cfg, lambda _mask, _seed: [2.0, bad], seed=0)
+
+    def test_value_above_the_largest_finite_power(self):
+        # the edges stop at the largest finite power of 1 + epsilon, and a
+        # value above it lies in that power's layer
+        cfg = LayerConfig.from_targets(0.3, 16, 1e4)
+        got = layered_l1_estimate(16, cfg, lambda _mask, _seed: [1.7e308], seed=0)
+        assert got == 1.590801192396874e308
 
     def test_cover_may_return_a_generator(self):
         v = np.random.default_rng(4).uniform(0.0, 50.0, 64)

@@ -309,19 +309,20 @@ class TestOracleRoute:
         ],
     )
     def test_dimension_reduce_sub_oracle_calls(self, k, n, m, stream_seed, calls, expected):
-        """Every approx_a / approx_b call, in order: the function, the mask's
-        dtype and bytes, and the epsilon / delta arguments."""
+        """Every side's approx_a and approx_b, in order: per row of the mask
+        table, the a-row and then the b-row, each as the function, the mask's
+        dtype and bytes, and the epsilon / delta arguments. These are the
+        bytes the per-mask contract hashed, one call per row; a dimension
+        reduce makes one approx_a and one approx_b call, over one table."""
         recs = list(generate_synthetic("mixture(0.5)", k, n, m, seed=stream_seed))
         M = dense_independence_tensor(build_frequency_table(TupleStream(k, n, recs)))
         exact = exact_sub_oracles(M, beta=1.0)
-        digest, count = hashlib.sha256(), [0]
+        log = []
 
         def recorded(name, fn):
-            def call(mask, *args):
-                count[0] += 1
-                digest.update(name + mask.dtype.str.encode() + mask.tobytes())
-                digest.update(np.array(args, dtype=np.float64).tobytes())
-                return fn(mask, *args)
+            def call(masks, *args):
+                log.append((name, masks.copy(), args))
+                return fn(masks, *args)
 
             return call
 
@@ -330,9 +331,18 @@ class TestOracleRoute:
             approx_b=recorded(b"b", exact.approx_b),
             beta=1.0,
         )
+        digest, rows = hashlib.sha256(), 0
         for s in (0, 1, 2):
+            log.clear()
             dimension_reduce(n, subs, 0.3, 0.1, seed=s)
-        assert (count[0], digest.hexdigest()) == (calls, expected)
+            (a, a_masks, a_args), (b, b_masks, b_args) = log  # one call each
+            assert (a, b) == (b"a", b"b") and np.array_equal(a_masks, b_masks)
+            for a_row, b_row in zip(a_masks, b_masks):
+                for name, row, args in ((a, a_row, a_args), (b, b_row, b_args)):
+                    digest.update(name + row.dtype.str.encode() + row.tobytes())
+                    digest.update(np.array(args, dtype=np.float64).tobytes())
+                    rows += 1
+        assert (rows, digest.hexdigest()) == (calls, expected)
 
     def test_tensor_tournament(self):
         H = np.ones(32, dtype=np.uint8)
