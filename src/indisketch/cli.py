@@ -178,9 +178,14 @@ def _parse_block(buf: bytes, k: int, n: int) -> Optional[Tuple[np.ndarray, int]]
     edges = np.diff(cls == 1, prepend=False)
     bounds = np.flatnonzero(edges)
     starts, ends = bounds[0::2], bounds[1::2]
+    # tokens per line, counted by the token starts before each newline;
+    # a line without k tokens must be blank: no token and no comma
     newlines = np.flatnonzero(data == ord("\n"))
-    if not _records_fill_lines(newlines, edges, cls, k):
-        return None
+    tokens = np.diff(np.searchsorted(starts, newlines), prepend=0)
+    if not (tokens == k).all():
+        commas = np.diff(np.searchsorted(np.flatnonzero(cls == 3), newlines), prepend=0)
+        if not ((tokens == k) | ((tokens == 0) & (commas == 0))).all():
+            return None
     longest = int((ends - starts).max(initial=0))
     if longest > _MAX_DIGITS:
         return None
@@ -193,19 +198,6 @@ def _parse_block(buf: bytes, k: int, n: int) -> Optional[Tuple[np.ndarray, int]]
     if ((values < 1) | (values > n)).any():
         return None
     return values.reshape(-1, k), len(newlines)
-
-
-def _records_fill_lines(newlines, edges, cls, k: int) -> bool:
-    """Whether every line holds ``k`` tokens, or is blank: no token and no
-    comma. Lines end at ``newlines``; ``edges`` marks the first byte of each
-    token and the byte after it, and ``cls`` is the byte class."""
-
-    def per_line(marks):  # marked bytes per line, from running counts at each newline
-        return np.diff(np.cumsum(marks, dtype=np.int64)[newlines], prepend=0)
-
-    tokens = per_line(edges) // 2  # a token's two edges lie on its line
-    commas = per_line(cls == 3)
-    return bool(((tokens == k) | ((tokens == 0) & (commas == 0))).all())
 
 
 def _text_lines(buf: bytes) -> Tuple[List[str], Optional[str]]:

@@ -39,6 +39,11 @@ TupleKey = Tuple[int, ...]
 # enough that a block's temporaries stay well under a megabyte.
 RECORD_BLOCK = 4096
 
+# A tally of at most this many cells of [n]^k counts in a dense table
+# (512 KiB of int64): adding a 4096-row block to it costs less than
+# sorting the block, even when the block holds few distinct tuples.
+DENSE_CELLS = 2**16
+
 MODES = ("exact", "sketch", "both")  # what a run reports: the oracle, the sketch or both
 
 
@@ -129,8 +134,8 @@ def _checked_block(block: np.ndarray, k: int, n: int, index: int) -> np.ndarray:
         ok = (block >= 1) & (block <= n)
         if block.dtype.kind == "f":
             ok &= block == np.floor(block)
-        bad = np.flatnonzero(~ok.all(axis=1))
-        if len(bad):
+        if not ok.all():
+            bad = np.flatnonzero(~ok.all(axis=1))
             checked_tuple(block[bad[0]].tolist(), k, n, index + 1 + int(bad[0]))
         return block.astype(np.int64, copy=False)
     return _checked_records(block, k, n, index)
@@ -198,24 +203,31 @@ def record_blocks(
 class TupleTally:
     """Counts of distinct k-tuples over [1, n]^k, added a block at a time.
 
-    Tuples are kept as sorted keys with int64 counts. A key is the
-    mixed-radix index of the 0-based tuple when ``n^k`` fits in an int64,
-    and otherwise the tuple's raw bytes; both sort and compare exactly.
-    Added keys wait until they are as many as the keys held, then merge
-    in one sort, so a large support costs O(log) per record, not O(D).
+    A tuple's key is the mixed-radix index of the 0-based tuple when
+    ``n^k`` fits in an int64, and otherwise the tuple's raw bytes; both
+    sort and compare exactly. Up to ``DENSE_CELLS`` cells, counts are kept
+    in a table of one int64 per cell of [n]^k: a block costs O(b), the
+    distinct count is kept as blocks are added, and the nonzero cells are
+    read in key order. Above it, tuples are kept as sorted keys with int64
+    counts; added keys wait until they are as many as the keys held, then
+    merge in one sort, so a large support costs O(log) per record, not O(D).
     """
 
     def __init__(self, k: int, n: int):
         self.k, self.n = k, n
         fits = n**k <= 2**63
         self._radix = n ** np.arange(k - 1, -1, -1, dtype=np.int64) if fits else None
+        self._table = np.zeros(n**k, dtype=np.int64) if n**k <= DENSE_CELLS else None
+        self._distinct = 0  # distinct tuples in the table, kept as blocks are added
         self._keys = self._encode(np.empty((0, k), dtype=np.int64))
         self._counts = np.empty(0, dtype=np.int64)
         self._waiting: List[np.ndarray] = []
-        self._waiting_rows = 0
+        self._waiting_rows = 0  # rows added since _keys and _counts were last read out
 
     def __len__(self) -> int:
         """Number of distinct tuples."""
+        if self._table is not None:
+            return self._distinct
         self._merge()
         return len(self._keys)
 
@@ -236,6 +248,13 @@ class TupleTally:
         rows = np.ascontiguousarray(block, dtype=np.int64)
         return rows.view(np.dtype((np.void, 8 * self.k))).reshape(-1)
 
+    def _held(self, u: np.ndarray) -> np.ndarray:
+        """Whether each of the distinct keys ``u`` is already counted."""
+        if self._table is not None:
+            return self._table[u] > 0
+        pos = np.minimum(np.searchsorted(self._keys, u), len(self._keys) - 1)
+        return self._keys[pos] == u if len(self._keys) else np.zeros(len(u), dtype=bool)
+
     def tuples(self) -> np.ndarray:
         """The distinct tuples as a (D, k) int64 array, in key order."""
         self._merge()
@@ -253,26 +272,35 @@ class TupleTally:
         keys = self._encode(block)
         if limit is not None and len(self) + len(keys) >= limit:
             u, first = np.unique(keys, return_index=True)
-            pos = np.minimum(np.searchsorted(self._keys, u), len(self._keys) - 1)
-            new = first[self._keys[pos] != u] if len(self._keys) else first
-            need = limit - len(self._keys)
+            new = first[~self._held(u)]
+            need = limit - len(self)
             if 0 < need <= len(new):
                 keys = keys[: np.sort(new)[need - 1] + 1]
-        self._waiting.append(keys)
         self._waiting_rows += len(keys)
-        if self._waiting_rows >= len(self._keys):
-            self._merge()
+        if self._table is not None:
+            fresh = keys[self._table[keys] == 0]  # keys of cells counted for the first time
+            if len(fresh):  # np.unique without return_index would import numpy.ma
+                self._distinct += len(np.unique(fresh, return_index=True)[0])
+            np.add.at(self._table, keys, 1)
+        else:
+            self._waiting.append(keys)
+            if self._waiting_rows >= len(self._keys):
+                self._merge()
         return len(keys)
 
     def _merge(self) -> None:
         if not self._waiting_rows:
             return
-        keys = np.concatenate([self._keys, *self._waiting])
-        counts = np.concatenate([self._counts, np.ones(self._waiting_rows, dtype=np.int64)])
-        order = np.argsort(keys)
-        keys, counts = keys[order], counts[order]
-        first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        self._keys, self._counts = keys[first], np.add.reduceat(counts, first)
+        if self._table is not None:
+            self._keys = np.flatnonzero(self._table)
+            self._counts = self._table[self._keys]
+        else:
+            keys = np.concatenate([self._keys, *self._waiting])
+            counts = np.concatenate([self._counts, np.ones(self._waiting_rows, dtype=np.int64)])
+            order = np.argsort(keys)
+            keys, counts = keys[order], counts[order]
+            first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+            self._keys, self._counts = keys[first], np.add.reduceat(counts, first)
         self._waiting, self._waiting_rows = [], 0
 
 

@@ -86,11 +86,14 @@ def hyperplane(M: DenseTensor, l: int) -> DenseTensor:
 
 
 def absolute_vector(M: DenseTensor) -> DenseTensor:
-    """Length-n vector whose l-th entry is l1_norm(hyperplane(M, l))."""
+    """Length-n vector whose l-th entry is l1_norm(hyperplane(M, l)), exact;
+    BudgetExceededError if an entry would not fit in int64."""
     if M.s < 1:
         raise ValueError("absolute_vector requires dimensionality >= 1")
-    a = np.abs(M.array).reshape(M.n, -1).sum(axis=1)
-    return DenseTensor(a)
+    norms = np.abs(M.array).view(np.uint64).reshape(M.n, -1).sum(axis=1, dtype=object)
+    if max(norms, default=0) >= 2**63:
+        raise BudgetExceededError("a hyperplane norm would overflow int64")
+    return DenseTensor(norms.astype(np.int64))
 
 
 def suffix_sum(M: DenseTensor, t: int) -> DenseTensor:

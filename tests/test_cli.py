@@ -136,6 +136,8 @@ _padding = st.sampled_from(
 @example(0, ["1,2,3\n4,5,6\n"], False)  # one line holding a newline is one malformed record
 @example(0, ["1 2 3 4\n", "5 6\n"], False)  # as many lines as records, but not one each
 @example(0, ["1 2\n", "3 4 5 6\n"], False)
+@example(0, ["1 2 3\n", "\t,\n"], False)  # no token, but a comma
+@example(0, ["1 2 3\n", ","], True)  # a comma-only last line, no final newline
 @settings(max_examples=150, deadline=None)
 def test_block_parser_agrees_with_line_parser(pad, tail, missing_final_newline):
     lines = ["1,2,3\n", "12 1\t4\n", "\n"] * (pad // 3) + ["4,4,4\n"] * (pad % 3) + tail

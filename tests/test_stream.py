@@ -238,9 +238,10 @@ def test_record_batches_match_per_record_checks(records, start):
 
 
 class TestTupleTally:
-    @pytest.mark.parametrize("k,n", [(2, 5), (4, 70000)])  # int64 keys, byte keys
+    # a dense table, byte keys, sorted int64 keys
+    @pytest.mark.parametrize("k,n", [(2, 5), (4, 70000), (3, 100)])
     @pytest.mark.parametrize("limit", [1, 2, 7, 40])
-    def test_limit_stops_where_a_record_at_a_time_count_does(self, k, n, limit):
+    def test_limit_stops_where_a_record_at_a_time_count_does(self, k, n, limit, monkeypatch):
         rng = np.random.default_rng(limit)
         values = np.array([1, 2, n - 1, n])
         recs = values[rng.integers(0, 4, (300, k))]
@@ -257,6 +258,15 @@ class TestTupleTally:
         want = Counter(map(tuple, recs[: pre + taken].tolist()))
         got = dict(zip(map(tuple, tally.tuples().tolist()), tally.counts.tolist()))
         assert got == want and tally.m == pre + taken
+        if n**k <= stream_mod.DENSE_CELLS:  # the sorted form counts the same, in the same order
+            monkeypatch.setattr(stream_mod, "DENSE_CELLS", 0)
+            other = TupleTally(k, n)
+            assert other._table is None
+            other.add(recs[:pre])
+            assert other.add(recs[pre:], limit) == taken
+            assert np.array_equal(other.tuples(), tally.tuples())
+            assert np.array_equal(other.counts, tally.counts)
+            assert (len(other), other.m) == (len(tally), tally.m)
 
     def test_exact_route_beyond_int64_keys(self):
         # n^k >= 2^63, so tuples cannot be one int64 key

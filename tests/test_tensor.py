@@ -63,6 +63,13 @@ class TestAbsoluteVector:
         M = T([[5, -1], [2, 0]])
         assert l1_norm(absolute_vector(M)) == l1_norm(M)
 
+    def test_int64_edge(self):
+        # each hyperplane norm is exact up to 2^63 - 1 and raises past it, never wraps
+        assert absolute_vector(T([[2**62, 0], [2**62, 0]])).array.tolist() == [2**62] * 2
+        for entries in ([[2**62, 2**62], [1, 0]], [[-(2**63), 0], [1, 0]]):
+            with pytest.raises(BudgetExceededError):
+                absolute_vector(T(entries))
+
 
 class TestSuffixSum:
     def test_first_coordinate_collapse(self):
