@@ -9,7 +9,11 @@ configuration replay the same randomness and merge their snapshots.
 The generator core is a counter-based 64-bit mixer (splitmix64 finalizer)
 keyed by an arbitrary tuple of integers. It is not cryptographic; it is
 chosen for exact cross-platform reproducibility with fixed-width integer
-arithmetic.
+arithmetic. There is one mixer, ``_mix64_into``, for keys, counters and
+field coefficients alike, and one Cauchy map, ``_cauchy``, from mixed
+counters to values, which a CauchySource and the batched registry tables
+share; the batched fill lays out and mixes each block's counters in the
+tables' own memory, so every table value is its CauchySource value to the bit.
 """
 
 from __future__ import annotations
@@ -35,19 +39,24 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 # a Cauchy table fill, a block of synthetic records (512 KiB)
 FOLD_BLOCK = 1 << 16
 
-# u = (z >> 11) * 2^-53 lies in [0, 1 - 2^-53]; the guard floor keeps
-# tan(pi*(u - 1/2)) finite (|value| < 2^53).
-_U53 = float(2.0**-53)
+# The Cauchy map's angle pi*(u - 1/2) of the 53-bit uniform u = m * 2^-53,
+# m = max(z >> 11, 1), as (m - 2^52) * _ANGLE: both scalings are exact and
+# the one product rounds once, so it is the same float either way. The
+# guard floor m >= 1 keeps tan finite (|value| < 2^53).
+_ANGLE = float(np.pi * 2.0**-53)
+_HALF = np.uint64(2**52)
 
 
-def _mix64_into(z):
-    """splitmix64 finalizer of a fresh uint64 array, in place; a numpy scalar
-    is rebound instead, and its caller ignores overflow through np.errstate."""
-    z ^= z >> np.uint64(30)
+def _mix64_into(z, scratch=None):
+    """splitmix64 finalizer of a uint64 array, in place (the caller's to
+    overwrite), its shifts written to ``scratch`` (an array of z's shape)
+    when one is given; a numpy scalar is rebound instead, and its caller
+    ignores overflow through np.errstate."""
+    z ^= np.right_shift(z, np.uint64(30), out=scratch)
     z *= _MIX1
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, np.uint64(27), out=scratch)
     z *= _MIX2
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, np.uint64(31), out=scratch)
     return z
 
 
@@ -79,24 +88,45 @@ def derive_key(seed, *parts):
     h = _word(seed, "seed")
     with np.errstate(over="ignore"):
         for p in parts:
-            z = h + _word(p, "key part")
-            z += _GOLDEN
+            p = _word(p, "key part")
+            if isinstance(p, np.ndarray):
+                z = h + p
+                z += _GOLDEN
+            else:  # a scalar part takes the constant first: one pass over an array seed
+                z = h + (p + _GOLDEN)
             h = _mix64_into(z)
     return h.copy() if h is seed else h  # never the caller's array
+
+
+def _offsets(index):
+    """(index + 1) * golden: what counter_uniform adds to its key at each index."""
+    return (_word(index, "index") + np.uint64(1)) * _GOLDEN
+
+
+def _counters(key, index):
+    """The splitmix64-mixed counter key + (index + 1) * golden of each (key,
+    index) pair; both are integral scalars or arrays, broadcast, and wrap
+    mod 2^64 (ConfigurationError on a non-integral value)."""
+    with np.errstate(over="ignore"):
+        return _mix64_into(_word(key, "key") + _offsets(index))
+
+
+def _steps(z):
+    """m = max(z >> 11, 1) of mixed counters z, in place for an array: the
+    53-bit uniform u = m * 2^-53, floored at 2^-53 so that the Cauchy map
+    of u stays finite."""
+    z >>= np.uint64(11)
+    return np.maximum(z, np.uint64(1), out=z if isinstance(z, np.ndarray) else None)
 
 
 def counter_uniform(key, index):
     """Deterministic uniform in [2^-53, 1 - 2^-53] for each index.
 
-    `key` and `index` may be scalars or broadcastable integer arrays;
-    vectorized evaluation returns a float64 array of the broadcast shape.
+    `key` and `index` may be scalars or broadcastable arrays, taken as
+    derive_key takes its seed and parts; vectorized evaluation returns a
+    float64 array of the broadcast shape.
     """
-    idx = np.asarray(index, dtype=np.uint64)
-    k = np.asarray(key, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = _mix64_into(k + (idx + np.uint64(1)) * _GOLDEN)
-    u = (z >> np.uint64(11)).astype(np.float64) * _U53
-    return np.maximum(u, _U53)
+    return _steps(_counters(key, index)) * 2.0**-53
 
 
 _TAG_ZERO_ONE = 0x5A01
@@ -216,11 +246,21 @@ def hash_table(h, n: int) -> np.ndarray:
     return t
 
 
-def _cauchy(key, indices, omega=None):
-    """The Cauchy map tan(pi*(u - 1/2)) of the counter uniforms of (key,
-    indices), clamped to [-omega, omega] when ``omega`` is set."""
-    v = np.tan(np.pi * (counter_uniform(key, indices) - 0.5))
-    return v if omega is None else np.clip(v, -omega, omega)
+def _cauchy(z, out, bound=None):
+    """The Cauchy map tan(pi*(u - 1/2)) of the mixed counters ``z`` (uint64
+    of out's size, overwritten), written into ``out`` and clamped to
+    [-bound, bound] when ``bound`` (a float, or an array of out's shape
+    that is inf for an untruncated value) is set; returns ``out``."""
+    z = _steps(z)
+    z -= _HALF
+    # exact, as |m - 2^52| <= 2^52; a 1-D z in out's own memory converts element by element
+    np.copyto(out, z.view(np.int64), casting="unsafe")
+    out *= _ANGLE
+    np.tan(out, out=out)
+    if bound is not None:
+        np.minimum(out, bound, out=out)
+        np.maximum(out, -bound, out=out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -240,11 +280,13 @@ class CauchySource:
             checked_omega(self.truncation)
 
     def __call__(self, i):
-        return float(self.table_at(np.asarray([int(i)]))[0])
+        return float(self.table_at(i))
 
     def table_at(self, indices):
-        """Vectorized values at the given integer indices."""
-        return _cauchy(derive_key(self.seed, 0x5A03), np.asarray(indices), self.truncation)
+        """Vectorized values at the given indices, taken as counter_uniform
+        takes them: integral, wrapping mod 2^64."""
+        z = np.asarray(_counters(derive_key(self.seed, 0x5A03), np.asarray(indices)))
+        return _cauchy(z, np.empty(z.shape), self.truncation)
 
     def table(self, n):
         """Values at indices 1..n (index 0 of the array <-> i=1)."""
@@ -257,19 +299,40 @@ def batched_cauchy_tables(
     """Cauchy tables [rows, families, n] for many repetitions at once.
 
     Row r with family j reproduces CauchySource(seed=derive_key(row_seeds[r], j))
-    exactly; family 0 is untruncated, the rest clamp at omega. Rows are
-    filled in blocks, so each temporary holds at most max(FOLD_BLOCK, n)
-    values whatever the row count.
+    exactly; family 0 is untruncated, the rest clamp at omega. The output is
+    filled in place, a block of whole rows at a time, or of one table when a
+    row holds more than FOLD_BLOCK values: the keys of all of the block's
+    tables are derived at once, its counters laid out in the block's own
+    memory, mixed there with one scratch buffer and mapped to their values
+    in place. Each temporary holds at most max(FOLD_BLOCK, n) values
+    whatever the row count.
     """
     rows = np.asarray(row_seeds, dtype=np.uint64)
-    idx = np.arange(1, n + 1, dtype=np.uint64)
     out = np.empty((rows.shape[0], families, n), dtype=np.float64)
-    step = max(1, FOLD_BLOCK // n)
-    for r0 in range(0, rows.shape[0], step):
-        block = rows[r0 : r0 + step, None]
-        for j in range(families):
-            key = derive_key(block, j, 0x5A03)
-            out[r0 : r0 + step, j] = _cauchy(key, idx, omega if j else None)
+    if out.size == 0:  # no rows, no families (s' = k) or n = 0: no block to size
+        return out
+    tables = out.shape[0] * families
+    step = max(1, min(FOLD_BLOCK // n // families * families, tables))  # tables per block
+    per_row = min(step, families)  # tables of one row in a block
+    offsets = np.tile(_offsets(np.arange(1, n + 1)), step)
+    scratch = np.empty(step * n, dtype=np.uint64)
+    if per_row > 1:  # each table's family in a block of whole rows, and each value's clamp
+        fams = np.tile(np.arange(families, dtype=np.uint64), step // per_row)
+        bounds = np.repeat(np.where(fams > 0, omega, np.inf), n)
+    flat = out.reshape(-1)
+    for t0 in range(0, tables, step):
+        r0, j0 = divmod(t0, families)
+        seeds = rows[r0 : r0 + step // per_row]
+        if per_row > 1:
+            seeds = np.repeat(seeds, per_row)
+            family, bound = fams[: seeds.size], bounds[: seeds.size * n]
+        else:  # one family: rows of family 0 only, or one table
+            family, bound = j0, omega if j0 else None
+        block = flat[t0 * n : t0 * n + seeds.size * n]
+        z = block.view(np.uint64)  # the counters, then their steps, take the block's place
+        np.add(np.repeat(derive_key(seeds, family, 0x5A03), n), offsets[: block.size], out=z)
+        _mix64_into(z, scratch[: block.size])
+        _cauchy(z, block, bound)
     return out
 
 

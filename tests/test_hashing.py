@@ -27,9 +27,37 @@ from indisketch.hashing import (
     counter_uniform,
     derive_key,
     hash_table,
+    mix64,
     zero_one_tables,
 )
 from indisketch.sketches import repetition_seeds
+
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def unmix64(z: int) -> int:
+    """The inverse of the splitmix64 finalizer, which is a bijection of
+    64-bit words: each xor-shift and each odd multiplier is undone in turn."""
+
+    def unshift(y, s):
+        x = y
+        for _ in range(64 // s):
+            x = y ^ (x >> s)
+        return x
+
+    z = unshift(z, 31) * pow(0x94D049BB133111EB, -1, 2**64) % 2**64
+    z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 2**64) % 2**64
+    return unshift(z, 30)
+
+
+def row_seed_with_counter(z: int, family: int, index: int) -> int:
+    """A row seed whose family-``family`` Cauchy table mixes the counter of
+    ``index`` to ``z``: derive_key(seed, family, 0x5A03) + (index + 1) * golden
+    is the word that splitmix64 maps to z."""
+    key = unmix64(z) - (index + 1) * GOLDEN
+    h = unmix64(key % 2**64) - 0x5A03 - GOLDEN
+    return (unmix64(h % 2**64) - family - GOLDEN) % 2**64
+
 
 # chi-square 0.999 quantiles, frozen from scipy.stats.chi2.ppf(0.999, df)
 CHI2_999_DF1 = 10.828
@@ -105,6 +133,28 @@ def test_non_integral_index_rejected(h):
             h(i)
     with pytest.raises(IndexError):
         h(9)
+
+
+def test_non_integral_cauchy_index_rejected():
+    """CauchySource and counter_uniform take an index (and a key) as
+    derive_key takes a part: an integer, wrapping mod 2^64, or an error."""
+    src = CauchySource(seed=1, truncation=10.0)
+    assert src(2.0) == src(2) == src(np.int64(2)) == float(src.table_at(np.array([2.0]))[0])
+    assert src(-1) == src(2**64 - 1) == float(src.table_at(np.array([-1]))[0])
+    for i in (1.5, 2.7, float("nan"), float("inf"), "2", None):
+        with pytest.raises(ConfigurationError, match="non-integer index"):
+            src(i)
+    with pytest.raises(ConfigurationError, match="non-integer index 2.5"):
+        src.table_at(np.array([1.0, 2.5]))
+    assert counter_uniform(-1, 2) == counter_uniform(2**64 - 1, 2)
+    assert counter_uniform(1, -1) == counter_uniform(1, 2**64 - 1)
+    assert counter_uniform(1, np.array([2.0, -1])).tolist() == [
+        counter_uniform(1, 2), counter_uniform(1, 2**64 - 1)
+    ]
+    with pytest.raises(ConfigurationError, match="non-integer index 2.5"):
+        counter_uniform(1, 2.5)
+    with pytest.raises(ConfigurationError, match="non-integer key 1.5"):
+        counter_uniform(1.5, 2)
 
 
 SEEDED = {
@@ -308,12 +358,61 @@ class TestBatchedCauchyTables:
             assert tables[r, 0].tolist() == plain.tolist()
             assert tables[r, 1].tolist() == clamped.tolist()
 
+    @pytest.mark.parametrize("n", [1, 4, 7, 32, FOLD_BLOCK + 1])
+    @pytest.mark.parametrize("families", [1, 2, 3, 4])
+    def test_tables_equal_sources_bit_for_bit(self, families, n):
+        """Every value equals the old per-family map tan(pi*(u - 1/2)) of the
+        counter uniforms, clipped for the truncated families, and sampled rows
+        equal their CauchySource tables, for no rows, one block of rows (or
+        one row, when a row takes more than a block) and one row more."""
+        omega = 3.0
+        block = max(1, FOLD_BLOCK // (families * n))
+        seeds = repetition_seeds(5, block + 1)
+        for count in (0, block, block + 1):
+            rows = seeds[:count]
+            tables = batched_cauchy_tables(rows, families, n, omega)
+            assert tables.shape == (count, families, n)
+            keys = derive_key(rows[:, None], np.arange(families), 0x5A03)
+            want = np.tan(np.pi * (counter_uniform(keys[..., None], np.arange(1, n + 1)) - 0.5))
+            want[:, 1:] = np.clip(want[:, 1:], -omega, omega)
+            assert tables.tobytes() == want.tobytes()
+            for r in sorted({0, block - 1, count - 1} & set(range(count))):
+                for j in range(families):
+                    src = CauchySource(int(derive_key(rows[r], j)), omega if j else None)
+                    assert tables[r, j].tobytes() == src.table(n).tobytes()
+
+    def test_guard_floor_and_exact_clamp(self):
+        """A counter that mixes to 0 or to 2^11 has z >> 11 == 0 or 1, so u
+        floors to 2^-53 and both give the same large, finite value; the
+        truncated family clamps to exactly -omega and omega."""
+        n, omega, index = 4, 1.5, 3
+        cases = [(z, j) for z in (0, 2**11) for j in (0, 1)]
+        rows = np.array(
+            [row_seed_with_counter(z, j, index) for z, j in cases] + repetition_seeds(9, 50).tolist(),
+            dtype=np.uint64,
+        )
+        tables = batched_cauchy_tables(rows, 2, n, omega)
+        for r, (z, j) in enumerate(cases):
+            key = derive_key(rows[r], j, 0x5A03)
+            assert int(mix64((int(key) + (index + 1) * GOLDEN) % 2**64)) == z
+            assert counter_uniform(key, index) == 2.0**-53
+            src = CauchySource(int(derive_key(rows[r], j)), omega if j else None)
+            assert tables[r, j].tobytes() == src.table(n).tobytes()
+        assert tables[0, 0, index - 1] == tables[2, 0, index - 1] < -(2.0**50)
+        assert tables[1, 1, index - 1] == tables[3, 1, index - 1] == -omega
+        assert np.isfinite(tables).all()
+        truncated = tables[:, 1]
+        assert (truncated == omega).any() and (truncated == -omega).any()
+        assert np.abs(truncated).max() == omega < np.abs(tables[:, 0]).max()
+
     def test_temporaries_are_row_blocks(self):
-        # 200k rows of n = 8: one full-size temporary alone would take 12.8 MB
-        rows = repetition_seeds(np.arange(50_000, dtype=np.uint64), 4)
-        tracemalloc.start()
-        tables = batched_cauchy_tables(rows, 2, 8, 100.0)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        assert tables.shape == (200_000, 2, 8)
-        assert peak <= tables.nbytes + 8 * FOLD_BLOCK * 8
+        # 200k rows of n = 8: one full-size temporary alone would take 12.8 MB;
+        # at n = 100,000 a row of 3 families takes 4.6 blocks, so a block is one table
+        for count, families, n in ((200_000, 2, 8), (200_000, 1, 8), (100_000, 3, 8), (4, 3, 100_000)):
+            rows = repetition_seeds(np.arange(count // 4, dtype=np.uint64), 4)
+            tracemalloc.start()
+            tables = batched_cauchy_tables(rows, families, n, 100.0)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert tables.shape == (count, families, n)
+            assert peak <= tables.nbytes + 8 * FOLD_BLOCK * 8
