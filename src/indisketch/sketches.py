@@ -66,16 +66,20 @@ def row_medians(values: np.ndarray) -> np.ndarray:
     """``np.median(values, axis=1)`` of a 2-D float64 array, to the bit.
 
     np.median checks for masked arrays, which imports numpy.ma on its
-    first call, a cost every command-line run would pay; this takes the
-    same order statistics with np.partition and averages them with np.mean.
-    A row holding a NaN gives NaN. Two middles whose sum passes the float
-    range average to inf, np.median's value, without an overflow warning.
+    first call, a cost every command-line run would pay. This selects
+    the upper middle once, takes an even row's lower middle as the
+    largest value left of it and sums from +0.0, as np.mean does. NaN
+    sorts last, so a row holding one gives NaN. Two middles whose sum
+    passes the float range average to inf without an overflow warning.
     """
     hi = values.shape[1] // 2
-    lo = hi if values.shape[1] % 2 else hi - 1
+    part = np.partition(values, hi, axis=1)
     with np.errstate(over="ignore"):
-        med = np.mean(np.partition(values, (lo, hi), axis=1)[:, lo : hi + 1], axis=1)
-    med[np.isnan(values).any(axis=1)] = np.nan
+        if values.shape[1] % 2:
+            med = 0.0 + part[:, hi]
+        else:
+            med = ((0.0 + part[:, :hi].max(axis=1)) + part[:, hi]) / 2
+    med[np.isnan(part[:, hi:].max(axis=1))] = np.nan
     return med
 
 
@@ -173,6 +177,14 @@ class ProductSketchState:
         return self.m_seen ** (self.k - 1) * self.joint - prod
 
 
+def _table_index(index: np.ndarray):
+    """``index`` as a slice if it runs a, a + 1, ..., b (checked step by step: lead
+    columns after the first are not sorted), so a table read at it is a view."""
+    if len(index) and (np.diff(index) == 1).all():
+        return slice(index[0], index[0] + len(index))
+    return index
+
+
 def fold_counts(tuples: np.ndarray, counts: np.ndarray, n: int, groups) -> int:
     """Add a chunk of tuple counts to product-sketch rows in place.
 
@@ -187,12 +199,13 @@ def fold_counts(tuples: np.ndarray, counts: np.ndarray, n: int, groups) -> int:
     the rows' last tables in one batched matrix product and then their
     lead tables; margins are batched matrix-vector products. When the U
     distinct suffixes fill less than 1/GRID_FILL of the grid, and when
-    s' = k, each suffix is its own lead with one last value, so its
-    tables are gathered once per row. The cost is O(banks * s * D +
-    rows * (L * V + (d - 1) * L + sum_j |values_j|)) on the grid, where
-    L * V = U on a dense chunk, and O(banks * s * D + rows * (d * U +
-    sum_j |values_j|)) per suffix; never a term in n^k. Banks, and a
-    large bank's rows and leads, go in blocks, so no temporary holds over
+    s' = k, each suffix is its own lead with one last value. The cost is
+    O(banks * s * D + rows * (L * V + (d - 1) * L + sum_j |values_j|)) on
+    the grid, where L * V = U on a dense chunk, and O(banks * s * D +
+    rows * (d * U + sum_j |values_j|)) per suffix; never a term in n^k.
+    Tables are read in place at a run of indices (a dense chunk's values)
+    and gathered into a copy only at scattered ones. Banks, and a large
+    bank's rows and leads, go in blocks, so no temporary holds over
     max(FOLD_BLOCK, D) floats. Returns the record count.
     """
     if not len(counts):
@@ -203,6 +216,7 @@ def fold_counts(tuples: np.ndarray, counts: np.ndarray, n: int, groups) -> int:
     # each coordinate's distinct values and their total counts
     values, at = zip(*(np.unique(T[:, j], return_inverse=True) for j in range(k)))
     hists = [np.bincount(a, c) for a in at]
+    cols = [_table_index(v) for v in values]
     V, width = len(values[-1]), max(map(len, values))
     for s_prime, prefix, coeff, joint, margins in groups:
         s, d, reps = prefix.shape[1], k - s_prime, len(coeff) // len(prefix)
@@ -220,13 +234,15 @@ def fold_counts(tuples: np.ndarray, counts: np.ndarray, n: int, groups) -> int:
         rep_step = reps if bank_step * reps * width <= FOLD_BLOCK else max(1, FOLD_BLOCK // width)
         lead_step = max(1, FOLD_BLOCK // (bank_step * max(rep_step, nv)))
         cuts = np.searchsorted(lead, np.arange(0, len(L) + lead_step, lead_step))
+        starts = range(0, len(L), lead_step)
+        leads = [[_table_index(x) for x in L[l0 : l0 + lead_step].T] for l0 in starts]
         for b0 in range(0, len(prefix), bank_step):
             P = prefix[b0 : b0 + bank_step]
             B = len(P)
             w = np.tile(cg, (B, 1))
             for j in range(s):
                 w *= P[:, j, Tg[:, j]]
-            masked = [hists[j] * P[:, j, values[j]] for j in range(s)]
+            masked = [hists[j] * P[:, j, cols[j]] for j in range(s)]
             # a collapsed coordinate's margin is its bank's masked mass
             masked[:s_prime] = [m.sum(axis=1, keepdims=True) for m in masked[:s_prime]]
             for q0 in range(0, reps, rep_step):
@@ -235,18 +251,18 @@ def fold_counts(tuples: np.ndarray, counts: np.ndarray, n: int, groups) -> int:
                 for j in range(s_prime):
                     Mb[:, :, j] += masked[j]
                 for j in range(s_prime, k):
-                    G = Cb[:, :, j - s_prime, values[j]]
+                    G = Cb[:, :, j - s_prime, cols[j]]
                     Mb[:, :, j] += (G @ masked[j][:, :, None])[..., 0] if j < s else G @ hists[j]
                 # G holds the last tables at the last values, or ones per suffix
                 if per_suffix:
                     G = np.ones(Cb.shape[:2] + (1,))
-                for i, l0 in enumerate(range(0, len(L), lead_step)):
+                for i, l0 in enumerate(starts):
                     t0, t1, nl = cuts[i], cuts[i + 1], min(lead_step, len(L) - l0)
                     cells = last[t0:t1] * nl + lead[t0:t1] - l0 + np.arange(B)[:, None] * (nv * nl)
                     F = np.bincount(cells.ravel(), w[:, t0:t1].ravel(), B * nv * nl)
                     Y = G @ F.reshape(B, nv, nl)
-                    for j in range(L.shape[1]):
-                        Y *= Cb[:, :, j, L[l0 : l0 + nl, j]]
+                    for j, at_lead in enumerate(leads[i]):
+                        Y *= Cb[:, :, j, at_lead]
                     Jb += np.einsum("brl->br", Y)  # Y.sum(axis=2), faster over few leads
     return int(c.sum())
 

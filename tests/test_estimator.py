@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from indisketch import (
     BudgetExceededError,
@@ -729,15 +729,6 @@ def _median(values) -> float:
     return sketches.row_medians(np.asarray(values, dtype=np.float64).reshape(1, -1))[0]
 
 
-@given(st.lists(st.floats(width=64, allow_nan=False), min_size=1, max_size=40))
-@settings(max_examples=300, deadline=None)
-def test_median_matches_numpy_to_the_bit(values):
-    with np.errstate(all="ignore"):  # the mean of two huge or infinite middles
-        want, got = np.float64(np.median(np.array(values))), np.float64(_median(values))
-    assert got.tobytes() == want.tobytes()
-    assert np.isnan(_median(values + [float("nan")]))
-
-
 MEDIAN_VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0, 2.5]),
     st.floats(width=64),
@@ -746,6 +737,46 @@ MEDIAN_VALUES = st.one_of(
 
 def _same_float(a, b):
     return (math.isnan(a) and math.isnan(b)) or np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+HUGE = 1.7e308  # two of them sum past the float range
+
+
+@given(
+    st.tuples(st.integers(1, 4), st.integers(1, 40)).flatmap(
+        lambda shape: st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, math.inf, -math.inf, HUGE, -HUGE, 5e-324, 1.0]),
+                st.floats(width=64, allow_nan=False),
+            ),
+            min_size=shape[0] * shape[1],
+            max_size=shape[0] * shape[1],
+        ).map(lambda v: np.array(v, dtype=np.float64).reshape(shape))
+    )
+)
+@example(np.array([[-0.0], [0.0], [-0.0]]))
+@example(np.array([[-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0], [-0.0, 1.0]]))
+@example(np.array([[HUGE, 1.0, HUGE, HUGE], [-HUGE, -HUGE, 1.0, -HUGE], [HUGE, HUGE, 1.0, 0.0]]))
+@example(np.array([[-math.inf, math.inf], [math.inf, math.inf], [-math.inf, 1.0]]))
+@settings(max_examples=300, deadline=None)
+def test_median_matches_numpy_to_the_bit(table):
+    """Each row of a table against np.median: signed zeros, infinities,
+    middle pairs whose sum overflows, odd and even widths. A NaN inserted
+    at each position of the first row makes that row's median NaN, and
+    only that row's."""
+    with np.errstate(all="ignore"):  # the mean of two huge or infinite middles
+        got = sketches.row_medians(table)
+        assert got.dtype == np.float64 and got.shape == table.shape[:1]
+        for med, row in zip(got, table):
+            assert _same_float(med, np.median(row))
+        column = np.zeros(len(table))
+        column[0] = np.nan
+        for i in range(table.shape[1] + 1):
+            with_nan = np.insert(table, i, column, axis=1)
+            got = sketches.row_medians(with_nan)
+            assert np.isnan(got[0])
+            for med, row in zip(got[1:], with_nan[1:]):
+                assert _same_float(med, np.median(row))
 
 
 def _scalar_round(u0, u1, ratio):

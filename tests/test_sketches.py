@@ -304,6 +304,55 @@ class TestBank:
                     np.testing.assert_allclose(joint, rows[0][0], rtol=1e-12, atol=0)
                     np.testing.assert_allclose(margins, rows[0][1], rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize(
+        "recs,in_place",
+        [
+            # every coordinate holds the values 3-6 of n = 8: each table is read in place
+            ([(3, 4), (4, 6), (5, 3), (6, 5), (3, 3), (5, 6), (3, 4)], {True}),
+            # the first coordinate holds 1, 4, 6 (gathered), the second 3-6 (in place)
+            ([(1, 3), (4, 4), (6, 5), (1, 6), (4, 3)], {True, False}),
+            # leads (1, 1), (1, 3), (2, 2), (2, 4): the second lead column
+            # 0, 2, 1, 3 spans 0-3 by its ends but is no run, so it is gathered
+            ([(1, 1, 2), (1, 3, 5), (2, 2, 2), (2, 4, 7), (1, 3, 2)], {True, False}),
+        ],
+        ids=["run-from-3", "gap-and-run", "unsorted-lead"],
+    )
+    def test_fold_reads_runs_in_place(self, recs, in_place, monkeypatch):
+        """Table reads at a run of indices are views, any other index set is
+        gathered. At every (s, s') both forms agree with the scalar rule and
+        with a fold that always gathers, and no fold writes into the masks or
+        the Cauchy tables it reads."""
+        k, n, reps = len(recs[0]), 8, 5
+        rng = np.random.default_rng(k)
+        masks = [rng.integers(0, 2, n) | (np.arange(n) % 3 == 0) for _ in range(k)]
+        table_index, read = sketches._table_index, set()
+
+        def spy(index):
+            at = table_index(index)
+            read.add(isinstance(at, slice))
+            return at
+
+        for s in range(k + 1):
+            for s_prime in range(s + 1):
+                rows = []
+                for helper in (spy, lambda index: index):  # then gather every read
+                    monkeypatch.setattr(sketches, "_table_index", helper)
+                    bank = SketchBank(k, n, s, s_prime, masks[:s], repetitions=reps, seed=41)
+                    group = bank.registry.groups[(s, s_prime)]
+                    tables = group["prefix"].tobytes(), group["coeff"].tobytes()
+                    bank.bulk_update(dict(Counter(recs)))
+                    assert (group["prefix"].tobytes(), group["coeff"].tobytes()) == tables
+                    rows.append((bank.joint, bank.margins))
+                for r in range(reps):
+                    st_ = ProductSketchState.from_seeds(k, n, s, s_prime, masks[:s], seed=41, rep=r)
+                    for rec in recs:
+                        st_.update(rec)
+                    assert rows[0][0][r] == pytest.approx(st_.joint, rel=1e-12)
+                    assert rows[0][1][r] == pytest.approx(st_.margins, rel=1e-12)
+                np.testing.assert_allclose(rows[1][0], rows[0][0], rtol=1e-12, atol=0)
+                np.testing.assert_allclose(rows[1][1], rows[0][1], rtol=1e-12, atol=0)
+        assert read == in_place
+
     @pytest.mark.parametrize("shared_suffix", [False, True])
     def test_flush_memory_follows_the_chunk(self, shared_suffix):
         # n^k = 8e9 cells: a flush must scale with the chunk, not the domain,
