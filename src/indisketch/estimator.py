@@ -6,12 +6,13 @@ evaluated one depth at a time. Composition, bottom to top:
 1. *Certifying tournament* (``_tournaments``): given a coarse
    beta-factor estimator and a sharp (1 +- eps) estimator for the
    collapsed tensor, repeatedly split the masked coordinates in half with
-   a pairwise hash and compare the two halves' coarse estimates. A
-   lopsided ratio certifies a dominant hyperplane, in which case the sharp
-   estimate of the heavy half approximates that hyperplane's norm. The
-   result is a threshold-max: either 0 or an approximation of some masked
-   coordinate, guaranteed to find any coordinate holding all but an alpha
-   fraction of the masked mass.
+   a pairwise hash (a mask of one value only once) and compare the two
+   halves' coarse estimates. A lopsided ratio certifies a dominant
+   hyperplane, in which case the sharp estimate of the heavy half
+   approximates that hyperplane's norm. The result is a threshold-max:
+   either 0 or an approximation of some masked coordinate, guaranteed to
+   find any coordinate holding all but an alpha fraction of the masked
+   mass.
 
 2. *Cover* (``_buckets``): hash coordinates into many buckets and run
    one tournament per bucket; the positive outputs approximate distinct
@@ -40,9 +41,10 @@ each with a leaf factory's (coarse, sharp) leaves. Sketch leaves
 product-sketch banks, all registered before the one pass, with the child
 reductions of the next depth as the sharp leaves above the last depth.
 ``_evaluate_plan`` works bottom-up: leaf values, then the round decisions,
-round minimum and layered sums as array expressions, then the median per
-reduction. Oracle leaves (``tensor_tournament``, ``cover_algorithm``,
-``dimension_reduce``) are a depth's side masks as one table, evaluated by
+the minimum over the rounds that ran and layered sums as array
+expressions, then the median per reduction. Oracle leaves
+(``tensor_tournament``, ``cover_algorithm``, ``dimension_reduce``) are
+a depth's side masks as one table, evaluated by
 one call of each injected ``SubAlgorithms`` estimator; ``layered_l1_estimate``
 takes a caller's cover for each level. Exact sub-oracles built from the
 dense tensor module let property tests isolate the combinatorial logic from
@@ -445,9 +447,12 @@ def _buckets(H, seeds, cfg: CoverConfig):
 def _sides(H, seeds, cfg: TournamentConfig):
     """The nonempty sides (tournament, round, side) of the tournaments of
     the masks H (T, n) with seeds (T,), in order, with each one's mask; an
-    empty side reads 0."""
+    empty side reads 0. A tournament whose mask holds one value runs round
+    0 only: every round splits it into that value and an empty side."""
     sides = _split_masks(H, cfg.rounds, seeds)
-    t, rd, side = np.nonzero(sides.any(axis=3))
+    nonempty = sides.any(axis=3)
+    nonempty[H.sum(axis=1) == 1, 1:] = False
+    t, rd, side = np.nonzero(nonempty)
     return t, rd, side, sides[t, rd, side]
 
 
@@ -515,20 +520,35 @@ def _tournaments(cfg: TournamentConfig, count: int, t, rd, side, coarse, sharp) 
 
     A side reads max(coarse / beta, sharp, 0), in that order as Python's
     max takes it; an empty side reads 0. A tournament's output is the raw
-    minimum over its rounds: a single null round certifies the absence of
-    a dominant coordinate and zeroes it, which drives the false-positive
-    probability down exponentially in the round count. In the detection
-    regime (one coordinate holding all but an alpha fraction of the masked
-    mass) every round fires, so the output approximates that coordinate
-    with probability 1 - delta, with a (1 +- 3*epsilon) guarantee in
-    terms of the round epsilon.
+    minimum over the rounds that ran: a single null round certifies the
+    absence of a dominant coordinate and zeroes it, which drives the
+    false-positive probability down exponentially in the round count. In
+    the detection regime (one coordinate holding all but an alpha fraction
+    of the masked mass) every round fires, so the output approximates that
+    coordinate with probability 1 - delta, with a (1 +- 3*epsilon)
+    guarantee in terms of the round epsilon. A round without sides did not
+    run and repeats round 0's decision, so a tournament with no sides (an
+    empty mask) outputs 0.
+
+    A one-value mask runs round 0 only (``_sides``), and its output is
+    round 0's decision to the bit. It has no false positive to drive down:
+    its empty side reads exactly 0, so the round outputs either 0 or the
+    reading of its value's side, max(coarse / beta, sharp), which is made
+    of that coordinate's own sub-estimates. The union bound over leaves
+    then needs only those sub-estimates' failure probability
+    (subcall_delta each), not one such term per round, and the minimum of
+    independent estimates of one coordinate, which reads low, is not
+    taken.
     """
     beta = cfg.beta
     v = coarse / beta
     v = np.where(sharp > v, sharp, v)
     u = np.zeros((count, cfg.rounds, 2))
     u[t, rd, side] = np.where(0.0 > v, 0.0, v)
-    return _decide_round(u[..., 0], u[..., 1], cfg.ratio_threshold * beta**2).min(axis=1)
+    out = _decide_round(u[..., 0], u[..., 1], cfg.ratio_threshold * beta**2)
+    ran = np.zeros(out.shape, dtype=bool)
+    ran[t, rd] = True
+    return np.where(ran, out, out[:, :1]).min(axis=1)
 
 
 def _layered_sums(cfg: LayerConfig, q: np.ndarray, run, j, value) -> np.ndarray:

@@ -403,18 +403,19 @@ def test_criterion_10_layered_estimator():
 
 
 def test_criterion_11_end_to_end():
-    """Full sketch pipeline tracks the exact oracle on synthetic streams."""
+    """Full sketch pipeline tracks the exact oracle on synthetic streams,
+    at k = 2 and at the recursive plans of k = 3 and k = 4."""
     runs = 90
     cases = []
     for kind in ("diagonal", "independent", "mixture(0.5)"):
-        for n in (4, 8):
-            recs = list(generate_synthetic(kind, 2, n, 1000, seed=1234))
-            table = build_frequency_table(TupleStream(2, n, recs))
+        for k, n in ((2, 4), (2, 8), (3, 4), (4, 2)):
+            recs = list(generate_synthetic(kind, k, n, 1000, seed=1234))
+            table = build_frequency_table(TupleStream(k, n, recs))
             exact = float(exact_statistical_distance(table))
             est = np.array(
                 [
                     independence_distance(
-                        TupleStream(2, n, recs),
+                        TupleStream(k, n, recs),
                         0.3,
                         0.1,
                         seed=s,
@@ -433,7 +434,7 @@ def test_criterion_11_end_to_end():
                 med_ok = np.abs(med - exact) <= 0.05
             else:
                 med_ok = (med >= 0.7 * exact) & (med <= 1.3 * exact)
-            cases.append((f"{kind} n={n}", exact, single_rate, float(med_ok.mean())))
+            cases.append((f"{kind} k={k} n={n}", exact, single_rate, float(med_ok.mean())))
     ok = all(s >= 2 / 3 and m >= 0.9 for _, _, s, m in cases)
     report(
         11,

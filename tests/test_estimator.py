@@ -245,6 +245,44 @@ class TestTournament:
         for s in range(20):
             assert tensor_tournament(np.zeros(4, dtype=np.uint8), cfg, subs, seed=s) == 0.0
 
+    def test_one_value_masks_run_round_zero(self):
+        """A one-value mask keeps round 0's side of its value, a mask of two
+        or more values every round's nonempty sides, an empty mask none."""
+        cfg = TournamentConfig.from_targets(0.1, 0.1, beta=1.0, rounds=3)
+        H = (np.random.default_rng(3).random((40, 8)) < 0.4).astype(np.uint8)
+        H[:8] = np.eye(8, dtype=np.uint8)
+        H[8] = 0
+        seeds = np.arange(40, dtype=np.uint64)
+        t, rd, side, masks = estimator._sides(H, seeds, cfg)
+        halves = _split_masks(H, 3, seeds)
+        assert np.array_equal(masks, halves[t, rd, side]) and masks.any(axis=1).all()
+        sizes = H.sum(axis=1).tolist()
+        assert sum(size > 1 for size in sizes) > 20
+        for i, size in enumerate(sizes):
+            mine = t == i
+            if size == 0:
+                assert not mine.any()
+            elif size == 1:
+                assert rd[mine].tolist() == [0] and np.array_equal(masks[mine][0], H[i])
+            else:
+                assert set(rd[mine].tolist()) == {0, 1, 2}
+                assert mine.sum() == halves[i].any(axis=2).sum()
+
+    @pytest.mark.parametrize("k,n", [(2, 8), (3, 4)])
+    def test_desk_profile_buckets_run_one_round(self, k, n):
+        """At the desk profile rho exceeds n, so every cover bucket holds one
+        value: each tournament runs round 0 only, with one side, and the
+        estimate is that of one configured round."""
+        est = StreamDistanceEstimator(k, n, 0.3, 0.1, seed=1)
+        for d in est.plan:
+            assert not d.side_rd.any()
+            assert np.array_equal(d.side_t, np.arange(len(d.bucket)))
+        one = StreamDistanceEstimator(k, n, 0.3, 0.1, seed=1, overrides=EstimatorOverrides(rounds=1))
+        recs = list(generate_synthetic("mixture(0.5)", k, n, 300, seed=2))
+        est.consume(recs)
+        one.consume(recs)
+        assert est.tensor_norm_estimate() == one.tensor_norm_estimate()
+
     def test_uniform_vector_rejected(self):
         subs = exact_sub_oracles(diag_embed(np.ones(64, dtype=np.int64)), beta=2.0)
         cfg = TournamentConfig.from_targets(0.1, 0.1, beta=2.0)
@@ -799,21 +837,38 @@ def _scalar_round(u0, u1, ratio):
     return u1 if win1 else u0 if win0 else 0.0
 
 
-@given(st.lists(MEDIAN_VALUES, min_size=8, max_size=8), st.sampled_from([1.0, 2.0, 3.5]))
+@given(
+    st.lists(MEDIAN_VALUES, min_size=12, max_size=12),
+    st.sampled_from([1.0, 2.0, 3.5]),
+    st.sampled_from([[0], [1], [0, 1]]),
+)
 @settings(max_examples=300, deadline=None)
-def test_tournament_arrays_match_the_scalar_rule(values, beta):
-    """Two rounds with both sides present: a side reads Python's
-    max(coarse / beta, sharp, 0), and the output is Python's min over the
-    rounds' decisions, to the bit, with signed zeros, infinities and NaNs."""
-    coarse, sharp = np.array(values[:4]), np.array(values[4:])
+def test_tournament_arrays_match_the_scalar_rule(values, beta, one_round):
+    """Tournament 0 runs two rounds with both sides present, tournament 1
+    round 0 only with the sides ``one_round``, tournament 2 no round. A
+    side reads Python's max(coarse / beta, sharp, 0), an absent side 0.
+    The outputs are Python's min over tournament 0's round decisions,
+    tournament 1's round 0 decision and 0.0, to the bit, with signed
+    zeros, infinities and NaNs."""
+    coarse, sharp = values[:4] + values[8:10], values[4:8] + values[10:]
     cfg = TournamentConfig.from_targets(0.1, 0.1, beta=beta, rounds=2)
     ratio = cfg.ratio_threshold * beta**2
+    t = [0, 0, 0, 0] + [1] * len(one_round)
+    rd, side = [0, 0, 1, 1] + [0] * len(one_round), [0, 1, 0, 1] + one_round
+    pick = list(range(4)) + [4 + s for s in one_round]
     with np.errstate(all="ignore"):
-        u = [max(c / beta, s, 0.0) for c, s in zip(values[:4], values[4:])]
-        want = min(_scalar_round(u[2 * r], u[2 * r + 1], ratio) for r in range(2))
-        rd, side = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
-        (got,) = estimator._tournaments(cfg, 1, np.zeros(4, int), rd, side, coarse, sharp)
-    assert _same_float(float(got), want)
+        u = [max(c / beta, s, 0.0) for c, s in zip(coarse, sharp)]
+        u1 = [u[4 + s] if s in one_round else 0.0 for s in (0, 1)]
+        want = [
+            min(_scalar_round(u[2 * r], u[2 * r + 1], ratio) for r in range(2)),
+            _scalar_round(*u1, ratio),
+            0.0,
+        ]
+        got = estimator._tournaments(
+            cfg, 3, np.array(t), np.array(rd), np.array(side),
+            np.array(coarse)[pick], np.array(sharp)[pick],
+        )
+    assert got.shape == (3,) and all(_same_float(float(g), w) for g, w in zip(got, want))
 
 
 def _scalar_layer(value, shift, growth):
@@ -949,11 +1004,12 @@ class TestMedianTable:
 
 
 def test_build_derives_per_depth_not_per_bank(monkeypatch):
-    """A k = 3, n = 4 construction (23,436 banks) derives its seeds and
+    """A k = 3, n = 4 construction (2,628 banks) derives its seeds and
     masks with a fixed number of array calls per depth and registers each
-    group's banks in one call; built one tournament side at a time, it made
-    60,029 derive_key, 3,924 zero_one_tables and 23,436 add_bank calls. The
-    Cauchy fill adds one derive_key per row block and family, and
+    group's banks in one call; built one tournament side at a time, the
+    same plan with every round of its one-value buckets (23,436 banks) made
+    60,029 derive_key, 3,924 zero_one_tables and 23,436 add_bank calls.
+    The Cauchy fill adds one derive_key per row block and family, and
     repetition_seeds two per group."""
     calls = Counter()
 
@@ -972,7 +1028,7 @@ def test_build_derives_per_depth_not_per_bank(monkeypatch):
     monkeypatch.setattr(_BankRegistry, "add_bank", counting("add_bank", _BankRegistry.add_bank))
     est = StreamDistanceEstimator(3, 4, 0.3, 0.1, seed=1)
     groups = est.registry.groups.values()
-    assert sum(len(g["prefix"]) for g in groups) == 23_436
+    assert sum(len(g["prefix"]) for g in groups) == 2_628
     step = hashing.FOLD_BLOCK // 4
     fill = sum(-(-len(g["joint"]) // step) * g["coeff"].shape[1] + 2 for g in groups)
     depths = 2
@@ -982,10 +1038,10 @@ def test_build_derives_per_depth_not_per_bank(monkeypatch):
 
 
 def test_evaluation_memory_stays_per_block():
-    # default profile: 1.47M rows, 1.31M of them in group (2, 2)
-    est = StreamDistanceEstimator(3, 3, 0.3, 0.1, seed=7)
-    assert len(est.registry.groups[(2, 2)]["joint"]) == 1_312_200
-    est.consume(generate_synthetic("mixture(0.5)", 3, 3, 100, seed=1))
+    # default profile: 1.16M rows, 1.04M of them in group (2, 2)
+    est = StreamDistanceEstimator(3, 8, 0.3, 0.1, seed=7)
+    assert len(est.registry.groups[(2, 2)]["joint"]) == 1_036_800
+    est.consume(generate_synthetic("mixture(0.5)", 3, 8, 100, seed=1))
     tracemalloc.start()
     try:
         est.tensor_norm_estimate()
@@ -1055,11 +1111,12 @@ class TestGoldenEstimates:
     @pytest.mark.parametrize(
         "k,n,m,stream_seed,seed,lean,expected",
         [
-            (2, 8, 400, 11, 5, False, 0.3608696225933265),
-            (2, 8, 400, 12, 6, False, 0.3155551203795471),
-            (3, 3, 150, 13, 7, True, 0.314966838847844),
-            (3, 3, 150, 14, 8, True, 0.3505178336580359),
+            (2, 8, 400, 11, 5, False, 0.39948828741110626),
+            (2, 8, 400, 12, 6, False, 0.34594418352893935),
+            (3, 3, 150, 13, 7, True, 0.586444631421772),
+            (3, 3, 150, 14, 8, True, 0.4559834342700326),
         ],
+        ids=["k2-n8-seed5", "k2-n8-seed6", "k3-n3-seed7-lean", "k3-n3-seed8-lean"],
     )
     def test_mixture_estimates(self, k, n, m, stream_seed, seed, lean, expected):
         recs = list(generate_synthetic("mixture(0.5)", k, n, m, seed=stream_seed))

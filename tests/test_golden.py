@@ -156,12 +156,12 @@ def test_generate_synthetic_first_records():
 def test_registry_tables_of_a_k3_estimator():
     est = StreamDistanceEstimator(3, 3, 0.3, 0.1, seed=5)
     expected = {
-        (1, 0): ("c6a3037d4beecacbf93c5951ac5776c110cd2df7c85de457fa788b8ea16575e5",
-                 "e928a75787525935adab4f56986649755c5524a7983a19d9595d8256aed7d374"),
-        (2, 1): ("0da6e2b6d1a02b4811ace576f66415ace0248b05e9566fc3ad2854e49b288dcb",
-                 "15382ac4f048be6e5e8377fadc8d19578fbc00dc1491318225d126fe507f3233"),
-        (2, 2): ("0da6e2b6d1a02b4811ace576f66415ace0248b05e9566fc3ad2854e49b288dcb",
-                 "6b5f00c2ea62b385b7c9abc16fb581e33506238a5f5623386a33e991639137c3"),
+        (1, 0): ("a094b247c89c8e40ad875d5c19cc18cee7d542c995f25308c0b370f66d854f50",
+                 "7592a8b7d54f3c1dd48ca3a5c5a77d877de892a8ec5f9b3a3abdf950924d35ca"),
+        (2, 1): ("0ad9a307a7d893f62464cf9af54f783fa353326dd4185b26d1131d20e7d76e0e",
+                 "c5806658dae31d4c328b0e82c481b9d0ce30453ecd7455296b8d666b600a1304"),
+        (2, 2): ("0ad9a307a7d893f62464cf9af54f783fa353326dd4185b26d1131d20e7d76e0e",
+                 "49903e6be1f62442a85e6366336874ac9508e95b83c5eea03d4f4aedc3b33f2d"),
     }
     got = {
         key: tuple(
@@ -172,11 +172,11 @@ def test_registry_tables_of_a_k3_estimator():
     }
     assert got == expected
     shapes = {key: g["coeff"].shape for key, g in est.registry.groups.items()}
-    assert shapes == {(1, 0): (1944, 3, 3), (2, 1): (157464, 2, 3), (2, 2): (1312200, 1, 3)}
+    assert shapes == {(1, 0): (648, 3, 3), (2, 1): (17496, 2, 3), (2, 2): (145800, 1, 3)}
     diag = json.dumps(est.diagnostics(), sort_keys=True).encode()
     assert (
         hashlib.sha256(diag).hexdigest()
-        == "b0513d9b9601825db9162fa2e669116402098fc055b291c03b1d3e9da04fd870"
+        == "d8b2f14db046eac90aaf1351fadec7cf278b092d590825a5bf006b0cf94c85a6"
     )
 
 
@@ -218,12 +218,12 @@ def _plan_tree(est):
     "k,n,seed,overrides,expected,shapes,plan",
     [
         (2, 8, 3, None, {
-            (1, 0): ("1e897be58c3734104df02177c97ac1f83f636dc840d43c2889608bac97da0358",
-                     "c880b80dca3873800f1a72d78dee05836bc9874df7f4e021c5c12e4bc9eaad17"),
-            (1, 1): ("1e897be58c3734104df02177c97ac1f83f636dc840d43c2889608bac97da0358",
-                     "3fb485199da7f938db51837c350ec1a641d118832c595ddfc56da1a4fdaebd68"),
-        }, {(1, 0): (5184, 2, 8), (1, 1): (43200, 1, 8)},
-            "0e5009f570a40c04c0ae1e937933f6cddde8ca9196f753bffc4ba8dc735dbccb"),
+            (1, 0): ("e306ac49cff8030e6068dafafa76556053cc1b420c26f52d6c78db023fd7e9e1",
+                     "1fb4f17f66d104b1c5bd3caf2c08eac72ec479c4096a5f81e88f83f8445b82ec"),
+            (1, 1): ("e306ac49cff8030e6068dafafa76556053cc1b420c26f52d6c78db023fd7e9e1",
+                     "9a4ae7d9dc80d6bee19128922d2d6d21575e5cdf0371f2ec90ffa48f482c41be"),
+        }, {(1, 0): (1728, 2, 8), (1, 1): (14400, 1, 8)},
+            "561cc8dc98feb1c6936931a60a46c73f60a0da04239c1750bfeb75474d1b5535"),
         # three depths and four groups
         (4, 2, 5, EstimatorOverrides(amplification=2, rounds=1), {
             (1, 0): ("94b5e5683baeea24c24128521f595d5bcc874bf4763236cadd45ceb710a40414",
@@ -302,11 +302,12 @@ class TestOracleRoute:
     @pytest.mark.parametrize(
         "k,n,m,stream_seed,calls,expected",
         [
-            (2, 8, 300, 21, 1296,
-             "8b314789364749eb66d77b3cf6fb2040f7aba4423fade590f4cc4c3cdad16225"),
-            (3, 3, 120, 22, 486,
-             "f72c9f0abe296ec20bca1bd15cb5511c91a09384cf41404590b681b933ad37f3"),
+            (2, 8, 300, 21, 432,
+             "23baac232c9ef56c3163407872e65eccb1912eb0fd2c3520bf03fedc5286d141"),
+            (3, 3, 120, 22, 162,
+             "3aeba956ae6fe05a18ea90d5ae1c8c5df799bf6002d488bb3bcd8d3de8afdcb4"),
         ],
+        ids=["k2-n8", "k3-n3"],
     )
     def test_dimension_reduce_sub_oracle_calls(self, k, n, m, stream_seed, calls, expected):
         """Every side's approx_a and approx_b, in order: per row of the mask
