@@ -31,7 +31,9 @@ evaluated one depth at a time. Composition, bottom to top:
 4. *Dimension reduction* (``_build_reduce_plan``, ``_evaluate_plan``):
    steps 1-3 applied to the absolute-hyperplane vector of a tensor turn
    per-hyperplane estimators into a full-norm estimator, with median
-   amplification of the 2/3 success probability.
+   amplification of the 2/3 success probability. Each median is divided
+   by the mean ratio of a value's lower layer edge to the value, so the
+   rounding down to layer edges does not compound over the depths.
 
 ``_build_reduce_plan`` builds the stack from one set of constants
 (``_stack_configs``) as one ``_Depth`` of index arrays per recursion
@@ -42,7 +44,7 @@ product-sketch banks, all registered before the one pass, with the child
 reductions of the next depth as the sharp leaves above the last depth.
 ``_evaluate_plan`` works bottom-up: leaf values, then the round decisions,
 the minimum over the rounds that ran and layered sums as array
-expressions, then the median per reduction. Oracle leaves
+expressions, then the calibrated median per reduction. Oracle leaves
 (``tensor_tournament``, ``cover_algorithm``, ``dimension_reduce``) are
 a depth's side masks as one table, evaluated by
 one call of each injected ``SubAlgorithms`` estimator; ``layered_l1_estimate``
@@ -445,15 +447,17 @@ def _buckets(H, seeds, cfg: CoverConfig):
 
 
 def _sides(H, seeds, cfg: TournamentConfig):
-    """The nonempty sides (tournament, round, side) of the tournaments of
-    the masks H (T, n) with seeds (T,), in order, with each one's mask; an
-    empty side reads 0. A tournament whose mask holds one value runs round
-    0 only: every round splits it into that value and an empty side."""
+    """Whether each of the tournaments of the masks H (T, n) with seeds (T,)
+    holds one value, and their nonempty sides (tournament, round, side) in
+    order, with each one's mask; an empty side reads 0. A tournament whose
+    mask holds one value runs round 0 only: every round splits it into
+    that value and an empty side."""
+    single = H.sum(axis=1) == 1
     sides = _split_masks(H, cfg.rounds, seeds)
     nonempty = sides.any(axis=3)
-    nonempty[H.sum(axis=1) == 1, 1:] = False
+    nonempty[single, 1:] = False
     t, rd, side = np.nonzero(nonempty)
-    return t, rd, side, sides[t, rd, side]
+    return single, t, rd, side, sides[t, rd, side]
 
 
 class _Depth(NamedTuple):
@@ -467,6 +471,7 @@ class _Depth(NamedTuple):
     level_j: np.ndarray
     bucket_level: np.ndarray  # the occupied buckets (level, bucket): one tournament each
     bucket: np.ndarray
+    single: np.ndarray        # whether each tournament's mask holds one value
     side_t: np.ndarray        # the nonempty sides (tournament, round, side)
     side_rd: np.ndarray
     side_s: np.ndarray
@@ -492,10 +497,12 @@ def _build_reduce_plan(n: int, configs: StackConfigs, seed: int, leaves: Leaves)
         amp_seeds = derive_key(seeds[:, None], _TAG_AMP, np.arange(amp, dtype=np.uint64))
         q, level_run, level_j, masks, level_seeds = _levels(n, lcfg, amp_seeds.ravel())
         bucket_level, bucket, masks, tseeds = _buckets(masks, level_seeds, ccfg)
-        t, rd, side, masks = _sides(masks, tseeds, tcfg)
+        single, t, rd, side, masks = _sides(masks, tseeds, tcfg)
         prefix = np.concatenate([prefix[level_run[bucket_level[t]] // amp], masks[:, None]], axis=1)
         coarse, sharp = leaves(prefix, tseeds[t], rd, side)
-        plan.append(_Depth(q, level_run, level_j, bucket_level, bucket, t, rd, side, coarse, sharp))
+        plan.append(
+            _Depth(q, level_run, level_j, bucket_level, bucket, single, t, rd, side, coarse, sharp)
+        )
         if sharp is not None:
             return plan
         seeds = derive_key(tseeds[t], _TAG_CHILD, rd, side)
@@ -513,16 +520,19 @@ def _decide_round(u0: np.ndarray, u1: np.ndarray, ratio: float) -> np.ndarray:
     return np.where(win1 & ~win0, u1, np.where(win0 & ~win1, u0, 0.0))
 
 
-def _tournaments(cfg: TournamentConfig, count: int, t, rd, side, coarse, sharp) -> np.ndarray:
-    """The outputs (count,) of certifying tournaments over the masked
-    absolute-hyperplane vector, from each nonempty side's (tournament,
-    round, side) and its coarse beta-factor and sharp (1 +- eps) values.
+def _tournaments(cfg: TournamentConfig, single, t, rd, side, coarse, sharp) -> np.ndarray:
+    """The outputs of certifying tournaments over the masked
+    absolute-hyperplane vector, one per entry of ``single`` (whether the
+    tournament's mask holds one value), from each nonempty side's
+    (tournament, round, side) and its coarse beta-factor and sharp
+    (1 +- eps) values.
 
     A side reads max(coarse / beta, sharp, 0), in that order as Python's
-    max takes it; an empty side reads 0. A tournament's output is the raw
-    minimum over the rounds that ran: a single null round certifies the
-    absence of a dominant coordinate and zeroes it, which drives the
-    false-positive probability down exponentially in the round count. In
+    max takes it, and the side of a one-value mask max(sharp, 0); an empty
+    side reads 0. A tournament's output is the raw minimum over the
+    rounds that ran: a single null round certifies the absence of a
+    dominant coordinate and zeroes it, which drives the false-positive
+    probability down exponentially in the round count. In
     the detection regime (one coordinate holding all but an alpha fraction
     of the masked mass) every round fires, so the output approximates that
     coordinate with probability 1 - delta, with a (1 +- 3*epsilon)
@@ -533,17 +543,19 @@ def _tournaments(cfg: TournamentConfig, count: int, t, rd, side, coarse, sharp) 
     A one-value mask runs round 0 only (``_sides``), and its output is
     round 0's decision to the bit. It has no false positive to drive down:
     its empty side reads exactly 0, so the round outputs either 0 or the
-    reading of its value's side, max(coarse / beta, sharp), which is made
-    of that coordinate's own sub-estimates. The union bound over leaves
-    then needs only those sub-estimates' failure probability
-    (subcall_delta each), not one such term per round, and the minimum of
-    independent estimates of one coordinate, which reads low, is not
-    taken.
+    sharp estimate of its value. The union bound over leaves then needs
+    only that sub-estimate's failure probability (subcall_delta), not one
+    such term per round, and the minimum of independent estimates of one
+    coordinate, which reads low, is not taken. The coarse estimate is not
+    read: with nothing to compare it only adds its over-reads (a
+    beta-factor estimate above beta times the value), which the minimum
+    over rounds used to remove.
     """
     beta = cfg.beta
     v = coarse / beta
     v = np.where(sharp > v, sharp, v)
-    u = np.zeros((count, cfg.rounds, 2))
+    v = np.where(single[t], sharp, v)
+    u = np.zeros((len(single), cfg.rounds, 2))
     u[t, rd, side] = np.where(0.0 > v, 0.0, v)
     out = _decide_round(u[..., 0], u[..., 1], cfg.ratio_threshold * beta**2)
     ran = np.zeros(out.shape, dtype=bool)
@@ -602,17 +614,24 @@ def _evaluate_plan(plan: List[_Depth], configs: StackConfigs, leaf_values: Calla
     where ``below`` holds the values of the next depth's reductions. A
     cover's outputs are its positive tournament outputs, which approximate
     distinct coordinates and include every significant one; each reduction
-    is the median of its runs' layered sums.
+    is the median of its runs' layered sums over ``edge_mean``.
+
+    A layered sum counts each value at its layer's lower edge. A run's
+    random phase places a value v uniformly in its layer on the log scale,
+    so that edge averages v * (1 - 1 / growth) / ln(growth), with growth =
+    1 + epsilon: 0.880 v at epsilon 0.3. Dividing by that factor keeps it
+    from compounding once per recursion depth.
     """
     lcfg, tcfg, _, amp = configs
+    edge_mean = lcfg.epsilon / ((1.0 + lcfg.epsilon) * math.log1p(lcfg.epsilon))
     below = None
     for d in reversed(plan):
         coarse, sharp = leaf_values(d, below)
-        out = _tournaments(tcfg, len(d.bucket), d.side_t, d.side_rd, d.side_s, coarse, sharp)
+        out = _tournaments(tcfg, d.single, d.side_t, d.side_rd, d.side_s, coarse, sharp)
         fired = np.flatnonzero(out > 0.0)
         level = d.bucket_level[fired]
         sums = _layered_sums(lcfg, d.q, d.level_run[level], d.level_j[level], out[fired])
-        below = row_medians(sums.reshape(-1, amp))
+        below = row_medians(sums.reshape(-1, amp)) / edge_mean
     return float(below[0])
 
 
@@ -642,8 +661,8 @@ def _oracle_values(subs: SubAlgorithms, cfg: TournamentConfig, masks, rd, side):
 
 def _oracle_tournaments(H, seeds, cfg: TournamentConfig, subs: SubAlgorithms) -> np.ndarray:
     """The outputs of the tournaments of the masks H with seeds over the sub-oracles."""
-    t, rd, side, masks = _sides(H, seeds, cfg)
-    return _tournaments(cfg, len(H), t, rd, side, *_oracle_values(subs, cfg, masks, rd, side))
+    single, t, rd, side, masks = _sides(H, seeds, cfg)
+    return _tournaments(cfg, single, t, rd, side, *_oracle_values(subs, cfg, masks, rd, side))
 
 
 def _as_mask(H) -> Mask:

@@ -289,8 +289,8 @@ class TestOracleRoute:
     @pytest.mark.parametrize(
         "k,n,m,stream_seed,expected",
         [
-            (2, 8, 300, 21, [69973.89361635079, 69236.87390738759, 68751.29351469234]),
-            (3, 3, 120, 22, [1240611.2242198293, 1241706.054374163, 1234687.7194551586]),
+            (2, 8, 300, 21, [79554.14623251483, 78716.21981920741, 78164.15773474034]),
+            (3, 3, 120, 22, [1410465.5557743798, 1411710.2811097337, 1403731.0532348857]),
         ],
     )
     def test_dimension_reduce(self, k, n, m, stream_seed, expected):
