@@ -41,7 +41,9 @@ depth: runs, kept levels, occupied buckets and nonempty tournament sides,
 each with a leaf factory's (coarse, sharp) leaves. Sketch leaves
 (``StreamDistanceEstimator`` / ``independence_distance``) are
 product-sketch banks, all registered before the one pass, with the child
-reductions of the next depth as the sharp leaves above the last depth.
+reductions of the next depth as the sharp leaves above the last depth;
+only the sides of tournaments over two or more values get a coarse bank,
+since a one-value tournament reads its sharp value alone.
 ``_evaluate_plan`` works bottom-up: leaf values, then the round decisions,
 the minimum over the rounds that ran and layered sums as array
 expressions, then the calibrated median per reduction. Oracle leaves
@@ -346,12 +348,12 @@ def _seeds(seed) -> np.ndarray:
     return np.array([_word(seed, "seed")])
 
 
-def _split_masks(H: np.ndarray, rounds: int, seeds: np.ndarray) -> np.ndarray:
-    """Each tournament's per-round halves (kept-by-0, kept-by-1), (T, rounds, 2, n), from its
-    mask (a row of H) and seed; the split hashes of all rounds are tabulated in one step."""
-    split = derive_key(seeds[:, None], _TAG_SPLIT, np.arange(rounds, dtype=np.uint64))
-    kept1 = H[:, None, :] * zero_one_tables(split, H.shape[1], 0.5)
-    return np.stack([H[:, None, :] - kept1, kept1], axis=2)
+def _split_masks(H: np.ndarray, rd, seeds) -> np.ndarray:
+    """The halves (kept-by-0, kept-by-1) of the masks H (..., n) in the rounds
+    rd of the tournaments seeded by ``seeds``, broadcast together, as
+    (..., 2, n); the split hashes are tabulated in one step."""
+    kept1 = H * zero_one_tables(derive_key(seeds, _TAG_SPLIT, rd), H.shape[-1], 0.5)
+    return np.stack([H - kept1, kept1], axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -451,13 +453,13 @@ def _sides(H, seeds, cfg: TournamentConfig):
     holds one value, and their nonempty sides (tournament, round, side) in
     order, with each one's mask; an empty side reads 0. A tournament whose
     mask holds one value runs round 0 only: every round splits it into
-    that value and an empty side."""
+    that value and an empty side, so only the rounds that run are split."""
     single = H.sum(axis=1) == 1
-    sides = _split_masks(H, cfg.rounds, seeds)
-    nonempty = sides.any(axis=3)
-    nonempty[single, 1:] = False
-    t, rd, side = np.nonzero(nonempty)
-    return single, t, rd, side, sides[t, rd, side]
+    runs = np.where(single, 1, cfg.rounds)
+    t, rd = np.nonzero(np.arange(cfg.rounds) < runs[:, None])  # the rounds that run
+    halves = _split_masks(H[t], rd, seeds[t])
+    i, side = np.nonzero(halves.any(axis=2))
+    return single, t[i], rd[i], side, halves[i, side]
 
 
 class _Depth(NamedTuple):
@@ -475,11 +477,12 @@ class _Depth(NamedTuple):
     side_t: np.ndarray        # the nonempty sides (tournament, round, side)
     side_rd: np.ndarray
     side_s: np.ndarray
-    coarse: object            # each side's coarse leaf
-    sharp: object             # and sharp leaf; None: the next depth's reductions
+    coarse: object            # the coarse leaf of the sides of multi-value tournaments
+    sharp: object             # and each side's sharp leaf; None: the next depth's reductions
 
 
-# leaves(prefix (S, depth + 1, n), seeds, rounds, sides) -> (coarse, sharp) leaves of S sides
+# leaves(prefix (S, depth + 1, n), seeds, rounds, sides, multi) -> (coarse, sharp) leaves of
+# S sides; the coarse leaf holds only the sides flagged by multi (of multi-value tournaments)
 Leaves = Callable[..., Tuple[object, object]]
 
 
@@ -499,7 +502,7 @@ def _build_reduce_plan(n: int, configs: StackConfigs, seed: int, leaves: Leaves)
         bucket_level, bucket, masks, tseeds = _buckets(masks, level_seeds, ccfg)
         single, t, rd, side, masks = _sides(masks, tseeds, tcfg)
         prefix = np.concatenate([prefix[level_run[bucket_level[t]] // amp], masks[:, None]], axis=1)
-        coarse, sharp = leaves(prefix, tseeds[t], rd, side)
+        coarse, sharp = leaves(prefix, tseeds[t], rd, side, ~single[t])
         plan.append(
             _Depth(q, level_run, level_j, bucket_level, bucket, single, t, rd, side, coarse, sharp)
         )
@@ -549,7 +552,8 @@ def _tournaments(cfg: TournamentConfig, single, t, rd, side, coarse, sharp) -> n
     coordinate, which reads low, is not taken. The coarse estimate is not
     read: with nothing to compare it only adds its over-reads (a
     beta-factor estimate above beta times the value), which the minimum
-    over rounds used to remove.
+    over rounds used to remove. Sketch leaves give such a side no coarse
+    bank, and its coarse value is NaN.
     """
     beta = cfg.beta
     v = coarse / beta
@@ -611,7 +615,8 @@ def _evaluate_plan(plan: List[_Depth], configs: StackConfigs, leaf_values: Calla
     """The root reduction's value, bottom-up one depth at a time.
 
     ``leaf_values(depth, below)`` gives each side's coarse and sharp values,
-    where ``below`` holds the values of the next depth's reductions. A
+    where ``below`` holds the values of the next depth's reductions; the
+    coarse value of a one-value tournament's side is not read. A
     cover's outputs are its positive tournament outputs, which approximate
     distinct coordinates and include every significant one; each reduction
     is the median of its runs' layered sums over ``edge_mean``.
@@ -942,15 +947,18 @@ def polylog_l1_estimate(bank: SketchBank, delta: float, c: float = 64.0) -> floa
 
 
 def _bank_leaves(reg: _BankRegistry, ov: EstimatorOverrides) -> Leaves:
-    """Leaves of the sketch pipeline: each side's coarse bank, and its sharp
-    bank at the last depth; above it, a child reduction is the sharp leaf.
-    A leaf is a group and its bank indices, and one depth's banks of one
-    group are registered in one call."""
+    """Leaves of the sketch pipeline: a coarse bank for each side flagged
+    ``multi`` (``None`` when no side is: no group is registered), and each
+    side's sharp bank at the last depth; above it, a child reduction is the
+    sharp leaf. A leaf is a group and its bank indices, and one depth's
+    banks of one group are registered in one call."""
 
-    def leaves(prefix, seeds, rd, side):
+    def leaves(prefix, seeds, rd, side, multi):
         depth = prefix.shape[1] - 1
-        a_seeds = derive_key(seeds, _TAG_BANK_A, rd, side)
-        coarse = reg.add_bank(prefix, depth, ov.polylog_reps, a_seeds)
+        coarse = None
+        if multi.any():
+            a_seeds = derive_key(seeds[multi], _TAG_BANK_A, rd[multi], side[multi])
+            coarse = reg.add_bank(prefix[multi], depth, ov.polylog_reps, a_seeds)
         if depth + 2 < reg.k:
             return coarse, None
         b_seeds = derive_key(seeds, _TAG_BANK_B, rd, side)
@@ -1085,8 +1093,10 @@ class StreamDistanceEstimator:
         med = self.registry.medians()
 
         def leaf_values(d: _Depth, below):
-            (ckey, coarse), sharp = d.coarse, d.sharp
-            return med[ckey][coarse], below if sharp is None else med[sharp[0]][sharp[1]]
+            coarse, sharp = np.full(len(d.side_t), math.nan), d.sharp  # NaN: no coarse bank
+            if d.coarse is not None:
+                coarse[~d.single[d.side_t]] = med[d.coarse[0]][d.coarse[1]]
+            return coarse, below if sharp is None else med[sharp[0]][sharp[1]]
 
         return _evaluate_plan(self.plan, self.configs, leaf_values)
 

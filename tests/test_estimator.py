@@ -1,5 +1,6 @@
 """Tournament, cover, layered estimator and the end-to-end pipeline."""
 
+import hashlib
 import math
 import sys
 import tracemalloc
@@ -255,7 +256,7 @@ class TestTournament:
         seeds = np.arange(40, dtype=np.uint64)
         single, t, rd, side, masks = estimator._sides(H, seeds, cfg)
         assert np.array_equal(single, H.sum(axis=1) == 1)
-        halves = _split_masks(H, 3, seeds)
+        halves = _split_masks(H[:, None], np.arange(3), seeds[:, None])
         assert np.array_equal(masks, halves[t, rd, side]) and masks.any(axis=1).all()
         sizes = H.sum(axis=1).tolist()
         assert sum(size > 1 for size in sizes) > 20
@@ -294,6 +295,67 @@ class TestTournament:
         assert zeros >= 90
 
 
+class TestCoarseBanks:
+    """A coarse bank is registered only for the sides of tournaments over two
+    or more values, the only sides whose coarse values a tournament reads."""
+
+    @pytest.mark.parametrize("k,n,rows", [(2, 8, 14_400), (3, 4, 259_200), (4, 2, 1_166_400)])
+    def test_desk_profile_registers_only_the_sharp_group(self, k, n, rows):
+        """Every desk-profile bucket holds one value, so no side has a coarse bank."""
+        est = StreamDistanceEstimator(k, n, 0.3, 0.1, seed=1)
+        assert list(est.registry.groups) == [(k - 1, k - 1)]
+        assert all(d.coarse is None for d in est.plan)
+        assert est.bank_rows() == rows
+
+    @pytest.mark.parametrize(
+        "k,n,sides,digests,estimate",
+        [
+            (2, 8, [(45, 94)], [
+                ("d8a67db097d04e2d60759431a8c3fd20f99e765d386caf5994c3ffa604d1d75e",
+                 "cf19646643e1fead7c4c5a1a5d246dc744823610df44e2c1b3a34fbcbb124294"),
+            ], 3441585.5462014894),
+            (3, 4, [(6, 39), (461, 1649)], [
+                ("c265c1ace2a46b03cdcdd359e2d5041dfad2f3494867b3884541ed8beb7da153",
+                 "ca99aa9c0cd9b821256d8cabccaa46e3a767d83991297d0e356196f529ab0985"),
+                ("930f02cb5877ec44adeca8cf5fb1d0086c39ad342290a6c0f467ddafa26fd37b",
+                 "ee2d91b94a9d704cd5879b94f315d5ea3efb35b92439e4cb27a128cf4f741e94"),
+            ], 7121891583.079324),
+        ],
+        ids=["k2-n8", "k3-n4"],
+    )
+    def test_mixed_buckets(self, k, n, sides, digests, estimate, monkeypatch):
+        """With 16 buckets, one-value and multi-value tournaments mix. Each
+        depth's coarse group holds 24 rows for each side of a multi-value
+        tournament (``sides``: such sides, all sides). Its prefix masks and
+        Cauchy tables, and the estimate, are pinned from the plan that gave
+        every side a coarse bank, restricted to those sides. The tournaments
+        read bank b's median at the b-th such side and NaN at the others."""
+        ov = EstimatorOverrides(rho=16)
+        est = StreamDistanceEstimator(k, n, 0.3, 0.1, seed=3, overrides=ov)
+        assert len(est.plan) == len(sides) == len(digests)
+        for depth, (d, (multi, total), pinned) in enumerate(zip(est.plan, sides, digests)):
+            flagged = ~d.single[d.side_t]
+            assert (int(flagged.sum()), len(flagged)) == (multi, total)
+            g = est.registry.groups[(depth + 1, depth)]
+            assert (len(g["prefix"]), len(g["joint"])) == (multi, 24 * multi)
+            got = tuple(hashlib.sha256(g[f].tobytes()).hexdigest() for f in ("prefix", "coeff"))
+            assert got == pinned
+        est.consume(generate_synthetic("mixture(0.5)", k, n, 2000, seed=1))
+        read, tournaments = [], estimator._tournaments
+
+        def reading(cfg, single, t, rd, side, coarse, sharp):
+            read.append(coarse.copy())
+            return tournaments(cfg, single, t, rd, side, coarse, sharp)
+
+        monkeypatch.setattr(estimator, "_tournaments", reading)
+        assert est.tensor_norm_estimate() == estimate
+        medians = est.registry.medians()
+        for depth, d in enumerate(est.plan):
+            flagged, coarse = ~d.single[d.side_t], read[len(est.plan) - 1 - depth]
+            assert np.isnan(coarse[~flagged]).all()
+            assert np.array_equal(coarse[flagged], medians[(depth + 1, depth)])
+
+
 class TestSubAlgorithmError:
     """A failing sub-oracle surfaces as SubAlgorithmError naming its round and side."""
 
@@ -308,7 +370,7 @@ class TestSubAlgorithmError:
 
     def test_tournament(self):
         H, seed = ones_mask(8), 4
-        m1 = _split_masks(H[None], 1, np.array([seed], dtype=np.uint64))[0, 0, 1]
+        m1 = _split_masks(H, 0, seed)[1]
         side = int(m1[2])  # the side of round 0 holding coordinate 3
         cfg = TournamentConfig.from_targets(0.1, 0.1, beta=1.0, rounds=3)
         with pytest.raises(SubAlgorithmError) as err:
@@ -1022,10 +1084,11 @@ class TestMedianTable:
 
 
 def test_build_derives_per_depth_not_per_bank(monkeypatch):
-    """A k = 3, n = 4 construction (2,628 banks) derives its seeds and
-    masks with a fixed number of array calls per depth and registers each
-    group's banks in one call; built one tournament side at a time, the
-    same plan with every round of its one-value buckets (23,436 banks) made
+    """A k = 3, n = 4 construction (1,296 banks, all sharp: every bucket
+    holds one value) derives its seeds and masks with a fixed number of
+    array calls per depth and registers each group's banks in one call;
+    built one tournament side at a time, the same plan with every round of
+    its one-value buckets and a coarse bank per side (23,436 banks) made
     60,029 derive_key, 3,924 zero_one_tables and 23,436 add_bank calls.
     The Cauchy fill adds one derive_key per row block and family, and
     repetition_seeds two per group."""
@@ -1046,13 +1109,13 @@ def test_build_derives_per_depth_not_per_bank(monkeypatch):
     monkeypatch.setattr(_BankRegistry, "add_bank", counting("add_bank", _BankRegistry.add_bank))
     est = StreamDistanceEstimator(3, 4, 0.3, 0.1, seed=1)
     groups = est.registry.groups.values()
-    assert sum(len(g["prefix"]) for g in groups) == 2_628
+    assert sum(len(g["prefix"]) for g in groups) == 1_296
     step = hashing.FOLD_BLOCK // 4
     fill = sum(-(-len(g["joint"]) // step) * g["coeff"].shape[1] + 2 for g in groups)
     depths = 2
     assert calls["derive_key"] - fill <= 16 * depths
     assert calls["zero_one_tables"] <= 2 * depths
-    assert calls["add_bank"] == len(groups) == 3
+    assert calls["add_bank"] == len(groups) == 1
 
 
 def test_evaluation_memory_stays_per_block():

@@ -131,7 +131,7 @@ def test_cauchy_tables():
 
 def test_split_masks_of_one_tournament():
     H = np.array([1, 1, 0, 1, 1, 1, 0, 1], dtype=np.uint8)
-    sides = _split_masks(H[None], 4, np.array([2**64 - 5], dtype=np.uint64))[0]
+    sides = _split_masks(H, np.arange(4), U(2**64 - 5))
     got = [(r, m0.tolist(), m1.tolist()) for r, (m0, m1) in enumerate(sides)]
     assert got == [
         (0, [1, 1, 0, 0, 1, 1, 0, 0], [0, 0, 0, 1, 0, 0, 0, 1]),
@@ -156,10 +156,6 @@ def test_generate_synthetic_first_records():
 def test_registry_tables_of_a_k3_estimator():
     est = StreamDistanceEstimator(3, 3, 0.3, 0.1, seed=5)
     expected = {
-        (1, 0): ("a094b247c89c8e40ad875d5c19cc18cee7d542c995f25308c0b370f66d854f50",
-                 "7592a8b7d54f3c1dd48ca3a5c5a77d877de892a8ec5f9b3a3abdf950924d35ca"),
-        (2, 1): ("0ad9a307a7d893f62464cf9af54f783fa353326dd4185b26d1131d20e7d76e0e",
-                 "c5806658dae31d4c328b0e82c481b9d0ce30453ecd7455296b8d666b600a1304"),
         (2, 2): ("0ad9a307a7d893f62464cf9af54f783fa353326dd4185b26d1131d20e7d76e0e",
                  "49903e6be1f62442a85e6366336874ac9508e95b83c5eea03d4f4aedc3b33f2d"),
     }
@@ -172,11 +168,11 @@ def test_registry_tables_of_a_k3_estimator():
     }
     assert got == expected
     shapes = {key: g["coeff"].shape for key, g in est.registry.groups.items()}
-    assert shapes == {(1, 0): (648, 3, 3), (2, 1): (17496, 2, 3), (2, 2): (145800, 1, 3)}
+    assert shapes == {(2, 2): (145800, 1, 3)}
     diag = json.dumps(est.diagnostics(), sort_keys=True).encode()
     assert (
         hashlib.sha256(diag).hexdigest()
-        == "d8b2f14db046eac90aaf1351fadec7cf278b092d590825a5bf006b0cf94c85a6"
+        == "19874eb96224442c1008f384383bf0a5046eb4f7f4e12a3a2a3d33cb26a8a7fb"
     )
 
 
@@ -186,8 +182,9 @@ def _sha(data: bytes) -> str:
 
 def _plan_tree(est):
     """The plan as nested lists: every phase, level, bucket and round in
-    evaluation order, with each leaf as its bank handle [s, s', start, stop],
-    read from the depth arrays bottom-up."""
+    evaluation order, with each leaf as its bank handle [s, s', start, stop]
+    and the coarse leaf of a side without a coarse bank as None, read from
+    the depth arrays bottom-up."""
     rounds, amp = est.configs[1].rounds, est.configs[3]
 
     def handles(leaves):
@@ -200,8 +197,10 @@ def _plan_tree(est):
     for d in reversed(est.plan):
         tournaments = [[[None, None] for _ in range(rounds)] for _ in d.bucket]
         sharps = below if d.sharp is None else handles(d.sharp)
+        banked = iter([] if d.coarse is None else handles(d.coarse))
+        coarses = [next(banked) if m else None for m in (~d.single[d.side_t]).tolist()]
         sides = zip(d.side_t.tolist(), d.side_rd.tolist(), d.side_s.tolist())
-        for (t, rd, side), coarse, sharp in zip(sides, handles(d.coarse), sharps):
+        for (t, rd, side), coarse, sharp in zip(sides, coarses, sharps):
             tournaments[t][rd][side] = [coarse, sharp]
         covers = [[] for _ in d.level_run]
         buckets = zip(d.bucket_level.tolist(), d.bucket.tolist(), tournaments)
@@ -218,24 +217,16 @@ def _plan_tree(est):
     "k,n,seed,overrides,expected,shapes,plan",
     [
         (2, 8, 3, None, {
-            (1, 0): ("e306ac49cff8030e6068dafafa76556053cc1b420c26f52d6c78db023fd7e9e1",
-                     "1fb4f17f66d104b1c5bd3caf2c08eac72ec479c4096a5f81e88f83f8445b82ec"),
             (1, 1): ("e306ac49cff8030e6068dafafa76556053cc1b420c26f52d6c78db023fd7e9e1",
                      "9a4ae7d9dc80d6bee19128922d2d6d21575e5cdf0371f2ec90ffa48f482c41be"),
-        }, {(1, 0): (1728, 2, 8), (1, 1): (14400, 1, 8)},
-            "561cc8dc98feb1c6936931a60a46c73f60a0da04239c1750bfeb75474d1b5535"),
-        # three depths and four groups
+        }, {(1, 1): (14400, 1, 8)},
+            "fe11d7484fa2f4c81922e5d7619a2f1f90c0d66e17b560e703766fbec632400a"),
+        # three depths of one-value buckets: one sharp group
         (4, 2, 5, EstimatorOverrides(amplification=2, rounds=1), {
-            (1, 0): ("94b5e5683baeea24c24128521f595d5bcc874bf4763236cadd45ceb710a40414",
-                     "268ae85af93df88cf9fde28f685b022f819ddc6644e02be4d1d733ca1bcd4209"),
-            (2, 1): ("6f805958aa99da5eb88a075e3deb73aaa6d788f597f934fd5fe08a84c7a0f0e1",
-                     "38a3dc188cc12d4b3a4c15c0336ef32613535f769e71ea8ed8da3511bc495030"),
-            (3, 2): ("3b2ce704fc0870171abf65e438ddce029792655f52be61957aad1f46d13e36bc",
-                     "274abc4d687b4f785ec9145f66981bc1557a9a9ce3bbb799f894cc265f974da4"),
             (3, 3): ("3b2ce704fc0870171abf65e438ddce029792655f52be61957aad1f46d13e36bc",
                      "04002c603c30efad0f23636585443a328e2884a95749051e0daabc45115b1ee8"),
-        }, {(1, 0): (96, 4, 2), (2, 1): (384, 3, 2), (3, 2): (1536, 2, 2), (3, 3): (12800, 1, 2)},
-            "f5305c083d9079aaaa78c3f866ccdffd0517abb28fc8a11fe0e64ca019472b73"),
+        }, {(3, 3): (12800, 1, 2)},
+            "3edbf9a819a1ef7e6210884cc8420904f2a020979c35f3d9ec9b23d7089cced8"),
     ],
     ids=["k2-n8", "k4-n2-three-depths"],
 )
@@ -260,7 +251,7 @@ class TestFormulaRounds:
     def test_split_masks(self):
         assert self.tcfg.rounds == 91
         H = np.ones(64, dtype=np.uint8)
-        masks = _split_masks(H[None], 91, np.array([12345], dtype=np.uint64))[0]
+        masks = _split_masks(H, np.arange(91), U(12345))
         assert masks.shape == (91, 2, 64) and int(masks.sum()) == 5824
         assert _sha(masks.tobytes()) == (
             "2ad9ec580d08a73d351f290fdd1ec4e187ddfe0fb645b03d16a723719a4c5545"
