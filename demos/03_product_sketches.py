@@ -4,19 +4,17 @@ A product sketch keeps k+1 running sums (one joint cell, one margin cell
 per dimension). After the pass, m^(k-1)*joint - prod(margins) equals the
 contraction of the masked, collapsed independence tensor against the
 per-coordinate Cauchy tables -- an exact polynomial identity, shown here
-with rational probe values. Median banks of such sketches then estimate
+on a bank whose tables are replaced by small integers, so that its float
+sums are exact. Median banks of such sketches then estimate
 tensor norms. Because the sums are linear, two estimators fed disjoint
 parts of a stream merge into the state of the whole stream.
 
 Run:  python demos/03_product_sketches.py
 """
 
-from fractions import Fraction
-
 import numpy as np
 
 from indisketch import (
-    ProductSketchState,
     SketchBank,
     StreamDistanceEstimator,
     TupleStream,
@@ -34,12 +32,13 @@ from indisketch.sketches import required_epsilon_reps
 stream = [(1, 1), (2, 2), (1, 2), (2, 2), (1, 1)]
 table = build_frequency_table(TupleStream(2, 2, stream))
 
-print("=== the coefficient identity, with exact rational probes ===")
-probes = [[Fraction(2), Fraction(-3)], [Fraction(1, 2), Fraction(5)]]
-state = ProductSketchState(k=2, n=2, s=0, s_prime=0, prefix=[], coeff=probes)
+print("=== the coefficient identity, on a bank with integer tables ===")
+probes = [[2, -3], [1, 5]]
+bank = SketchBank(2, 2, 0, 0, [], repetitions=1, seed=0)
+bank.registry.groups[(0, 0)]["coeff"][0] = probes  # the row's two Cauchy tables
 for rec in stream:
-    state.update(rec)
-lhs = state.value()
+    bank.update(rec)
+lhs = bank.values()[0]
 rhs = reference_sketch_value(table, [], 0, probes)
 print(f"streaming sketch value: {lhs}")
 print(f"dense expansion       : {rhs}")

@@ -35,8 +35,8 @@ from .tensor import (
     prefix_zero,
     suffix_sum,
 )
-from .hashing import BucketHash, CauchySource, ZeroOneHash
-from .sketches import ProductSketchState, reference_sketch_value
+from .hashing import BucketHash, ZeroOneHash
+from .sketches import reference_sketch_value
 from .estimator import (
     CoverConfig,
     EstimatorOverrides,
@@ -63,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BucketHash",
     "BudgetExceededError",
-    "CauchySource",
     "ConfigurationError",
     "CoverConfig",
     "DenseTensor",
@@ -75,7 +74,6 @@ __all__ = [
     "LayerConfig",
     "MalformedInputError",
     "MergeIncompatibleError",
-    "ProductSketchState",
     "RunConfig",
     "SketchBank",
     "StreamDistanceEstimator",

@@ -805,9 +805,9 @@ class _BankRegistry:
         and its bank indices, which index the group's ``medians()``. A
         group is registered once, before any record is folded.
 
-        Row r of a bank draws exactly the Cauchy tables of
-        ``ProductSketchState.from_seeds(..., seed=bank seed, rep=r)``, so
-        any row can be cross-checked against the scalar reference.
+        Row r of a bank draws its Cauchy tables from ``repetition_seeds(bank
+        seed, reps)[r]``, which does not depend on ``reps``: a bank of fewer
+        repetitions with the same seed holds the same first rows.
         """
         key = (prefix.shape[1], s_prime)
         if key in self.groups or self.m_seen:
@@ -892,7 +892,7 @@ class SketchBank:
         return self.registry.m_seen
 
     def update(self, rec: TupleKey) -> None:
-        self.bulk_update({tuple(rec): 1})
+        self.bulk_update({checked_tuple(rec, self.k, self.n): 1})
 
     def bulk_update(self, counts: Dict[TupleKey, int]) -> None:
         """Fold a dictionary of tuple -> nonnegative integral record count."""

@@ -2,7 +2,7 @@
 
 Everything here is a pure function of (seed, index): pairwise-independent
 hash families over a prime field, and indexed Cauchy / truncated-Cauchy
-generators. No per-index state is ever stored, so any value can be
+tables. No per-index state is ever stored, so any value can be
 re-evaluated at any time, which is what lets estimators of one
 configuration replay the same randomness and merge their snapshots.
 
@@ -11,9 +11,8 @@ keyed by an arbitrary tuple of integers. It is not cryptographic; it is
 chosen for exact cross-platform reproducibility with fixed-width integer
 arithmetic. There is one mixer, ``_mix64_into``, for keys, counters and
 field coefficients alike, and one Cauchy map, ``_cauchy``, from mixed
-counters to values, which a CauchySource and the batched registry tables
-share; the batched fill lays out and mixes each block's counters in the
-tables' own memory, so every table value is its CauchySource value to the bit.
+counters to values, which ``batched_cauchy_tables`` applies in place:
+it lays out and mixes each block's counters in the tables' own memory.
 """
 
 from __future__ import annotations
@@ -263,43 +262,14 @@ def _cauchy(z, out, bound=None):
     return out
 
 
-@dataclass(frozen=True)
-class CauchySource:
-    """Indexed standard-Cauchy generator: value(i) = tan(pi*(u_i - 1/2)).
-
-    u_i is the counter uniform of (seed, i), floored into
-    [2^-53, 1 - 2^-53] so values stay finite. With `truncation` set to a
-    positive, finite omega, values are clamped to [-omega, omega] exactly.
-    """
-
-    seed: int
-    truncation: float | None = None
-
-    def __post_init__(self):
-        if self.truncation is not None:
-            checked_omega(self.truncation)
-
-    def __call__(self, i):
-        return float(self.table_at(i))
-
-    def table_at(self, indices):
-        """Vectorized values at the given indices, taken as counter_uniform
-        takes them: integral, wrapping mod 2^64."""
-        z = np.asarray(_counters(derive_key(self.seed, 0x5A03), np.asarray(indices)))
-        return _cauchy(z, np.empty(z.shape), self.truncation)
-
-    def table(self, n):
-        """Values at indices 1..n (index 0 of the array <-> i=1)."""
-        return self.table_at(np.arange(1, n + 1))
-
-
 def batched_cauchy_tables(
     row_seeds: np.ndarray, families: int, n: int, omega: float
 ) -> np.ndarray:
     """Cauchy tables [rows, families, n] for many repetitions at once.
 
-    Row r with family j reproduces CauchySource(seed=derive_key(row_seeds[r], j))
-    exactly; family 0 is untruncated, the rest clamp at omega. The output is
+    Row r with family j holds tan(pi*(u_i - 1/2)) at i = 1..n, u_i the
+    counter uniform of key derive_key(row_seeds[r], j, 0x5A03) at index i;
+    family 0 is untruncated, the rest clamp at omega. The output is
     filled in place, a block of whole rows at a time, or of one table when a
     row holds more than FOLD_BLOCK values: the keys of all of the block's
     tables are derived at once, its counters laid out in the block's own

@@ -17,29 +17,27 @@ After the pass,
     value = m^(k-1) * joint - prod_j margin_j
           = sum_i C(i) * entry_i of the masked collapsed tensor,
 
-an exact polynomial identity in the C tables (verified against the dense
-tensor semantics in the tests). All updates are additive, so states over
-disjoint sub-streams merge by componentwise summation.
+an exact polynomial identity in the C tables. All updates are additive,
+so states over disjoint sub-streams merge by componentwise summation.
 
-``ProductSketchState`` is the scalar reference of this rule (exact with
-rational tables) and ``reference_sketch_value`` its dense-tensor
-expansion. Production rows live in ``estimator._BankRegistry``, which
-folds chunks into them with ``fold_counts`` and takes their medians with
-``row_medians``; the repetition floors of its sharp and coarse
-estimators are defined here.
+The rows live in ``estimator._BankRegistry``, which folds chunks into
+them with ``fold_counts``, the one implementation of this rule, and takes
+their medians with ``row_medians``. ``reference_sketch_value`` is the
+dense-tensor side of the identity, which the tests check the fold
+against exactly on small-integer tables; the repetition floors of the
+sharp and coarse estimators are defined here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigurationError, EmptyStreamError
-from .hashing import FOLD_BLOCK, CauchySource, default_truncation, derive_key, hash_table
-from .stream import FrequencyTable, TupleKey, checked_count, checked_tuple, checked_unit
+from .errors import ConfigurationError
+from .hashing import FOLD_BLOCK, derive_key
+from .stream import FrequencyTable, checked_count, checked_unit
 from . import tensor as tensor_ops
 
 
@@ -90,91 +88,6 @@ def checked_depths(k: int, s, s_prime) -> Tuple[int, int]:
     s = checked_count("s", s, least=s_prime)
     checked_count("k", k, least=s)
     return s, s_prime
-
-
-@dataclass
-class ProductSketchState:
-    """Scalar product-sketch accumulator; exact when given rational tables.
-
-    ``prefix`` holds the s zero-one mask tables, ``coeff`` the k-s'
-    coefficient tables (floats in production, Fractions in identity tests).
-    """
-
-    k: int
-    n: int
-    s: int
-    s_prime: int
-    prefix: List[Sequence]
-    coeff: List[Sequence]
-    joint: object = 0
-    margins: List[object] = field(default_factory=list)
-    m_seen: int = 0
-
-    def __post_init__(self):
-        self.s, self.s_prime = checked_depths(self.k, self.s, self.s_prime)
-        if len(self.prefix) != self.s:
-            raise ConfigurationError(f"expected {self.s} prefix tables")
-        if len(self.coeff) != self.k - self.s_prime:
-            raise ConfigurationError(f"expected {self.k - self.s_prime} coefficient tables")
-        if not self.margins:
-            self.margins = [0] * self.k
-
-    @classmethod
-    def from_seeds(
-        cls,
-        k: int,
-        n: int,
-        s: int,
-        s_prime: int,
-        prefix_hashes: Sequence,
-        seed: int,
-        omega: Optional[float] = None,
-        rep: int = 0,
-    ) -> "ProductSketchState":
-        """Build a state whose coefficient tables come from seeded Cauchy sources.
-
-        The first family is untruncated, the rest clamp at omega
-        (default 100*k*n). With the same (seed, rep) this draws exactly the
-        tables of repetition `rep` of a registry bank built from `seed`.
-        """
-        omega = default_truncation(k, n) if omega is None else omega
-        coeff = [
-            CauchySource(int(derive_key(seed, 0xCA, rep, j)), omega if j else None).table(n)
-            for j in range(k - s_prime)
-        ]
-        # Python scalars, so the update rule stays exact with rational tables
-        prefix = [hash_table(h, n).tolist() for h in prefix_hashes]
-        return cls(k=k, n=n, s=s, s_prime=s_prime, prefix=prefix, coeff=coeff)
-
-    def update(self, rec: TupleKey) -> None:
-        t = checked_tuple(rec, self.k, self.n)
-        s, sp = self.s, self.s_prime
-        hprod = 1
-        for j in range(s):
-            hprod = hprod * self.prefix[j][t[j] - 1]
-        cprod = 1
-        for j in range(self.k - sp):
-            cprod = cprod * self.coeff[j][t[sp + j] - 1]
-        self.joint = self.joint + hprod * cprod
-        for j in range(self.k):
-            x = t[j] - 1
-            if j < sp:
-                inc = self.prefix[j][x]
-            elif j < s:
-                inc = self.prefix[j][x] * self.coeff[j - sp][x]
-            else:
-                inc = self.coeff[j - sp][x]
-            self.margins[j] = self.margins[j] + inc
-        self.m_seen += 1
-
-    def value(self):
-        """m^(k-1) * joint - prod(margins); the sketch of the target tensor."""
-        if self.m_seen < 1:
-            raise EmptyStreamError("sketch value requires at least one tuple")
-        prod = 1
-        for g in self.margins:
-            prod = prod * g
-        return self.m_seen ** (self.k - 1) * self.joint - prod
 
 
 def _table_index(index: np.ndarray):
@@ -290,17 +203,21 @@ def reference_sketch_value(
 
     Materializes the independence tensor, applies the prefix masks and the
     suffix collapse via the tensor operators, then contracts against the
-    coefficient tables. Exact when the tables are rational.
+    coefficient tables. Exact when the tables are integers or rationals.
+    ConfigurationError unless 0 <= s' <= len(prefix_hashes) <= k and there
+    are k - s' coefficient tables of length n.
     """
+    _, s_prime = checked_depths(table.k, len(prefix_hashes), s_prime)
+    d = table.k - s_prime
+    if len(coeff) != d or any(len(c) != table.n for c in coeff):
+        raise ConfigurationError(f"expected {d} coefficient tables of length {table.n}")
     M = tensor_ops.dense_independence_tensor(table)
     masked = tensor_ops.prefix_zero(M, list(prefix_hashes))
     collapsed = tensor_ops.suffix_sum(masked, s_prime)
-    dims = table.k - s_prime
-    total = 0
-    if dims == 0:
+    if d == 0:
         return int(collapsed.array)
-    it = np.ndindex(*collapsed.array.shape)
-    for idx in it:
+    total = 0
+    for idx in np.ndindex(*collapsed.array.shape):
         c = 1
         for j, x in enumerate(idx):
             c = c * coeff[j][x]

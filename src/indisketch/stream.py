@@ -110,9 +110,12 @@ def checked_unit(name: str, x, closed: bool = False) -> None:
 
 
 def checked_tuple(rec, k: int, n: int, index: Optional[int] = None) -> TupleKey:
-    """``rec`` as an int tuple; MalformedInputError on a non-integral
-    coordinate, wrong arity or range."""
-    items = tuple(rec)  # one pass over rec, which may be an iterator
+    """``rec`` as an int tuple; MalformedInputError unless it is a sequence
+    of k integral coordinates in [1, n]."""
+    try:
+        items = tuple(rec)  # one pass over rec, which may be an iterator
+    except TypeError:
+        raise MalformedInputError("not a sequence of coordinates", index) from None
     try:
         t = tuple(map(operator.index, items))
     except TypeError:

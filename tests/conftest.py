@@ -1,7 +1,14 @@
 """Shared test plumbing: surface acceptance-criterion lines in the summary,
-and keep one third-party deprecation from hiding hypothesis failures."""
+keep one third-party deprecation from hiding hypothesis failures, and
+build the inputs that check production code exactly: banks of small-integer
+tables and row seeds found by inverting the mixer."""
 
+import numpy as np
 import pytest
+
+from indisketch import SketchBank
+
+GOLDEN = 0x9E3779B97F4A7C15
 
 CRITERION_LINES = []
 
@@ -28,3 +35,36 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in CRITERION_LINES:
             terminalreporter.write_line(line)
+
+
+def integer_bank(k, n, prefix, s_prime, coeff):
+    """A ``SketchBank`` (a one-bank ``_BankRegistry``) over the masks
+    ``prefix`` whose rows' Cauchy tables are replaced, once the bank is
+    added, by ``coeff`` (rows, k - s', n). With small-integer tables every
+    sum is an integer; below 2^53 it is exact in float64 in any order, so
+    the rows' values equal ``reference_sketch_value`` of their tables exactly."""
+    bank = SketchBank(k, n, len(prefix), s_prime, prefix, repetitions=len(coeff), seed=0)
+    tables = bank.registry.groups[(len(prefix), s_prime)]["coeff"]
+    tables[...] = np.reshape(coeff, tables.shape)  # s' = k: rows of no tables
+    return bank
+
+
+def unmix64(z: int) -> int:
+    """The inverse of the splitmix64 finalizer, which is a bijection of
+    64-bit words: each xor-shift and each odd multiplier is undone in turn."""
+
+    def unshift(y, s):
+        x = y
+        for _ in range(64 // s):
+            x = y ^ (x >> s)
+        return x
+
+    z = unshift(z, 31) * pow(0x94D049BB133111EB, -1, 2**64) % 2**64
+    z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 2**64) % 2**64
+    return unshift(z, 30)
+
+
+def row_seed(key: int, family: int) -> int:
+    """A row seed whose family-``family`` Cauchy table is keyed by ``key``:
+    derive_key(row_seed(key, j), j) == key mod 2^64."""
+    return (unmix64(key % 2**64) - family - GOLDEN) % 2**64

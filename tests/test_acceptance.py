@@ -8,6 +8,7 @@ deterministic.
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -40,7 +41,6 @@ from indisketch import (
     tensor_tournament,
     vector_sub_oracles,
     SketchBank,
-    ProductSketchState,
 )
 from indisketch.cli import CountingReader, RunConfig, generate_synthetic, run
 from indisketch.hashing import ZeroOneHash
@@ -153,32 +153,32 @@ def test_criterion_03_significant_hyperplane():
 
 
 def test_criterion_04_coefficient_identity():
-    """Sketch value equals the dense expansion at rational probes, exactly."""
+    """The production fold (a registry bank's rows after two flushes) equals
+    the dense expansion exactly, its Cauchy tables replaced by small integers."""
     rnd = random.Random(4)
-    instances = 0
-    while instances < 100:
-        k = rnd.choice((2, 3))
-        n = rnd.randint(2, 4)
-        m = rnd.randint(1, 8)
+    values = 0
+    for _instance in range(100):
+        k = rnd.choice((2, 3, 4))
+        n = rnd.randint(2, 5 if k < 4 else 4)
+        m = rnd.randint(1, 39)
         recs = random_stream(rnd, k, n, m)
+        cut = rnd.randint(1, max(1, m - 1))  # two flushes, the second empty only at m = 1
         table = build_frequency_table(TupleStream(k, n, recs))
         for s in range(k + 1):
             for sp in range(s + 1):
                 prefix = [[rnd.randint(0, 1) for _ in range(n)] for _ in range(s)]
-                for _probe in range(3):
-                    coeff = [
-                        [Fraction(rnd.randint(-9, 9), rnd.randint(1, 7)) for _ in range(n)]
-                        for _ in range(k - sp)
-                    ]
-                    st = ProductSketchState(
-                        k=k, n=n, s=s, s_prime=sp, prefix=prefix, coeff=coeff
-                    )
-                    for rec in recs:
-                        st.update(rec)
-                    if st.value() != reference_sketch_value(table, prefix, sp, coeff):
-                        report(4, False, f"probe mismatch k={k} s={s} s'={sp}")
-        instances += 1
-    report(4, True, "coefficient identity exact on 100 instances x all (s, s') x 3 probes")
+                coeff = [
+                    [[rnd.randint(-3, 3) for _ in range(n)] for _ in range(k - sp)]
+                    for _row in range(3)
+                ]
+                bank = conftest.integer_bank(k, n, prefix, sp, coeff)
+                for chunk in (recs[:cut], recs[cut:]):
+                    bank.bulk_update(Counter(chunk))
+                for row, value in zip(coeff, bank.values().tolist()):
+                    if value != reference_sketch_value(table, prefix, sp, row):
+                        report(4, False, f"row mismatch k={k} n={n} s={s} s'={sp}")
+                    values += 1
+    report(4, True, f"fold rows exact on 100 instances x all (s, s') x 3 rows, {values} values")
 
 
 def test_criterion_05_cauchy_median_estimator():

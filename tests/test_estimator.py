@@ -17,7 +17,7 @@ from indisketch import (
     DenseTensor,
     EstimatorOverrides,
     LayerConfig,
-    ProductSketchState,
+    SketchBank,
     StreamDistanceEstimator,
     SubAlgorithmError,
     SubAlgorithms,
@@ -119,6 +119,15 @@ class TestConfigs:
         with pytest.raises(MalformedInputError) as err:
             est.consume([np.array([[1.0, 2.0], [3.0, 2.5]])])
         assert "non-integer coordinate 2.5" in str(err.value)
+        # a record that is not a sequence at all, wherever records are read
+        with pytest.raises(MalformedInputError, match="record 2: not a sequence of coordinates"):
+            est.consume([(1, 2), 5])
+        with pytest.raises(MalformedInputError, match="not a sequence of coordinates"):
+            est.update(None)
+        with pytest.raises(MalformedInputError, match="record 2: not a sequence of coordinates"):
+            build_frequency_table(TupleStream(2, 3, [(1, 2), 5]))
+        with pytest.raises(MalformedInputError, match="not a sequence of coordinates"):
+            SketchBank(2, 3, 0, 0, [], repetitions=2, seed=0).update(5)
 
     def test_overrides_that_would_zero_the_estimate_rejected(self):
         with pytest.raises(ConfigurationError, match="rounds must be >= 1"):
@@ -320,8 +329,14 @@ class TestCoarseBanks:
                 ("930f02cb5877ec44adeca8cf5fb1d0086c39ad342290a6c0f467ddafa26fd37b",
                  "ee2d91b94a9d704cd5879b94f315d5ea3efb35b92439e4cb27a128cf4f741e94"),
             ], 7121891583.079324),
+            # unlike the two above, its estimate moves when the coarse medians
+            # are scattered to the wrong sides
+            (2, 16, [(143, 208)], [
+                ("e456264efdb25840bba6ec509d84536bab0c4dea04ea42ade9c471ff79ee1346",
+                 "50c1348d752b40fcd19bd7610d00cefea736a7d42df359077be0b62623bec141"),
+            ], 2320882.597501988),
         ],
-        ids=["k2-n8", "k3-n4"],
+        ids=["k2-n8", "k3-n4", "k2-n16"],
     )
     def test_mixed_buckets(self, k, n, sides, digests, estimate, monkeypatch):
         """With 16 buckets, one-value and multi-value tournaments mix. Each
@@ -780,7 +795,7 @@ class TestPipeline:
 
 
 class TestFlushContraction:
-    """Registry rows after several flushes equal the scalar update rule."""
+    """Registry rows after several flushes equal a fold of one record per flush."""
 
     @pytest.mark.parametrize("block", [sketches.FOLD_BLOCK, 7])
     @pytest.mark.parametrize("k,n", [(2, 4), (3, 3)])
@@ -810,17 +825,17 @@ class TestFlushContraction:
         reg = est.registry
         assert len(flushes) > 5 and reg.m_seen == len(recs)
         assert {h[0] for h, _, _ in banks} == set(reg.groups)
+        monkeypatch.undo()  # the one-bank registries below fold at the default block
         for (key, start, stop), prefix, seed in banks:
+            # row r of a bank does not depend on its repetition count
             s, s_prime = key
             g = reg.groups[key]
-            for r in range(stop - start):
-                st_ = ProductSketchState.from_seeds(
-                    k, n, s, s_prime, prefix, seed=seed, omega=reg.omega, rep=r
-                )
-                for rec in recs:
-                    st_.update(rec)
-                assert g["joint"][start + r] == pytest.approx(st_.joint, rel=1e-12)
-                assert g["margins"][start + r] == pytest.approx(st_.margins, rel=1e-12)
+            bank = SketchBank(k, n, s, s_prime, prefix, min(2, stop - start), seed, reg.omega)
+            for rec in recs:
+                bank.update(rec)
+            for r in range(bank.repetitions):
+                assert g["joint"][start + r] == pytest.approx(bank.joint[r], rel=1e-12)
+                assert g["margins"][start + r] == pytest.approx(bank.margins[r], rel=1e-12)
 
     def test_report_does_not_follow_the_fold_block(self, monkeypatch):
         """Fold blocks of 7 floats split every bank, repetition range and

@@ -36,13 +36,14 @@ from indisketch.estimator import (
 )
 from indisketch.hashing import (
     BucketHash,
-    CauchySource,
     ZeroOneHash,
     batched_cauchy_tables,
     derive_key,
     mix64,
 )
 from indisketch.sketches import repetition_seeds
+
+from conftest import row_seed
 
 U = np.uint64
 
@@ -110,10 +111,14 @@ def test_field_hashes():
 
 
 def test_cauchy_tables():
-    assert CauchySource(seed=11).table(4).tolist() == [
+    # rows whose family-0 table is keyed by derive_key(11, 0x5A03), and whose
+    # family-1 table, clamped at 2, by derive_key(-3, 0x5A03)
+    plain = batched_cauchy_tables(np.array([row_seed(11, 0)], dtype=U), 1, 4, 2.0)
+    clamped = batched_cauchy_tables(np.array([row_seed(-3, 1)], dtype=U), 2, 4, 2.0)
+    assert plain[0, 0].tolist() == [
         7.712597077449276, -0.5132330670198094, 0.3304116789888587, 0.23497613879634208,
     ]
-    assert CauchySource(seed=-3, truncation=2.0).table(4).tolist() == [
+    assert clamped[0, 1].tolist() == [
         -0.31430820754514355, -0.09106805153680986, -0.12145283412565284, 1.5924525072648779,
     ]
     rows = repetition_seeds(2**63 + 17, 3)

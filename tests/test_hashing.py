@@ -1,4 +1,4 @@
-"""Statistical checks of the replayable hash families and Cauchy sources."""
+"""Statistical checks of the replayable hash families and Cauchy tables."""
 
 import math
 import tracemalloc
@@ -8,12 +8,10 @@ import pytest
 
 from indisketch import (
     BucketHash,
-    CauchySource,
     ConfigurationError,
     DenseTensor,
     EstimatorOverrides,
     MalformedInputError,
-    ProductSketchState,
     SketchBank,
     StreamDistanceEstimator,
     ZeroOneHash,
@@ -32,22 +30,7 @@ from indisketch.hashing import (
 )
 from indisketch.sketches import repetition_seeds
 
-GOLDEN = 0x9E3779B97F4A7C15
-
-
-def unmix64(z: int) -> int:
-    """The inverse of the splitmix64 finalizer, which is a bijection of
-    64-bit words: each xor-shift and each odd multiplier is undone in turn."""
-
-    def unshift(y, s):
-        x = y
-        for _ in range(64 // s):
-            x = y ^ (x >> s)
-        return x
-
-    z = unshift(z, 31) * pow(0x94D049BB133111EB, -1, 2**64) % 2**64
-    z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 2**64) % 2**64
-    return unshift(z, 30)
+from conftest import GOLDEN, row_seed, unmix64
 
 
 def row_seed_with_counter(z: int, family: int, index: int) -> int:
@@ -55,8 +38,7 @@ def row_seed_with_counter(z: int, family: int, index: int) -> int:
     ``index`` to ``z``: derive_key(seed, family, 0x5A03) + (index + 1) * golden
     is the word that splitmix64 maps to z."""
     key = unmix64(z) - (index + 1) * GOLDEN
-    h = unmix64(key % 2**64) - 0x5A03 - GOLDEN
-    return (unmix64(h % 2**64) - family - GOLDEN) % 2**64
+    return row_seed(unmix64(key % 2**64) - 0x5A03 - GOLDEN, family)
 
 
 # chi-square 0.999 quantiles, frozen from scipy.stats.chi2.ppf(0.999, df)
@@ -136,16 +118,11 @@ def test_non_integral_index_rejected(h):
 
 
 def test_non_integral_cauchy_index_rejected():
-    """CauchySource and counter_uniform take an index (and a key) as
-    derive_key takes a part: an integer, wrapping mod 2^64, or an error."""
-    src = CauchySource(seed=1, truncation=10.0)
-    assert src(2.0) == src(2) == src(np.int64(2)) == float(src.table_at(np.array([2.0]))[0])
-    assert src(-1) == src(2**64 - 1) == float(src.table_at(np.array([-1]))[0])
+    """counter_uniform, which the Cauchy tables map, takes an index (and a
+    key) as derive_key takes a part: an integer, wrapping mod 2^64, or an error."""
     for i in (1.5, 2.7, float("nan"), float("inf"), "2", None):
         with pytest.raises(ConfigurationError, match="non-integer index"):
-            src(i)
-    with pytest.raises(ConfigurationError, match="non-integer index 2.5"):
-        src.table_at(np.array([1.0, 2.5]))
+            counter_uniform(1, i)
     assert counter_uniform(-1, 2) == counter_uniform(2**64 - 1, 2)
     assert counter_uniform(1, -1) == counter_uniform(1, 2**64 - 1)
     assert counter_uniform(1, np.array([2.0, -1])).tolist() == [
@@ -160,7 +137,6 @@ def test_non_integral_cauchy_index_rejected():
 SEEDED = {
     "derive_key": lambda seed: derive_key(seed, 1),
     "ZeroOneHash": lambda seed: ZeroOneHash(seed=seed, n=8, q=0.5).table().tolist(),
-    "CauchySource": lambda seed: CauchySource(seed=seed).table(3).tolist(),
     "generate_synthetic": lambda seed: list(generate_synthetic("diagonal", 2, 4, 3, seed=seed)),
     "derive_key of an array": lambda seed: derive_key(np.array([seed, 5]), 1).tolist(),
     "SketchBank": lambda seed: SketchBank(2, 4, 1, 0, [[1, 0, 1, 1]], 3, seed=seed)
@@ -219,7 +195,6 @@ TABLE_TAKERS = {
     "split_compare_ratio": lambda h: split_compare_ratio([1.0, 2.0, 4.0], h),
     "prefix_zero": lambda h: prefix_zero(DenseTensor(np.eye(3) + 1), [h]).array.tolist(),
     "SketchBank": bank_masks,
-    "ProductSketchState": lambda h: ProductSketchState.from_seeds(2, 3, 1, 0, [h], seed=1).prefix,
 }
 
 
@@ -237,15 +212,8 @@ def test_every_hash_form_is_one_table(take):
             take(bad)
 
 
-def test_product_sketch_state_keeps_python_scalars():
-    state = ProductSketchState.from_seeds(2, 3, 1, 0, [np.array([1, 0, 1], dtype=np.uint8)], seed=1)
-    assert [type(x) for x in state.prefix[0]] == [int] * 3
-
-
 OMEGA_TAKERS = {
-    "CauchySource": lambda omega: CauchySource(seed=1, truncation=omega),
     "SketchBank": lambda omega: SketchBank(2, 4, 0, 0, [], 3, seed=1, omega=omega),
-    "ProductSketchState": lambda omega: ProductSketchState.from_seeds(2, 4, 0, 0, [], 1, omega),
     "StreamDistanceEstimator": lambda omega: StreamDistanceEstimator(
         2, 4, 0.3, 0.1, overrides=EstimatorOverrides(omega=omega)
     ),
@@ -263,16 +231,29 @@ def test_truncation_must_be_positive_and_finite(take, omega, message):
         take(omega)
 
 
-class TestCauchySource:
+def cauchy_rows(keys, n, omega=None):
+    """A (len(keys), n) array of registry tables, one per key: the family-0
+    table (untruncated) of a row of batched_cauchy_tables, or with ``omega``
+    set its family-1 table (clamped at omega), whose row seed is chosen so
+    that the table is keyed by derive_key(key, 0x5A03)."""
+    family = 0 if omega is None else 1
+    seeds = np.array([row_seed(key, family) for key in keys], dtype=np.uint64)
+    return batched_cauchy_tables(seeds, family + 1, n, omega)[:, family]
+
+
+class TestCauchyRows:
+    """The Cauchy tables as a registry draws them, read from rows of
+    batched_cauchy_tables."""
+
     def test_deterministic(self):
-        src = CauchySource(seed=11)
-        assert src(3) == src(3) == CauchySource(seed=11)(3)
+        rows = repetition_seeds(11, 3)
+        first, again = (batched_cauchy_tables(rows, 2, 5, 10.0) for _ in range(2))
+        assert first.tobytes() == again.tobytes()
+        assert cauchy_rows([11], 5).tobytes() == cauchy_rows([11, 12], 5)[:1].tobytes()
 
     def test_truncation_clamps(self):
-        plain = CauchySource(seed=303)
-        clamped = CauchySource(seed=303, truncation=100.0)
-        vals = plain.table(5000)
-        cvals = clamped.table(5000)
+        vals = cauchy_rows([303], 5000)[0]
+        cvals = cauchy_rows([303], 5000, omega=100.0)[0]
         assert np.abs(cvals).max() <= 100.0
         big = np.abs(vals) > 100.0
         assert big.any()
@@ -280,14 +261,14 @@ class TestCauchySource:
         assert np.allclose(cvals[~big], vals[~big])
 
     def test_median_of_absolute_values(self):
-        vals = CauchySource(seed=4).table(20_000)
+        vals = cauchy_rows([4], 20_000)[0]
         assert abs(np.median(np.abs(vals)) - 1.0) < 0.05
 
     def test_truncation_mass(self):
         # clamp fraction per draw is about 2/(pi*omega)
         k, n = 2, 50
         omega = 100.0 * k * n
-        vals = CauchySource(seed=8, truncation=omega).table(200_000)
+        vals = cauchy_rows([8], 200_000, omega)[0]
         frac = float((np.abs(vals) >= omega).mean())
         assert frac <= 2.0 / (math.pi * omega) + 3e-4
 
@@ -296,10 +277,7 @@ class TestCauchySource:
         rng = np.random.default_rng(0)
         alpha = rng.uniform(0.1, 2.0, size=32)
         l1 = float(np.abs(alpha).sum())
-        n_seeds = 2000
-        sums = np.empty(n_seeds)
-        for s in range(n_seeds):
-            sums[s] = float(CauchySource(seed=s).table(32) @ alpha)
+        sums = cauchy_rows(range(2000), 32) @ alpha
         for t in (2, 5, 10):
             frac = float((np.abs(sums) <= l1 / t).mean())
             assert frac <= 1.0 / t + 0.04
@@ -308,10 +286,7 @@ class TestCauchySource:
         rng = np.random.default_rng(1)
         alpha = rng.uniform(0.1, 2.0, size=16)
         l1 = float(np.abs(alpha).sum())
-        sums = [
-            abs(float(CauchySource(seed=1000 + s).table(16) @ alpha))
-            for s in range(500)
-        ]
+        sums = np.abs(cauchy_rows(range(1000, 1500), 16) @ alpha)
         assert abs(np.median(sums) - l1) <= 0.15 * l1
 
 
@@ -353,17 +328,15 @@ class TestBatchedCauchyTables:
         rows = repetition_seeds(12, FOLD_BLOCK // n + 3)
         tables = batched_cauchy_tables(rows, 2, n, omega)
         for r in (0, FOLD_BLOCK // n - 1, FOLD_BLOCK // n, len(rows) - 1):
-            plain = CauchySource(seed=int(derive_key(rows[r], 0))).table(n)
-            clamped = CauchySource(seed=int(derive_key(rows[r], 1)), truncation=omega).table(n)
-            assert tables[r, 0].tolist() == plain.tolist()
-            assert tables[r, 1].tolist() == clamped.tolist()
+            alone = batched_cauchy_tables(rows[r : r + 1], 2, n, omega)
+            assert tables[r].tobytes() == alone[0].tobytes()
 
     @pytest.mark.parametrize("n", [1, 4, 7, 32, FOLD_BLOCK + 1])
     @pytest.mark.parametrize("families", [1, 2, 3, 4])
     def test_tables_equal_sources_bit_for_bit(self, families, n):
         """Every value equals the old per-family map tan(pi*(u - 1/2)) of the
         counter uniforms, clipped for the truncated families, and sampled rows
-        equal their CauchySource tables, for no rows, one block of rows (or
+        equal the same rows drawn alone, for no rows, one block of rows (or
         one row, when a row takes more than a block) and one row more."""
         omega = 3.0
         block = max(1, FOLD_BLOCK // (families * n))
@@ -377,9 +350,8 @@ class TestBatchedCauchyTables:
             want[:, 1:] = np.clip(want[:, 1:], -omega, omega)
             assert tables.tobytes() == want.tobytes()
             for r in sorted({0, block - 1, count - 1} & set(range(count))):
-                for j in range(families):
-                    src = CauchySource(int(derive_key(rows[r], j)), omega if j else None)
-                    assert tables[r, j].tobytes() == src.table(n).tobytes()
+                alone = batched_cauchy_tables(rows[r : r + 1], families, n, omega)
+                assert tables[r].tobytes() == alone[0].tobytes()
 
     def test_guard_floor_and_exact_clamp(self):
         """A counter that mixes to 0 or to 2^11 has z >> 11 == 0 or 1, so u
@@ -396,8 +368,8 @@ class TestBatchedCauchyTables:
             key = derive_key(rows[r], j, 0x5A03)
             assert int(mix64((int(key) + (index + 1) * GOLDEN) % 2**64)) == z
             assert counter_uniform(key, index) == 2.0**-53
-            src = CauchySource(int(derive_key(rows[r], j)), omega if j else None)
-            assert tables[r, j].tobytes() == src.table(n).tobytes()
+            alone = batched_cauchy_tables(rows[r : r + 1], 2, n, omega)
+            assert tables[r].tobytes() == alone[0].tobytes()
         assert tables[0, 0, index - 1] == tables[2, 0, index - 1] < -(2.0**50)
         assert tables[1, 1, index - 1] == tables[3, 1, index - 1] == -omega
         assert np.isfinite(tables).all()

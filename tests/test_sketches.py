@@ -1,6 +1,6 @@
-"""Product-sketch mechanics: update rules, linearity (estimator snapshots
-and merge), the coefficient identity against the dense tensor semantics,
-and the two estimators."""
+"""Product-sketch mechanics: the production fold's update rules, linearity
+(estimator snapshots and merge), the coefficient identity against the dense
+tensor semantics, and the two estimators."""
 
 import math
 import random
@@ -18,7 +18,6 @@ from indisketch import (
     EstimatorOverrides,
     MalformedInputError,
     MergeIncompatibleError,
-    ProductSketchState,
     SketchBank,
     StreamDistanceEstimator,
     TupleStream,
@@ -35,79 +34,119 @@ from indisketch import (
 from indisketch import sketches
 from indisketch.sketches import required_epsilon_reps
 
+from conftest import integer_bank
 
-def fraction_tables(rnd, fams, n):
-    return [
-        [Fraction(rnd.randint(-9, 9), rnd.randint(1, 7)) for _ in range(n)]
-        for _ in range(fams)
-    ]
+# fold blocks (FOLD_BLOCK) and grid fills (GRID_FILL) that split banks,
+# repetitions and leads, and send every suffix to its own lead or to the grid
+GRID = sketches.GRID_FILL
+FOLD_SHAPES = [(sketches.FOLD_BLOCK, GRID), (7, 0), (40, math.inf), (40, GRID), (7, GRID), (40, 0)]
+
+
+def integer_tables(rng, rows, d, n):
+    """``rows`` rows of d tables of small integers (-3..3) over [1, n]."""
+    return rng.integers(-3, 4, (rows, d, n)).astype(np.float64)
+
+
+def fold(bank, *chunks):
+    """Fold each chunk of records into ``bank`` as one flush; returns the bank."""
+    for chunk in chunks:
+        bank.bulk_update(Counter(chunk))
+    return bank
+
+
+def one_record_per_flush(bank, recs):
+    """The rows of ``bank`` after each record is folded as its own flush, the
+    linearity rule every chunked fold must meet: (joint, margins)."""
+    for rec in recs:
+        bank.update(rec)
+    return bank.joint, bank.margins
+
+
+def reference_values(bank, recs, prefix):
+    """The dense expansion of each row's tables of ``bank`` over ``recs``."""
+    table = build_frequency_table(TupleStream(bank.k, bank.n, recs))
+    coeff = bank.registry.groups[(bank.s, bank.s_prime)]["coeff"]
+    return [reference_sketch_value(table, prefix, bank.s_prime, c.tolist()) for c in coeff]
 
 
 class TestUpdateRules:
     def test_single_tuple_full_sketch(self):
         # s = s' = 0: joint is the coefficient product, margins the factors
-        c = [[2.0, 5.0], [3.0, 7.0]]
-        st_ = ProductSketchState(k=2, n=2, s=0, s_prime=0, prefix=[], coeff=c)
-        st_.update((1, 2))
-        assert st_.joint == 2.0 * 7.0
-        assert st_.margins == [2.0, 7.0]
-        assert st_.m_seen == 1
+        bank = integer_bank(2, 2, [], 0, [[[2.0, 5.0], [3.0, 7.0]]])
+        bank.update((1, 2))
+        assert bank.joint.tolist() == [2.0 * 7.0]
+        assert bank.margins.tolist() == [[2.0, 7.0]]
+        assert bank.m_seen == 1
 
     def test_empty_stream(self):
-        st_ = ProductSketchState(k=2, n=2, s=0, s_prime=0, prefix=[], coeff=[[1, 1], [1, 1]])
-        assert st_.joint == 0 and st_.margins == [0, 0]
+        bank = integer_bank(2, 2, [], 0, [[[1, 1], [1, 1]]])
+        assert not bank.joint.any() and not bank.margins.any()
         with pytest.raises(EmptyStreamError):
-            st_.value()
+            bank.values()
 
     def test_masked_prefix_annihilates_joint(self):
-        st_ = ProductSketchState(
-            k=2, n=2, s=1, s_prime=1, prefix=[[0, 0]], coeff=[[1.5, 2.5]]
-        )
+        bank = integer_bank(2, 2, [[0, 0]], 1, [[[1.5, 2.5]]])
         for rec in [(1, 1), (2, 2), (1, 2)]:
-            st_.update(rec)
-        assert st_.joint == 0
-        assert st_.margins[0] == 0
-        assert st_.value() == 0
+            bank.update(rec)
+        assert bank.joint.tolist() == [0]
+        assert bank.margins[0, 0] == 0
+        assert bank.values().tolist() == [0]
 
     def test_hand_expanded_value(self):
         # substituted coefficient values against the tensor expansion
         probes = [[Fraction(1), Fraction(2)], [Fraction(1), Fraction(3)]]
-        st_ = ProductSketchState(k=2, n=2, s=0, s_prime=0, prefix=[], coeff=probes)
+        bank = integer_bank(2, 2, [], 0, [[[1, 2], [1, 3]]])
         for rec in [(1, 1), (2, 2)]:
-            st_.update(rec)
+            bank.update(rec)
         # m^(k-1)*joint - margin1*margin2 = 2*(1*1 + 2*3) - (1+2)*(1+3)
-        assert st_.value() == 2 * 7 - 12 == 2
+        assert bank.values().tolist() == [2 * 7 - 12] == [2]
         table = build_frequency_table(TupleStream(2, 2, [(1, 1), (2, 2)]))
         assert reference_sketch_value(table, [], 0, probes) == 2
+
+    @pytest.mark.parametrize(
+        "prefix,s_prime,coeff",
+        [
+            ([], 0, [[1, 2]] * 3),  # a table more than there are dimensions
+            ([], 0, [[1, 2, 3], [1, 2]]),  # a table of 3 values at n = 2
+            ([], 1, [[1, 2]]),  # s' = 1 with no prefix mask
+            ([], 0, [[1, 2]]),  # a table too few
+        ],
+        ids=["extra-table", "long-table", "collapse-beyond-prefix", "missing-table"],
+    )
+    def test_reference_rejects_malformed_tables(self, prefix, s_prime, coeff):
+        table = build_frequency_table(TupleStream(2, 2, [(1, 1), (2, 2), (1, 2)]))
+        with pytest.raises(ConfigurationError):
+            reference_sketch_value(table, prefix, s_prime, coeff)
 
 
 class TestCoefficientIdentity:
     @pytest.mark.parametrize("k", [2, 3])
-    def test_exact_probe_identity(self, k):
-        """sketch value == sum_i C(i) * collapsed-masked-tensor entry, exactly."""
+    def test_exact_probe_identity(self, k, monkeypatch):
+        """Production rows on small-integer tables equal sum_i C(i) *
+        collapsed-masked-tensor entry exactly, the records split over two
+        flushes, at the first three fold shapes of FOLD_SHAPES."""
         rnd = random.Random(k)
+        rng = np.random.default_rng(k)
         for trial in range(25):
             n = rnd.randint(2, 4)
             m = rnd.randint(1, 8)
             recs = [
                 tuple(rnd.randint(1, n) for _ in range(k)) for _ in range(m)
             ]
-            table = build_frequency_table(TupleStream(k, n, recs))
+            cut = rnd.randint(0, m)
             for s in range(k + 1):
                 for sp in range(s + 1):
                     prefix = [
                         [rnd.randint(0, 1) for _ in range(n)] for _ in range(s)
                     ]
-                    for probe in range(3):
-                        coeff = fraction_tables(rnd, k - sp, n)
-                        st_ = ProductSketchState(
-                            k=k, n=n, s=s, s_prime=sp, prefix=prefix, coeff=coeff
-                        )
-                        for rec in recs:
-                            st_.update(rec)
-                        assert st_.value() == reference_sketch_value(
-                            table, prefix, sp, coeff
-                        )
+                    coeff = integer_tables(rng, 3, k - sp, n)
+                    values = []
+                    for block, fill in FOLD_SHAPES[:3]:
+                        monkeypatch.setattr(sketches, "FOLD_BLOCK", block)
+                        monkeypatch.setattr(sketches, "GRID_FILL", fill)
+                        bank = fold(integer_bank(k, n, prefix, sp, coeff), recs[:cut], recs[cut:])
+                        values.append(bank.values().tolist())
+                    assert values == [reference_values(bank, recs, prefix)] * 3
 
 
 # a small k = 3 plan, so that the merge tests stay fast
@@ -222,58 +261,45 @@ class TestLinearity:
 
     def test_permutation_invariance(self):
         recs = [(1, 2), (3, 1), (2, 2), (3, 3)]
-        a = ProductSketchState.from_seeds(2, 3, 1, 1, [[1, 1, 0]], seed=3)
-        b = ProductSketchState.from_seeds(2, 3, 1, 1, [[1, 1, 0]], seed=3)
-        for r in recs:
-            a.update(r)
-        for r in reversed(recs):
-            b.update(r)
-        assert a.value() == pytest.approx(b.value())
+        a, b = (SketchBank(2, 3, 1, 1, [[1, 1, 0]], repetitions=4, seed=3) for _ in range(2))
+        one_record_per_flush(a, recs)
+        one_record_per_flush(b, reversed(recs))
+        assert a.values() == pytest.approx(b.values())
 
 
 class TestBank:
     def test_bank_rows_match_scalar_states(self):
+        """Rows of seeded Cauchy tables, fed a record at a time, equal the
+        dense expansion of their own tables."""
         recs = [(1, 2), (3, 4), (1, 1), (2, 2), (4, 4)]
         bank = SketchBank(2, 4, 1, 1, [[1, 0, 1, 1]], repetitions=6, seed=42)
-        for r in recs:
-            bank.update(r)
-        for rep in range(6):
-            st_ = ProductSketchState.from_seeds(
-                2, 4, 1, 1, [[1, 0, 1, 1]], seed=42, rep=rep
-            )
-            for r in recs:
-                st_.update(r)
-            assert bank.values()[rep] == pytest.approx(st_.value())
+        one_record_per_flush(bank, recs)
+        assert bank.values() == pytest.approx(reference_values(bank, recs, [[1, 0, 1, 1]]))
 
     @pytest.mark.parametrize(
         "s,s_prime", [(s, sp) for s in range(4) for sp in range(s + 1)]
     )
     def test_every_depth_pair_matches_scalar_states(self, s, s_prime):
+        """Two flushes on small-integer tables give the dense expansion
+        exactly, and the rows of one flush per record, bit for bit."""
         masks = [[1, 0, 1], [1, 1, 0], [0, 1, 1]][:s]
         recs = [(1, 2, 3), (3, 1, 1), (1, 3, 2), (2, 2, 2), (1, 2, 3), (3, 3, 1)]
-        bank = SketchBank(3, 3, s, s_prime, masks, repetitions=5, seed=17)
-        for chunk in (recs[:4], recs[4:]):
-            counts = {}
-            for r in chunk:
-                counts[r] = counts.get(r, 0) + 1
-            bank.bulk_update(counts)
+        coeff = integer_tables(np.random.default_rng(17), 5, 3 - s_prime, 3)
+        bank = fold(integer_bank(3, 3, masks, s_prime, coeff), recs[:4], recs[4:])
         assert bank.m_seen == len(recs)
-        for rep in range(5):
-            st_ = ProductSketchState.from_seeds(3, 3, s, s_prime, masks, seed=17, rep=rep)
-            for r in recs:
-                st_.update(r)
-            assert bank.joint[rep] == pytest.approx(st_.joint, rel=1e-12)
-            assert bank.margins[rep] == pytest.approx(st_.margins, rel=1e-12)
+        assert bank.values().tolist() == reference_values(bank, recs, masks)
+        joint, margins = one_record_per_flush(integer_bank(3, 3, masks, s_prime, coeff), recs)
+        assert np.array_equal(bank.joint, joint) and np.array_equal(bank.margins, margins)
 
     @pytest.mark.parametrize("chunk", ["repeats", "permutation"])
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_fold_matches_scalar_states_at_every_depth(self, k, chunk, monkeypatch):
-        """Every (s, s') at k = 2, 3, 4, s' = k - 1 and s' = k among them,
-        against the scalar rule. A permutation chunk's n distinct suffixes
-        fill 1/n of their lead-by-last grid when s' < k - 1. Small fold
-        blocks split the banks, a bank's repetitions and the leads, and
-        GRID_FILL = 0 folds every suffix as its own lead; each leaves every
-        accumulator within rtol 1e-12."""
+        """Every (s, s') at k = 2, 3, 4, s' = k - 1 and s' = k among them, on
+        small-integer tables. A permutation chunk's n distinct suffixes fill
+        1/n of their lead-by-last grid when s' < k - 1. At every fold shape
+        of FOLD_SHAPES (small blocks split the banks, a bank's repetitions
+        and the leads; GRID_FILL = 0 folds every suffix as its own lead) the
+        rows are the same to the bit and their values the dense expansion."""
         n, reps = 7, 4
         rng = np.random.default_rng(k)
         if chunk == "permutation":
@@ -283,26 +309,18 @@ class TestBank:
             recs = [tuple(r) for r in rng.integers(1, 4, (10, k)).tolist()]
         chunks = (recs, recs[:3])  # one flush of the whole chunk, then a few repeats
         masks = [rng.integers(0, 2, n) | (np.arange(n) % 3 == 0) for _ in range(k)]
-        grid = sketches.GRID_FILL
         for s in range(k + 1):
             for s_prime in range(s + 1):
+                coeff = integer_tables(rng, reps, k - s_prime, n)
                 rows = []
-                for block, fill in ((sketches.FOLD_BLOCK, grid), (40, grid), (7, grid), (40, 0), (7, 0)):
+                for block, fill in FOLD_SHAPES:
                     monkeypatch.setattr(sketches, "FOLD_BLOCK", block)
                     monkeypatch.setattr(sketches, "GRID_FILL", fill)
-                    bank = SketchBank(k, n, s, s_prime, masks[:s], repetitions=reps, seed=31)
-                    for part in chunks:
-                        bank.bulk_update(dict(Counter(part)))
+                    bank = fold(integer_bank(k, n, masks[:s], s_prime, coeff), *chunks)
                     rows.append((bank.joint, bank.margins))
-                for r in range(reps):
-                    st_ = ProductSketchState.from_seeds(k, n, s, s_prime, masks[:s], seed=31, rep=r)
-                    for rec in chunks[0] + chunks[1]:
-                        st_.update(rec)
-                    assert rows[0][0][r] == pytest.approx(st_.joint, rel=1e-12)
-                    assert rows[0][1][r] == pytest.approx(st_.margins, rel=1e-12)
+                assert bank.values().tolist() == reference_values(bank, recs + recs[:3], masks[:s])
                 for joint, margins in rows[1:]:
-                    np.testing.assert_allclose(joint, rows[0][0], rtol=1e-12, atol=0)
-                    np.testing.assert_allclose(margins, rows[0][1], rtol=1e-12, atol=0)
+                    assert np.array_equal(joint, rows[0][0]) and np.array_equal(margins, rows[0][1])
 
     @pytest.mark.parametrize(
         "recs,in_place",
@@ -319,9 +337,9 @@ class TestBank:
     )
     def test_fold_reads_runs_in_place(self, recs, in_place, monkeypatch):
         """Table reads at a run of indices are views, any other index set is
-        gathered. At every (s, s') both forms agree with the scalar rule and
-        with a fold that always gathers, and no fold writes into the masks or
-        the Cauchy tables it reads."""
+        gathered. At every (s, s') both forms give the dense expansion
+        exactly on small-integer tables, as does a fold that always gathers,
+        and no fold writes into the masks or the Cauchy tables it reads."""
         k, n, reps = len(recs[0]), 8, 5
         rng = np.random.default_rng(k)
         masks = [rng.integers(0, 2, n) | (np.arange(n) % 3 == 0) for _ in range(k)]
@@ -334,23 +352,19 @@ class TestBank:
 
         for s in range(k + 1):
             for s_prime in range(s + 1):
+                coeff = integer_tables(rng, reps, k - s_prime, n)
                 rows = []
                 for helper in (spy, lambda index: index):  # then gather every read
                     monkeypatch.setattr(sketches, "_table_index", helper)
-                    bank = SketchBank(k, n, s, s_prime, masks[:s], repetitions=reps, seed=41)
+                    bank = integer_bank(k, n, masks[:s], s_prime, coeff)
                     group = bank.registry.groups[(s, s_prime)]
                     tables = group["prefix"].tobytes(), group["coeff"].tobytes()
-                    bank.bulk_update(dict(Counter(recs)))
+                    fold(bank, recs)
                     assert (group["prefix"].tobytes(), group["coeff"].tobytes()) == tables
                     rows.append((bank.joint, bank.margins))
-                for r in range(reps):
-                    st_ = ProductSketchState.from_seeds(k, n, s, s_prime, masks[:s], seed=41, rep=r)
-                    for rec in recs:
-                        st_.update(rec)
-                    assert rows[0][0][r] == pytest.approx(st_.joint, rel=1e-12)
-                    assert rows[0][1][r] == pytest.approx(st_.margins, rel=1e-12)
-                np.testing.assert_allclose(rows[1][0], rows[0][0], rtol=1e-12, atol=0)
-                np.testing.assert_allclose(rows[1][1], rows[0][1], rtol=1e-12, atol=0)
+                assert bank.values().tolist() == reference_values(bank, recs, masks[:s])
+                assert np.array_equal(rows[1][0], rows[0][0])
+                assert np.array_equal(rows[1][1], rows[0][1])
         assert read == in_place
 
     @pytest.mark.parametrize("shared_suffix", [False, True])
@@ -366,20 +380,16 @@ class TestBank:
             recs = [tuple(int(x) for x in rng.integers(1, n + 1, k)) for _ in range(6)]
             recs += [recs[0], (recs[1][0], recs[2][1], recs[3][2])]
         bank = SketchBank(k, n, 2, 1, masks, repetitions=reps, seed=23)
-        counts = {}
-        for r in recs:
-            counts[r] = counts.get(r, 0) + 1
+        coeff = bank.registry.groups[(2, 1)]["coeff"]
+        coeff[:3] = integer_tables(rng, 3, 2, n)  # the rows checked below, exactly
+        counts = Counter(recs)
         tracemalloc.start()
         bank.bulk_update(counts)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak < 1 << 20
-        for rep in range(3):
-            st_ = ProductSketchState.from_seeds(k, n, 2, 1, masks, seed=23, rep=rep)
-            for r in recs:
-                st_.update(r)
-            assert bank.joint[rep] == pytest.approx(st_.joint, rel=1e-12)
-            assert bank.margins[rep] == pytest.approx(st_.margins, rel=1e-12)
+        joint, margins = one_record_per_flush(integer_bank(k, n, masks, 1, coeff[:3]), recs)
+        assert np.array_equal(bank.joint[:3], joint) and np.array_equal(bank.margins[:3], margins)
 
     @pytest.mark.parametrize("grid_fill", [sketches.GRID_FILL, math.inf])
     def test_flush_memory_of_an_empty_grid(self, grid_fill, monkeypatch):
@@ -394,18 +404,15 @@ class TestBank:
         last = rng.permutation(n) + 1
         counts = {(int(rng.integers(1, n + 1)), i + 1, int(last[i])): 1 for i in range(n)}
         bank = SketchBank(k, n, 2, 1, masks, repetitions=reps, seed=29)
+        coeff = bank.registry.groups[(2, 1)]["coeff"]
+        coeff[:2] = integer_tables(rng, 2, 2, n)  # the rows checked below, exactly
         tracemalloc.start()
         bank.bulk_update(counts)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak < 6 * 8 * sketches.FOLD_BLOCK
-        recs = list(counts)
-        for rep in range(2):
-            st_ = ProductSketchState.from_seeds(k, n, 2, 1, masks, seed=29, rep=rep)
-            for r in recs:
-                st_.update(r)
-            assert bank.joint[rep] == pytest.approx(st_.joint, rel=1e-12)
-            assert bank.margins[rep] == pytest.approx(st_.margins, rel=1e-12)
+        joint, margins = one_record_per_flush(integer_bank(k, n, masks, 1, coeff[:2]), counts)
+        assert np.array_equal(bank.joint[:2], joint) and np.array_equal(bank.margins[:2], margins)
 
     def test_sparse_flush_does_not_build_the_grid(self, monkeypatch):
         # 5,000 permutation suffixes at n = 100,000 fill 1/5000 of their
@@ -416,6 +423,8 @@ class TestBank:
         mask = rng.integers(0, 2, n)
         counts = {(i + 1, int(x) + 1): 1 for i, x in enumerate(rng.permutation(n)[:N])}
         bank = SketchBank(2, n, 1, 0, [mask], repetitions=reps, seed=37)
+        coeff = bank.registry.groups[(1, 0)]["coeff"]
+        coeff[:2] = integer_tables(rng, 2, 2, n)  # the rows checked below, exactly
         bincount = np.bincount
 
         def bounded(x, weights=None, minlength=0):
@@ -426,12 +435,8 @@ class TestBank:
         monkeypatch.setattr(np, "bincount", bounded)
         bank.bulk_update(counts)
         monkeypatch.undo()
-        for rep in range(2):
-            st_ = ProductSketchState.from_seeds(2, n, 1, 0, [mask], seed=37, rep=rep)
-            for r in counts:
-                st_.update(r)
-            assert bank.joint[rep] == pytest.approx(st_.joint, rel=1e-12)
-            assert bank.margins[rep] == pytest.approx(st_.margins, rel=1e-12)
+        joint, margins = one_record_per_flush(integer_bank(2, n, [mask], 0, coeff[:2]), counts)
+        assert np.array_equal(bank.joint[:2], joint) and np.array_equal(bank.margins[:2], margins)
 
     def test_bulk_rejects_malformed_tuples(self):
         bank = SketchBank(2, 3, 1, 0, [[1, 1, 0]], repetitions=4, seed=7)
@@ -541,12 +546,8 @@ class TestPolylogEstimate:
         # s = s' = 0 sketches the whole tensor
         recs = [(1, 1), (2, 2), (1, 2)]
         bank = SketchBank(2, 2, 0, 0, [], repetitions=8, seed=11)
-        for r in recs:
-            bank.update(r)
-        st_ = ProductSketchState.from_seeds(2, 2, 0, 0, [], seed=11, rep=0)
-        for r in recs:
-            st_.update(r)
-        assert bank.values()[0] == pytest.approx(st_.value())
+        one_record_per_flush(bank, recs)
+        assert bank.values() == pytest.approx(reference_values(bank, recs, []))
 
     def test_window_on_known_target(self):
         rnd = random.Random(6)
