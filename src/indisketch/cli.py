@@ -149,15 +149,7 @@ def parse_lines(lines: Iterable[str], k: int, n: int, first: int = 1) -> Iterato
         yield tuple(out)
 
 
-# Byte classes of the block parser: 0 needs the per-line parser, 1 digit,
-# 2 whitespace, 3 comma.
-_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
-_BYTE_CLASS[ord("0") : ord("9") + 1] = 1
-_BYTE_CLASS[[ord(" "), ord("\t"), ord("\n")]] = 2
-_BYTE_CLASS[ord(",")] = 3
-_DIGIT_VALUE = np.zeros(256, dtype=np.int64)  # 0 for every non-digit byte
-_DIGIT_VALUE[ord("0") : ord("9") + 1] = np.arange(10)
-_MAX_DIGITS = 18  # longest token whose value cannot overflow an int64
+_POW10 = 10 ** np.arange(18, dtype=np.int64)  # up to the longest token an int64 holds
 
 # Binary sources are read this many bytes at a time; each read is cut after
 # its last newline and the rest is carried into the next buffer.
@@ -169,35 +161,36 @@ def _parse_block(buf: bytes, k: int, n: int) -> Optional[Tuple[np.ndarray, int]]
     int64 array with the number of lines, or None when the buffer holds
     anything but valid records of ASCII digits, spaces, tabs, commas and
     newlines (which the per-line parser then handles)."""
-    data = np.frombuffer(buf, dtype=np.uint8)
-    cls = _BYTE_CLASS.take(data)
-    if not cls.all():
+    if buf.translate(None, b"0123456789 \t\n,"):
         return None
-    # digit runs are the tokens; edges marks the first byte of each run and
+    data = np.frombuffer(buf, dtype=np.uint8)
+    digit = data - 48  # wraps to 10 or more at every byte but a digit
+    is_digit = digit < 10
+    # digit runs are the tokens; bounds holds the first byte of each run and
     # the byte after it (the buffer ends in a newline, so every run ends)
-    edges = np.diff(cls == 1, prepend=False)
-    bounds = np.flatnonzero(edges)
+    bounds = np.flatnonzero(np.diff(is_digit, prepend=False))
     starts, ends = bounds[0::2], bounds[1::2]
-    # tokens per line, counted by the token starts before each newline;
-    # a line without k tokens must be blank: no token and no comma
-    newlines = np.flatnonzero(data == ord("\n"))
-    tokens = np.diff(np.searchsorted(starts, newlines), prepend=0)
-    if not (tokens == k).all():
-        commas = np.diff(np.searchsorted(np.flatnonzero(cls == 3), newlines), prepend=0)
+    lines = int(np.count_nonzero(data == 10))
+    # k tokens per newline with a newline right after every k-th token put k
+    # on each line; else lines are counted, and one without k holds no token or comma
+    if len(starts) != k * lines or not (data[ends[k - 1 :: k]] == 10).all():
+        newlines = np.flatnonzero(data == 10)
+        tokens = np.diff(np.searchsorted(starts, newlines), prepend=0)
+        commas = np.diff(np.searchsorted(np.flatnonzero(data == 44), newlines), prepend=0)
         if not ((tokens == k) | ((tokens == 0) & (commas == 0))).all():
             return None
     longest = int((ends - starts).max(initial=0))
-    if longest > _MAX_DIGITS:
+    if longest > len(_POW10):
         return None
-    # digit j of each token, counted from its end; a token shorter than that
-    # reads the byte before it instead (a separator, or for a token at offset
-    # 0 the buffer's final newline), whose digit value is 0
-    values = _DIGIT_VALUE.take(data.take(ends - 1))
+    # digit j of each token from its end; a shorter token reads the byte
+    # before it, a separator or (at offset 0) the final newline, both 0
+    digit *= is_digit
+    values = digit[ends - 1].astype(np.int64)
     for j in range(1, longest):
-        values += _DIGIT_VALUE.take(data.take(np.maximum(ends - 1 - j, starts - 1))) * 10**j
-    if ((values < 1) | (values > n)).any():
+        values += digit[np.maximum(ends - 1 - j, starts - 1)] * _POW10[j]
+    if len(values) and (values.min() < 1 or values.max() > n):
         return None
-    return values.reshape(-1, k), len(newlines)
+    return values.reshape(-1, k), lines
 
 
 def _text_lines(buf: bytes) -> Tuple[List[str], Optional[str]]:

@@ -138,6 +138,9 @@ _padding = st.sampled_from(
 @example(0, ["1 2\n", "3 4 5 6\n"], False)
 @example(0, ["1 2 3\n", "\t,\n"], False)  # no token, but a comma
 @example(0, ["1 2 3\n", ","], True)  # a comma-only last line, no final newline
+@example(0, ["1 2 3 \n", "1 2 3\t\n"], False)  # blanks between a k-th token and its newline
+@example(0, ["1,2,3\n", "\n", "4,5,6\n"], False)  # a blank line between records
+@example(0, ["1 2\n", "3 4 5 6\n", "7 8 9\n"], False)  # k tokens per line on average only
 @settings(max_examples=150, deadline=None)
 def test_block_parser_agrees_with_line_parser(pad, tail, missing_final_newline):
     lines = ["1,2,3\n", "12 1\t4\n", "\n"] * (pad // 3) + ["4,4,4\n"] * (pad % 3) + tail
@@ -150,6 +153,13 @@ def test_block_parser_agrees_with_line_parser(pad, tail, missing_final_newline):
         assert rows == ref_rows
     else:  # the blocks before the bad one were yielded
         assert rows == ref_rows[: len(rows)]
+
+
+@pytest.mark.parametrize("buf,lines", [(b"\n", 1), (b" \t\n\n", 2), (b"", 0)])
+def test_block_without_tokens(buf, lines):
+    block, count = cli._parse_block(buf, K, N)
+    assert block.dtype == np.int64 and block.shape == (0, K) and count == lines
+    assert cli._parse_block(buf + b",\n", K, N) is None  # a comma is no blank line
 
 
 def test_plain_blocks_skip_the_line_parser(monkeypatch):

@@ -103,10 +103,20 @@ class TestCoordinateChecks:
         assert str(err.value) == "record 4: non-integer coordinate 1.5"
         assert table_of([block[:2]]).joint == {(1, 2): 1, (2, 1): 1}
 
-    @pytest.mark.parametrize("bad", [[1, 0], [3, 1], [1.5, 1], [np.nan, 2], [-np.inf, 1]])
+    @pytest.mark.parametrize("bad", [
+        [1, 0], [3, 1], [1.5, 1], [np.nan, 2], [-np.inf, 1],
+        np.array([0, 1], dtype=np.uint8), np.array([1, 3], dtype=np.uint8),
+        np.array([0, 2], dtype=np.uint64), np.array([3, 1], dtype=np.uint64),
+        np.array([-0.0, 1.0]), np.array([2.0, np.inf]),
+    ])
     def test_block_errors_match_per_record_errors(self, bad):
+        """The min/max check, then the per-element mask, name the bad row of
+        the block's second slice as ``checked_tuple`` names it."""
         good = [[1, 2]] * (RECORD_BLOCK + 5)
-        dtype = np.int64 if all(float(x).is_integer() for x in bad) else np.float64
+        if isinstance(bad, np.ndarray):
+            dtype, bad = bad.dtype, bad.tolist()
+        else:
+            dtype = np.int64 if all(float(x).is_integer() for x in bad) else np.float64
         block = np.array(good + [bad] + good, dtype=dtype)
         at = 2 + len(good) + 1  # after two tuples and the good rows
         with pytest.raises(MalformedInputError) as got:
