@@ -176,19 +176,18 @@ def _parse_block(buf: bytes, k: int, n: int) -> Optional[Tuple[np.ndarray, int]]
     if len(starts) != k * lines or not (data[ends[k - 1 :: k]] == 10).all():
         newlines = np.flatnonzero(data == 10)
         tokens = np.diff(np.searchsorted(starts, newlines), prepend=0)
-        commas = np.diff(np.searchsorted(np.flatnonzero(data == 44), newlines), prepend=0)
-        if not ((tokens == k) | ((tokens == 0) & (commas == 0))).all():
-            return None
+        if not (tokens == k).all():
+            commas = np.diff(np.searchsorted(np.flatnonzero(data == 44), newlines), prepend=0)
+            if not ((tokens == k) | ((tokens == 0) & (commas == 0))).all():
+                return None
     longest = int((ends - starts).max(initial=0))
-    if longest > len(_POW10):
-        return None
     # digit j of each token from its end; a shorter token reads the byte
     # before it, a separator or (at offset 0) the final newline, both 0
     digit *= is_digit
     values = digit[ends - 1].astype(np.int64)
-    for j in range(1, longest):
+    for j in range(1, min(longest, len(_POW10))):
         values += digit[np.maximum(ends - 1 - j, starts - 1)] * _POW10[j]
-    if len(values) and (values.min() < 1 or values.max() > n):
+    if longest > len(_POW10) or len(values) and (values.min() < 1 or values.max() > n):
         return None
     return values.reshape(-1, k), lines
 

@@ -132,6 +132,7 @@ _padding = st.sampled_from(
 @given(_padding, st.lists(_line(), max_size=24), st.booleans())
 @example(0, ["1 2 1", "1,5,6,7\n"], False)  # a line without a newline, then a digit
 @example(RECORD_BLOCK, [f"1,{2**64 + 5},1\n"], False)
+@example(0, [f"1,{10**18 + 7},1\n"], False)  # 19 digits, the last 18 of them in range
 @example(1, [" ,, \n", "1,2,3\n"], False)  # commas alone are no blank line
 @example(0, ["1,2,3\n4,5,6\n"], False)  # one line holding a newline is one malformed record
 @example(0, ["1 2 3 4\n", "5 6\n"], False)  # as many lines as records, but not one each
