@@ -186,7 +186,8 @@ def _parse_block(buf: bytes, k: int, n: int) -> Optional[Tuple[np.ndarray, int]]
     digit *= is_digit
     values = digit[ends - 1].astype(np.int64)
     for j in range(1, min(longest, len(_POW10))):
-        values += digit[np.maximum(ends - 1 - j, starts - 1)] * _POW10[j]
+        at = digit[np.maximum(ends - 1 - j, starts - 1)]
+        values += np.multiply(at, _POW10[j], dtype=np.int64)  # numpy 1 would keep uint8
     if longest > len(_POW10) or len(values) and (values.min() < 1 or values.max() > n):
         return None
     return values.reshape(-1, k), lines

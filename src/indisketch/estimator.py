@@ -553,15 +553,16 @@ def _tournaments(cfg: TournamentConfig, single, t, rd, side, coarse, sharp) -> n
     read: with nothing to compare it only adds its over-reads (a
     beta-factor estimate above beta times the value), which the minimum
     over rounds used to remove. Sketch leaves give such a side no coarse
-    bank, and its coarse value is NaN. A side that reads NaN is a SubAlgorithmError.
+    bank, and its coarse value is NaN. A NaN that a side reads (its sharp
+    value, or a multi-value side's coarse value) is a SubAlgorithmError.
     """
+    bad = np.flatnonzero(np.isnan(sharp) | np.isnan(coarse) & ~single[t])
+    if len(bad):
+        raise SubAlgorithmError(f"tournament {t[bad[0]]}, round {rd[bad[0]]}: a side reads nan")
     beta = cfg.beta
     v = coarse / beta
     v = np.where(sharp > v, sharp, v)
     v = np.where(single[t], sharp, v)
-    bad = np.flatnonzero(np.isnan(v))
-    if len(bad):
-        raise SubAlgorithmError(f"tournament {t[bad[0]]}, round {rd[bad[0]]}: a side reads nan")
     u = np.zeros((len(single), cfg.rounds, 2))
     u[t, rd, side] = np.where(0.0 > v, 0.0, v)
     out = _decide_round(u[..., 0], u[..., 1], cfg.ratio_threshold * beta**2)

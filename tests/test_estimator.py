@@ -936,7 +936,7 @@ _ONES = [1.0] * 14
     st.sampled_from([0, 1]),
 )
 @example(_ONES[:10] + [math.nan] + _ONES[11:], 1.0, [0], 0)  # tournament 3's coarse: unread
-@example(_ONES[:4] + [math.nan] + _ONES[5:], 1.0, [0], 0)  # a NaN sharp under a finite coarse
+@example(_ONES[:4] + [math.nan] + _ONES[5:], 1.0, [0], 0)  # a NaN sharp under a finite coarse raises
 @example(_ONES[:2] + [math.nan] + _ONES[3:], 1.0, [0], 0)  # tournament 0, round 1
 @example(_ONES[:13] + [math.nan], 2.0, [1], 1)  # tournament 3's sharp
 @settings(max_examples=300, deadline=None)
@@ -948,9 +948,10 @@ def test_tournament_arrays_match_the_scalar_rule(values, beta, one_round, single
     tournament 3's side max(sharp, 0), an absent side 0. The outputs are
     Python's min over tournament 0's round decisions, tournament 1's
     round 0 decision, 0.0 and tournament 3's round 0 decision, to the bit,
-    with signed zeros and infinities. A side that reads NaN raises
-    ``SubAlgorithmError`` naming its tournament and round; tournament 3's
-    coarse value is not read, so a NaN there does not."""
+    with signed zeros and infinities. A NaN that a side reads (either value
+    of a multi-value side, tournament 3's sharp value) raises
+    ``SubAlgorithmError`` naming the first such side's tournament and round;
+    tournament 3's coarse value is not read, so a NaN there does not."""
     coarse, sharp = values[:4] + values[8:11], values[4:8] + values[11:]
     cfg = TournamentConfig.from_targets(0.1, 0.1, beta=beta, rounds=2)
     ratio = cfg.ratio_threshold * beta**2
@@ -960,9 +961,10 @@ def test_tournament_arrays_match_the_scalar_rule(values, beta, one_round, single
     pick = list(range(4)) + [4 + s for s in one_round] + [6]
     with np.errstate(all="ignore"):
         u = [max(c / beta, s, 0.0) for c, s in zip(coarse, sharp)]
-        read = [u[i] for i in pick[:-1]] + [max(sharp[6], 0.0)]  # in the order of the sides
         u1 = [u[4 + s] if s in one_round else 0.0 for s in (0, 1)]
-        u3 = [read[-1] if s == single_side else 0.0 for s in (0, 1)]
+        u3 = [max(sharp[6], 0.0) if s == single_side else 0.0 for s in (0, 1)]
+        # the sides, in order, that read a NaN: Python's max would drop a NaN sharp value
+        nan = [i for i, p in enumerate(pick) if math.isnan(sharp[p]) or p < 6 and math.isnan(coarse[p])]
 
         def tournaments():
             return estimator._tournaments(
@@ -970,7 +972,6 @@ def test_tournament_arrays_match_the_scalar_rule(values, beta, one_round, single
                 np.array(side), np.array(coarse)[pick], np.array(sharp)[pick],
             )
 
-        nan = [i for i, x in enumerate(read) if math.isnan(x)]
         if nan:
             with pytest.raises(SubAlgorithmError) as err:
                 tournaments()
