@@ -134,12 +134,12 @@ def _checked_block(block: np.ndarray, k: int, n: int, index: int) -> np.ndarray:
     if block.shape[1] != k:
         checked_tuple(block[0].tolist(), k, n, index + 1)
     if block.dtype.kind in "iuf":
-        # integers in range pass on min and max; the mask checks floats or finds the bad row
-        if block.dtype.kind == "f" or block.min() < 1 or block.max() > n:
-            ok = (block >= 1) & (block <= n) & (block == np.floor(block))
-            if not ok.all():
-                bad = np.flatnonzero(~ok.all(axis=1))
-                checked_tuple(block[bad[0]].tolist(), k, n, index + 1 + int(bad[0]))
+        ok = (block >= 1) & (block <= n)
+        if block.dtype.kind == "f":
+            ok &= block == np.floor(block)
+        if not ok.all():
+            bad = np.flatnonzero(~ok.all(axis=1))
+            checked_tuple(block[bad[0]].tolist(), k, n, index + 1 + int(bad[0]))
         return block.astype(np.int64, copy=False)
     return _checked_records(block, k, n, index)
 
@@ -246,12 +246,8 @@ class TupleTally:
         return int(self.counts.sum())
 
     def _encode(self, block: np.ndarray) -> np.ndarray:
-        if self._radix is not None:  # by Horner's rule: an int64 @ is no BLAS call
-            keys = block[:, 0] - 1
-            for j in range(1, self.k):
-                keys *= self.n
-                keys += block[:, j] - 1
-            return keys
+        if self._radix is not None:
+            return (block - 1) @ self._radix
         rows = np.ascontiguousarray(block, dtype=np.int64)
         return rows.view(np.dtype((np.void, 8 * self.k))).reshape(-1)
 

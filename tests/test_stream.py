@@ -110,8 +110,8 @@ class TestCoordinateChecks:
         np.array([-0.0, 1.0]), np.array([2.0, np.inf]),
     ])
     def test_block_errors_match_per_record_errors(self, bad):
-        """The min/max check, then the per-element mask, name the bad row of
-        the block's second slice as ``checked_tuple`` names it."""
+        """The block check names the bad row of the block's second slice, of
+        any integer or float dtype, as ``checked_tuple`` names it."""
         good = [[1, 2]] * (RECORD_BLOCK + 5)
         if isinstance(bad, np.ndarray):
             dtype, bad = bad.dtype, bad.tolist()
