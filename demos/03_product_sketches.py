@@ -1,13 +1,15 @@
 """One-pass product sketches of the independence tensor.
 
-A product sketch keeps k+1 running sums (one joint cell, one margin cell
-per dimension). After the pass, m^(k-1)*joint - prod(margins) equals the
-contraction of the masked, collapsed independence tensor against the
-per-coordinate Cauchy tables -- an exact polynomial identity, shown here
-on a bank whose tables are replaced by small integers, so that its float
-sums are exact. Median banks of such sketches then estimate
-tensor norms. Because the sums are linear, two estimators fed disjoint
-parts of a stream merge into the state of the whole stream.
+A product sketch keeps one running sum per repetition (its joint cell)
+and the stream's value counts, from which each repetition's k margin
+cells are formed after the pass. Then m^(k-1)*joint - prod(margins)
+equals the contraction of the masked, collapsed independence tensor
+against the per-coordinate Cauchy tables -- an exact polynomial
+identity, shown here on a bank whose tables are replaced by small
+integers, so that its float sums are exact. Median banks of such
+sketches then estimate tensor norms. Because the sums and counts are
+linear, two estimators fed disjoint parts of a stream merge into the
+state of the whole stream.
 
 Run:  python demos/03_product_sketches.py
 """

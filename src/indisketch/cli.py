@@ -166,10 +166,11 @@ def _parse_block(buf: bytes, k: int, n: int) -> Optional[Tuple[np.ndarray, int]]
     data = np.frombuffer(buf, dtype=np.uint8)
     digit = data - 48  # wraps to 10 or more at every byte but a digit
     is_digit = digit < 10
-    # digit runs are the tokens; bounds holds the first byte of each run and
+    # digit runs are the tokens; edges marks the first byte of each run and
     # the byte after it (the buffer ends in a newline, so every run ends)
-    bounds = np.flatnonzero(np.diff(is_digit, prepend=False))
-    starts, ends = bounds[0::2], bounds[1::2]
+    edges = is_digit.copy()
+    edges[1:] ^= is_digit[:-1]
+    starts, ends = np.flatnonzero(edges).reshape(-1, 2).T
     lines = int(np.count_nonzero(data == 10))
     # k tokens per newline with a newline right after every k-th token put k
     # on each line; else lines are counted, and one without k holds no token or comma

@@ -793,9 +793,9 @@ class _BankRegistry:
     Rows are grouped by (prefix depth s, collapse depth s'); each row is
     one repetition with its own Cauchy tables, and each bank's prefix masks
     are stored once. ``add_bank`` allocates a group, tables and all; a
-    flush folds the chunk's distinct tuple counts into every group with
-    ``fold_counts``. All banks of a group have the same repetition count,
-    so bank b of a group holds rows [b * reps, (b + 1) * reps).
+    flush folds the chunk into every group's ``joint`` and ``margins``, its
+    (k, n) value counts, with ``fold_counts``. All banks of a group have the
+    same repetition count, so bank b holds rows [b * reps, (b + 1) * reps).
     """
 
     def __init__(self, k: int, n: int, omega: float):
@@ -821,7 +821,7 @@ class _BankRegistry:
             "prefix": prefix.astype(np.float64),
             "coeff": batched_cauchy_tables(row_seeds, self.k - s_prime, self.n, self.omega),
             "joint": np.zeros(len(row_seeds), dtype=np.float64),
-            "margins": np.zeros((len(row_seeds), self.k), dtype=np.float64),
+            "margins": np.zeros((self.k, self.n), dtype=np.float64),
         }
         return key, np.arange(len(prefix))
 
@@ -831,27 +831,37 @@ class _BankRegistry:
         groups = [(sp, *(g[f] for f in fields)) for (_s, sp), g in self.groups.items()]
         self.m_seen += fold_counts(tuples, counts, self.n, groups)
 
+    def _margin(self, key: Tuple[int, int], j: int, lo: int, hi: int) -> np.ndarray:
+        """Margin j of rows [lo, hi) of whole banks of a group, as a new array."""
+        (s, s_prime), g = key, self.groups[key]
+        reps, hist = len(g["joint"]) // len(g["prefix"]), g["margins"][j]
+        if j >= s:
+            return g["coeff"][lo:hi, j - s_prime] @ hist
+        P = g["prefix"][lo // reps : hi // reps, j]
+        if j < s_prime:
+            return np.repeat(P @ hist, reps)
+        C = g["coeff"][lo:hi, j - s_prime].reshape(len(P), reps, -1)
+        return (C @ (P * hist)[:, :, None]).reshape(-1)
+
     def values(self, key: Tuple[int, int], lo: int, hi: int) -> np.ndarray:
-        """m^(k-1) * joint - prod(margins) of rows [lo, hi) of a group, as a new array."""
-        g = self.groups[key]
-        v = float(self.m_seen) ** (self.k - 1) * g["joint"][lo:hi]
-        prod = g["margins"][lo:hi, 0].copy()
-        for col in g["margins"][lo:hi, 1:].T:  # np.prod(axis=1)'s order, without its row loop
-            prod *= col
-        v -= prod
-        return v
+        """m^(k-1) * joint - prod(margins) of rows [lo, hi) of whole banks, as a new array."""
+        prod = self._margin(key, 0, lo, hi)
+        for j in range(1, self.k):  # one margin at a time, in np.prod(axis=1)'s order
+            prod *= self._margin(key, j, lo, hi)
+        v = float(self.m_seen) ** (self.k - 1) * self.groups[key]["joint"][lo:hi]
+        return np.subtract(v, prod, out=v)
 
     def medians(self) -> Dict[Tuple[int, int], np.ndarray]:
         """Each bank's median |m^(k-1) * joint - prod(margins)|, per group as
         one float64 array in bank order.
 
-        Rows are taken in blocks of whole banks, so no temporary holds more
-        than FOLD_BLOCK values, or one bank's when that is larger.
+        Rows are taken in blocks of whole banks whose rows and masked counts
+        fit FOLD_BLOCK values (or one bank's), as does every temporary.
         """
         table = {}
         for key, g in self.groups.items():
             reps = len(g["joint"]) // len(g["prefix"])
-            step = max(1, FOLD_BLOCK // reps)
+            step = max(1, FOLD_BLOCK // (reps + self.n))
             med = table[key] = np.empty(len(g["prefix"]))
             for b0 in range(0, len(med), step):
                 v = self.values(key, b0 * reps, (b0 + step) * reps)
@@ -863,9 +873,9 @@ class _BankRegistry:
 class SketchBank:
     """One bank of product-sketch repetitions: a one-bank ``_BankRegistry``.
 
-    The bank's s prefix masks are shared by all repetitions, and repetition
-    r draws its Cauchy tables from ``seed`` as registry row r does.
-    ``joint``, ``margins`` and ``m_seen`` are the registry's own.
+    The bank's s prefix masks are shared by all repetitions; repetition r
+    draws its Cauchy tables from ``seed`` as registry row r does. ``joint``
+    and ``m_seen`` are the registry's own, ``margins`` formed on each read.
     """
 
     def __init__(
@@ -883,17 +893,20 @@ class SketchBank:
         masks = [hash_table(h, n) for h in prefix_hashes]
         if len(masks) != s:
             raise ConfigurationError(f"expected {s} prefix masks, got {len(masks)}")
-        self.k, self.n, self.s, self.s_prime = k, n, s, s_prime
-        self.repetitions = repetitions
+        self.k, self.n, self.s, self.s_prime, self.repetitions = k, n, s, s_prime, repetitions
         self.registry = _BankRegistry(k, n, default_truncation(k, n) if omega is None else omega)
         prefix = np.array(masks, dtype=np.float64).reshape(1, s, n)
         self.registry.add_bank(prefix, s_prime, repetitions, [seed])
-        group = self.registry.groups[(s, s_prime)]
-        self.joint, self.margins = group["joint"], group["margins"]
+        self.joint = self.registry.groups[(s, s_prime)]["joint"]
 
     @property
     def m_seen(self) -> int:
         return self.registry.m_seen
+
+    @property
+    def margins(self) -> np.ndarray:
+        key, reg = (self.s, self.s_prime), self.registry
+        return np.stack([reg._margin(key, j, 0, self.repetitions) for j in range(self.k)], 1)
 
     def update(self, rec: TupleKey) -> None:
         self.bulk_update({checked_tuple(rec, self.k, self.n): 1})
@@ -971,7 +984,7 @@ def _bank_leaves(reg: _BankRegistry, ov: EstimatorOverrides) -> Leaves:
     return leaves
 
 
-SNAPSHOT_FORMAT = "indisketch-snapshot/1"
+SNAPSHOT_FORMAT = "indisketch-snapshot/2"
 
 
 class StreamDistanceEstimator:

@@ -1,31 +1,30 @@
 """One-pass linear sketches of the independence tensor.
 
-A *product sketch* of the masked, collapsed independence tensor keeps k+1
-accumulators: one ``joint`` cell and one ``margin`` cell per dimension.
+A *product sketch* of the masked, collapsed independence tensor has k+1
+cells: one ``joint`` cell and one ``margin`` cell per dimension.
 For a sketch of the tensor obtained by applying `s` leading zero-one masks
 and then collapsing the first `s'` coordinates (0 <= s' <= s <= k), each
-arriving tuple i updates
+arriving tuple i updates ``joint``; margins read value histograms h_j:
 
     joint     += prod_{j<=s} H_j(i_j) * prod_{j<=k-s'} C_j(i_{s'+j})
-    margin_j  += H_j(i_j)                       for j <= s'
-    margin_j  += H_j(i_j) * C_{j-s'}(i_j)       for s' < j <= s
-    margin_j  += C_{j-s'}(i_j)                  for j > s
+    margin_j   = H_j . h_j                      for j <= s'
+    margin_j   = C_{j-s'} . (H_j o h_j)         for s' < j <= s
+    margin_j   = C_{j-s'} . h_j                 for j > s
 
-where C_1 is a standard Cauchy family and C_2.. are clamp-truncated.
-After the pass,
+where C_1 is a standard Cauchy family and C_2.. are clamp-truncated. Then
 
     value = m^(k-1) * joint - prod_j margin_j
           = sum_i C(i) * entry_i of the masked collapsed tensor,
 
-an exact polynomial identity in the C tables. All updates are additive,
+an exact polynomial identity in the C tables. Joints and histograms add,
 so states over disjoint sub-streams merge by componentwise summation.
 
 The rows live in ``estimator._BankRegistry``, which folds chunks into
-them with ``fold_counts``, the one implementation of this rule, and takes
-their medians with ``row_medians``. ``reference_sketch_value`` is the
-dense-tensor side of the identity, which the tests check the fold
-against exactly on small-integer tables; the repetition floors of the
-sharp and coarse estimators are defined here.
+them with ``fold_counts``, the one implementation of this rule, forms
+margins from histograms and takes medians with ``row_medians``.
+``reference_sketch_value`` is the dense-tensor side of the identity,
+which the tests check the rows against exactly on small-integer tables;
+the repetition floors of the sharp and coarse estimators are defined here.
 """
 
 from __future__ import annotations
@@ -104,21 +103,20 @@ def fold_counts(tuples: np.ndarray, counts: np.ndarray, n: int, groups) -> int:
     ``tuples`` holds the chunk's distinct tuples (D, k) over [1, n] and
     ``counts`` their record counts. Each group is
     ``(s_prime, prefix, coeff, joint, margins)``: ``prefix`` holds each
-    bank's s masks (banks, s, n) and ``coeff`` each row's d = k - s'
-    Cauchy tables (rows, d, n), bank b owning rows [b * reps, (b + 1) * reps).
-    By linearity this equals feeding the tuples one at a time. Each bank's
-    masked counts go onto the grid of the chunk's L distinct leads (suffix
-    coordinates s' to k - 1) by its V distinct last values, which meets
-    the rows' last tables in one batched matrix product and then their
-    lead tables; margins are batched matrix-vector products. When the U
-    distinct suffixes fill less than 1/GRID_FILL of the grid, and when
-    s' = k, each suffix is its own lead with one last value. The cost is
-    O(banks * s * D + rows * (L * V + (d - 1) * L + sum_j |values_j|)) on
-    the grid, where L * V = U on a dense chunk, and O(banks * s * D +
-    rows * (d * U + sum_j |values_j|)) per suffix; never a term in n^k.
-    Tables are read in place at a run of indices (a dense chunk's values)
-    and gathered into a copy only at scattered ones. Banks, and a large
-    bank's rows and leads, go in blocks, so no temporary holds over
+    bank's s masks (banks, s, n), ``coeff`` each row's d = k - s' Cauchy
+    tables (rows, d, n), bank b owning rows [b * reps, (b + 1) * reps), and
+    ``margins`` (k, n) the counts of each coordinate's values. By linearity
+    this equals feeding the tuples one at a time. Each bank's masked counts
+    go onto the grid of the chunk's L distinct leads (suffix coordinates s'
+    to k - 1) by its V distinct last values, which meets the rows' last
+    tables in one batched matrix product and then their lead tables. When
+    the U distinct suffixes fill less than 1/GRID_FILL of the grid, and
+    when s' = k, each suffix is its own lead with one last value. The cost
+    is O(banks * s * D + rows * (L * V + (d - 1) * L)) on the grid, where
+    L * V = U on a dense chunk, and O(banks * s * D + rows * d * U) per
+    suffix; never a term in n^k. Tables are read in place at a run of
+    indices (a dense chunk's values), else gathered into a copy. Banks, and
+    a large bank's rows and leads, go in blocks, so no temporary holds over
     max(FOLD_BLOCK, D) floats. Returns the record count.
     """
     if not len(counts):
@@ -129,11 +127,12 @@ def fold_counts(tuples: np.ndarray, counts: np.ndarray, n: int, groups) -> int:
     # each coordinate's distinct values and their total counts
     values, at = zip(*(np.unique(T[:, j], return_inverse=True) for j in range(k)))
     hists = [np.bincount(a, c) for a in at]
-    cols = [_table_index(v) for v in values]
-    V, width = len(values[-1]), max(map(len, values))
+    V, last_col = len(values[-1]), _table_index(values[-1])
     for s_prime, prefix, coeff, joint, margins in groups:
+        for j in range(k):
+            margins[j, values[j]] += hists[j]
         s, d, reps = prefix.shape[1], k - s_prime, len(coeff) // len(prefix)
-        C, J, M = (a.reshape(len(prefix), reps, *a.shape[1:]) for a in (coeff, joint, margins))
+        C, J = (a.reshape(len(prefix), reps, *a.shape[1:]) for a in (coeff, joint))
         U, inv = np.unique(T[:, s_prime:], axis=0, return_inverse=True)
         L, lead = np.unique(U[:, :-1], axis=0, return_inverse=True)
         per_suffix = not d or len(L) * V > GRID_FILL * len(U)
@@ -143,8 +142,8 @@ def fold_counts(tuples: np.ndarray, counts: np.ndarray, n: int, groups) -> int:
             lead, last, nv = lead[inv.reshape(-1)], at[-1], V
         order = np.argsort(lead, kind="stable")  # so a block of leads is a slice of tuples
         Tg, cg, lead, last = T[order], c[order], lead[order], last[order]
-        bank_step = max(1, FOLD_BLOCK // max(D, reps * max(width, len(L)), nv * len(L)))
-        rep_step = reps if bank_step * reps * width <= FOLD_BLOCK else max(1, FOLD_BLOCK // width)
+        bank_step = max(1, FOLD_BLOCK // max(D, reps * max(V, len(L)), nv * len(L)))
+        rep_step = reps if bank_step * reps * V <= FOLD_BLOCK else max(1, FOLD_BLOCK // V)
         lead_step = max(1, FOLD_BLOCK // (bank_step * max(rep_step, nv)))
         cuts = np.searchsorted(lead, np.arange(0, len(L) + lead_step, lead_step))
         starts = range(0, len(L), lead_step)
@@ -155,20 +154,11 @@ def fold_counts(tuples: np.ndarray, counts: np.ndarray, n: int, groups) -> int:
             w = np.tile(cg, (B, 1))
             for j in range(s):
                 w *= P[:, j, Tg[:, j]]
-            masked = [hists[j] * P[:, j, cols[j]] for j in range(s)]
-            # a collapsed coordinate's margin is its bank's masked mass
-            masked[:s_prime] = [m.sum(axis=1, keepdims=True) for m in masked[:s_prime]]
             for q0 in range(0, reps, rep_step):
                 at_rows = (slice(b0, b0 + B), slice(q0, q0 + rep_step))
-                Cb, Jb, Mb = C[at_rows], J[at_rows], M[at_rows]
-                for j in range(s_prime):
-                    Mb[:, :, j] += masked[j]
-                for j in range(s_prime, k):
-                    G = Cb[:, :, j - s_prime, cols[j]]
-                    Mb[:, :, j] += (G @ masked[j][:, :, None])[..., 0] if j < s else G @ hists[j]
+                Cb, Jb = C[at_rows], J[at_rows]
                 # G holds the last tables at the last values, or ones per suffix
-                if per_suffix:
-                    G = np.ones(Cb.shape[:2] + (1,))
+                G = np.ones(Cb.shape[:2] + (1,)) if per_suffix else Cb[:, :, -1, last_col]
                 for i, l0 in enumerate(starts):
                     t0, t1, nl = cuts[i], cuts[i + 1], min(lead_step, len(L) - l0)
                     cells = last[t0:t1] * nl + lead[t0:t1] - l0 + np.arange(B)[:, None] * (nv * nl)

@@ -795,7 +795,8 @@ class TestPipeline:
 
 
 class TestFlushContraction:
-    """Registry rows after several flushes equal a fold of one record per flush."""
+    """Registry rows after several flushes equal a fold of one record per flush;
+    their margins are read as evaluation forms them."""
 
     @pytest.mark.parametrize("block", [sketches.FOLD_BLOCK, 7])
     @pytest.mark.parametrize("k,n", [(2, 4), (3, 3)])
@@ -826,16 +827,19 @@ class TestFlushContraction:
         assert len(flushes) > 5 and reg.m_seen == len(recs)
         assert {h[0] for h, _, _ in banks} == set(reg.groups)
         monkeypatch.undo()  # the one-bank registries below fold at the default block
+        counts = [np.bincount(np.array(recs)[:, j] - 1, minlength=n) for j in range(k)]
         for (key, start, stop), prefix, seed in banks:
             # row r of a bank does not depend on its repetition count
             s, s_prime = key
             g = reg.groups[key]
+            assert g["margins"].tolist() == np.array(counts, dtype=float).tolist()
+            margins = np.stack([reg._margin(key, j, start, stop) for j in range(k)], 1)
             bank = SketchBank(k, n, s, s_prime, prefix, min(2, stop - start), seed, reg.omega)
             for rec in recs:
                 bank.update(rec)
             for r in range(bank.repetitions):
                 assert g["joint"][start + r] == pytest.approx(bank.joint[r], rel=1e-12)
-                assert g["margins"][start + r] == pytest.approx(bank.margins[r], rel=1e-12)
+                assert margins[r] == pytest.approx(bank.margins[r], rel=1e-12)
 
     def test_report_does_not_follow_the_fold_block(self, monkeypatch):
         """Fold blocks of 7 floats split every bank, repetition range and

@@ -75,6 +75,7 @@ class TestUpdateRules:
         bank = integer_bank(2, 2, [], 0, [[[2.0, 5.0], [3.0, 7.0]]])
         bank.update((1, 2))
         assert bank.joint.tolist() == [2.0 * 7.0]
+        assert bank.registry.groups[(0, 0)]["margins"].tolist() == [[1, 0], [0, 1]]
         assert bank.margins.tolist() == [[2.0, 7.0]]
         assert bank.m_seen == 1
 
@@ -89,7 +90,8 @@ class TestUpdateRules:
         for rec in [(1, 1), (2, 2), (1, 2)]:
             bank.update(rec)
         assert bank.joint.tolist() == [0]
-        assert bank.margins[0, 0] == 0
+        assert bank.registry.groups[(1, 1)]["margins"].tolist() == [[2, 1], [1, 2]]
+        assert bank.margins.tolist() == [[0, 1.5 + 2 * 2.5]]
         assert bank.values().tolist() == [0]
 
     def test_hand_expanded_value(self):
@@ -259,6 +261,52 @@ class TestLinearity:
                 a.merge(snap)
         assert_same_accumulators(a.snapshot(), before)
 
+    def test_merge_refuses_other_formats_and_layouts(self):
+        """A snapshot of format /1 (per-row margins) is refused, and one of
+        format /2 that carries per-row (rows, k) margins adds nothing."""
+        a = estimator(2, 3)
+        a.consume([(1, 2), (3, 3)])
+        before = a.snapshot()
+        other = estimator(2, 3)
+        other.consume([(1, 1)])
+        snap = other.snapshot()
+        groups = snap["groups"].items()
+        per_row = {key: {**g, "margins": np.ones((len(g["joint"]), 2))} for key, g in groups}
+        with pytest.raises(ConfigurationError):
+            a.merge({**snap, "format": "indisketch-snapshot/1", "groups": per_row})
+        with pytest.raises(MergeIncompatibleError):
+            a.merge({**snap, "groups": per_row})
+        assert_same_accumulators(a.snapshot(), before)
+
+    def test_merge_at_flush_points_is_byte_identical(self):
+        """A stream cut where one run flushes, each part snapshotted and the
+        snapshots merged in order, gives that run's report to the byte: the
+        value counts are exact, and the joint sums are added in fold order.
+        The first part spans several flushes, the others one flush each."""
+        k, n, ov = 3, 3, SMALL.replace(max_chunk=4)
+        recs = list(generate_synthetic("mixture(0.5)", k, n, 200, seed=5))
+        # a chunk closes at the record that brings it to max_chunk distinct tuples
+        ends, seen = [], set()
+        for i, rec in enumerate(recs):
+            seen.add(rec)
+            if len(seen) == ov.max_chunk:
+                ends.append(i + 1)
+                seen = set()
+        whole = estimator(k, n, overrides=ov)
+        whole.consume(recs)
+        cuts = [0, ends[-2], ends[-1], len(recs)]
+        assert len(ends) > 5 and cuts[-2] < cuts[-1]
+        merged = estimator(k, n, overrides=ov)
+        for lo, hi in zip(cuts, cuts[1:]):
+            part = estimator(k, n, overrides=ov)
+            part.consume(recs[lo:hi])
+            merged.merge(part.snapshot())
+        assert_same_accumulators(merged.snapshot(), whole.snapshot())
+        assert merged.report().to_json() == whole.report().to_json()
+        counts = [np.bincount(np.array(recs)[:, j] - 1, minlength=n) for j in range(k)]
+        for g in merged.snapshot()["groups"].values():
+            assert g["margins"].tolist() == np.array(counts, dtype=float).tolist()
+
     def test_permutation_invariance(self):
         recs = [(1, 2), (3, 1), (2, 2), (3, 3)]
         a, b = (SketchBank(2, 3, 1, 1, [[1, 1, 0]], repetitions=4, seed=3) for _ in range(2))
@@ -290,6 +338,35 @@ class TestBank:
         assert bank.values().tolist() == reference_values(bank, recs, masks)
         joint, margins = one_record_per_flush(integer_bank(3, 3, masks, s_prime, coeff), recs)
         assert np.array_equal(bank.joint, joint) and np.array_equal(bank.margins, margins)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_margins_follow_value_counts_at_every_depth(self, k):
+        """Every (s, s') on small-integer tables, the records folded over
+        flushes of at most three records: ``margins`` holds the stream's
+        value counts exactly, and each row's margins formed from them equal
+        a fold of one record per flush and the update rule summed record by
+        record, exactly."""
+        n, m = 5, 20
+        rng = np.random.default_rng(40 + k)
+        recs = [tuple(r) for r in rng.integers(1, n + 1, (m, k)).tolist()]
+        masks = rng.integers(0, 2, (k, n))
+        counts = [np.bincount(np.array(recs)[:, j] - 1, minlength=n).tolist() for j in range(k)]
+        for s in range(k + 1):
+            for s_prime in range(s + 1):
+                coeff = integer_tables(rng, 3, k - s_prime, n)  # three rows
+
+                def rule(r, j, x):  # record value x's term of row r's margin j
+                    mask = masks[j][x - 1] if j < s else 1
+                    return mask * (coeff[r, j - s_prime, x - 1] if j >= s_prime else 1)
+
+                chunks = [recs[i : i + 3] for i in range(0, m, 3)]
+                bank = fold(integer_bank(k, n, masks[:s], s_prime, coeff), *chunks)
+                assert bank.registry.groups[(s, s_prime)]["margins"].tolist() == counts
+                want = [[sum(rule(r, j, x[j]) for x in recs) for j in range(k)] for r in range(3)]
+                assert bank.margins.tolist() == want
+                one_each = integer_bank(k, n, masks[:s], s_prime, coeff)
+                _, margins = one_record_per_flush(one_each, recs)
+                assert np.array_equal(bank.margins, margins)
 
     @pytest.mark.parametrize("chunk", ["repeats", "permutation"])
     @pytest.mark.parametrize("k", [2, 3, 4])
