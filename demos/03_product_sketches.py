@@ -37,7 +37,10 @@ table = build_frequency_table(TupleStream(2, 2, stream))
 print("=== the coefficient identity, on a bank with integer tables ===")
 probes = [[2, -3], [1, 5]]
 bank = SketchBank(2, 2, 0, 0, [], repetitions=1, seed=0)
-bank.registry.groups[(0, 0)]["coeff"][0] = probes  # the row's two Cauchy tables
+# the registry draws each block's Cauchy tables when a pass needs them;
+# here it draws the probes as the one row's two tables
+tables = np.array([[probes]], dtype=np.float64)
+bank.registry.draw = lambda key, b0, b1, q0, q1: tables[b0:b1, q0:q1]
 for rec in stream:
     bank.update(rec)
 lhs = bank.values()[0]
@@ -57,8 +60,9 @@ def estimator():
 a, b, whole = estimator(), estimator(), estimator()
 a.consume(stream[:2])
 b.consume(stream[2:])
-# consume ends with a flush, so whole sums the same two chunks
+# a snapshot folds the tally, so whole folds the same two chunks as a and b
 whole.consume(stream[:2])
+whole.snapshot()
 whole.consume(stream[2:])
 a.merge(b.snapshot())
 print(f"a merged with b: norm estimate {a.tensor_norm_estimate():.6f}, m = {a.m_seen}")

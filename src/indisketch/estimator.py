@@ -74,6 +74,7 @@ from .errors import (
 )
 from .hashing import (
     FOLD_BLOCK,
+    CauchyWork,
     _word,
     batched_cauchy_tables,
     bucket_tables,
@@ -85,14 +86,18 @@ from .hashing import (
     zero_one_tables,
 )
 from .sketches import (
+    Fold,
     checked_depths,
     fold_counts,
+    plan_fold,
+    read_chunk,
     repetition_seeds,
     required_epsilon_reps,
     required_polylog_reps,
     row_medians,
 )
 from .stream import (
+    DENSE_CELLS,
     EstimateReport,
     TupleKey,
     TupleStream,
@@ -787,24 +792,39 @@ def vector_sub_oracles(v, beta: float = 1.0) -> SubAlgorithms:
 # ---------------------------------------------------------------------------
 
 
+def _reps(group: Dict[str, np.ndarray]) -> int:
+    """The repetition count of each bank of a registry group."""
+    return len(group["joint"]) // max(1, len(group["prefix"]))
+
+
 class _BankRegistry:
     """Flat storage for every product-sketch repetition of a run.
 
-    Rows are grouped by (prefix depth s, collapse depth s'); each row is
-    one repetition with its own Cauchy tables, and each bank's prefix masks
-    are stored once. ``add_bank`` allocates a group, tables and all; a
-    flush folds the chunk into every group's ``joint`` and ``margins``, its
-    (k, n) value counts, with ``fold_counts``. All banks of a group have the
-    same repetition count, so bank b holds rows [b * reps, (b + 1) * reps).
+    Rows are grouped by (prefix depth s, collapse depth s'). Each group
+    keeps its banks' prefix masks (banks, s, n), one seed per bank
+    (``coeff``), one ``joint`` accumulator per row and ``margins``, the
+    (k, n) counts of each coordinate's values. All banks of a group have
+    the same repetition count, so bank b holds rows [b * reps, (b + 1) *
+    reps). No Cauchy table is stored: ``draw`` draws a block's tables from
+    the bank seeds into one workspace whenever a pass needs them, the same
+    values every time. ``bulk_update`` adds a chunk's value counts at once
+    and keeps the chunk pending; the pending chunks' joint sums are folded,
+    with ``fold_counts`` and in chunk order, in the next pass over the
+    tables: ``fold_pending``, ``medians``, which folds and evaluates each
+    block of one draw, or the ``bulk_update`` that would bring them past
+    DENSE_CELLS distinct tuples, the size of the largest dense tally.
     """
 
     def __init__(self, k: int, n: int, omega: float):
         self.k, self.n, self.omega = k, n, checked_omega(omega)
         self.groups: Dict[Tuple[int, int], Dict[str, np.ndarray]] = {}
         self.m_seen = 0
+        self._pending: List[Dict[Tuple[int, int], Fold]] = []
+        self._pending_tuples = 0
+        self._work = CauchyWork(n)
 
     def add_bank(self, prefix: np.ndarray, s_prime: int, reps: int, seeds) -> Tuple:
-        """Allocate the group of the banks of `reps` repetitions, one per
+        """Register the group of the banks of `reps` repetitions, one per
         row of ``prefix`` (banks, s, n) and of ``seeds``; returns the group
         and its bank indices, which index the group's ``medians()``. A
         group is registered once, before any record is folded.
@@ -816,57 +836,152 @@ class _BankRegistry:
         key = (prefix.shape[1], s_prime)
         if key in self.groups or self.m_seen:
             raise ConfigurationError(f"group {key} must be registered once, before the pass")
-        row_seeds = repetition_seeds(np.asarray(seeds), checked_count("repetitions", reps))
+        reps = checked_count("repetitions", reps)
+        seeds = _word(np.asarray(seeds), "seed")
         self.groups[key] = {
             "prefix": prefix.astype(np.float64),
-            "coeff": batched_cauchy_tables(row_seeds, self.k - s_prime, self.n, self.omega),
-            "joint": np.zeros(len(row_seeds), dtype=np.float64),
+            "coeff": seeds,
+            "joint": np.zeros(len(seeds) * reps, dtype=np.float64),
             "margins": np.zeros((self.k, self.n), dtype=np.float64),
         }
+        b0, b1, q0, q1 = next(self._blocks(key), (0, 0, 0, 0))  # the first block is the largest
+        self._work.reserve((b1 - b0) * (q1 - q0) * (self.k - s_prime) * self.n)
         return key, np.arange(len(prefix))
 
+    def _blocks(self, key: Tuple[int, int], lo: int = 0, hi: Optional[int] = None):
+        """The blocks (b0, b1, q0, q1), repetitions q0..q1 of banks b0..b1,
+        of banks lo..hi of a group: whole banks whose tables hold at most
+        FOLD_BLOCK values (and whose rows at most FOLD_BLOCK), or blocks of
+        one bank's rows when a bank's tables are larger."""
+        g = self.groups[key]
+        banks = len(g["prefix"]) if hi is None else hi
+        reps, row = _reps(g), (self.k - key[1]) * self.n
+        whole = FOLD_BLOCK // (reps * max(1, row))
+        if whole:
+            for b0 in range(lo, banks, whole):
+                yield b0, min(b0 + whole, banks), 0, reps
+            return
+        step = max(1, FOLD_BLOCK // row)
+        for b in range(lo, banks):
+            for q0 in range(0, reps, step):
+                yield b, b + 1, q0, min(q0 + step, reps)
+
+    def draw(self, key: Tuple[int, int], b0: int, b1: int, q0: int, q1: int) -> np.ndarray:
+        """The Cauchy tables (b1 - b0, q1 - q0, k - s', n) of repetitions
+        q0..q1 of banks b0..b1 of a group, drawn into the workspace, where
+        the next draw overwrites them."""
+        rows = repetition_seeds(self.groups[key]["coeff"][b0:b1], q1 - q0, q0)
+        d = self.k - key[1]
+        self._work.reserve(len(rows) * d * self.n)
+        tables = batched_cauchy_tables(rows, d, self.n, self.omega, self._work)
+        return tables.reshape(b1 - b0, q1 - q0, d, self.n)
+
+    def tables(self, key: Tuple[int, int]) -> np.ndarray:
+        """A copy of all of a group's Cauchy tables, (rows, k - s', n)."""
+        g = self.groups[key]
+        out = np.empty((len(g["joint"]), self.k - key[1], self.n))
+        banks = out.reshape(len(g["prefix"]), _reps(g), *out.shape[1:])
+        for b0, b1, q0, q1 in self._blocks(key):
+            banks[b0:b1, q0:q1] = self.draw(key, b0, b1, q0, q1)
+        return out
+
     def bulk_update(self, tuples: np.ndarray, counts: np.ndarray):
-        """Fold the distinct ``tuples`` (D, k) with their record ``counts`` into every row."""
-        fields = ("prefix", "coeff", "joint", "margins")
-        groups = [(sp, *(g[f] for f in fields)) for (_s, sp), g in self.groups.items()]
-        self.m_seen += fold_counts(tuples, counts, self.n, groups)
+        """Add the distinct ``tuples`` (D, k) with their record ``counts``:
+        their value counts and record count at once, their joint sums in
+        the next pass over the tables. The chunks pending before are folded
+        first if, with these, they would hold over DENSE_CELLS tuples."""
+        if not len(counts):
+            return
+        if self._pending_tuples + len(counts) > DENSE_CELLS:
+            self.fold_pending()
+        chunk = read_chunk(tuples, counts)
+        for g in self.groups.values():
+            for j in range(self.k):
+                g["margins"][j, chunk.values[j]] += chunk.hists[j]
+        self._pending.append({key: plan_fold(chunk, key[1], _reps(g)) for key, g in self.groups.items()})
+        self._pending_tuples += len(counts)
+        self.m_seen += int(chunk.c.sum())
 
-    def _margin(self, key: Tuple[int, int], j: int, lo: int, hi: int) -> np.ndarray:
-        """Margin j of rows [lo, hi) of whole banks of a group, as a new array."""
+    def _pass(self, key: Tuple[int, int], blocks):
+        """Each of ``blocks`` of a group with its tables, drawn once, and
+        its joint rows (B, Q), into which the pending chunks are folded first."""
+        g = self.groups[key]
+        joint = g["joint"].reshape(len(g["prefix"]), -1)
+        for b0, b1, q0, q1 in blocks:
+            tables, rows = self.draw(key, b0, b1, q0, q1), joint[b0:b1, q0:q1]
+            for folds in self._pending:
+                fold_counts(folds[key], g["prefix"][b0:b1], tables, rows)
+            yield (b0, b1, q0, q1), tables, rows
+
+    def _folded(self) -> None:
+        self._pending, self._pending_tuples = [], 0
+
+    def fold_pending(self) -> None:
+        """Fold the pending chunks into every group's joint, a pass over the tables."""
+        if self._pending:
+            for key in self.groups:
+                for _ in self._pass(key, self._blocks(key)):
+                    pass
+            self._folded()
+
+    def _margin(self, key: Tuple[int, int], j: int, b0: int, b1: int, tables) -> np.ndarray:
+        """Margin j of a block's rows, given their tables (B, Q, d, n), as a new array."""
         (s, s_prime), g = key, self.groups[key]
-        reps, hist = len(g["joint"]) // len(g["prefix"]), g["margins"][j]
+        hist = g["margins"][j]
         if j >= s:
-            return g["coeff"][lo:hi, j - s_prime] @ hist
-        P = g["prefix"][lo // reps : hi // reps, j]
+            return tables[:, :, j - s_prime].reshape(-1, self.n) @ hist
+        P = g["prefix"][b0:b1, j]
         if j < s_prime:
-            return np.repeat(P @ hist, reps)
-        C = g["coeff"][lo:hi, j - s_prime].reshape(len(P), reps, -1)
-        return (C @ (P * hist)[:, :, None]).reshape(-1)
+            return np.repeat(P @ hist, tables.shape[1])
+        return (tables[:, :, j - s_prime] @ (P * hist)[:, :, None]).reshape(-1)
 
-    def values(self, key: Tuple[int, int], lo: int, hi: int) -> np.ndarray:
-        """m^(k-1) * joint - prod(margins) of rows [lo, hi) of whole banks, as a new array."""
-        prod = self._margin(key, 0, lo, hi)
+    def _values(self, key: Tuple[int, int], b0: int, b1: int, tables, joint) -> np.ndarray:
+        """m^(k-1) * joint - prod(margins) of a block's rows, as a new array."""
+        prod = self._margin(key, 0, b0, b1, tables)
         for j in range(1, self.k):  # one margin at a time, in np.prod(axis=1)'s order
-            prod *= self._margin(key, j, lo, hi)
-        v = float(self.m_seen) ** (self.k - 1) * self.groups[key]["joint"][lo:hi]
+            prod *= self._margin(key, j, b0, b1, tables)
+        v = float(self.m_seen) ** (self.k - 1) * joint.reshape(-1)
         return np.subtract(v, prod, out=v)
+
+    def values(self, key: Tuple[int, int], b: int) -> np.ndarray:
+        """The values of bank b's rows of a group, (reps,)."""
+        self.fold_pending()
+        blocks = self._pass(key, self._blocks(key, b, b + 1))
+        return np.concatenate([self._values(key, b, b + 1, t, J) for _, t, J in blocks])
+
+    def margins(self, key: Tuple[int, int], b: int) -> np.ndarray:
+        """The k margins of bank b's rows of a group, (reps, k)."""
+        self.fold_pending()
+        return np.concatenate([
+            np.stack([self._margin(key, j, b, b + 1, t) for j in range(self.k)], 1)
+            for _, t, _J in self._pass(key, self._blocks(key, b, b + 1))
+        ])
 
     def medians(self) -> Dict[Tuple[int, int], np.ndarray]:
         """Each bank's median |m^(k-1) * joint - prod(margins)|, per group as
-        one float64 array in bank order.
+        one float64 array in bank order, in one pass over the tables that
+        also folds the pending chunks.
 
-        Rows are taken in blocks of whole banks whose rows and masked counts
-        fit FOLD_BLOCK values (or one bank's), as does every temporary.
+        Rows are taken in the blocks of ``_blocks``, so every temporary
+        holds at most FOLD_BLOCK values (or one row's tables); a bank split
+        over blocks gathers its values into one row of reps.
         """
         table = {}
         for key, g in self.groups.items():
-            reps = len(g["joint"]) // len(g["prefix"])
-            step = max(1, FOLD_BLOCK // (reps + self.n))
+            reps = _reps(g)
             med = table[key] = np.empty(len(g["prefix"]))
-            for b0 in range(0, len(med), step):
-                v = self.values(key, b0 * reps, (b0 + step) * reps)
-                med[b0 : b0 + step] = row_medians(np.abs(v, out=v).reshape(-1, reps))
+            row = np.empty(reps)
+            for (b0, b1, q0, q1), tables, joint in self._pass(key, self._blocks(key)):
+                v = self._values(key, b0, b1, tables, joint)
+                np.abs(v, out=v)
+                if q1 - q0 == reps:
+                    med[b0:b1] = row_medians(v.reshape(-1, reps))
+                else:
+                    row[q0:q1] = v
+                    if q1 == reps:
+                        med[b0] = row_medians(row[None])[0]
                 del v  # else the next block is built while this one is held
+        self._folded()
         return table
 
 
@@ -875,7 +990,8 @@ class SketchBank:
 
     The bank's s prefix masks are shared by all repetitions; repetition r
     draws its Cauchy tables from ``seed`` as registry row r does. ``joint``
-    and ``m_seen`` are the registry's own, ``margins`` formed on each read.
+    and ``m_seen`` are the registry's own, ``joint`` read after the pending
+    chunks are folded, and ``margins`` formed on each read.
     """
 
     def __init__(
@@ -897,16 +1013,19 @@ class SketchBank:
         self.registry = _BankRegistry(k, n, default_truncation(k, n) if omega is None else omega)
         prefix = np.array(masks, dtype=np.float64).reshape(1, s, n)
         self.registry.add_bank(prefix, s_prime, repetitions, [seed])
-        self.joint = self.registry.groups[(s, s_prime)]["joint"]
 
     @property
     def m_seen(self) -> int:
         return self.registry.m_seen
 
     @property
+    def joint(self) -> np.ndarray:
+        self.registry.fold_pending()
+        return self.registry.groups[(self.s, self.s_prime)]["joint"]
+
+    @property
     def margins(self) -> np.ndarray:
-        key, reg = (self.s, self.s_prime), self.registry
-        return np.stack([reg._margin(key, j, 0, self.repetitions) for j in range(self.k)], 1)
+        return self.registry.margins((self.s, self.s_prime), 0)
 
     def update(self, rec: TupleKey) -> None:
         self.bulk_update({checked_tuple(rec, self.k, self.n): 1})
@@ -929,7 +1048,7 @@ class SketchBank:
     def values(self) -> np.ndarray:
         """Per-repetition sketch values m^(k-1)*joint - prod(margins)."""
         self._check_seen()
-        return self.registry.values((self.s, self.s_prime), 0, self.repetitions)
+        return self.registry.values((self.s, self.s_prime), 0)
 
     def median(self) -> float:
         """The median |sketch value|, as the registry's medians() takes it."""
@@ -991,10 +1110,13 @@ class StreamDistanceEstimator:
     """One-pass sketch pipeline for the independence-tensor norm.
 
     Construction draws every hash and Cauchy seed and registers every
-    product-sketch bank; ``update``/``consume`` feed stream tuples exactly
-    once; ``tensor_norm_estimate`` evaluates the tournament/cover/layer
-    recursion on the final accumulators. ``snapshot`` and ``merge`` split
-    a pass across estimators of one configuration.
+    product-sketch bank; ``update``/``consume`` count stream tuples exactly
+    once into a tally, which is folded into the sketches at evaluation or
+    at a snapshot (a sorted tally also whenever it holds ``max_chunk``
+    distinct tuples); ``tensor_norm_estimate`` evaluates the
+    tournament/cover/layer recursion on the final accumulators.
+    ``snapshot`` and ``merge`` split a pass across estimators of one
+    configuration.
     """
 
     def __init__(
@@ -1026,21 +1148,21 @@ class StreamDistanceEstimator:
         self._tally(record_blocks([rec], self.k, self.n, self.records_consumed))
 
     def consume(self, stream: Iterable) -> int:
-        """Tally every record (tuple or 2-D block of rows) of ``stream``, then flush."""
+        """Tally every record (tuple or 2-D block of rows) of ``stream``."""
         self._tally(record_blocks(stream, self.k, self.n, self.records_consumed))
-        self._flush()
         return self.records_consumed
 
     def _tally(self, blocks: Iterable[np.ndarray]) -> None:
-        """Count blocks into the chunk, flushing it the moment it holds
+        """Count blocks into the chunk. A dense tally is flushed only at
+        evaluation or at a snapshot; a sorted one the moment it holds
         ``max_chunk`` distinct tuples, as a record-at-a-time count would."""
-        limit = self.overrides.max_chunk
+        limit = None if self._chunk.dense else self.overrides.max_chunk
         for block in blocks:
             while len(block):
                 taken = self._chunk.add(block, limit)
                 self.records_consumed += taken
                 block = block[taken:]
-                if len(self._chunk) >= limit:
+                if limit is not None and len(self._chunk) >= limit:
                     self._flush()
 
     def _flush(self):
@@ -1059,7 +1181,7 @@ class StreamDistanceEstimator:
         }
 
     def snapshot(self) -> Dict[str, object]:
-        """The pass so far, after a flush: a copy of every accumulator.
+        """The pass so far, after a flush and its fold: a copy of every accumulator.
 
         An estimator of the same configuration (``k``, ``n``, ``epsilon``,
         ``delta``, ``seed``, effective overrides) draws the same
@@ -1067,6 +1189,7 @@ class StreamDistanceEstimator:
         restores a snapshot by merging it into a fresh estimator.
         """
         self._flush()
+        self.registry.fold_pending()
         return {
             "format": SNAPSHOT_FORMAT,
             "configuration": self._configuration(),

@@ -12,7 +12,8 @@ chosen for exact cross-platform reproducibility with fixed-width integer
 arithmetic. There is one mixer, ``_mix64_into``, for keys, counters and
 field coefficients alike, and one Cauchy map, ``_cauchy``, from mixed
 counters to values, which ``batched_cauchy_tables`` applies in place:
-it lays out and mixes each block's counters in the tables' own memory.
+it lays out and mixes each block's counters in the tables' own memory,
+a new array or the reused buffers of a ``CauchyWork``.
 """
 
 from __future__ import annotations
@@ -245,25 +246,46 @@ def hash_table(h, n: int) -> np.ndarray:
     return t
 
 
-def _cauchy(z, out, bound=None):
-    """The Cauchy map tan(pi*(u - 1/2)) of the mixed counters ``z`` (uint64
-    of out's size, overwritten), written into ``out`` and clamped to
-    [-bound, bound] when ``bound`` (a float, or an array of out's shape
-    that is inf for an untruncated value) is set; returns ``out``."""
+def _cauchy(z, out):
+    """The Cauchy map tan(pi*(u - 1/2)) of the mixed counters ``z`` (1-D
+    uint64 of out's size, overwritten), written into the 1-D ``out``;
+    returns ``out``."""
     z = _steps(z)
     z -= _HALF
     # exact, as |m - 2^52| <= 2^52; a 1-D z in out's own memory converts element by element
     np.copyto(out, z.view(np.int64), casting="unsafe")
     out *= _ANGLE
-    np.tan(out, out=out)
-    if bound is not None:
-        np.minimum(out, bound, out=out)
-        np.maximum(out, -bound, out=out)
-    return out
+    return np.tan(out, out=out)
+
+
+class CauchyWork:
+    """The buffers ``batched_cauchy_tables`` fills tables of length n in:
+    ``values`` for the tables, and for one fill block a mixing ``scratch``
+    and the counters' index ``offsets`` (those of 1..n, tiled), so that
+    repeated fills allocate none of them."""
+
+    def __init__(self, n: int, size: int = 0):
+        self.n = n
+        self.values = np.empty(0)
+        self.scratch = self.offsets = np.empty(0, dtype=np.uint64)
+        self.reserve(size)
+
+    def reserve(self, size: int) -> None:
+        """Hold tables of ``size`` values (a multiple of n) and a fill block of them."""
+        if size <= self.values.size:
+            return
+        block = min(size, max(FOLD_BLOCK // self.n, 1) * self.n)
+        self.values = np.empty(size)
+        self.scratch = np.empty(block, dtype=np.uint64)
+        self.offsets = np.tile(_offsets(np.arange(1, self.n + 1)), block // self.n)
+
+    @property
+    def nbytes(self) -> int:
+        return self.values.nbytes + self.scratch.nbytes + self.offsets.nbytes
 
 
 def batched_cauchy_tables(
-    row_seeds: np.ndarray, families: int, n: int, omega: float
+    row_seeds: np.ndarray, families: int, n: int, omega: float, work=None
 ) -> np.ndarray:
     """Cauchy tables [rows, families, n] for many repetitions at once.
 
@@ -274,35 +296,34 @@ def batched_cauchy_tables(
     row holds more than FOLD_BLOCK values: the keys of all of the block's
     tables are derived at once, its counters laid out in the block's own
     memory, mixed there with one scratch buffer and mapped to their values
-    in place. Each temporary holds at most max(FOLD_BLOCK, n) values
-    whatever the row count.
+    in place. With ``work``, a ``CauchyWork`` of n that holds the tables,
+    the output is a view of its values; without, a new array, and each
+    temporary holds at most max(FOLD_BLOCK, n) values whatever the row count.
     """
     rows = np.asarray(row_seeds, dtype=np.uint64)
-    out = np.empty((rows.shape[0], families, n), dtype=np.float64)
-    if out.size == 0:  # no rows, no families (s' = k) or n = 0: no block to size
+    size = rows.shape[0] * families * n
+    if work is None:
+        work = CauchyWork(n, size)
+    flat = work.values[:size]
+    out = flat.reshape(rows.shape[0], families, n)
+    if size == 0:  # no rows, no families (s' = k) or n = 0: no block to size
         return out
-    tables = out.shape[0] * families
-    step = max(1, min(FOLD_BLOCK // n // families * families, tables))  # tables per block
-    per_row = min(step, families)  # tables of one row in a block
-    offsets = np.tile(_offsets(np.arange(1, n + 1)), step)
-    scratch = np.empty(step * n, dtype=np.uint64)
-    if per_row > 1:  # each table's family in a block of whole rows, and each value's clamp
-        fams = np.tile(np.arange(families, dtype=np.uint64), step // per_row)
-        bounds = np.repeat(np.where(fams > 0, omega, np.inf), n)
-    flat = out.reshape(-1)
-    for t0 in range(0, tables, step):
-        r0, j0 = divmod(t0, families)
-        seeds = rows[r0 : r0 + step // per_row]
-        if per_row > 1:
-            seeds = np.repeat(seeds, per_row)
-            family, bound = fams[: seeds.size], bounds[: seeds.size * n]
-        else:  # one family: rows of family 0 only, or one table
-            family, bound = j0, omega if j0 else None
-        block = flat[t0 * n : t0 * n + seeds.size * n]
+    step = FOLD_BLOCK // (families * n)  # whole rows per block
+    if step:
+        blocks = [(r, min(r + step, len(rows)), 0, families) for r in range(0, len(rows), step)]
+    else:  # a row is longer than a block: one table at a time
+        blocks = [(r, r + 1, j, j + 1) for r in range(len(rows)) for j in range(families)]
+    for r0, r1, j0, j1 in blocks:
+        block = flat[(r0 * families + j0) * n : ((r1 - 1) * families + j1) * n]
         z = block.view(np.uint64)  # the counters, then their steps, take the block's place
-        np.add(np.repeat(derive_key(seeds, family, 0x5A03), n), offsets[: block.size], out=z)
-        _mix64_into(z, scratch[: block.size])
-        _cauchy(z, block, bound)
+        keys = derive_key(rows[r0:r1, None], np.arange(j0, j1), 0x5A03)
+        np.add(np.repeat(keys, n), work.offsets[: z.size], out=z)
+        _mix64_into(z, work.scratch[: z.size])
+        _cauchy(z, block)
+        if j1 > max(j0, 1):  # the families clamped at omega
+            truncated = out[r0:r1, max(j0, 1) : j1]
+            np.minimum(truncated, omega, out=truncated)
+            np.maximum(truncated, -omega, out=truncated)
     return out
 
 

@@ -19,9 +19,12 @@ where C_1 is a standard Cauchy family and C_2.. are clamp-truncated. Then
 an exact polynomial identity in the C tables. Joints and histograms add,
 so states over disjoint sub-streams merge by componentwise summation.
 
-The rows live in ``estimator._BankRegistry``, which folds chunks into
-them with ``fold_counts``, the one implementation of this rule, forms
-margins from histograms and takes medians with ``row_medians``.
+The rows live in ``estimator._BankRegistry``, which stores no C table:
+each pass over a group draws a block's tables from the bank seeds once,
+folds a chunk into the block's joints with ``fold_counts``, the one
+implementation of this rule (``read_chunk`` and ``plan_fold`` analyse the
+chunk once for all blocks), forms margins from histograms and takes
+medians with ``row_medians``.
 ``reference_sketch_value`` is the dense-tensor side of the identity,
 which the tests check the rows against exactly on small-integer tables;
 the repetition floors of the sharp and coarse estimators are defined here.
@@ -30,7 +33,7 @@ the repetition floors of the sharp and coarse estimators are defined here.
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -45,16 +48,18 @@ from . import tensor as tensor_ops
 GRID_FILL = 64
 
 
-def repetition_seeds(seed, repetitions) -> np.ndarray:
+def repetition_seeds(seed, repetitions, first: int = 0) -> np.ndarray:
     """Per-repetition base seeds; family j of row r is derive_key(rows[r], j).
 
     ``seed`` may be one bank's seed or an array of bank seeds, with
     ``repetitions`` a count per bank (or one count for all); the rows of
-    each bank follow one another in bank order.
+    each bank follow one another in bank order. Each bank's rows are its
+    repetitions ``first``, ``first + 1``, ...; a row's seed does not depend
+    on the count.
     """
     keys = derive_key(seed, 0xCA)
     reps = np.broadcast_to(np.asarray(repetitions, dtype=np.int64), np.shape(keys))
-    offsets = np.arange(reps.sum(), dtype=np.uint64)
+    offsets = np.arange(first, first + reps.sum(), dtype=np.uint64)
     offsets -= np.repeat((np.cumsum(reps) - reps).astype(np.uint64), reps)
     return derive_key(np.repeat(keys, reps), offsets)
 
@@ -97,77 +102,115 @@ def _table_index(index: np.ndarray):
     return index
 
 
-def fold_counts(tuples: np.ndarray, counts: np.ndarray, n: int, groups) -> int:
-    """Add a chunk of tuple counts to product-sketch rows in place.
+class Chunk(NamedTuple):
+    """A chunk of distinct tuples read once for every group's fold."""
 
-    ``tuples`` holds the chunk's distinct tuples (D, k) over [1, n] and
-    ``counts`` their record counts. Each group is
-    ``(s_prime, prefix, coeff, joint, margins)``: ``prefix`` holds each
-    bank's s masks (banks, s, n), ``coeff`` each row's d = k - s' Cauchy
-    tables (rows, d, n), bank b owning rows [b * reps, (b + 1) * reps), and
-    ``margins`` (k, n) the counts of each coordinate's values. By linearity
-    this equals feeding the tuples one at a time. Each bank's masked counts
-    go onto the grid of the chunk's L distinct leads (suffix coordinates s'
-    to k - 1) by its V distinct last values, which meets the rows' last
-    tables in one batched matrix product and then their lead tables. When
-    the U distinct suffixes fill less than 1/GRID_FILL of the grid, and
-    when s' = k, each suffix is its own lead with one last value. The cost
-    is O(banks * s * D + rows * (L * V + (d - 1) * L)) on the grid, where
-    L * V = U on a dense chunk, and O(banks * s * D + rows * d * U) per
-    suffix; never a term in n^k. Tables are read in place at a run of
-    indices (a dense chunk's values), else gathered into a copy. Banks, and
-    a large bank's rows and leads, go in blocks, so no temporary holds over
-    max(FOLD_BLOCK, D) floats. Returns the record count.
-    """
-    if not len(counts):
-        return 0
+    T: np.ndarray  # (D, k) the tuples, 0-based
+    c: np.ndarray  # their record counts, as float64
+    values: Tuple[np.ndarray, ...]  # each coordinate's distinct values
+    at: Tuple[np.ndarray, ...]  # each tuple's index into them
+    hists: List[np.ndarray]  # the record count of each of those values
+
+
+def read_chunk(tuples: np.ndarray, counts: np.ndarray) -> Chunk:
+    """The chunk of distinct ``tuples`` (D >= 1, k) over [1, n] with their
+    record ``counts``, with each coordinate's distinct values and counts."""
     T = np.asarray(tuples, dtype=np.int64) - 1
     c = np.asarray(counts, dtype=np.float64)
+    values, at = zip(*(np.unique(T[:, j], return_inverse=True) for j in range(T.shape[1])))
+    return Chunk(T, c, values, at, [np.bincount(a, c) for a in at])
+
+
+class Fold(NamedTuple):
+    """A chunk analysed for the fold of one group's joint rows (``plan_fold``)."""
+
+    T: np.ndarray  # the tuples in lead order
+    c: np.ndarray  # their counts
+    lead: np.ndarray  # each tuple's lead
+    last: np.ndarray  # each tuple's last value (0 per suffix)
+    last_col: object  # the last table's index at the distinct last values; None per suffix
+    nv: int  # last values per lead on the grid (1 per suffix)
+    leads: int  # distinct leads L
+    bank_step: int
+    rep_step: int
+    lead_step: int
+    cuts: np.ndarray  # the first tuple of each block of leads
+    lead_cols: list  # each block of leads' index into each lead table
+
+
+def plan_fold(chunk: Chunk, s_prime: int, reps: int) -> Fold:
+    """Analyse a chunk for ``fold_counts`` into a group of collapse depth
+    s' and ``reps`` repetitions per bank, once for all of its banks.
+
+    Each bank's masked counts go onto the grid of the chunk's L distinct
+    leads (suffix coordinates s' to k - 1) by its V distinct last values.
+    When the U distinct suffixes fill less than 1/GRID_FILL of the grid,
+    and when s' = k, each suffix is its own lead with one last value. The
+    tuples are put in lead order, so a block of leads is a slice of them,
+    and the blocks of banks, repetitions and leads are sized so that no
+    temporary of the fold holds over max(FOLD_BLOCK, D) floats.
+    """
+    T, c = chunk.T, chunk.c
     D, k = T.shape
-    # each coordinate's distinct values and their total counts
-    values, at = zip(*(np.unique(T[:, j], return_inverse=True) for j in range(k)))
-    hists = [np.bincount(a, c) for a in at]
-    V, last_col = len(values[-1]), _table_index(values[-1])
-    for s_prime, prefix, coeff, joint, margins in groups:
-        for j in range(k):
-            margins[j, values[j]] += hists[j]
-        s, d, reps = prefix.shape[1], k - s_prime, len(coeff) // len(prefix)
-        C, J = (a.reshape(len(prefix), reps, *a.shape[1:]) for a in (coeff, joint))
-        U, inv = np.unique(T[:, s_prime:], axis=0, return_inverse=True)
-        L, lead = np.unique(U[:, :-1], axis=0, return_inverse=True)
-        per_suffix = not d or len(L) * V > GRID_FILL * len(U)
-        if per_suffix:
-            L, lead, last, nv = U, inv.reshape(-1), np.zeros(D, np.int64), 1
-        else:
-            lead, last, nv = lead[inv.reshape(-1)], at[-1], V
-        order = np.argsort(lead, kind="stable")  # so a block of leads is a slice of tuples
-        Tg, cg, lead, last = T[order], c[order], lead[order], last[order]
-        bank_step = max(1, FOLD_BLOCK // max(D, reps * max(V, len(L)), nv * len(L)))
-        rep_step = reps if bank_step * reps * V <= FOLD_BLOCK else max(1, FOLD_BLOCK // V)
-        lead_step = max(1, FOLD_BLOCK // (bank_step * max(rep_step, nv)))
-        cuts = np.searchsorted(lead, np.arange(0, len(L) + lead_step, lead_step))
-        starts = range(0, len(L), lead_step)
-        leads = [[_table_index(x) for x in L[l0 : l0 + lead_step].T] for l0 in starts]
-        for b0 in range(0, len(prefix), bank_step):
-            P = prefix[b0 : b0 + bank_step]
-            B = len(P)
-            w = np.tile(cg, (B, 1))
-            for j in range(s):
-                w *= P[:, j, Tg[:, j]]
-            for q0 in range(0, reps, rep_step):
-                at_rows = (slice(b0, b0 + B), slice(q0, q0 + rep_step))
-                Cb, Jb = C[at_rows], J[at_rows]
-                # G holds the last tables at the last values, or ones per suffix
-                G = np.ones(Cb.shape[:2] + (1,)) if per_suffix else Cb[:, :, -1, last_col]
-                for i, l0 in enumerate(starts):
-                    t0, t1, nl = cuts[i], cuts[i + 1], min(lead_step, len(L) - l0)
-                    cells = last[t0:t1] * nl + lead[t0:t1] - l0 + np.arange(B)[:, None] * (nv * nl)
-                    F = np.bincount(cells.ravel(), w[:, t0:t1].ravel(), B * nv * nl)
-                    Y = G @ F.reshape(B, nv, nl)
-                    for j, at_lead in enumerate(leads[i]):
-                        Y *= Cb[:, :, j, at_lead]
-                    Jb += np.einsum("brl->br", Y)  # Y.sum(axis=2), faster over few leads
-    return int(c.sum())
+    V = len(chunk.values[-1])
+    U, inv = np.unique(T[:, s_prime:], axis=0, return_inverse=True)
+    L, lead = np.unique(U[:, :-1], axis=0, return_inverse=True)
+    if s_prime == k or len(L) * V > GRID_FILL * len(U):
+        L, lead, last, nv, last_col = U, inv.reshape(-1), np.zeros(D, np.int64), 1, None
+    else:
+        lead, last, nv = lead[inv.reshape(-1)], chunk.at[-1], V
+        last_col = _table_index(chunk.values[-1])
+    order = np.argsort(lead, kind="stable")
+    lead = lead[order]
+    bank_step = max(1, FOLD_BLOCK // max(D, reps * max(V, len(L)), nv * len(L)))
+    rep_step = reps if bank_step * reps * V <= FOLD_BLOCK else max(1, FOLD_BLOCK // V)
+    lead_step = max(1, FOLD_BLOCK // (bank_step * max(rep_step, nv)))
+    cuts = np.searchsorted(lead, np.arange(0, len(L) + lead_step, lead_step))
+    lead_cols = [
+        [_table_index(x) for x in L[l0 : l0 + lead_step].T] for l0 in range(0, len(L), lead_step)
+    ]
+    return Fold(
+        T[order], c[order], lead, last[order], last_col, nv, len(L),
+        bank_step, rep_step, lead_step, cuts, lead_cols,
+    )
+
+
+def fold_counts(fold: Fold, prefix: np.ndarray, tables: np.ndarray, joint: np.ndarray) -> None:
+    """Add an analysed chunk of tuple counts to a block of product-sketch rows in place.
+
+    ``prefix`` holds the block's banks' s masks (B, s, n), ``tables`` its
+    rows' d = k - s' Cauchy tables (B, Q, d, n) and ``joint`` (B, Q) their
+    accumulators: Q repetitions of each of B banks. By linearity this
+    equals feeding the tuples one at a time. Each bank's masked counts meet
+    the rows' last tables on the grid in one batched matrix product, and
+    then their lead tables. The cost is O(B * s * D + B * Q * (L * V +
+    (d - 1) * L)) on the grid, where L * V = U on a dense chunk, and
+    O(B * s * D + B * Q * d * U) per suffix; never a term in n^k. Tables
+    are read in place at a run of indices (a dense chunk's values), else
+    gathered into a copy; neither they nor the masks are written.
+    """
+    Tg, cg, lead, last = fold.T, fold.c, fold.lead, fold.last
+    nv, lead_step, last_col = fold.nv, fold.lead_step, fold.last_col
+    starts = range(0, fold.leads, lead_step)
+    for b0 in range(0, len(prefix), fold.bank_step):
+        P = prefix[b0 : b0 + fold.bank_step]
+        B = len(P)
+        w = np.tile(cg, (B, 1))
+        for j in range(P.shape[1]):
+            w *= P[:, j, Tg[:, j]]
+        for q0 in range(0, joint.shape[1], fold.rep_step):
+            at_rows = (slice(b0, b0 + B), slice(q0, q0 + fold.rep_step))
+            Cb, Jb = tables[at_rows], joint[at_rows]
+            # G holds the last tables at the last values, or ones per suffix
+            G = np.ones(Cb.shape[:2] + (1,)) if last_col is None else Cb[:, :, -1, last_col]
+            for i, l0 in enumerate(starts):
+                t0, t1, nl = fold.cuts[i], fold.cuts[i + 1], min(lead_step, fold.leads - l0)
+                cells = last[t0:t1] * nl + lead[t0:t1] - l0 + np.arange(B)[:, None] * (nv * nl)
+                F = np.bincount(cells.ravel(), w[:, t0:t1].ravel(), B * nv * nl)
+                Y = G @ F.reshape(B, nv, nl)
+                for j, at_lead in enumerate(fold.lead_cols[i]):
+                    Y *= Cb[:, :, j, at_lead]
+                Jb += np.einsum("brl->br", Y)  # Y.sum(axis=2), faster over few leads
 
 
 def required_epsilon_reps(epsilon: float, delta: float, c: float = 8.0) -> int:

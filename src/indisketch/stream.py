@@ -235,6 +235,11 @@ class TupleTally:
         return len(self._keys)
 
     @property
+    def dense(self) -> bool:
+        """Whether the counts are kept in a table of one count per cell."""
+        return self._table is not None
+
+    @property
     def counts(self) -> np.ndarray:
         """Count of each distinct tuple, in the order of ``tuples()``."""
         self._merge()

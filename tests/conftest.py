@@ -39,14 +39,38 @@ def pytest_terminal_summary(terminalreporter):
 
 def integer_bank(k, n, prefix, s_prime, coeff):
     """A ``SketchBank`` (a one-bank ``_BankRegistry``) over the masks
-    ``prefix`` whose rows' Cauchy tables are replaced, once the bank is
-    added, by ``coeff`` (rows, k - s', n). With small-integer tables every
-    sum is an integer; below 2^53 it is exact in float64 in any order, so
-    the rows' values equal ``reference_sketch_value`` of their tables exactly."""
+    ``prefix`` whose registry draws ``coeff`` (rows, k - s', n) as its
+    rows' Cauchy tables (``substitute_tables``). With small-integer tables
+    every sum is an integer; below 2^53 it is exact in float64 in any
+    order, so the rows' values equal ``reference_sketch_value`` of their
+    tables exactly."""
     bank = SketchBank(k, n, len(prefix), s_prime, prefix, repetitions=len(coeff), seed=0)
-    tables = bank.registry.groups[(len(prefix), s_prime)]["coeff"]
-    tables[...] = np.reshape(coeff, tables.shape)  # s' = k: rows of no tables
+    substitute_tables(bank.registry, (len(prefix), s_prime), coeff)
     return bank
+
+
+def substitute_tables(registry, key, coeff):
+    """Make ``registry`` draw ``coeff`` (r, k - s', n) as the tables of the
+    first r rows of group ``key`` and its own tables elsewhere, so that
+    its production fold and evaluation run on them."""
+    g = registry.groups[key]
+    reps = len(g["joint"]) // len(g["prefix"])
+    tables = np.asarray(coeff, dtype=np.float64)
+    tables = tables.reshape(len(tables), registry.k - key[1], registry.n)  # s' = k: no tables
+    draw = registry.draw
+
+    def drawing(at, b0, b1, q0, q1):
+        if at != key:
+            return draw(at, b0, b1, q0, q1)
+        rows = (np.arange(b0, b1)[:, None] * reps + np.arange(q0, q1)).reshape(-1)
+        if rows[-1] < len(tables):  # every row substituted: the tables themselves, never a copy
+            return tables[rows[0] : rows[-1] + 1].reshape(b1 - b0, q1 - q0, *tables.shape[1:])
+        drawn = draw(at, b0, b1, q0, q1)
+        inside = rows < len(tables)
+        drawn.reshape(-1, *tables.shape[1:])[inside] = tables[rows[inside]]
+        return drawn
+
+    registry.draw = drawing
 
 
 def unmix64(z: int) -> int:

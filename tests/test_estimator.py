@@ -37,7 +37,7 @@ from indisketch import (
     suffix_sum,
     tensor_tournament,
 )
-from indisketch import estimator, hashing, sketches
+from indisketch import estimator, hashing, sketches, stream as stream_mod
 from indisketch.estimator import (
     _BankRegistry,
     _split_masks,
@@ -353,8 +353,8 @@ class TestCoarseBanks:
             assert (int(flagged.sum()), len(flagged)) == (multi, total)
             g = est.registry.groups[(depth + 1, depth)]
             assert (len(g["prefix"]), len(g["joint"])) == (multi, 24 * multi)
-            got = tuple(hashlib.sha256(g[f].tobytes()).hexdigest() for f in ("prefix", "coeff"))
-            assert got == pinned
+            arrays = g["prefix"], est.registry.tables((depth + 1, depth))
+            assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) == pinned
         est.consume(generate_synthetic("mixture(0.5)", k, n, 2000, seed=1))
         read, tournaments = [], estimator._tournaments
 
@@ -795,8 +795,9 @@ class TestPipeline:
 
 
 class TestFlushContraction:
-    """Registry rows after several flushes equal a fold of one record per flush;
-    their margins are read as evaluation forms them."""
+    """Registry rows after several flushes of the sorted tally (a dense one
+    is folded once) equal a fold of one record per flush; their margins are
+    read as evaluation forms them."""
 
     @pytest.mark.parametrize("block", [sketches.FOLD_BLOCK, 7])
     @pytest.mark.parametrize("k,n", [(2, 4), (3, 3)])
@@ -817,12 +818,14 @@ class TestFlushContraction:
         monkeypatch.setattr(_BankRegistry, "add_bank", recording_add)
         monkeypatch.setattr(_BankRegistry, "bulk_update", counting_update)
         monkeypatch.setattr(sketches, "FOLD_BLOCK", block)
+        monkeypatch.setattr(stream_mod, "DENSE_CELLS", 0)
         ov = EstimatorOverrides(
             amplification=1, rounds=1, eps_reps=3, polylog_reps=2, max_chunk=2
         )
         est = StreamDistanceEstimator(k, n, 0.3, 0.1, seed=1, overrides=ov)
         recs = list(generate_synthetic("mixture(0.5)", k, n, 40, seed=3))
         est.consume(recs)
+        est.snapshot()  # flushes the last chunk and folds it
         reg = est.registry
         assert len(flushes) > 5 and reg.m_seen == len(recs)
         assert {h[0] for h, _, _ in banks} == set(reg.groups)
@@ -833,7 +836,7 @@ class TestFlushContraction:
             s, s_prime = key
             g = reg.groups[key]
             assert g["margins"].tolist() == np.array(counts, dtype=float).tolist()
-            margins = np.stack([reg._margin(key, j, start, stop) for j in range(k)], 1)
+            margins = reg.margins(key, start // (stop - start))
             bank = SketchBank(k, n, s, s_prime, prefix, min(2, stop - start), seed, reg.omega)
             for rec in recs:
                 bank.update(rec)
@@ -1130,8 +1133,7 @@ def test_build_derives_per_depth_not_per_bank(monkeypatch):
     built one tournament side at a time, the same plan with every round of
     its one-value buckets and a coarse bank per side (23,436 banks) made
     60,029 derive_key, 3,924 zero_one_tables and 23,436 add_bank calls.
-    The Cauchy fill adds one derive_key per row block and family, and
-    repetition_seeds two per group."""
+    No Cauchy table is drawn: a pass draws them."""
     calls = Counter()
 
     def counting(name, fn):
@@ -1150,10 +1152,8 @@ def test_build_derives_per_depth_not_per_bank(monkeypatch):
     est = StreamDistanceEstimator(3, 4, 0.3, 0.1, seed=1)
     groups = est.registry.groups.values()
     assert sum(len(g["prefix"]) for g in groups) == 1_296
-    step = hashing.FOLD_BLOCK // 4
-    fill = sum(-(-len(g["joint"]) // step) * g["coeff"].shape[1] + 2 for g in groups)
     depths = 2
-    assert calls["derive_key"] - fill <= 16 * depths
+    assert calls["derive_key"] <= 16 * depths
     assert calls["zero_one_tables"] <= 2 * depths
     assert calls["add_bank"] == len(groups) == 1
 
@@ -1176,8 +1176,147 @@ def test_evaluation_memory_stays_per_block():
     assert peak - table <= 2 * 8 * sketches.FOLD_BLOCK + (64 << 10)
 
 
+def test_construction_stores_no_cauchy_table():
+    """A k = 4, n = 4 construction (9.3M rows; their Cauchy tables would take
+    285 MiB) holds no array that scales with rows * n: each group keeps its
+    joint, prefix masks, one seed per bank and (k, n) value counts, and the
+    registry one draw workspace: a block of values, scratch and offsets.
+    Beyond them the plan's index arrays (2.2 MiB) and construction
+    temporaries stay under 8 MiB."""
+    tracemalloc.start()
+    try:
+        est = StreamDistanceEstimator(4, 4, 0.3, 0.1, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    reg = est.registry
+    assert est.bank_rows() == 9_331_200
+    held = 0
+    for (s, s_prime), g in reg.groups.items():
+        banks = len(g["prefix"])
+        assert set(g) == {"prefix", "coeff", "joint", "margins"}
+        assert (g["coeff"].dtype, g["coeff"].shape) == (np.uint64, (banks,))
+        assert g["margins"].shape == (4, 4)
+        assert g["prefix"].shape == (banks, s, 4) and len(g["joint"]) % banks == 0
+        held += sum(a.nbytes for a in g.values())
+    work = reg._work.nbytes
+    assert work <= 3 * 8 * estimator.FOLD_BLOCK
+    assert peak <= held + work + (8 << 20)
+
+
+def test_a_one_flush_run_draws_each_table_once(monkeypatch):
+    """Construction draws no Cauchy value; a run whose tally is folded once
+    draws each row's k - s' tables once, in the pass that folds and
+    evaluates them. Three groups: a coarse group at each of two depths and
+    the sharp group."""
+    drawn = []
+    fill = estimator.batched_cauchy_tables
+
+    def counting(*args, **kwargs):
+        out = fill(*args, **kwargs)
+        drawn.append(out.size)
+        return out
+
+    monkeypatch.setattr(estimator, "batched_cauchy_tables", counting)
+    k, n = 3, 4
+    est = StreamDistanceEstimator(k, n, 0.3, 0.1, seed=3, overrides=EstimatorOverrides(rho=16))
+    assert not drawn and list(est.registry.groups) == [(1, 0), (2, 1), (2, 2)]
+    est.consume(generate_synthetic("mixture(0.5)", k, n, 2000, seed=1))
+    assert not drawn
+    est.tensor_norm_estimate()
+    groups = est.registry.groups.items()
+    assert sum(drawn) == sum(len(g["joint"]) * (k - s_prime) * n for (_s, s_prime), g in groups)
+
+
+def test_split_banks_draw_and_evaluate_as_whole_banks(monkeypatch):
+    """A bank whose tables outgrow a block is drawn in blocks of its
+    repetitions: its tables are those of whole-bank blocks, bit for bit,
+    and so, up to summation order, are its folds and medians."""
+    k, n = 2, 8
+    recs = list(generate_synthetic("mixture(0.5)", k, n, 500, seed=4))
+    runs = []
+    for block in (estimator.FOLD_BLOCK, 400):
+        monkeypatch.setattr(estimator, "FOLD_BLOCK", block)
+        est = StreamDistanceEstimator(k, n, 0.3, 0.1, seed=2)
+        reg = est.registry
+        ((key, g),) = reg.groups.items()
+        reps = len(g["joint"]) // len(g["prefix"])
+        split = [q1 - q0 < reps for _b0, _b1, q0, q1 in reg._blocks(key)]
+        assert any(split) == (block == 400)
+        est.consume(recs)
+        runs.append((reg.tables(key), est.tensor_norm_estimate(), reg.medians()[key]))
+    (tables, estimate, medians), (split_tables, split_estimate, split_medians) = runs
+    assert split_tables.tobytes() == tables.tobytes()
+    assert split_estimate == pytest.approx(estimate, rel=1e-12)
+    np.testing.assert_allclose(split_medians, medians, rtol=1e-12)
+
+
+def test_sorted_flushes_share_one_draw(monkeypatch):
+    """A sorted tally's flushes stay pending until a pass over the tables
+    or until they would hold over DENSE_CELLS tuples: a run of many small
+    flushes draws each table once, at evaluation, and folds its chunks in
+    their order, so its joints equal, bit for bit, those of a run that
+    folds each chunk in a pass of its own."""
+    drawn = []
+    fill = estimator.batched_cauchy_tables
+
+    def counting(*args, **kwargs):
+        out = fill(*args, **kwargs)
+        drawn.append(out.size)
+        return out
+
+    monkeypatch.setattr(estimator, "batched_cauchy_tables", counting)
+    monkeypatch.setattr(stream_mod, "DENSE_CELLS", 0)
+    k, n, ov = 2, 16, EstimatorOverrides(max_chunk=7)
+    recs = list(generate_synthetic("mixture(0.5)", k, n, 400, seed=2))
+    runs = []
+    for pending in (estimator.DENSE_CELLS, 0):
+        monkeypatch.setattr(estimator, "DENSE_CELLS", pending)
+        drawn.clear()
+        est = StreamDistanceEstimator(k, n, 0.3, 0.1, seed=1, overrides=ov)
+        est.consume(recs)
+        estimate = est.tensor_norm_estimate()
+        groups = est.registry.groups
+        once = sum(len(g["joint"]) * (k - s_prime) * n for (_s, s_prime), g in groups.items())
+        runs.append((sum(drawn) // once, estimate, [g["joint"].tobytes() for g in groups.values()]))
+    (draws, estimate, joints), (each, *separate) = runs
+    assert draws == 1 and each > 10 and (estimate, joints) == tuple(separate)
+
+
+def test_a_dense_tally_is_folded_once(monkeypatch):
+    """A dense tally is never cut at max_chunk: a stream of more distinct
+    tuples than max_chunk makes one bulk_update, at evaluation, and its
+    estimate is that of the same stream folded in chunks of max_chunk
+    distinct tuples on the sorted tally, up to summation order."""
+    flushes = []
+    bulk_update = _BankRegistry.bulk_update
+
+    def counting_update(reg, tuples, counts):
+        flushes.append(len(tuples))
+        bulk_update(reg, tuples, counts)
+
+    monkeypatch.setattr(_BankRegistry, "bulk_update", counting_update)
+    ov = EstimatorOverrides(max_chunk=7)
+    recs = np.array(list(generate_synthetic("independent", 2, 16, 3000, seed=5)))
+    distinct = len(np.unique(recs, axis=0))
+    estimates = []
+    for cells in (stream_mod.DENSE_CELLS, 0):
+        monkeypatch.setattr(stream_mod, "DENSE_CELLS", cells)
+        flushes.clear()
+        est = StreamDistanceEstimator(2, 16, 0.3, 0.1, seed=1, overrides=ov)
+        est.consume(recs)
+        during = len(flushes)
+        estimates.append(est.tensor_norm_estimate())
+        if cells:  # dense: no flush during the pass, one at evaluation
+            assert (during, flushes) == (0, [distinct]) and distinct > ov.max_chunk
+        else:
+            assert len(flushes) > distinct // ov.max_chunk and sum(flushes) >= distinct
+    assert estimates[0] == pytest.approx(estimates[1], rel=1e-12)
+
+
 class TestBlockTally:
-    """Flush boundaries follow the record-at-a-time rule however records are blocked."""
+    """Flush boundaries of the sorted tally follow the record-at-a-time rule
+    however records are blocked (a dense tally is flushed once)."""
 
     @pytest.mark.parametrize("max_chunk", [1, 2, 3, 7, EstimatorOverrides().max_chunk])
     def test_blocking_does_not_move_flushes(self, max_chunk, monkeypatch):
@@ -1207,6 +1346,7 @@ class TestBlockTally:
             bulk_update(reg, tuples, counts)
 
         monkeypatch.setattr(_BankRegistry, "bulk_update", counting_update)
+        monkeypatch.setattr(stream_mod, "DENSE_CELLS", 0)
         ov = EstimatorOverrides(
             amplification=1, rounds=1, eps_reps=3, polylog_reps=2, max_chunk=max_chunk
         )
@@ -1215,6 +1355,7 @@ class TestBlockTally:
             flushes.append([])
             est = StreamDistanceEstimator(k, n, 0.3, 0.1, seed=1, overrides=ov)
             assert est.consume(source) == len(recs) == est.m_seen
+            est.snapshot()  # flushes the last chunk and folds it
             states.append(est.registry.groups)
         assert all(f == expected for f in flushes)
         for groups in states[1:]:

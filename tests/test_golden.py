@@ -164,15 +164,16 @@ def test_registry_tables_of_a_k3_estimator():
         (2, 2): ("0ad9a307a7d893f62464cf9af54f783fa353326dd4185b26d1131d20e7d76e0e",
                  "49903e6be1f62442a85e6366336874ac9508e95b83c5eea03d4f4aedc3b33f2d"),
     }
+    tables = {key: est.registry.tables(key) for key in est.registry.groups}
     got = {
         key: tuple(
-            hashlib.sha256(np.ascontiguousarray(g[f]).tobytes()).hexdigest()
-            for f in ("prefix", "coeff")
+            hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+            for a in (g["prefix"], tables[key])
         )
         for key, g in est.registry.groups.items()
     }
     assert got == expected
-    shapes = {key: g["coeff"].shape for key, g in est.registry.groups.items()}
+    shapes = {key: t.shape for key, t in tables.items()}
     assert shapes == {(2, 2): (145800, 1, 3)}
     diag = json.dumps(est.diagnostics(), sort_keys=True).encode()
     assert (
@@ -236,15 +237,16 @@ def _plan_tree(est):
     ids=["k2-n8", "k4-n2-three-depths"],
 )
 def test_registry_and_plan_of_an_estimator(k, n, seed, overrides, expected, shapes, plan):
-    """Every group's prefix and coefficient arrays, the group order, and
-    the plan tree with its leaves' handles in evaluation order."""
+    """Every group's prefix masks and drawn Cauchy tables, the group order,
+    and the plan tree with its leaves' handles in evaluation order."""
     est = StreamDistanceEstimator(k, n, 0.3, 0.1, seed=seed, overrides=overrides)
+    tables = {key: est.registry.tables(key) for key in est.registry.groups}
     got = {
-        key: tuple(_sha(np.ascontiguousarray(g[f]).tobytes()) for f in ("prefix", "coeff"))
+        key: (_sha(np.ascontiguousarray(g["prefix"]).tobytes()), _sha(tables[key].tobytes()))
         for key, g in est.registry.groups.items()
     }
     assert got == expected and list(got) == list(expected)
-    assert {key: g["coeff"].shape for key, g in est.registry.groups.items()} == shapes
+    assert {key: t.shape for key, t in tables.items()} == shapes
     assert _sha(json.dumps(_plan_tree(est)).encode()) == plan
 
 

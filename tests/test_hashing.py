@@ -140,7 +140,7 @@ SEEDED = {
     "generate_synthetic": lambda seed: list(generate_synthetic("diagonal", 2, 4, 3, seed=seed)),
     "derive_key of an array": lambda seed: derive_key(np.array([seed, 5]), 1).tolist(),
     "SketchBank": lambda seed: SketchBank(2, 4, 1, 0, [[1, 0, 1, 1]], 3, seed=seed)
-    .registry.groups[(1, 0)]["coeff"]
+    .registry.tables((1, 0))
     .tolist(),
 }
 
@@ -319,6 +319,10 @@ class TestDerivation:
         assert batched.tolist() == np.concatenate(per_bank).tolist()
         assert repetition_seeds(seeds, 2).tolist() == np.concatenate(
             [repetition_seeds(int(s), 2) for s in seeds]
+        ).tolist()
+        # repetitions 2..4 of each bank, as a block of split banks draws them
+        assert repetition_seeds(seeds, 3, first=2).tolist() == np.concatenate(
+            [repetition_seeds(int(s), 5)[2:] for s in seeds]
         ).tolist()
 
 

@@ -31,10 +31,10 @@ from indisketch import (
     reference_sketch_value,
     suffix_sum,
 )
-from indisketch import sketches
+from indisketch import sketches, stream as stream_mod
 from indisketch.sketches import required_epsilon_reps
 
-from conftest import integer_bank
+from conftest import integer_bank, substitute_tables
 
 # fold blocks (FOLD_BLOCK) and grid fills (GRID_FILL) that split banks,
 # repetitions and leads, and send every suffix to its own lead or to the grid
@@ -65,7 +65,7 @@ def one_record_per_flush(bank, recs):
 def reference_values(bank, recs, prefix):
     """The dense expansion of each row's tables of ``bank`` over ``recs``."""
     table = build_frequency_table(TupleStream(bank.k, bank.n, recs))
-    coeff = bank.registry.groups[(bank.s, bank.s_prime)]["coeff"]
+    coeff = bank.registry.tables((bank.s, bank.s_prime))
     return [reference_sketch_value(table, prefix, bank.s_prime, c.tolist()) for c in coeff]
 
 
@@ -161,13 +161,14 @@ def estimator(k, n, seed=7, overrides=None):
 
 def split_run(k, n, ov):
     """Two estimators fed the halves of a stream, and the report of one
-    estimator fed the whole. ``consume`` ends with a flush, so the halves
-    split the whole run's pass on a flush boundary and the sums are those of
-    the whole run, bit for bit."""
+    estimator fed the whole. Its snapshot after the first half folds its
+    tally, so the halves split the whole run's pass on a fold point and the
+    sums are those of the whole run, bit for bit."""
     recs = list(generate_synthetic("mixture(0.5)", k, n, 300, seed=k))
     first, second = recs[:130], recs[130:]
     whole = estimator(k, n, overrides=ov)
     whole.consume(first)
+    whole.snapshot()
     whole.consume(second)
     a, b = estimator(k, n, overrides=ov), estimator(k, n, overrides=ov)
     a.consume(first)
@@ -278,11 +279,13 @@ class TestLinearity:
             a.merge({**snap, "groups": per_row})
         assert_same_accumulators(a.snapshot(), before)
 
-    def test_merge_at_flush_points_is_byte_identical(self):
+    def test_merge_at_flush_points_is_byte_identical(self, monkeypatch):
         """A stream cut where one run flushes, each part snapshotted and the
         snapshots merged in order, gives that run's report to the byte: the
         value counts are exact, and the joint sums are added in fold order.
-        The first part spans several flushes, the others one flush each."""
+        The first part spans several flushes, the others one flush each, on
+        the sorted tally: a dense one is folded once, at the snapshot."""
+        monkeypatch.setattr(stream_mod, "DENSE_CELLS", 0)
         k, n, ov = 3, 3, SMALL.replace(max_chunk=4)
         recs = list(generate_synthetic("mixture(0.5)", k, n, 200, seed=5))
         # a chunk closes at the record that brings it to max_chunk distinct tuples
@@ -434,10 +437,10 @@ class TestBank:
                 for helper in (spy, lambda index: index):  # then gather every read
                     monkeypatch.setattr(sketches, "_table_index", helper)
                     bank = integer_bank(k, n, masks[:s], s_prime, coeff)
-                    group = bank.registry.groups[(s, s_prime)]
-                    tables = group["prefix"].tobytes(), group["coeff"].tobytes()
-                    fold(bank, recs)
-                    assert (group["prefix"].tobytes(), group["coeff"].tobytes()) == tables
+                    group, reg = bank.registry.groups[(s, s_prime)], bank.registry
+                    tables = group["prefix"].tobytes(), reg.tables((s, s_prime)).tobytes()
+                    fold(bank, recs).registry.fold_pending()
+                    assert (group["prefix"].tobytes(), reg.tables((s, s_prime)).tobytes()) == tables
                     rows.append((bank.joint, bank.margins))
                 assert bank.values().tolist() == reference_values(bank, recs, masks[:s])
                 assert np.array_equal(rows[1][0], rows[0][0])
@@ -457,15 +460,16 @@ class TestBank:
             recs = [tuple(int(x) for x in rng.integers(1, n + 1, k)) for _ in range(6)]
             recs += [recs[0], (recs[1][0], recs[2][1], recs[3][2])]
         bank = SketchBank(k, n, 2, 1, masks, repetitions=reps, seed=23)
-        coeff = bank.registry.groups[(2, 1)]["coeff"]
-        coeff[:3] = integer_tables(rng, 3, 2, n)  # the rows checked below, exactly
+        coeff = integer_tables(rng, 3, 2, n)  # the rows checked below, exactly
+        substitute_tables(bank.registry, (2, 1), coeff)
         counts = Counter(recs)
         tracemalloc.start()
         bank.bulk_update(counts)
+        bank.registry.fold_pending()  # the fold, drawing each block's tables
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak < 1 << 20
-        joint, margins = one_record_per_flush(integer_bank(k, n, masks, 1, coeff[:3]), recs)
+        joint, margins = one_record_per_flush(integer_bank(k, n, masks, 1, coeff), recs)
         assert np.array_equal(bank.joint[:3], joint) and np.array_equal(bank.margins[:3], margins)
 
     @pytest.mark.parametrize("grid_fill", [sketches.GRID_FILL, math.inf])
@@ -481,14 +485,15 @@ class TestBank:
         last = rng.permutation(n) + 1
         counts = {(int(rng.integers(1, n + 1)), i + 1, int(last[i])): 1 for i in range(n)}
         bank = SketchBank(k, n, 2, 1, masks, repetitions=reps, seed=29)
-        coeff = bank.registry.groups[(2, 1)]["coeff"]
-        coeff[:2] = integer_tables(rng, 2, 2, n)  # the rows checked below, exactly
+        coeff = integer_tables(rng, 2, 2, n)  # the rows checked below, exactly
+        substitute_tables(bank.registry, (2, 1), coeff)
         tracemalloc.start()
         bank.bulk_update(counts)
+        bank.registry.fold_pending()  # the fold, drawing each block's tables
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak < 6 * 8 * sketches.FOLD_BLOCK
-        joint, margins = one_record_per_flush(integer_bank(k, n, masks, 1, coeff[:2]), counts)
+        joint, margins = one_record_per_flush(integer_bank(k, n, masks, 1, coeff), counts)
         assert np.array_equal(bank.joint[:2], joint) and np.array_equal(bank.margins[:2], margins)
 
     def test_sparse_flush_does_not_build_the_grid(self, monkeypatch):
@@ -500,8 +505,8 @@ class TestBank:
         mask = rng.integers(0, 2, n)
         counts = {(i + 1, int(x) + 1): 1 for i, x in enumerate(rng.permutation(n)[:N])}
         bank = SketchBank(2, n, 1, 0, [mask], repetitions=reps, seed=37)
-        coeff = bank.registry.groups[(1, 0)]["coeff"]
-        coeff[:2] = integer_tables(rng, 2, 2, n)  # the rows checked below, exactly
+        coeff = integer_tables(rng, 2, 2, n)  # the rows checked below, exactly
+        substitute_tables(bank.registry, (1, 0), coeff)
         bincount = np.bincount
 
         def bounded(x, weights=None, minlength=0):
@@ -511,8 +516,9 @@ class TestBank:
 
         monkeypatch.setattr(np, "bincount", bounded)
         bank.bulk_update(counts)
+        bank.registry.fold_pending()
         monkeypatch.undo()
-        joint, margins = one_record_per_flush(integer_bank(2, n, [mask], 0, coeff[:2]), counts)
+        joint, margins = one_record_per_flush(integer_bank(2, n, [mask], 0, coeff), counts)
         assert np.array_equal(bank.joint[:2], joint) and np.array_equal(bank.margins[:2], margins)
 
     def test_bulk_rejects_malformed_tuples(self):
