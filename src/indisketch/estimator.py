@@ -312,7 +312,6 @@ class EstimatorOverrides:
     rho: Optional[int] = None
     scale_override: Optional[float] = None
     omega: Optional[float] = None
-    max_chunk: int = 8192
 
     def replace(self, **kw) -> "EstimatorOverrides":
         return dataclass_replace(self, **kw)
@@ -393,7 +392,7 @@ def _stack_configs(
     checked_unit("delta", delta)
     ov = ov.replace(**{
         name: checked_count(name, getattr(ov, name))
-        for name in ("amplification", "eps_reps", "polylog_reps", "max_chunk")
+        for name in ("amplification", "eps_reps", "polylog_reps")
         if getattr(ov, name) is not None
     })
     if ov.beta is not None:
@@ -808,19 +807,17 @@ class _BankRegistry:
     reps). No Cauchy table is stored: ``draw`` draws a block's tables from
     the bank seeds into one workspace whenever a pass needs them, the same
     values every time. ``bulk_update`` adds a chunk's value counts at once
-    and keeps the chunk pending; the pending chunks' joint sums are folded,
-    with ``fold_counts`` and in chunk order, in the next pass over the
-    tables: ``fold_pending``, ``medians``, which folds and evaluates each
-    block of one draw, or the ``bulk_update`` that would bring them past
-    DENSE_CELLS distinct tuples, the size of the largest dense tally.
+    and keeps the chunk pending; its joint sums are folded, with
+    ``fold_counts``, in the next pass over the tables: ``fold_pending``,
+    the next ``bulk_update``, or ``medians``, which folds and evaluates
+    each block of one draw.
     """
 
     def __init__(self, k: int, n: int, omega: float):
         self.k, self.n, self.omega = k, n, checked_omega(omega)
         self.groups: Dict[Tuple[int, int], Dict[str, np.ndarray]] = {}
         self.m_seen = 0
-        self._pending: List[Dict[Tuple[int, int], Fold]] = []
-        self._pending_tuples = 0
+        self._pending: Optional[Dict[Tuple[int, int], Fold]] = None
         self._work = CauchyWork(n)
 
     def add_bank(self, prefix: np.ndarray, s_prime: int, reps: int, seeds) -> Tuple:
@@ -888,41 +885,36 @@ class _BankRegistry:
     def bulk_update(self, tuples: np.ndarray, counts: np.ndarray):
         """Add the distinct ``tuples`` (D, k) with their record ``counts``:
         their value counts and record count at once, their joint sums in
-        the next pass over the tables. The chunks pending before are folded
-        first if, with these, they would hold over DENSE_CELLS tuples."""
+        the next pass over the tables. The chunk pending before is folded
+        first, in a pass of its own."""
         if not len(counts):
             return
-        if self._pending_tuples + len(counts) > DENSE_CELLS:
-            self.fold_pending()
+        self.fold_pending()
         chunk = read_chunk(tuples, counts)
         for g in self.groups.values():
             for j in range(self.k):
                 g["margins"][j, chunk.values[j]] += chunk.hists[j]
-        self._pending.append({key: plan_fold(chunk, key[1], _reps(g)) for key, g in self.groups.items()})
-        self._pending_tuples += len(counts)
+        self._pending = {key: plan_fold(chunk, key[1], _reps(g)) for key, g in self.groups.items()}
         self.m_seen += int(chunk.c.sum())
 
     def _pass(self, key: Tuple[int, int], blocks):
         """Each of ``blocks`` of a group with its tables, drawn once, and
-        its joint rows (B, Q), into which the pending chunks are folded first."""
+        its joint rows (B, Q), into which the pending chunk is folded first."""
         g = self.groups[key]
         joint = g["joint"].reshape(len(g["prefix"]), -1)
         for b0, b1, q0, q1 in blocks:
             tables, rows = self.draw(key, b0, b1, q0, q1), joint[b0:b1, q0:q1]
-            for folds in self._pending:
-                fold_counts(folds[key], g["prefix"][b0:b1], tables, rows)
+            if self._pending:
+                fold_counts(self._pending[key], g["prefix"][b0:b1], tables, rows)
             yield (b0, b1, q0, q1), tables, rows
 
-    def _folded(self) -> None:
-        self._pending, self._pending_tuples = [], 0
-
     def fold_pending(self) -> None:
-        """Fold the pending chunks into every group's joint, a pass over the tables."""
+        """Fold the pending chunk into every group's joint, a pass over the tables."""
         if self._pending:
             for key in self.groups:
                 for _ in self._pass(key, self._blocks(key)):
                     pass
-            self._folded()
+            self._pending = None
 
     def _margin(self, key: Tuple[int, int], j: int, b0: int, b1: int, tables) -> np.ndarray:
         """Margin j of a block's rows, given their tables (B, Q, d, n), as a new array."""
@@ -960,7 +952,7 @@ class _BankRegistry:
     def medians(self) -> Dict[Tuple[int, int], np.ndarray]:
         """Each bank's median |m^(k-1) * joint - prod(margins)|, per group as
         one float64 array in bank order, in one pass over the tables that
-        also folds the pending chunks.
+        also folds the pending chunk.
 
         Rows are taken in the blocks of ``_blocks``, so every temporary
         holds at most FOLD_BLOCK values (or one row's tables); a bank split
@@ -981,7 +973,7 @@ class _BankRegistry:
                     if q1 == reps:
                         med[b0] = row_medians(row[None])[0]
                 del v  # else the next block is built while this one is held
-        self._folded()
+        self._pending = None
         return table
 
 
@@ -991,7 +983,8 @@ class SketchBank:
     The bank's s prefix masks are shared by all repetitions; repetition r
     draws its Cauchy tables from ``seed`` as registry row r does. ``joint``
     and ``m_seen`` are the registry's own, ``joint`` read after the pending
-    chunks are folded, and ``margins`` formed on each read.
+    chunk is folded, and ``margins`` formed on each read; ``update`` and
+    each ``bulk_update`` fold in a pass of their own.
     """
 
     def __init__(
@@ -1105,6 +1098,10 @@ def _bank_leaves(reg: _BankRegistry, ov: EstimatorOverrides) -> Leaves:
 
 SNAPSHOT_FORMAT = "indisketch-snapshot/2"
 
+# a sorted tally is flushed when it holds as many distinct tuples as the
+# largest dense tally has cells, so a tally never outgrows 2^16 counts
+_FOLD_TUPLES = DENSE_CELLS
+
 
 class StreamDistanceEstimator:
     """One-pass sketch pipeline for the independence-tensor norm.
@@ -1112,8 +1109,8 @@ class StreamDistanceEstimator:
     Construction draws every hash and Cauchy seed and registers every
     product-sketch bank; ``update``/``consume`` count stream tuples exactly
     once into a tally, which is folded into the sketches at evaluation or
-    at a snapshot (a sorted tally also whenever it holds ``max_chunk``
-    distinct tuples); ``tensor_norm_estimate`` evaluates the
+    at a snapshot (a sorted tally also whenever it holds 2^16 distinct
+    tuples, ``_FOLD_TUPLES``); ``tensor_norm_estimate`` evaluates the
     tournament/cover/layer recursion on the final accumulators.
     ``snapshot`` and ``merge`` split a pass across estimators of one
     configuration.
@@ -1155,8 +1152,8 @@ class StreamDistanceEstimator:
     def _tally(self, blocks: Iterable[np.ndarray]) -> None:
         """Count blocks into the chunk. A dense tally is flushed only at
         evaluation or at a snapshot; a sorted one the moment it holds
-        ``max_chunk`` distinct tuples, as a record-at-a-time count would."""
-        limit = None if self._chunk.dense else self.overrides.max_chunk
+        ``_FOLD_TUPLES`` distinct tuples, as a record-at-a-time count would."""
+        limit = None if self._chunk.dense else _FOLD_TUPLES
         for block in blocks:
             while len(block):
                 taken = self._chunk.add(block, limit)

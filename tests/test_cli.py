@@ -493,7 +493,6 @@ class TestMain:
             ("omega=0", "omega must be positive"),
             ("omega=-2.5", "omega must be positive"),
             ("omega=nan", "omega must be positive"),
-            ("max_chunk=0", "max_chunk must be >= 1"),
             ("beta=nan", "beta must be finite and >= 1"),
             ("beta=inf", "beta must be finite and >= 1"),
             ("cover_epsilon=0", "cover_epsilon must lie in (0, 1)"),
@@ -503,6 +502,7 @@ class TestMain:
             ("omega=inf", "omega must be finite"),
             ("value_bound=1", "unknown override key 'value_bound'"),
             ("rho_cap=5", "unknown override key 'rho_cap'"),
+            ("max_chunk=0", "unknown override key 'max_chunk'"),
         ],
     )
     def test_override_that_would_zero_the_estimate_exit(self, override, message, capsys):

@@ -40,7 +40,9 @@ from indisketch import (
 from indisketch import estimator, hashing, sketches, stream as stream_mod
 from indisketch.estimator import (
     _BankRegistry,
+    _levels,
     _split_masks,
+    _stack_configs,
     vector_sub_oracles,
 )
 from indisketch.hashing import ZeroOneHash
@@ -146,10 +148,8 @@ class TestConfigs:
             ({"cover_epsilon": 2.0}, r"cover_epsilon must lie in \(0, 1\)"),
             ({"omega": 0.0}, "omega must be positive"),
             ({"omega": math.inf}, "omega must be finite"),
-            ({"max_chunk": 0}, "max_chunk must be >= 1"),
             ({"eps_reps": 2.5}, "non-integer eps_reps 2.5"),
             ({"amplification": 2.5}, "non-integer amplification 2.5"),
-            ({"max_chunk": 2.5}, "non-integer max_chunk 2.5"),
             ({"rounds": 1.5}, "non-integer rounds 1.5"),
             ({"rho": 3.5}, "non-integer rho 3.5"),
         ]:
@@ -604,6 +604,17 @@ class TestLayeredEstimate:
             ok += 0.7 * 1024 <= est <= 1.3 * 1024
         assert ok >= (2 / 3 - 0.05) * 120
 
+    @pytest.mark.parametrize("n", [8, 128, 1024, 16384])
+    def test_desk_profile_keeps_only_level_zero(self, n):
+        """At the desk profile the count threshold chi is 800,001 at n = 8
+        and 971,852 at n = 16,384, and a level j >= 1 is kept only when its
+        mask holds over chi / 1.69 values, more than n: each of the 9 runs
+        keeps level 0 alone."""
+        (lcfg, _tcfg, _ccfg, amp), _ = _stack_configs(n, 0.3, 0.1, 2.0, EstimatorOverrides())
+        assert 800_001 <= lcfg.count_threshold <= 971_852 and lcfg.levels > 1
+        _q, run, j, _masks, _seeds = _levels(n, lcfg, np.arange(1, amp + 1, dtype=np.uint64))
+        assert run.tolist() == list(range(9)) and j.tolist() == [0] * 9
+
 
 class TestLayerGrid:
     def test_boundary_sublayer_mass_is_rare(self):
@@ -793,6 +804,12 @@ class TestPipeline:
         ):
             assert key in d
 
+    def test_every_override_lands_in_diagnostics(self):
+        """Each field of EstimatorOverrides is a key of the run diagnostics,
+        so a report can be audited against its effective configuration."""
+        d = StreamDistanceEstimator(2, 4, 0.3, 0.1, seed=0).diagnostics()
+        assert [name for name in EstimatorOverrides.__dataclass_fields__ if name not in d] == []
+
 
 class TestFlushContraction:
     """Registry rows after several flushes of the sorted tally (a dense one
@@ -819,9 +836,8 @@ class TestFlushContraction:
         monkeypatch.setattr(_BankRegistry, "bulk_update", counting_update)
         monkeypatch.setattr(sketches, "FOLD_BLOCK", block)
         monkeypatch.setattr(stream_mod, "DENSE_CELLS", 0)
-        ov = EstimatorOverrides(
-            amplification=1, rounds=1, eps_reps=3, polylog_reps=2, max_chunk=2
-        )
+        monkeypatch.setattr(estimator, "_FOLD_TUPLES", 2)
+        ov = EstimatorOverrides(amplification=1, rounds=1, eps_reps=3, polylog_reps=2)
         est = StreamDistanceEstimator(k, n, 0.3, 0.1, seed=1, overrides=ov)
         recs = list(generate_synthetic("mixture(0.5)", k, n, 40, seed=3))
         est.consume(recs)
@@ -1251,12 +1267,12 @@ def test_split_banks_draw_and_evaluate_as_whole_banks(monkeypatch):
     np.testing.assert_allclose(split_medians, medians, rtol=1e-12)
 
 
-def test_sorted_flushes_share_one_draw(monkeypatch):
-    """A sorted tally's flushes stay pending until a pass over the tables
-    or until they would hold over DENSE_CELLS tuples: a run of many small
-    flushes draws each table once, at evaluation, and folds its chunks in
-    their order, so its joints equal, bit for bit, those of a run that
-    folds each chunk in a pass of its own."""
+def test_a_sorted_run_draws_once_per_fold(monkeypatch):
+    """A sorted tally is folded when it reaches the fold bound, and the
+    registry folds that chunk in the pass the next chunk opens: a run that
+    crosses the bound once draws every table twice (the fold at the next
+    chunk, then evaluation, which folds the last chunk), and a run that
+    stays under it draws every table once, at evaluation."""
     drawn = []
     fill = estimator.batched_cauchy_tables
 
@@ -1267,27 +1283,26 @@ def test_sorted_flushes_share_one_draw(monkeypatch):
 
     monkeypatch.setattr(estimator, "batched_cauchy_tables", counting)
     monkeypatch.setattr(stream_mod, "DENSE_CELLS", 0)
-    k, n, ov = 2, 16, EstimatorOverrides(max_chunk=7)
-    recs = list(generate_synthetic("mixture(0.5)", k, n, 400, seed=2))
-    runs = []
-    for pending in (estimator.DENSE_CELLS, 0):
-        monkeypatch.setattr(estimator, "DENSE_CELLS", pending)
-        drawn.clear()
-        est = StreamDistanceEstimator(k, n, 0.3, 0.1, seed=1, overrides=ov)
+    k, n = 2, 16
+    recs = np.array(list(generate_synthetic("mixture(0.5)", k, n, 400, seed=2)))
+    distinct = len(np.unique(recs, axis=0))
+    for bound, draws in ((distinct - 1, 2), (distinct + 1, 1)):
+        monkeypatch.setattr(estimator, "_FOLD_TUPLES", bound)
+        est = StreamDistanceEstimator(k, n, 0.3, 0.1, seed=1)
         est.consume(recs)
-        estimate = est.tensor_norm_estimate()
-        groups = est.registry.groups
-        once = sum(len(g["joint"]) * (k - s_prime) * n for (_s, s_prime), g in groups.items())
-        runs.append((sum(drawn) // once, estimate, [g["joint"].tobytes() for g in groups.values()]))
-    (draws, estimate, joints), (each, *separate) = runs
-    assert draws == 1 and each > 10 and (estimate, joints) == tuple(separate)
+        assert not drawn
+        est.tensor_norm_estimate()
+        groups = est.registry.groups.items()
+        once = sum(len(g["joint"]) * (k - s_prime) * n for (_s, s_prime), g in groups)
+        assert sum(drawn) == draws * once
+        drawn.clear()
 
 
 def test_a_dense_tally_is_folded_once(monkeypatch):
-    """A dense tally is never cut at max_chunk: a stream of more distinct
-    tuples than max_chunk makes one bulk_update, at evaluation, and its
-    estimate is that of the same stream folded in chunks of max_chunk
-    distinct tuples on the sorted tally, up to summation order."""
+    """A dense tally is never cut at the fold bound: a stream of more
+    distinct tuples than the bound makes one bulk_update, at evaluation,
+    and its estimate is that of the same stream folded in chunks of that
+    many distinct tuples on the sorted tally, up to summation order."""
     flushes = []
     bulk_update = _BankRegistry.bulk_update
 
@@ -1296,21 +1311,22 @@ def test_a_dense_tally_is_folded_once(monkeypatch):
         bulk_update(reg, tuples, counts)
 
     monkeypatch.setattr(_BankRegistry, "bulk_update", counting_update)
-    ov = EstimatorOverrides(max_chunk=7)
+    bound = 7
+    monkeypatch.setattr(estimator, "_FOLD_TUPLES", bound)
     recs = np.array(list(generate_synthetic("independent", 2, 16, 3000, seed=5)))
     distinct = len(np.unique(recs, axis=0))
     estimates = []
     for cells in (stream_mod.DENSE_CELLS, 0):
         monkeypatch.setattr(stream_mod, "DENSE_CELLS", cells)
         flushes.clear()
-        est = StreamDistanceEstimator(2, 16, 0.3, 0.1, seed=1, overrides=ov)
+        est = StreamDistanceEstimator(2, 16, 0.3, 0.1, seed=1)
         est.consume(recs)
         during = len(flushes)
         estimates.append(est.tensor_norm_estimate())
         if cells:  # dense: no flush during the pass, one at evaluation
-            assert (during, flushes) == (0, [distinct]) and distinct > ov.max_chunk
+            assert (during, flushes) == (0, [distinct]) and distinct > bound
         else:
-            assert len(flushes) > distinct // ov.max_chunk and sum(flushes) >= distinct
+            assert len(flushes) > distinct // bound and sum(flushes) >= distinct
     assert estimates[0] == pytest.approx(estimates[1], rel=1e-12)
 
 
@@ -1318,22 +1334,22 @@ class TestBlockTally:
     """Flush boundaries of the sorted tally follow the record-at-a-time rule
     however records are blocked (a dense tally is flushed once)."""
 
-    @pytest.mark.parametrize("max_chunk", [1, 2, 3, 7, EstimatorOverrides().max_chunk])
-    def test_blocking_does_not_move_flushes(self, max_chunk, monkeypatch):
+    @pytest.mark.parametrize("bound", [1, 2, 3, 7, estimator._FOLD_TUPLES])
+    def test_blocking_does_not_move_flushes(self, bound, monkeypatch):
         k, n = 3, 3
         recs = np.array(list(generate_synthetic("mixture(0.5)", k, n, 60, seed=4)))
-        cuts = np.sort(np.random.default_rng(max_chunk).choice(np.arange(1, 60), 8, replace=False))
+        cuts = np.sort(np.random.default_rng(bound).choice(np.arange(1, 60), 8, replace=False))
         ways = {
             "one block": [recs],
             "one-record blocks": [r[None] for r in recs],
             "random splits": np.split(recs, cuts),
             "tuples": list(map(tuple, recs.tolist())),
         }
-        # the chunk closes at the record that brings it to max_chunk distinct tuples
+        # the chunk closes at the record that brings it to the bound's distinct tuples
         expected, seen = [], set()
         for r in map(tuple, recs.tolist()):
             seen.add(r)
-            if len(seen) >= max_chunk:
+            if len(seen) >= bound:
                 expected.append(len(seen))
                 seen = set()
         expected += [len(seen)] if seen else []
@@ -1347,9 +1363,8 @@ class TestBlockTally:
 
         monkeypatch.setattr(_BankRegistry, "bulk_update", counting_update)
         monkeypatch.setattr(stream_mod, "DENSE_CELLS", 0)
-        ov = EstimatorOverrides(
-            amplification=1, rounds=1, eps_reps=3, polylog_reps=2, max_chunk=max_chunk
-        )
+        monkeypatch.setattr(estimator, "_FOLD_TUPLES", bound)
+        ov = EstimatorOverrides(amplification=1, rounds=1, eps_reps=3, polylog_reps=2)
         states = []
         for source in ways.values():
             flushes.append([])
@@ -1366,7 +1381,8 @@ class TestBlockTally:
 
 class TestGoldenEstimates:
     """Estimates pinned from the per-tuple flush rule; flush boundaries
-    must not move them."""
+    must not move them. They are checked on the sorted tally, whose fold
+    bound sets the flush boundaries (a dense tally is folded once)."""
 
     LEAN = EstimatorOverrides(amplification=3, rounds=2, eps_reps=64, polylog_reps=12)
 
@@ -1380,15 +1396,11 @@ class TestGoldenEstimates:
         ],
         ids=["k2-n8-seed5", "k2-n8-seed6", "k3-n3-seed7-lean", "k3-n3-seed8-lean"],
     )
-    def test_mixture_estimates(self, k, n, m, stream_seed, seed, lean, expected):
+    def test_mixture_estimates(self, k, n, m, stream_seed, seed, lean, expected, monkeypatch):
         recs = list(generate_synthetic("mixture(0.5)", k, n, m, seed=stream_seed))
-        base = self.LEAN if lean else EstimatorOverrides()
-        for chunk in (1, base.max_chunk):
-            rep = independence_distance(
-                TupleStream(k, n, recs),
-                0.3,
-                0.1,
-                seed=seed,
-                overrides=base.replace(max_chunk=chunk),
-            )
+        ov = self.LEAN if lean else EstimatorOverrides()
+        monkeypatch.setattr(stream_mod, "DENSE_CELLS", 0)
+        for bound in (7, estimator._FOLD_TUPLES):
+            monkeypatch.setattr(estimator, "_FOLD_TUPLES", bound)
+            rep = independence_distance(TupleStream(k, n, recs), 0.3, 0.1, seed=seed, overrides=ov)
             assert rep.distance_estimate == pytest.approx(expected, rel=1e-9)

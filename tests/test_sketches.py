@@ -31,7 +31,7 @@ from indisketch import (
     reference_sketch_value,
     suffix_sum,
 )
-from indisketch import sketches, stream as stream_mod
+from indisketch import estimator as estimator_mod, sketches, stream as stream_mod
 from indisketch.sketches import required_epsilon_reps
 
 from conftest import integer_bank, substitute_tables
@@ -236,7 +236,6 @@ class TestLinearity:
         others = [
             estimator(2, 3, seed=8),
             estimator(2, 3, overrides=EstimatorOverrides(eps_reps=100)),
-            estimator(2, 3, overrides=EstimatorOverrides(max_chunk=16)),
             StreamDistanceEstimator(2, 3, 0.25, 0.1, seed=7),
         ]
         snaps = []
@@ -286,13 +285,14 @@ class TestLinearity:
         The first part spans several flushes, the others one flush each, on
         the sorted tally: a dense one is folded once, at the snapshot."""
         monkeypatch.setattr(stream_mod, "DENSE_CELLS", 0)
-        k, n, ov = 3, 3, SMALL.replace(max_chunk=4)
+        k, n, ov, bound = 3, 3, SMALL, 4
+        monkeypatch.setattr(estimator_mod, "_FOLD_TUPLES", bound)
         recs = list(generate_synthetic("mixture(0.5)", k, n, 200, seed=5))
-        # a chunk closes at the record that brings it to max_chunk distinct tuples
+        # a chunk closes at the record that brings it to the fold bound's distinct tuples
         ends, seen = [], set()
         for i, rec in enumerate(recs):
             seen.add(rec)
-            if len(seen) == ov.max_chunk:
+            if len(seen) == bound:
                 ends.append(i + 1)
                 seen = set()
         whole = estimator(k, n, overrides=ov)
