@@ -2,7 +2,9 @@
 
 A product sketch keeps one running sum per repetition (its joint cell)
 and the stream's value counts, from which each repetition's k margin
-cells are formed after the pass. Then m^(k-1)*joint - prod(margins)
+cells are formed after the pass; a sharp bank (s = s' = k - 1) keeps its
+masked counts by last value instead, and forms each joint cell from
+them. Then m^(k-1)*joint - prod(margins)
 equals the contraction of the masked, collapsed independence tensor
 against the per-coordinate Cauchy tables -- an exact polynomial
 identity, shown here on a bank whose tables are replaced by small
@@ -60,10 +62,9 @@ def estimator():
 a, b, whole = estimator(), estimator(), estimator()
 a.consume(stream[:2])
 b.consume(stream[2:])
-# a snapshot folds the tally, so whole folds the same two chunks as a and b
-whole.consume(stream[:2])
-whole.snapshot()
-whole.consume(stream[2:])
+# the plan's one group is sharp: its state is exact counts, so the
+# merge equals the one-pass run wherever the stream was cut
+whole.consume(stream)
 a.merge(b.snapshot())
 print(f"a merged with b: norm estimate {a.tensor_norm_estimate():.6f}, m = {a.m_seen}")
 print(f"whole stream   : norm estimate {whole.tensor_norm_estimate():.6f}, m = {whole.m_seen}")

@@ -43,7 +43,9 @@ each with a leaf factory's (coarse, sharp) leaves. Sketch leaves
 product-sketch banks, all registered before the one pass, with the child
 reductions of the next depth as the sharp leaves above the last depth;
 only the sides of tournaments over two or more values get a coarse bank,
-since a one-value tournament reads its sharp value alone.
+since a one-value tournament reads its sharp value alone. A sharp bank
+keeps n exact masked counts, not one accumulator per row, and its rows
+are projected from them at evaluation (``sketches`` module notes).
 ``_evaluate_plan`` works bottom-up: leaf values, then the round decisions,
 the minimum over the rounds that ran and layered sums as array
 expressions, then the calibrated median per reduction. Oracle leaves
@@ -88,6 +90,7 @@ from .hashing import (
 from .sketches import (
     Fold,
     checked_depths,
+    count_masked,
     fold_counts,
     plan_fold,
     read_chunk,
@@ -791,40 +794,42 @@ def vector_sub_oracles(v, beta: float = 1.0) -> SubAlgorithms:
 # ---------------------------------------------------------------------------
 
 
-def _reps(group: Dict[str, np.ndarray]) -> int:
-    """The repetition count of each bank of a registry group."""
-    return len(group["joint"]) // max(1, len(group["prefix"]))
-
-
 class _BankRegistry:
     """Flat storage for every product-sketch repetition of a run.
 
     Rows are grouped by (prefix depth s, collapse depth s'). Each group
-    keeps its banks' prefix masks (banks, s, n), one seed per bank
-    (``coeff``), one ``joint`` accumulator per row and ``margins``, the
-    (k, n) counts of each coordinate's values. All banks of a group have
-    the same repetition count, so bank b holds rows [b * reps, (b + 1) *
-    reps). No Cauchy table is stored: ``draw`` draws a block's tables from
-    the bank seeds into one workspace whenever a pass needs them, the same
-    values every time. ``bulk_update`` adds a chunk's value counts at once
-    and keeps the chunk pending; its joint sums are folded, with
-    ``fold_counts``, in the next pass over the tables: ``fold_pending``,
-    the next ``bulk_update``, or ``medians``, which folds and evaluates
-    each block of one draw.
+    keeps its banks' prefix masks (banks, s, n) as uint8, one seed per
+    bank (``coeff``), its ``joint`` accumulators and ``margins``, the (k,
+    n) counts of each coordinate's values. All banks of a group have the
+    same repetition count, ``reps[key]``, so bank b holds rows [b * reps,
+    (b + 1) * reps). A coarse group keeps one ``joint`` per row. The sharp
+    group (s = s' = k - 1) keeps none: its ``joint`` is (banks, n), each
+    bank's masked record counts by last value, from which evaluation
+    projects every row (``sketches`` module notes). No Cauchy table is
+    stored: ``draw`` draws a block's tables from the bank seeds into one
+    workspace whenever a pass needs them, the same values every time.
+    ``bulk_update`` adds a chunk's value counts and the sharp group's
+    counts at once and keeps the chunk pending for the coarse groups;
+    their joint sums are folded, with ``fold_counts``, in the next pass
+    over their tables: ``fold_pending``, the next ``bulk_update``, or
+    ``medians``, which folds and evaluates each block of one draw.
     """
 
     def __init__(self, k: int, n: int, omega: float):
         self.k, self.n, self.omega = k, n, checked_omega(omega)
         self.groups: Dict[Tuple[int, int], Dict[str, np.ndarray]] = {}
+        self.reps: Dict[Tuple[int, int], int] = {}
         self.m_seen = 0
+        self._sharp = (k - 1, k - 1)
         self._pending: Optional[Dict[Tuple[int, int], Fold]] = None
         self._work = CauchyWork(n)
 
     def add_bank(self, prefix: np.ndarray, s_prime: int, reps: int, seeds) -> Tuple:
         """Register the group of the banks of `reps` repetitions, one per
-        row of ``prefix`` (banks, s, n) and of ``seeds``; returns the group
-        and its bank indices, which index the group's ``medians()``. A
-        group is registered once, before any record is folded.
+        row of ``prefix`` (banks, s, n) of 0/1 masks and of ``seeds``;
+        returns the group and its bank indices, which index the group's
+        ``medians()``. A group is registered once, before any record is
+        folded.
 
         Row r of a bank draws its Cauchy tables from ``repetition_seeds(bank
         seed, reps)[r]``, which does not depend on ``reps``: a bank of fewer
@@ -835,24 +840,29 @@ class _BankRegistry:
             raise ConfigurationError(f"group {key} must be registered once, before the pass")
         reps = checked_count("repetitions", reps)
         seeds = _word(np.asarray(seeds), "seed")
+        shape = (len(seeds), self.n) if key == self._sharp else len(seeds) * reps
+        self.reps[key] = reps
         self.groups[key] = {
-            "prefix": prefix.astype(np.float64),
+            "prefix": prefix.astype(np.uint8),
             "coeff": seeds,
-            "joint": np.zeros(len(seeds) * reps, dtype=np.float64),
+            "joint": np.zeros(shape, dtype=np.float64),
             "margins": np.zeros((self.k, self.n), dtype=np.float64),
         }
         b0, b1, q0, q1 = next(self._blocks(key), (0, 0, 0, 0))  # the first block is the largest
         self._work.reserve((b1 - b0) * (q1 - q0) * (self.k - s_prime) * self.n)
         return key, np.arange(len(prefix))
 
+    def rows(self) -> int:
+        """The product-sketch rows of every group."""
+        return sum(len(g["prefix"]) * self.reps[key] for key, g in self.groups.items())
+
     def _blocks(self, key: Tuple[int, int], lo: int = 0, hi: Optional[int] = None):
         """The blocks (b0, b1, q0, q1), repetitions q0..q1 of banks b0..b1,
         of banks lo..hi of a group: whole banks whose tables hold at most
         FOLD_BLOCK values (and whose rows at most FOLD_BLOCK), or blocks of
         one bank's rows when a bank's tables are larger."""
-        g = self.groups[key]
-        banks = len(g["prefix"]) if hi is None else hi
-        reps, row = _reps(g), (self.k - key[1]) * self.n
+        banks = len(self.groups[key]["prefix"]) if hi is None else hi
+        reps, row = self.reps[key], (self.k - key[1]) * self.n
         whole = FOLD_BLOCK // (reps * max(1, row))
         if whole:
             for b0 in range(lo, banks, whole):
@@ -875,43 +885,48 @@ class _BankRegistry:
 
     def tables(self, key: Tuple[int, int]) -> np.ndarray:
         """A copy of all of a group's Cauchy tables, (rows, k - s', n)."""
-        g = self.groups[key]
-        out = np.empty((len(g["joint"]), self.k - key[1], self.n))
-        banks = out.reshape(len(g["prefix"]), _reps(g), *out.shape[1:])
+        banks, reps = len(self.groups[key]["prefix"]), self.reps[key]
+        out = np.empty((banks * reps, self.k - key[1], self.n))
+        blocks = out.reshape(banks, reps, *out.shape[1:])
         for b0, b1, q0, q1 in self._blocks(key):
-            banks[b0:b1, q0:q1] = self.draw(key, b0, b1, q0, q1)
+            blocks[b0:b1, q0:q1] = self.draw(key, b0, b1, q0, q1)
         return out
 
     def bulk_update(self, tuples: np.ndarray, counts: np.ndarray):
         """Add the distinct ``tuples`` (D, k) with their record ``counts``:
-        their value counts and record count at once, their joint sums in
-        the next pass over the tables. The chunk pending before is folded
-        first, in a pass of its own."""
+        their value counts, record count and the sharp group's masked
+        counts at once, the coarse groups' joint sums in the next pass
+        over their tables. The chunk pending before is folded first, in a
+        pass of its own."""
         if not len(counts):
             return
         self.fold_pending()
         chunk = read_chunk(tuples, counts)
-        for g in self.groups.values():
+        for key, g in self.groups.items():
             for j in range(self.k):
                 g["margins"][j, chunk.values[j]] += chunk.hists[j]
-        self._pending = {key: plan_fold(chunk, key[1], _reps(g)) for key, g in self.groups.items()}
+            if key == self._sharp:
+                count_masked(chunk, g["prefix"], g["joint"])
+        coarse = [key for key in self.groups if key != self._sharp]
+        self._pending = {key: plan_fold(chunk, key[1], self.reps[key]) for key in coarse} or None
         self.m_seen += int(chunk.c.sum())
 
     def _pass(self, key: Tuple[int, int], blocks):
-        """Each of ``blocks`` of a group with its tables, drawn once, and
-        its joint rows (B, Q), into which the pending chunk is folded first."""
+        """Each of ``blocks`` of a group with its tables, drawn once, into
+        whose joint rows a coarse group's pending chunk is folded first."""
         g = self.groups[key]
+        pending = self._pending and self._pending.get(key)
         joint = g["joint"].reshape(len(g["prefix"]), -1)
         for b0, b1, q0, q1 in blocks:
-            tables, rows = self.draw(key, b0, b1, q0, q1), joint[b0:b1, q0:q1]
-            if self._pending:
-                fold_counts(self._pending[key], g["prefix"][b0:b1], tables, rows)
-            yield (b0, b1, q0, q1), tables, rows
+            tables = self.draw(key, b0, b1, q0, q1)
+            if pending:
+                fold_counts(pending, g["prefix"][b0:b1], tables, joint[b0:b1, q0:q1])
+            yield (b0, b1, q0, q1), tables
 
     def fold_pending(self) -> None:
-        """Fold the pending chunk into every group's joint, a pass over the tables."""
+        """Fold the pending chunk into every coarse group's joint, a pass over their tables."""
         if self._pending:
-            for key in self.groups:
+            for key in self._pending:
                 for _ in self._pass(key, self._blocks(key)):
                     pass
             self._pending = None
@@ -927,26 +942,53 @@ class _BankRegistry:
             return np.repeat(P @ hist, tables.shape[1])
         return (tables[:, :, j - s_prime] @ (P * hist)[:, :, None]).reshape(-1)
 
-    def _values(self, key: Tuple[int, int], b0: int, b1: int, tables, joint) -> np.ndarray:
+    def _collapsed(self, b0: int, b1: int) -> np.ndarray:
+        """g_b = m^(k-1) F_b - (prod_{j<k-1} H_bj . h_j) h_{k-1} of banks
+        b0..b1 of the sharp group, (B, n): row r of bank b has the value C_r . g_b."""
+        g = self.groups[self._sharp]
+        P, hist = g["prefix"][b0:b1], g["margins"]
+        mass = np.ones(b1 - b0)
+        for j in range(self.k - 1):
+            mass *= P[:, j] @ hist[j]
+        out = float(self.m_seen) ** (self.k - 1) * g["joint"][b0:b1]
+        out -= mass[:, None] * hist[-1]
+        return out
+
+    def _values(self, key: Tuple[int, int], block, tables) -> np.ndarray:
         """m^(k-1) * joint - prod(margins) of a block's rows, as a new array."""
+        b0, b1, q0, q1 = block
+        if key == self._sharp:
+            return (tables[:, :, 0] @ self._collapsed(b0, b1)[:, :, None]).reshape(-1)
         prod = self._margin(key, 0, b0, b1, tables)
         for j in range(1, self.k):  # one margin at a time, in np.prod(axis=1)'s order
             prod *= self._margin(key, j, b0, b1, tables)
-        v = float(self.m_seen) ** (self.k - 1) * joint.reshape(-1)
+        joint = self.groups[key]["joint"].reshape(-1, self.reps[key])
+        v = float(self.m_seen) ** (self.k - 1) * joint[b0:b1, q0:q1].reshape(-1)
         return np.subtract(v, prod, out=v)
+
+    def _bank(self, key: Tuple[int, int], b: int):
+        """Bank b's blocks of a group with their tables, after any pending fold."""
+        self.fold_pending()
+        return self._pass(key, self._blocks(key, b, b + 1))
+
+    def joint(self, key: Tuple[int, int], b: int) -> np.ndarray:
+        """The joint accumulators of bank b's rows of a group, (reps,): the
+        sharp group's projected from the bank's counts, C_r . F_b."""
+        g = self.groups[key]
+        if key == self._sharp:
+            return np.concatenate([t[0, :, 0] @ g["joint"][b] for _, t in self._bank(key, b)])
+        self.fold_pending()
+        return g["joint"].reshape(len(g["prefix"]), -1)[b].copy()
 
     def values(self, key: Tuple[int, int], b: int) -> np.ndarray:
         """The values of bank b's rows of a group, (reps,)."""
-        self.fold_pending()
-        blocks = self._pass(key, self._blocks(key, b, b + 1))
-        return np.concatenate([self._values(key, b, b + 1, t, J) for _, t, J in blocks])
+        return np.concatenate([self._values(key, at, t) for at, t in self._bank(key, b)])
 
     def margins(self, key: Tuple[int, int], b: int) -> np.ndarray:
         """The k margins of bank b's rows of a group, (reps, k)."""
-        self.fold_pending()
         return np.concatenate([
             np.stack([self._margin(key, j, b, b + 1, t) for j in range(self.k)], 1)
-            for _, t, _J in self._pass(key, self._blocks(key, b, b + 1))
+            for _, t in self._bank(key, b)
         ])
 
     def medians(self) -> Dict[Tuple[int, int], np.ndarray]:
@@ -960,11 +1002,11 @@ class _BankRegistry:
         """
         table = {}
         for key, g in self.groups.items():
-            reps = _reps(g)
+            reps = self.reps[key]
             med = table[key] = np.empty(len(g["prefix"]))
             row = np.empty(reps)
-            for (b0, b1, q0, q1), tables, joint in self._pass(key, self._blocks(key)):
-                v = self._values(key, b0, b1, tables, joint)
+            for (b0, b1, q0, q1), tables in self._pass(key, self._blocks(key)):
+                v = self._values(key, (b0, b1, q0, q1), tables)
                 np.abs(v, out=v)
                 if q1 - q0 == reps:
                     med[b0:b1] = row_medians(v.reshape(-1, reps))
@@ -981,10 +1023,12 @@ class SketchBank:
     """One bank of product-sketch repetitions: a one-bank ``_BankRegistry``.
 
     The bank's s prefix masks are shared by all repetitions; repetition r
-    draws its Cauchy tables from ``seed`` as registry row r does. ``joint``
-    and ``m_seen`` are the registry's own, ``joint`` read after the pending
-    chunk is folded, and ``margins`` formed on each read; ``update`` and
-    each ``bulk_update`` fold in a pass of their own.
+    draws its Cauchy tables from ``seed`` as registry row r does. ``m_seen``
+    is the registry's own; ``joint``, ``margins`` and ``values`` are formed
+    on each read, in a pass over the bank's tables. ``update`` and each
+    ``bulk_update`` of a sharp bank (s = s' = k - 1) add to its masked
+    counts and draw nothing; of any other bank they fold in a pass of their
+    own.
     """
 
     def __init__(
@@ -1005,6 +1049,8 @@ class SketchBank:
         self.k, self.n, self.s, self.s_prime, self.repetitions = k, n, s, s_prime, repetitions
         self.registry = _BankRegistry(k, n, default_truncation(k, n) if omega is None else omega)
         prefix = np.array(masks, dtype=np.float64).reshape(1, s, n)
+        if not ((prefix == 0) | (prefix == 1)).all():
+            raise ConfigurationError("prefix masks must hold only 0 and 1")
         self.registry.add_bank(prefix, s_prime, repetitions, [seed])
 
     @property
@@ -1013,8 +1059,7 @@ class SketchBank:
 
     @property
     def joint(self) -> np.ndarray:
-        self.registry.fold_pending()
-        return self.registry.groups[(self.s, self.s_prime)]["joint"]
+        return self.registry.joint((self.s, self.s_prime), 0)
 
     @property
     def margins(self) -> np.ndarray:
@@ -1096,7 +1141,7 @@ def _bank_leaves(reg: _BankRegistry, ov: EstimatorOverrides) -> Leaves:
     return leaves
 
 
-SNAPSHOT_FORMAT = "indisketch-snapshot/2"
+SNAPSHOT_FORMAT = "indisketch-snapshot/3"
 
 # a sorted tally is flushed when it holds as many distinct tuples as the
 # largest dense tally has cells, so a tally never outgrows 2^16 counts
@@ -1238,7 +1283,7 @@ class StreamDistanceEstimator:
         return _evaluate_plan(self.plan, self.configs, leaf_values)
 
     def bank_rows(self) -> int:
-        return sum(g["joint"].shape[0] for g in self.registry.groups.values())
+        return self.registry.rows()
 
     def diagnostics(self) -> Dict[str, object]:
         lcfg, tcfg, ccfg, amp = self.configs

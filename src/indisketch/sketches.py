@@ -24,7 +24,15 @@ each pass over a group draws a block's tables from the bank seeds once,
 folds a chunk into the block's joints with ``fold_counts``, the one
 implementation of this rule (``read_chunk`` and ``plan_fold`` analyse the
 chunk once for all blocks), forms margins from histograms and takes
-medians with ``row_medians``.
+medians with ``row_medians``. A sharp group (s = s' = k - 1) keeps no
+joint per row: its one table per row makes row r of bank b exactly
+C_r . g_b with
+
+    g_b = m^(k-1) F_b - (prod_{j<k-1} H_bj . h_j) h_{k-1},
+
+where F_b counts the bank's masked records by last value. So each bank
+keeps F_b, exact integer counts that ``count_masked`` adds a chunk to
+with no table at all, and evaluation projects each drawn block onto g_b.
 ``reference_sketch_value`` is the dense-tensor side of the identity,
 which the tests check the rows against exactly on small-integer tables;
 the repetition floors of the sharp and coarse estimators are defined here.
@@ -211,6 +219,27 @@ def fold_counts(fold: Fold, prefix: np.ndarray, tables: np.ndarray, joint: np.nd
                 for j, at_lead in enumerate(fold.lead_cols[i]):
                     Y *= Cb[:, :, j, at_lead]
                 Jb += np.einsum("brl->br", Y)  # Y.sum(axis=2), faster over few leads
+
+
+def count_masked(chunk: Chunk, prefix: np.ndarray, counts: np.ndarray) -> None:
+    """Add a chunk's masked record counts by last value to ``counts`` (B, n)
+    in place: ``counts[b, x]`` gains the counts of the tuples whose last
+    value is x, each times its masks ``prefix[b, j]`` (B, s, n) at its
+    first s values. Masks are 0/1, so every sum is an integer, exact in
+    float64 in any order. The tuples are put in last-value order, so each
+    block of banks sums its masked counts by one ``np.add.reduceat``; a
+    block's weights hold at most max(FOLD_BLOCK, D, n) floats."""
+    order = np.argsort(chunk.at[-1], kind="stable")
+    T, c = chunk.T[order], chunk.c[order]
+    starts = np.searchsorted(chunk.at[-1][order], np.arange(len(chunk.values[-1])))
+    cols = _table_index(chunk.values[-1])
+    step = max(1, FOLD_BLOCK // max(len(c), counts.shape[1]))
+    for b0 in range(0, len(prefix), step):
+        P = prefix[b0 : b0 + step]
+        w = np.tile(c, (len(P), 1))
+        for j in range(P.shape[1]):
+            w *= P[:, j, T[:, j]]
+        counts[b0 : b0 + step, cols] += np.add.reduceat(w, starts, axis=1)
 
 
 def required_epsilon_reps(epsilon: float, delta: float, c: float = 8.0) -> int:

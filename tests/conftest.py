@@ -53,8 +53,7 @@ def substitute_tables(registry, key, coeff):
     """Make ``registry`` draw ``coeff`` (r, k - s', n) as the tables of the
     first r rows of group ``key`` and its own tables elsewhere, so that
     its production fold and evaluation run on them."""
-    g = registry.groups[key]
-    reps = len(g["joint"]) // len(g["prefix"])
+    reps = registry.reps[key]
     tables = np.asarray(coeff, dtype=np.float64)
     tables = tables.reshape(len(tables), registry.k - key[1], registry.n)  # s' = k: no tables
     draw = registry.draw

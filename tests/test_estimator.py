@@ -310,11 +310,17 @@ class TestCoarseBanks:
 
     @pytest.mark.parametrize("k,n,rows", [(2, 8, 14_400), (3, 4, 259_200), (4, 2, 1_166_400)])
     def test_desk_profile_registers_only_the_sharp_group(self, k, n, rows):
-        """Every desk-profile bucket holds one value, so no side has a coarse bank."""
+        """Every desk-profile bucket holds one value, so no side has a coarse
+        bank. The sharp group keeps n counts per bank and no per-row array:
+        at k = 3, n = 4, 1,296 banks of 200 rows hold 1,296 x 4 counts."""
         est = StreamDistanceEstimator(k, n, 0.3, 0.1, seed=1)
         assert list(est.registry.groups) == [(k - 1, k - 1)]
         assert all(d.coarse is None for d in est.plan)
         assert est.bank_rows() == rows
+        g, banks = est.registry.groups[(k - 1, k - 1)], rows // est.overrides.eps_reps
+        assert {name: a.shape for name, a in g.items()} == {
+            "prefix": (banks, k - 1, n), "coeff": (banks,), "joint": (banks, n), "margins": (k, n),
+        }
 
     @pytest.mark.parametrize(
         "k,n,sides,digests,estimate",
@@ -353,7 +359,7 @@ class TestCoarseBanks:
             assert (int(flagged.sum()), len(flagged)) == (multi, total)
             g = est.registry.groups[(depth + 1, depth)]
             assert (len(g["prefix"]), len(g["joint"])) == (multi, 24 * multi)
-            arrays = g["prefix"], est.registry.tables((depth + 1, depth))
+            arrays = g["prefix"].astype(np.float64), est.registry.tables((depth + 1, depth))
             assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) == pinned
         est.consume(generate_synthetic("mixture(0.5)", k, n, 2000, seed=1))
         read, tournaments = [], estimator._tournaments
@@ -852,12 +858,12 @@ class TestFlushContraction:
             s, s_prime = key
             g = reg.groups[key]
             assert g["margins"].tolist() == np.array(counts, dtype=float).tolist()
-            margins = reg.margins(key, start // (stop - start))
+            joint, margins = (read(key, start // (stop - start)) for read in (reg.joint, reg.margins))
             bank = SketchBank(k, n, s, s_prime, prefix, min(2, stop - start), seed, reg.omega)
             for rec in recs:
                 bank.update(rec)
             for r in range(bank.repetitions):
-                assert g["joint"][start + r] == pytest.approx(bank.joint[r], rel=1e-12)
+                assert joint[r] == pytest.approx(bank.joint[r], rel=1e-12)
                 assert margins[r] == pytest.approx(bank.margins[r], rel=1e-12)
 
     def test_report_does_not_follow_the_fold_block(self, monkeypatch):
@@ -1102,9 +1108,9 @@ class TestMedianTable:
     )
     @settings(max_examples=60, deadline=None)
     def test_table_is_median_of_each_bank(self, groups):
-        reg = _BankRegistry(2, 2, omega=100.0)
+        reg = _BankRegistry(3, 2, omega=100.0)
         banks = []
-        for s_prime, (reps, values) in enumerate(groups):  # groups (1, 0) and (1, 1)
+        for s_prime, (reps, values) in enumerate(groups):  # coarse groups (1, 0) and (1, 1)
             count = len(values) // reps
             prefix = np.tile(np.array([[[1, 0]]], np.uint8), (count, 1, 1))
             key, ids = reg.add_bank(prefix, s_prime, reps, np.arange(count))
@@ -1131,7 +1137,9 @@ class TestMedianTable:
         added = [reg.add_bank(mask, 0, 3, [1, 2]), reg.add_bank(mask[:1], 1, 4, [3])]
         got = [(key, banks.tolist()) for key, banks in added]
         assert got == [((1, 0), [0, 1]), ((1, 1), [0])]
-        assert [len(g["joint"]) for g in reg.groups.values()] == [6, 4]
+        # (1, 1) is k = 2's sharp group: (banks, n) counts, no joint per row
+        assert reg.reps == {(1, 0): 3, (1, 1): 4} and reg.rows() == 10
+        assert [g["joint"].shape for g in reg.groups.values()] == [(6,), (1, 2)]
         with pytest.raises(ConfigurationError, match=r"group \(1, 0\) must be registered once"):
             reg.add_bank(mask, 0, 3, [4, 5])
         with pytest.raises(ConfigurationError, match="repetitions must be >= 1"):
@@ -1177,7 +1185,8 @@ def test_build_derives_per_depth_not_per_bank(monkeypatch):
 def test_evaluation_memory_stays_per_block():
     # default profile: 1.16M rows, 1.04M of them in group (2, 2)
     est = StreamDistanceEstimator(3, 8, 0.3, 0.1, seed=7)
-    assert len(est.registry.groups[(2, 2)]["joint"]) == 1_036_800
+    banks = len(est.registry.groups[(2, 2)]["prefix"])
+    assert banks * est.registry.reps[(2, 2)] == 1_036_800
     est.consume(generate_synthetic("mixture(0.5)", 3, 8, 100, seed=1))
     tracemalloc.start()
     try:
@@ -1188,15 +1197,17 @@ def test_evaluation_memory_stays_per_block():
     med = est.registry.medians()
     table = sys.getsizeof(med) + sum(sys.getsizeof(m) for m in med.values())
     # beyond the table: two block-sized float temporaries at a time (the
-    # scaled joint and the margin products, or a block and its partition)
+    # flush's masked counts of a block of banks, or a block's values and
+    # their partition)
     assert peak - table <= 2 * 8 * sketches.FOLD_BLOCK + (64 << 10)
 
 
 def test_construction_stores_no_cauchy_table():
     """A k = 4, n = 4 construction (9.3M rows; their Cauchy tables would take
-    285 MiB) holds no array that scales with rows * n: each group keeps its
-    joint, prefix masks, one seed per bank and (k, n) value counts, and the
-    registry one draw workspace: a block of values, scratch and offsets.
+    285 MiB) holds no array that scales with rows: its one group, the sharp
+    one, keeps n counts per bank, uint8 prefix masks, one seed per bank and
+    (k, n) value counts, and the registry one draw workspace: a block of
+    values, scratch and offsets.
     Beyond them the plan's index arrays (2.2 MiB) and construction
     temporaries stay under 8 MiB."""
     tracemalloc.start()
@@ -1213,18 +1224,21 @@ def test_construction_stores_no_cauchy_table():
         assert set(g) == {"prefix", "coeff", "joint", "margins"}
         assert (g["coeff"].dtype, g["coeff"].shape) == (np.uint64, (banks,))
         assert g["margins"].shape == (4, 4)
-        assert g["prefix"].shape == (banks, s, 4) and len(g["joint"]) % banks == 0
+        assert (g["prefix"].dtype, g["prefix"].shape) == (np.uint8, (banks, s, 4))
+        assert (s, s_prime, g["joint"].shape) == (3, 3, (banks, 4))
         held += sum(a.nbytes for a in g.values())
     work = reg._work.nbytes
     assert work <= 3 * 8 * estimator.FOLD_BLOCK
     assert peak <= held + work + (8 << 20)
 
 
-def test_a_one_flush_run_draws_each_table_once(monkeypatch):
-    """Construction draws no Cauchy value; a run whose tally is folded once
-    draws each row's k - s' tables once, in the pass that folds and
-    evaluates them. Three groups: a coarse group at each of two depths and
-    the sharp group."""
+def _table_values(reg, keys) -> int:
+    """The Cauchy values of one draw of the tables of groups ``keys``."""
+    return sum(len(reg.groups[key]["prefix"]) * reg.reps[key] * (reg.k - key[1]) * reg.n for key in keys)
+
+
+def _counting_draws(monkeypatch) -> list:
+    """Record the size of every Cauchy table draw of the estimator module."""
     drawn = []
     fill = estimator.batched_cauchy_tables
 
@@ -1234,14 +1248,22 @@ def test_a_one_flush_run_draws_each_table_once(monkeypatch):
         return out
 
     monkeypatch.setattr(estimator, "batched_cauchy_tables", counting)
+    return drawn
+
+
+def test_a_one_flush_run_draws_each_table_once(monkeypatch):
+    """Construction draws no Cauchy value; a run whose tally is folded once
+    draws each row's k - s' tables once, in the pass that folds and
+    evaluates them. Three groups: a coarse group at each of two depths and
+    the sharp group."""
+    drawn = _counting_draws(monkeypatch)
     k, n = 3, 4
     est = StreamDistanceEstimator(k, n, 0.3, 0.1, seed=3, overrides=EstimatorOverrides(rho=16))
     assert not drawn and list(est.registry.groups) == [(1, 0), (2, 1), (2, 2)]
     est.consume(generate_synthetic("mixture(0.5)", k, n, 2000, seed=1))
     assert not drawn
     est.tensor_norm_estimate()
-    groups = est.registry.groups.items()
-    assert sum(drawn) == sum(len(g["joint"]) * (k - s_prime) * n for (_s, s_prime), g in groups)
+    assert sum(drawn) == _table_values(est.registry, est.registry.groups)
 
 
 def test_split_banks_draw_and_evaluate_as_whole_banks(monkeypatch):
@@ -1255,8 +1277,7 @@ def test_split_banks_draw_and_evaluate_as_whole_banks(monkeypatch):
         monkeypatch.setattr(estimator, "FOLD_BLOCK", block)
         est = StreamDistanceEstimator(k, n, 0.3, 0.1, seed=2)
         reg = est.registry
-        ((key, g),) = reg.groups.items()
-        reps = len(g["joint"]) // len(g["prefix"])
+        ((key, reps),) = reg.reps.items()
         split = [q1 - q0 < reps for _b0, _b1, q0, q1 in reg._blocks(key)]
         assert any(split) == (block == 400)
         est.consume(recs)
@@ -1267,34 +1288,47 @@ def test_split_banks_draw_and_evaluate_as_whole_banks(monkeypatch):
     np.testing.assert_allclose(split_medians, medians, rtol=1e-12)
 
 
+def test_a_sharp_only_sorted_run_draws_once(monkeypatch):
+    """A sorted tally is folded whenever it reaches the fold bound, but a
+    sharp group only adds each chunk to its masked counts: a desk-profile
+    run (the sharp group alone) draws every table once, at evaluation,
+    however many times it folds."""
+    drawn = _counting_draws(monkeypatch)
+    monkeypatch.setattr(stream_mod, "DENSE_CELLS", 0)
+    k, n = 2, 16
+    recs = np.array(list(generate_synthetic("mixture(0.5)", k, n, 400, seed=2)))
+    distinct = len(np.unique(recs, axis=0))
+    for bound in (7, distinct - 1, distinct + 1):
+        monkeypatch.setattr(estimator, "_FOLD_TUPLES", bound)
+        est = StreamDistanceEstimator(k, n, 0.3, 0.1, seed=1)
+        assert list(est.registry.groups) == [(k - 1, k - 1)]
+        est.consume(recs)
+        assert not drawn  # a flush only counts
+        est.tensor_norm_estimate()
+        assert sum(drawn) == _table_values(est.registry, est.registry.groups)
+        drawn.clear()
+
+
 def test_a_sorted_run_draws_once_per_fold(monkeypatch):
-    """A sorted tally is folded when it reaches the fold bound, and the
-    registry folds that chunk in the pass the next chunk opens: a run that
-    crosses the bound once draws every table twice (the fold at the next
-    chunk, then evaluation, which folds the last chunk), and a run that
-    stays under it draws every table once, at evaluation."""
-    drawn = []
-    fill = estimator.batched_cauchy_tables
-
-    def counting(*args, **kwargs):
-        out = fill(*args, **kwargs)
-        drawn.append(out.size)
-        return out
-
-    monkeypatch.setattr(estimator, "batched_cauchy_tables", counting)
+    """A coarse group folds each chunk in the pass the next chunk opens: a
+    run that crosses the fold bound once draws its coarse tables twice
+    (the fold at the next chunk, then evaluation, which folds the last
+    chunk), and a run that stays under it once; the sharp tables are drawn
+    once either way."""
+    drawn = _counting_draws(monkeypatch)
     monkeypatch.setattr(stream_mod, "DENSE_CELLS", 0)
     k, n = 2, 16
     recs = np.array(list(generate_synthetic("mixture(0.5)", k, n, 400, seed=2)))
     distinct = len(np.unique(recs, axis=0))
     for bound, draws in ((distinct - 1, 2), (distinct + 1, 1)):
         monkeypatch.setattr(estimator, "_FOLD_TUPLES", bound)
-        est = StreamDistanceEstimator(k, n, 0.3, 0.1, seed=1)
+        est = StreamDistanceEstimator(k, n, 0.3, 0.1, seed=1, overrides=EstimatorOverrides(rho=16))
+        reg = est.registry
+        assert list(reg.groups) == [(1, 0), (1, 1)]
         est.consume(recs)
         assert not drawn
         est.tensor_norm_estimate()
-        groups = est.registry.groups.items()
-        once = sum(len(g["joint"]) * (k - s_prime) * n for (_s, s_prime), g in groups)
-        assert sum(drawn) == draws * once
+        assert sum(drawn) == draws * _table_values(reg, [(1, 0)]) + _table_values(reg, [(1, 1)])
         drawn.clear()
 
 

@@ -168,7 +168,7 @@ def test_registry_tables_of_a_k3_estimator():
     got = {
         key: tuple(
             hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
-            for a in (g["prefix"], tables[key])
+            for a in (g["prefix"].astype(np.float64), tables[key])
         )
         for key, g in est.registry.groups.items()
     }
@@ -195,8 +195,7 @@ def _plan_tree(est):
 
     def handles(leaves):
         key, banks = leaves
-        g = est.registry.groups[key]
-        reps = len(g["joint"]) // len(g["prefix"])
+        reps = est.registry.reps[key]
         return [[*key, b * reps, (b + 1) * reps] for b in banks.tolist()]
 
     below = None
@@ -242,7 +241,7 @@ def test_registry_and_plan_of_an_estimator(k, n, seed, overrides, expected, shap
     est = StreamDistanceEstimator(k, n, 0.3, 0.1, seed=seed, overrides=overrides)
     tables = {key: est.registry.tables(key) for key in est.registry.groups}
     got = {
-        key: (_sha(np.ascontiguousarray(g["prefix"]).tobytes()), _sha(tables[key].tobytes()))
+        key: (_sha(g["prefix"].astype(np.float64).tobytes()), _sha(tables[key].tobytes()))
         for key, g in est.registry.groups.items()
     }
     assert got == expected and list(got) == list(expected)

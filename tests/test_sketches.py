@@ -262,20 +262,25 @@ class TestLinearity:
         assert_same_accumulators(a.snapshot(), before)
 
     def test_merge_refuses_other_formats_and_layouts(self):
-        """A snapshot of format /1 (per-row margins) is refused, and one of
-        format /2 that carries per-row (rows, k) margins adds nothing."""
+        """A snapshot of format /1 (per-row margins) or /2 (a joint per
+        sharp row) is refused, and one of format /3 that carries per-row
+        (rows, k) margins or a joint per sharp row adds nothing."""
         a = estimator(2, 3)
         a.consume([(1, 2), (3, 3)])
         before = a.snapshot()
         other = estimator(2, 3)
         other.consume([(1, 1)])
         snap = other.snapshot()
-        groups = snap["groups"].items()
-        per_row = {key: {**g, "margins": np.ones((len(g["joint"]), 2))} for key, g in groups}
-        with pytest.raises(ConfigurationError):
-            a.merge({**snap, "format": "indisketch-snapshot/1", "groups": per_row})
-        with pytest.raises(MergeIncompatibleError):
-            a.merge({**snap, "groups": per_row})
+        ((key, g),) = snap["groups"].items()  # the sharp group alone
+        rows = other.bank_rows()
+        per_row = {key: {**g, "margins": np.ones((rows, 2))}}
+        per_sharp_row = {key: {**g, "joint": np.ones(rows)}}
+        for old, groups in (("/1", per_row), ("/2", per_sharp_row)):
+            with pytest.raises(ConfigurationError):
+                a.merge({**snap, "format": "indisketch-snapshot" + old, "groups": groups})
+        for groups in (per_row, per_sharp_row):
+            with pytest.raises(MergeIncompatibleError):
+                a.merge({**snap, "groups": groups})
         assert_same_accumulators(a.snapshot(), before)
 
     def test_merge_at_flush_points_is_byte_identical(self, monkeypatch):
@@ -309,6 +314,37 @@ class TestLinearity:
         counts = [np.bincount(np.array(recs)[:, j] - 1, minlength=n) for j in range(k)]
         for g in merged.snapshot()["groups"].values():
             assert g["margins"].tolist() == np.array(counts, dtype=float).tolist()
+
+    @pytest.mark.parametrize("cells", [stream_mod.DENSE_CELLS, 0], ids=["dense", "sorted"])
+    def test_sharp_only_merge_is_byte_identical_at_any_cut(self, cells, monkeypatch):
+        """A sharp-only plan holds exact integer state: the value counts and
+        each bank's masked counts. So a stream cut at records that are no
+        fold point, each part snapshotted and the snapshots merged, gives
+        the one-pass report to the byte, on the dense tally (folded once)
+        and on the sorted one (folded at every 4 distinct tuples)."""
+        monkeypatch.setattr(stream_mod, "DENSE_CELLS", cells)
+        bound = 4
+        monkeypatch.setattr(estimator_mod, "_FOLD_TUPLES", bound)
+        for k, n, ov in SPLITS:
+            recs = list(generate_synthetic("mixture(0.5)", k, n, 300, seed=k + 10))
+            ends, seen = [], set()  # the sorted tally's fold points
+            for i, rec in enumerate(recs):
+                seen.add(rec)
+                if len(seen) == bound:
+                    ends.append(i + 1)
+                    seen = set()
+            cuts = [0, ends[1] + 1, ends[4] - 1, ends[6] + 2, len(recs)]
+            assert not set(cuts[1:-1]) & set(ends)
+            whole = estimator(k, n, overrides=ov)
+            assert list(whole.registry.groups) == [(k - 1, k - 1)]
+            whole.consume(recs)
+            merged = estimator(k, n, overrides=ov)
+            for lo, hi in zip(cuts, cuts[1:]):
+                part = estimator(k, n, overrides=ov)
+                part.consume(recs[lo:hi])
+                merged.merge(part.snapshot())
+            assert_same_accumulators(merged.snapshot(), whole.snapshot())
+            assert merged.report().to_json() == whole.report().to_json()
 
     def test_permutation_invariance(self):
         recs = [(1, 2), (3, 1), (2, 2), (3, 3)]
@@ -520,6 +556,12 @@ class TestBank:
         monkeypatch.undo()
         joint, margins = one_record_per_flush(integer_bank(2, n, [mask], 0, coeff), counts)
         assert np.array_equal(bank.joint[:2], joint) and np.array_equal(bank.margins[:2], margins)
+
+    def test_masks_hold_only_zero_and_one(self):
+        # the registry stores masks as uint8, which would truncate 0.5
+        for bad in ([1, 0.5, 0], [2, 0, 1], [1, -1, 0]):
+            with pytest.raises(ConfigurationError, match="only 0 and 1"):
+                SketchBank(2, 3, 1, 0, [bad], repetitions=2, seed=7)
 
     def test_bulk_rejects_malformed_tuples(self):
         bank = SketchBank(2, 3, 1, 0, [[1, 1, 0]], repetitions=4, seed=7)
