@@ -799,15 +799,17 @@ class _BankRegistry:
 
     Rows are grouped by (prefix depth s, collapse depth s'). Each group
     keeps its banks' prefix masks (banks, s, n) as uint8, one seed per
-    bank (``coeff``), its ``joint`` accumulators and ``margins``, the (k,
-    n) counts of each coordinate's values. All banks of a group have the
-    same repetition count, ``reps[key]``, so bank b holds rows [b * reps,
-    (b + 1) * reps). A coarse group keeps one ``joint`` per row. The sharp
-    group (s = s' = k - 1) keeps none: its ``joint`` is (banks, n), each
-    bank's masked record counts by last value, from which evaluation
-    projects every row (``sketches`` module notes). No Cauchy table is
-    stored: ``draw`` draws a block's tables from the bank seeds into one
-    workspace whenever a pass needs them, the same values every time.
+    bank (``coeff``), its rows' ``joint`` accumulators and ``margins``,
+    the (k, n) counts of each coordinate's values. All banks of a group
+    have the same repetition count, ``reps[key]``, so bank b holds rows
+    [b * reps, (b + 1) * reps). A coarse group keeps one ``joint`` float
+    per row. A sharp row (s = s' = k - 1) keeps none, so the sharp
+    group's ``joint`` is (rows, 0); it keeps ``counts`` (banks, n)
+    instead, each bank's masked record counts by last value, from which
+    evaluation projects every row (``sketches`` module notes). No Cauchy
+    table is stored: ``draw`` draws a block's tables from the bank seeds
+    into one workspace, reserved by the first draw, whenever a pass
+    needs them, the same values every time.
     ``bulk_update`` adds a chunk's value counts and the sharp group's
     counts at once and keeps the chunk pending for the coarse groups;
     their joint sums are folded, with ``fold_counts``, in the next pass
@@ -840,16 +842,16 @@ class _BankRegistry:
             raise ConfigurationError(f"group {key} must be registered once, before the pass")
         reps = checked_count("repetitions", reps)
         seeds = _word(np.asarray(seeds), "seed")
-        shape = (len(seeds), self.n) if key == self._sharp else len(seeds) * reps
+        sharp = key == self._sharp
         self.reps[key] = reps
-        self.groups[key] = {
+        self.groups[key] = g = {
             "prefix": prefix.astype(np.uint8),
             "coeff": seeds,
-            "joint": np.zeros(shape, dtype=np.float64),
-            "margins": np.zeros((self.k, self.n), dtype=np.float64),
+            "joint": np.zeros((len(seeds) * reps, 0) if sharp else len(seeds) * reps),
+            "margins": np.zeros((self.k, self.n)),
         }
-        b0, b1, q0, q1 = next(self._blocks(key), (0, 0, 0, 0))  # the first block is the largest
-        self._work.reserve((b1 - b0) * (q1 - q0) * (self.k - s_prime) * self.n)
+        if sharp:
+            g["counts"] = np.zeros((len(seeds), self.n))
         return key, np.arange(len(prefix))
 
     def rows(self) -> int:
@@ -906,7 +908,7 @@ class _BankRegistry:
             for j in range(self.k):
                 g["margins"][j, chunk.values[j]] += chunk.hists[j]
             if key == self._sharp:
-                count_masked(chunk, g["prefix"], g["joint"])
+                count_masked(chunk, g["prefix"], g["counts"])
         coarse = [key for key in self.groups if key != self._sharp]
         self._pending = {key: plan_fold(chunk, key[1], self.reps[key]) for key in coarse} or None
         self.m_seen += int(chunk.c.sum())
@@ -916,7 +918,7 @@ class _BankRegistry:
         whose joint rows a coarse group's pending chunk is folded first."""
         g = self.groups[key]
         pending = self._pending and self._pending.get(key)
-        joint = g["joint"].reshape(len(g["prefix"]), -1)
+        joint = g["joint"].reshape(len(g["prefix"]), self.reps[key]) if pending else None
         for b0, b1, q0, q1 in blocks:
             tables = self.draw(key, b0, b1, q0, q1)
             if pending:
@@ -950,7 +952,7 @@ class _BankRegistry:
         mass = np.ones(b1 - b0)
         for j in range(self.k - 1):
             mass *= P[:, j] @ hist[j]
-        out = float(self.m_seen) ** (self.k - 1) * g["joint"][b0:b1]
+        out = float(self.m_seen) ** (self.k - 1) * g["counts"][b0:b1]
         out -= mass[:, None] * hist[-1]
         return out
 
@@ -976,9 +978,9 @@ class _BankRegistry:
         sharp group's projected from the bank's counts, C_r . F_b."""
         g = self.groups[key]
         if key == self._sharp:
-            return np.concatenate([t[0, :, 0] @ g["joint"][b] for _, t in self._bank(key, b)])
+            return np.concatenate([t[0, :, 0] @ g["counts"][b] for _, t in self._bank(key, b)])
         self.fold_pending()
-        return g["joint"].reshape(len(g["prefix"]), -1)[b].copy()
+        return g["joint"].reshape(len(g["prefix"]), self.reps[key])[b].copy()
 
     def values(self, key: Tuple[int, int], b: int) -> np.ndarray:
         """The values of bank b's rows of a group, (reps,)."""
@@ -1142,6 +1144,7 @@ def _bank_leaves(reg: _BankRegistry, ov: EstimatorOverrides) -> Leaves:
 
 
 SNAPSHOT_FORMAT = "indisketch-snapshot/3"
+_ACCUMULATORS = ("joint", "counts", "margins")  # the arrays of a group that a snapshot holds
 
 # a sorted tally is flushed when it holds as many distinct tuples as the
 # largest dense tally has cells, so a tally never outgrows 2^16 counts
@@ -1237,7 +1240,7 @@ class StreamDistanceEstimator:
             "configuration": self._configuration(),
             "m_seen": self.registry.m_seen,
             "groups": {
-                key: {"joint": g["joint"].copy(), "margins": g["margins"].copy()}
+                key: {f: g[f].copy() for f in _ACCUMULATORS if f in g}
                 for key, g in self.registry.groups.items()
             },
         }
@@ -1253,7 +1256,9 @@ class StreamDistanceEstimator:
         groups, own = snapshot.get("groups"), self.registry.groups
         if not isinstance(groups, dict) or groups.keys() != own.keys():
             raise MergeIncompatibleError("snapshot holds other bank groups")
-        adds = [(g[f], groups[key].get(f)) for key, g in own.items() for f in ("joint", "margins")]
+        adds = [
+            (g[f], groups[key].get(f)) for key, g in own.items() for f in _ACCUMULATORS if f in g
+        ]
         for mine, x in adds:
             if not isinstance(x, np.ndarray) or (x.dtype, x.shape) != (mine.dtype, mine.shape):
                 raise MergeIncompatibleError(f"an accumulator is not float64 of shape {mine.shape}")

@@ -183,6 +183,15 @@ def plan_fold(chunk: Chunk, s_prime: int, reps: int) -> Fold:
     )
 
 
+def _masked_weights(P: np.ndarray, T: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Each bank's weight of each tuple, (B, D): the tuple's count ``c``
+    times the bank's masks ``P`` (B, s, n) at the tuple's first s values."""
+    w = np.tile(c, (len(P), 1))
+    for j in range(P.shape[1]):
+        w *= P[:, j, T[:, j]]
+    return w
+
+
 def fold_counts(fold: Fold, prefix: np.ndarray, tables: np.ndarray, joint: np.ndarray) -> None:
     """Add an analysed chunk of tuple counts to a block of product-sketch rows in place.
 
@@ -203,9 +212,7 @@ def fold_counts(fold: Fold, prefix: np.ndarray, tables: np.ndarray, joint: np.nd
     for b0 in range(0, len(prefix), fold.bank_step):
         P = prefix[b0 : b0 + fold.bank_step]
         B = len(P)
-        w = np.tile(cg, (B, 1))
-        for j in range(P.shape[1]):
-            w *= P[:, j, Tg[:, j]]
+        w = _masked_weights(P, Tg, cg)
         for q0 in range(0, joint.shape[1], fold.rep_step):
             at_rows = (slice(b0, b0 + B), slice(q0, q0 + fold.rep_step))
             Cb, Jb = tables[at_rows], joint[at_rows]
@@ -235,10 +242,7 @@ def count_masked(chunk: Chunk, prefix: np.ndarray, counts: np.ndarray) -> None:
     cols = _table_index(chunk.values[-1])
     step = max(1, FOLD_BLOCK // max(len(c), counts.shape[1]))
     for b0 in range(0, len(prefix), step):
-        P = prefix[b0 : b0 + step]
-        w = np.tile(c, (len(P), 1))
-        for j in range(P.shape[1]):
-            w *= P[:, j, T[:, j]]
+        w = _masked_weights(prefix[b0 : b0 + step], T, c)
         counts[b0 : b0 + step, cols] += np.add.reduceat(w, starts, axis=1)
 
 

@@ -319,7 +319,8 @@ class TestCoarseBanks:
         assert est.bank_rows() == rows
         g, banks = est.registry.groups[(k - 1, k - 1)], rows // est.overrides.eps_reps
         assert {name: a.shape for name, a in g.items()} == {
-            "prefix": (banks, k - 1, n), "coeff": (banks,), "joint": (banks, n), "margins": (k, n),
+            "prefix": (banks, k - 1, n), "coeff": (banks,), "joint": (rows, 0), "margins": (k, n),
+            "counts": (banks, n),
         }
 
     @pytest.mark.parametrize(
@@ -1139,7 +1140,8 @@ class TestMedianTable:
         assert got == [((1, 0), [0, 1]), ((1, 1), [0])]
         # (1, 1) is k = 2's sharp group: (banks, n) counts, no joint per row
         assert reg.reps == {(1, 0): 3, (1, 1): 4} and reg.rows() == 10
-        assert [g["joint"].shape for g in reg.groups.values()] == [(6,), (1, 2)]
+        assert [g["joint"].shape for g in reg.groups.values()] == [(6,), (4, 0)]
+        assert "counts" not in reg.groups[(1, 0)] and reg.groups[(1, 1)]["counts"].shape == (1, 2)
         with pytest.raises(ConfigurationError, match=r"group \(1, 0\) must be registered once"):
             reg.add_bank(mask, 0, 3, [4, 5])
         with pytest.raises(ConfigurationError, match="repetitions must be >= 1"):
@@ -1196,18 +1198,19 @@ def test_evaluation_memory_stays_per_block():
         tracemalloc.stop()
     med = est.registry.medians()
     table = sys.getsizeof(med) + sum(sys.getsizeof(m) for m in med.values())
-    # beyond the table: two block-sized float temporaries at a time (the
-    # flush's masked counts of a block of banks, or a block's values and
-    # their partition)
-    assert peak - table <= 2 * 8 * sketches.FOLD_BLOCK + (64 << 10)
+    work = est.registry._work.nbytes  # reserved by the first draw, held for later ones
+    # beyond the table and the draw workspace: two block-sized float
+    # temporaries at a time (the flush's masked counts of a block of banks,
+    # or a block's values and their partition)
+    assert peak - table - work <= 2 * 8 * sketches.FOLD_BLOCK + (64 << 10)
 
 
 def test_construction_stores_no_cauchy_table():
     """A k = 4, n = 4 construction (9.3M rows; their Cauchy tables would take
     285 MiB) holds no array that scales with rows: its one group, the sharp
-    one, keeps n counts per bank, uint8 prefix masks, one seed per bank and
-    (k, n) value counts, and the registry one draw workspace: a block of
-    values, scratch and offsets.
+    one, keeps n counts per bank and a joint of no float per row, uint8
+    prefix masks, one seed per bank and (k, n) value counts. The draw
+    workspace is reserved by the first draw, not at construction.
     Beyond them the plan's index arrays (2.2 MiB) and construction
     temporaries stay under 8 MiB."""
     tracemalloc.start()
@@ -1221,15 +1224,15 @@ def test_construction_stores_no_cauchy_table():
     held = 0
     for (s, s_prime), g in reg.groups.items():
         banks = len(g["prefix"])
-        assert set(g) == {"prefix", "coeff", "joint", "margins"}
+        assert set(g) == {"prefix", "coeff", "joint", "margins", "counts"}
         assert (g["coeff"].dtype, g["coeff"].shape) == (np.uint64, (banks,))
         assert g["margins"].shape == (4, 4)
         assert (g["prefix"].dtype, g["prefix"].shape) == (np.uint8, (banks, s, 4))
-        assert (s, s_prime, g["joint"].shape) == (3, 3, (banks, 4))
+        rows = banks * reg.reps[(s, s_prime)]
+        assert (s, s_prime, g["joint"].shape, g["counts"].shape) == (3, 3, (rows, 0), (banks, 4))
         held += sum(a.nbytes for a in g.values())
-    work = reg._work.nbytes
-    assert work <= 3 * 8 * estimator.FOLD_BLOCK
-    assert peak <= held + work + (8 << 20)
+    assert reg._work.nbytes == 0
+    assert peak <= held + (8 << 20)
 
 
 def _table_values(reg, keys) -> int:
@@ -1409,8 +1412,9 @@ class TestBlockTally:
         assert all(f == expected for f in flushes)
         for groups in states[1:]:
             for key, g in states[0].items():
-                assert np.array_equal(groups[key]["joint"], g["joint"])
-                assert np.array_equal(groups[key]["margins"], g["margins"])
+                assert groups[key].keys() == g.keys()
+                for f in ("joint", "counts", "margins"):
+                    assert f not in g or np.array_equal(groups[key][f], g[f])
 
 
 class TestGoldenEstimates:

@@ -183,7 +183,8 @@ def assert_same_accumulators(x, y, exact=True):
     assert x["m_seen"] == y["m_seen"]
     assert x["groups"].keys() == y["groups"].keys()
     for key, g in x["groups"].items():
-        for name in ("joint", "margins"):
+        assert g.keys() == y["groups"][key].keys()
+        for name in g:
             if exact:
                 assert np.array_equal(g[name], y["groups"][key][name])
             else:
@@ -274,7 +275,7 @@ class TestLinearity:
         ((key, g),) = snap["groups"].items()  # the sharp group alone
         rows = other.bank_rows()
         per_row = {key: {**g, "margins": np.ones((rows, 2))}}
-        per_sharp_row = {key: {**g, "joint": np.ones(rows)}}
+        per_sharp_row = {key: {"joint": np.ones(rows), "margins": g["margins"]}}
         for old, groups in (("/1", per_row), ("/2", per_sharp_row)):
             with pytest.raises(ConfigurationError):
                 a.merge({**snap, "format": "indisketch-snapshot" + old, "groups": groups})
@@ -504,7 +505,8 @@ class TestBank:
         bank.registry.fold_pending()  # the fold, drawing each block's tables
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert peak < 1 << 20
+        # beyond the draw workspace, which the first draw reserves for later ones
+        assert peak - bank.registry._work.nbytes < 1 << 20
         joint, margins = one_record_per_flush(integer_bank(k, n, masks, 1, coeff), recs)
         assert np.array_equal(bank.joint[:3], joint) and np.array_equal(bank.margins[:3], margins)
 
