@@ -38,11 +38,14 @@ from .stream import (
     EstimateReport,
     TupleKey,
     TupleStream,
+    TupleTally,
     build_frequency_table,
     checked_count,
     checked_domain,
     checked_unit,
     exact_statistical_distance,
+    frequency_table,
+    record_blocks,
 )
 
 EXIT_OK = 0
@@ -360,6 +363,13 @@ def _file_records(path: str, k: int, n: int) -> Iterator[np.ndarray]:
         yield from parse_records(fh, k, n)
 
 
+def _tallied(blocks: Iterable[np.ndarray], tally: TupleTally) -> Iterator[np.ndarray]:
+    """``blocks``, each counted into ``tally`` as it is pulled."""
+    for block in blocks:
+        tally.add(block)
+        yield block
+
+
 def run(cfg: RunConfig, stdin: Optional[IO] = None) -> EstimateReport:
     """Execute one run and return the report (raises on errors)."""
     cfg.validate()
@@ -398,22 +408,16 @@ def run(cfg: RunConfig, stdin: Optional[IO] = None) -> EstimateReport:
     est = StreamDistanceEstimator(
         cfg.k, cfg.n, cfg.epsilon, cfg.delta, seed=cfg.seed, overrides=overrides
     )
-    if cfg.mode == "sketch":
-        est.consume(reader)
-        if est.m_seen == 0:
-            raise EmptyStreamError("input stream is empty")
-        diagnostics["records_read"] = reader.records_read
+    # both: the sketch's one pass, each validated block also counted into the oracle's tally
+    tally = TupleTally(cfg.k, cfg.n) if cfg.mode == "both" else None
+    est.consume(reader if tally is None else _tallied(record_blocks(reader, cfg.k, cfg.n), tally))
+    if est.m_seen == 0:
+        raise EmptyStreamError("input stream is empty")
+    diagnostics["records_read"] = reader.records_read
+    if tally is None:
         diagnostics["reader_traversals"] = reader.traversals
         return est.report(diagnostics)
-
-    # both: one traversal of the reader, materialized so the oracle and the
-    # sketch see identical data (requires the dense-mode budget).
-    records = list(reader)
-    if not records:
-        raise EmptyStreamError("input stream is empty")
-    exact = exact_statistical_distance(build_frequency_table(TupleStream(cfg.k, cfg.n, records)))
-    est.consume(records)
-    diagnostics["records_read"] = reader.records_read
+    exact = exact_statistical_distance(frequency_table(tally))
     return est.report(diagnostics, exact_distance=float(exact))
 
 

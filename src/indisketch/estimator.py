@@ -445,13 +445,15 @@ def _buckets(H, seeds, cfg: CoverConfig):
     """The occupied buckets (cover, bucket) of the covers of the masks H
     (C, n) with seeds (C,), in order, with each one's mask and tournament
     seed. A cover runs one tournament per occupied bucket; unoccupied
-    buckets are exactly null."""
+    buckets are exactly null. Each mask is scattered from H's nonzero
+    cells: no other (buckets, n) array is built."""
     g = bucket_tables(derive_key(seeds, _TAG_BUCKET), H.shape[1], cfg.rho)
     c, i = np.nonzero(H)
-    keys = np.sort(c * cfg.rho + (g[c, i] - 1))
-    keys = keys[np.diff(keys, prepend=-1) != 0]  # (cover, bucket) pairs in order
+    # the (cover, bucket) pairs in order, and the pair of each nonzero cell
+    keys, at = np.unique(c * cfg.rho + (g[c, i] - 1), return_inverse=True)
     owner, bucket = keys // cfg.rho, keys % cfg.rho + 1
-    masks = H[owner] * (g[owner] == bucket[:, None])
+    masks = np.zeros((len(keys), H.shape[1]), dtype=H.dtype)
+    masks[at, i] = 1
     return owner, bucket, masks, derive_key(seeds[owner], _TAG_TOURN, bucket)
 
 
@@ -826,12 +828,12 @@ class _BankRegistry:
         self._pending: Optional[Dict[Tuple[int, int], Fold]] = None
         self._work = CauchyWork(n)
 
-    def add_bank(self, prefix: np.ndarray, s_prime: int, reps: int, seeds) -> Tuple:
+    def add_bank(self, prefix: np.ndarray, s_prime: int, reps: int, seeds) -> Tuple[int, int]:
         """Register the group of the banks of `reps` repetitions, one per
         row of ``prefix`` (banks, s, n) of 0/1 masks and of ``seeds``;
-        returns the group and its bank indices, which index the group's
-        ``medians()``. A group is registered once, before any record is
-        folded.
+        returns the group's key (s, s'), whose ``medians()`` entry holds
+        one median per bank in that order. A group is registered once,
+        before any record is folded.
 
         Row r of a bank draws its Cauchy tables from ``repetition_seeds(bank
         seed, reps)[r]``, which does not depend on ``reps``: a bank of fewer
@@ -852,7 +854,7 @@ class _BankRegistry:
         }
         if sharp:
             g["counts"] = np.zeros((len(seeds), self.n))
-        return key, np.arange(len(prefix))
+        return key
 
     def rows(self) -> int:
         """The product-sketch rows of every group."""
@@ -1126,8 +1128,8 @@ def _bank_leaves(reg: _BankRegistry, ov: EstimatorOverrides) -> Leaves:
     """Leaves of the sketch pipeline: a coarse bank for each side flagged
     ``multi`` (``None`` when no side is: no group is registered), and each
     side's sharp bank at the last depth; above it, a child reduction is the
-    sharp leaf. A leaf is a group and its bank indices, and one depth's
-    banks of one group are registered in one call."""
+    sharp leaf. A leaf is a group's key: one depth's banks of one group are
+    registered in one call, one bank per side in side order."""
 
     def leaves(prefix, seeds, rd, side, multi):
         depth = prefix.shape[1] - 1
@@ -1282,8 +1284,8 @@ class StreamDistanceEstimator:
         def leaf_values(d: _Depth, below):
             coarse, sharp = np.full(len(d.side_t), math.nan), d.sharp  # NaN: no coarse bank
             if d.coarse is not None:
-                coarse[~d.single[d.side_t]] = med[d.coarse[0]][d.coarse[1]]
-            return coarse, below if sharp is None else med[sharp[0]][sharp[1]]
+                coarse[~d.single[d.side_t]] = med[d.coarse]
+            return coarse, below if sharp is None else med[sharp]
 
         return _evaluate_plan(self.plan, self.configs, leaf_values)
 

@@ -41,7 +41,7 @@ the repetition floors of the sharp and coarse estimators are defined here.
 from __future__ import annotations
 
 import math
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -102,14 +102,6 @@ def checked_depths(k: int, s, s_prime) -> Tuple[int, int]:
     return s, s_prime
 
 
-def _table_index(index: np.ndarray):
-    """``index`` as a slice if it runs a, a + 1, ..., b (checked step by step: lead
-    columns after the first are not sorted), so a table read at it is a view."""
-    if len(index) and (np.diff(index) == 1).all():
-        return slice(index[0], index[0] + len(index))
-    return index
-
-
 class Chunk(NamedTuple):
     """A chunk of distinct tuples read once for every group's fold."""
 
@@ -136,14 +128,14 @@ class Fold(NamedTuple):
     c: np.ndarray  # their counts
     lead: np.ndarray  # each tuple's lead
     last: np.ndarray  # each tuple's last value (0 per suffix)
-    last_col: object  # the last table's index at the distinct last values; None per suffix
+    last_col: Optional[np.ndarray]  # the distinct last values; None per suffix
     nv: int  # last values per lead on the grid (1 per suffix)
     leads: int  # distinct leads L
     bank_step: int
     rep_step: int
     lead_step: int
     cuts: np.ndarray  # the first tuple of each block of leads
-    lead_cols: list  # each block of leads' index into each lead table
+    lead_cols: list  # each block of leads' values in each lead coordinate
 
 
 def plan_fold(chunk: Chunk, s_prime: int, reps: int) -> Fold:
@@ -166,17 +158,14 @@ def plan_fold(chunk: Chunk, s_prime: int, reps: int) -> Fold:
     if s_prime == k or len(L) * V > GRID_FILL * len(U):
         L, lead, last, nv, last_col = U, inv.reshape(-1), np.zeros(D, np.int64), 1, None
     else:
-        lead, last, nv = lead[inv.reshape(-1)], chunk.at[-1], V
-        last_col = _table_index(chunk.values[-1])
+        lead, last, nv, last_col = lead[inv.reshape(-1)], chunk.at[-1], V, chunk.values[-1]
     order = np.argsort(lead, kind="stable")
     lead = lead[order]
     bank_step = max(1, FOLD_BLOCK // max(D, reps * max(V, len(L)), nv * len(L)))
     rep_step = reps if bank_step * reps * V <= FOLD_BLOCK else max(1, FOLD_BLOCK // V)
     lead_step = max(1, FOLD_BLOCK // (bank_step * max(rep_step, nv)))
     cuts = np.searchsorted(lead, np.arange(0, len(L) + lead_step, lead_step))
-    lead_cols = [
-        [_table_index(x) for x in L[l0 : l0 + lead_step].T] for l0 in range(0, len(L), lead_step)
-    ]
+    lead_cols = [list(L[l0 : l0 + lead_step].T) for l0 in range(0, len(L), lead_step)]
     return Fold(
         T[order], c[order], lead, last[order], last_col, nv, len(L),
         bank_step, rep_step, lead_step, cuts, lead_cols,
@@ -203,8 +192,8 @@ def fold_counts(fold: Fold, prefix: np.ndarray, tables: np.ndarray, joint: np.nd
     then their lead tables. The cost is O(B * s * D + B * Q * (L * V +
     (d - 1) * L)) on the grid, where L * V = U on a dense chunk, and
     O(B * s * D + B * Q * d * U) per suffix; never a term in n^k. Tables
-    are read in place at a run of indices (a dense chunk's values), else
-    gathered into a copy; neither they nor the masks are written.
+    are gathered at the chunk's values into a copy; neither they nor the
+    masks are written.
     """
     Tg, cg, lead, last = fold.T, fold.c, fold.lead, fold.last
     nv, lead_step, last_col = fold.nv, fold.lead_step, fold.last_col
@@ -239,11 +228,10 @@ def count_masked(chunk: Chunk, prefix: np.ndarray, counts: np.ndarray) -> None:
     order = np.argsort(chunk.at[-1], kind="stable")
     T, c = chunk.T[order], chunk.c[order]
     starts = np.searchsorted(chunk.at[-1][order], np.arange(len(chunk.values[-1])))
-    cols = _table_index(chunk.values[-1])
     step = max(1, FOLD_BLOCK // max(len(c), counts.shape[1]))
     for b0 in range(0, len(prefix), step):
         w = _masked_weights(prefix[b0 : b0 + step], T, c)
-        counts[b0 : b0 + step, cols] += np.add.reduceat(w, starts, axis=1)
+        counts[b0 : b0 + step, chunk.values[-1]] += np.add.reduceat(w, starts, axis=1)
 
 
 def required_epsilon_reps(epsilon: float, delta: float, c: float = 8.0) -> int:

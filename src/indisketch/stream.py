@@ -317,21 +317,26 @@ def build_frequency_table(stream: TupleStream) -> FrequencyTable:
 
     Raises MalformedInputError naming the offending record index when a
     tuple has the wrong arity, a non-integral or an out-of-range
-    coordinate. Counts are Python ints, so the oracle's products are exact.
+    coordinate.
     """
-    k, n = stream.k, stream.n
-    tally = TupleTally(k, n)
-    for block in record_blocks(stream, k, n):
+    tally = TupleTally(stream.k, stream.n)
+    for block in record_blocks(stream, stream.k, stream.n):
         tally.add(block)
+    return frequency_table(tally)
+
+
+def frequency_table(tally: TupleTally) -> FrequencyTable:
+    """The joint and margin counts of a tally. Counts are Python ints, so
+    the oracle's products are exact."""
     T, counts = tally.tuples(), tally.counts
     joint = dict(zip(map(tuple, T.tolist()), counts.tolist()))
     margins: List[Dict[int, int]] = []
-    for l in range(k):
+    for l in range(tally.k):
         values, at = np.unique(T[:, l], return_inverse=True)
         sums = np.zeros(len(values), dtype=np.int64)
         np.add.at(sums, at, counts)
         margins.append(dict(zip(values.tolist(), sums.tolist())))
-    return FrequencyTable(k=k, n=n, m=tally.m, joint=joint, margins=margins)
+    return FrequencyTable(k=tally.k, n=tally.n, m=tally.m, joint=joint, margins=margins)
 
 
 def independence_tensor_entry(table: FrequencyTable, i: TupleKey) -> int:

@@ -830,10 +830,10 @@ class TestFlushContraction:
         add_bank, bulk_update = _BankRegistry.add_bank, _BankRegistry.bulk_update
 
         def recording_add(reg, prefix, s_prime, reps, seeds):
-            key, ids = add_bank(reg, prefix, s_prime, reps, seeds)
-            handles = [(key, b * reps, (b + 1) * reps) for b in ids.tolist()]
+            key = add_bank(reg, prefix, s_prime, reps, seeds)
+            handles = [(key, b * reps, (b + 1) * reps) for b in range(len(prefix))]
             banks.extend(zip(handles, prefix.copy(), np.asarray(seeds).tolist()))
-            return key, ids
+            return key
 
         def counting_update(reg, tuples, counts):
             flushes.append(len(tuples))
@@ -1114,8 +1114,8 @@ class TestMedianTable:
         for s_prime, (reps, values) in enumerate(groups):  # coarse groups (1, 0) and (1, 1)
             count = len(values) // reps
             prefix = np.tile(np.array([[[1, 0]]], np.uint8), (count, 1, 1))
-            key, ids = reg.add_bank(prefix, s_prime, reps, np.arange(count))
-            banks += [(key, i, reps) for i in ids.tolist()]
+            key = reg.add_bank(prefix, s_prime, reps, np.arange(count))
+            banks += [(key, i, reps) for i in range(count)]
         for s_prime, (_reps, values) in enumerate(groups):
             reg.groups[(1, s_prime)]["joint"][:] = values  # margins stay 0, so values are exact
         reg.m_seen = 1
@@ -1136,8 +1136,8 @@ class TestMedianTable:
         reg = _BankRegistry(2, 2, omega=100.0)
         mask = np.array([[[1, 1]], [[1, 0]]], np.uint8)
         added = [reg.add_bank(mask, 0, 3, [1, 2]), reg.add_bank(mask[:1], 1, 4, [3])]
-        got = [(key, banks.tolist()) for key, banks in added]
-        assert got == [((1, 0), [0, 1]), ((1, 1), [0])]
+        got = [(key, len(reg.groups[key]["prefix"])) for key in added]
+        assert got == [((1, 0), 2), ((1, 1), 1)]
         # (1, 1) is k = 2's sharp group: (banks, n) counts, no joint per row
         assert reg.reps == {(1, 0): 3, (1, 1): 4} and reg.rows() == 10
         assert [g["joint"].shape for g in reg.groups.values()] == [(6,), (4, 0)]
@@ -1182,6 +1182,27 @@ def test_build_derives_per_depth_not_per_bank(monkeypatch):
     assert calls["derive_key"] <= 16 * depths
     assert calls["zero_one_tables"] <= 2 * depths
     assert calls["add_bank"] == len(groups) == 1
+
+
+def test_bucket_masks_are_the_largest_array_of_a_cover(monkeypatch):
+    """At k = 2, n = 1024 the 9 covers of the one depth occupy 9,216
+    buckets, whose uint8 masks (9 MiB) bound what ``_buckets`` holds: each
+    mask is scattered from its cover's nonzero cells. Comparing a (buckets,
+    n) int64 copy of the bucket tables against each bucket held about 10
+    times the masks."""
+    buckets, peaks = estimator._buckets, []
+
+    def traced(H, seeds, cfg):
+        tracemalloc.start()
+        out = buckets(H, seeds, cfg)
+        peaks.append((tracemalloc.get_traced_memory()[1], out[2].nbytes))
+        tracemalloc.stop()
+        return out
+
+    monkeypatch.setattr(estimator, "_buckets", traced)
+    StreamDistanceEstimator(2, 1024, 0.3, 0.1, seed=1)
+    [(peak, masks)] = peaks
+    assert masks == 9216 * 1024 and peak < 2 * masks
 
 
 def test_evaluation_memory_stays_per_block():

@@ -190,13 +190,13 @@ def _plan_tree(est):
     """The plan as nested lists: every phase, level, bucket and round in
     evaluation order, with each leaf as its bank handle [s, s', start, stop]
     and the coarse leaf of a side without a coarse bank as None, read from
-    the depth arrays bottom-up."""
+    the depth arrays bottom-up. A leaf is its group's key, whose bank count
+    the registry holds."""
     rounds, amp = est.configs[1].rounds, est.configs[3]
 
-    def handles(leaves):
-        key, banks = leaves
-        reps = est.registry.reps[key]
-        return [[*key, b * reps, (b + 1) * reps] for b in banks.tolist()]
+    def handles(key):
+        banks, reps = len(est.registry.groups[key]["prefix"]), est.registry.reps[key]
+        return [[*key, b * reps, (b + 1) * reps] for b in range(banks)]
 
     below = None
     for d in reversed(est.plan):

@@ -42,6 +42,16 @@ GRID = sketches.GRID_FILL
 FOLD_SHAPES = [(sketches.FOLD_BLOCK, GRID), (7, 0), (40, math.inf), (40, GRID), (7, GRID), (40, 0)]
 
 
+# chunks whose indices into a table run 3-6 in every coordinate; hold 1, 4, 6
+# in the first and run 3-6 in the second; and give leads (1, 1), (1, 3),
+# (2, 2), (2, 4), whose second column 0, 2, 1, 3 spans 0-3 but is no run
+FOLD_RECORDS = {
+    "run-from-3": [(3, 4), (4, 6), (5, 3), (6, 5), (3, 3), (5, 6), (3, 4)],
+    "gap-and-run": [(1, 3), (4, 4), (6, 5), (1, 6), (4, 3)],
+    "unsorted-lead": [(1, 1, 2), (1, 3, 5), (2, 2, 2), (2, 4, 7), (1, 3, 2)],
+}
+
+
 def integer_tables(rng, rows, d, n):
     """``rows`` rows of d tables of small integers (-3..3) over [1, n]."""
     return rng.integers(-3, 4, (rows, d, n)).astype(np.float64)
@@ -408,22 +418,30 @@ class TestBank:
                 _, margins = one_record_per_flush(one_each, recs)
                 assert np.array_equal(bank.margins, margins)
 
-    @pytest.mark.parametrize("chunk", ["repeats", "permutation"])
-    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "k,chunk",
+        [(k, chunk) for k in (2, 3, 4) for chunk in ("repeats", "permutation")]
+        + [(2, "run-from-3"), (2, "gap-and-run"), (3, "unsorted-lead")],
+    )
     def test_fold_matches_scalar_states_at_every_depth(self, k, chunk, monkeypatch):
         """Every (s, s') at k = 2, 3, 4, s' = k - 1 and s' = k among them, on
         small-integer tables. A permutation chunk's n distinct suffixes fill
-        1/n of their lead-by-last grid when s' < k - 1. At every fold shape
-        of FOLD_SHAPES (small blocks split the banks, a bank's repetitions
-        and the leads; GRID_FILL = 0 folds every suffix as its own lead) the
-        rows are the same to the bit and their values the dense expansion."""
+        1/n of their lead-by-last grid when s' < k - 1; the chunks of
+        ``FOLD_RECORDS`` index the tables at a run, a gap and a run, and an
+        unsorted lead column. At every fold shape of FOLD_SHAPES (small
+        blocks split the banks, a bank's repetitions and the leads;
+        GRID_FILL = 0 folds every suffix as its own lead) the rows are the
+        same to the bit and their values the dense expansion, and no fold
+        writes into the masks or the Cauchy tables it reads."""
         n, reps = 7, 4
         rng = np.random.default_rng(k)
         if chunk == "permutation":
             recs = list(zip(*(rng.permutation(n).tolist() for _ in range(k))))
             recs = [tuple(x + 1 for x in r) for r in recs]
-        else:
+        elif chunk == "repeats":
             recs = [tuple(r) for r in rng.integers(1, 4, (10, k)).tolist()]
+        else:
+            recs = FOLD_RECORDS[chunk]
         chunks = (recs, recs[:3])  # one flush of the whole chunk, then a few repeats
         masks = [rng.integers(0, 2, n) | (np.arange(n) % 3 == 0) for _ in range(k)]
         for s in range(k + 1):
@@ -433,56 +451,15 @@ class TestBank:
                 for block, fill in FOLD_SHAPES:
                     monkeypatch.setattr(sketches, "FOLD_BLOCK", block)
                     monkeypatch.setattr(sketches, "GRID_FILL", fill)
-                    bank = fold(integer_bank(k, n, masks[:s], s_prime, coeff), *chunks)
+                    bank = integer_bank(k, n, masks[:s], s_prime, coeff)
+                    group, reg = bank.registry.groups[(s, s_prime)], bank.registry
+                    read = group["prefix"].tobytes(), reg.tables((s, s_prime)).tobytes()
+                    fold(bank, *chunks).registry.fold_pending()
+                    assert (group["prefix"].tobytes(), reg.tables((s, s_prime)).tobytes()) == read
                     rows.append((bank.joint, bank.margins))
                 assert bank.values().tolist() == reference_values(bank, recs + recs[:3], masks[:s])
                 for joint, margins in rows[1:]:
                     assert np.array_equal(joint, rows[0][0]) and np.array_equal(margins, rows[0][1])
-
-    @pytest.mark.parametrize(
-        "recs,in_place",
-        [
-            # every coordinate holds the values 3-6 of n = 8: each table is read in place
-            ([(3, 4), (4, 6), (5, 3), (6, 5), (3, 3), (5, 6), (3, 4)], {True}),
-            # the first coordinate holds 1, 4, 6 (gathered), the second 3-6 (in place)
-            ([(1, 3), (4, 4), (6, 5), (1, 6), (4, 3)], {True, False}),
-            # leads (1, 1), (1, 3), (2, 2), (2, 4): the second lead column
-            # 0, 2, 1, 3 spans 0-3 by its ends but is no run, so it is gathered
-            ([(1, 1, 2), (1, 3, 5), (2, 2, 2), (2, 4, 7), (1, 3, 2)], {True, False}),
-        ],
-        ids=["run-from-3", "gap-and-run", "unsorted-lead"],
-    )
-    def test_fold_reads_runs_in_place(self, recs, in_place, monkeypatch):
-        """Table reads at a run of indices are views, any other index set is
-        gathered. At every (s, s') both forms give the dense expansion
-        exactly on small-integer tables, as does a fold that always gathers,
-        and no fold writes into the masks or the Cauchy tables it reads."""
-        k, n, reps = len(recs[0]), 8, 5
-        rng = np.random.default_rng(k)
-        masks = [rng.integers(0, 2, n) | (np.arange(n) % 3 == 0) for _ in range(k)]
-        table_index, read = sketches._table_index, set()
-
-        def spy(index):
-            at = table_index(index)
-            read.add(isinstance(at, slice))
-            return at
-
-        for s in range(k + 1):
-            for s_prime in range(s + 1):
-                coeff = integer_tables(rng, reps, k - s_prime, n)
-                rows = []
-                for helper in (spy, lambda index: index):  # then gather every read
-                    monkeypatch.setattr(sketches, "_table_index", helper)
-                    bank = integer_bank(k, n, masks[:s], s_prime, coeff)
-                    group, reg = bank.registry.groups[(s, s_prime)], bank.registry
-                    tables = group["prefix"].tobytes(), reg.tables((s, s_prime)).tobytes()
-                    fold(bank, recs).registry.fold_pending()
-                    assert (group["prefix"].tobytes(), reg.tables((s, s_prime)).tobytes()) == tables
-                    rows.append((bank.joint, bank.margins))
-                assert bank.values().tolist() == reference_values(bank, recs, masks[:s])
-                assert np.array_equal(rows[1][0], rows[0][0])
-                assert np.array_equal(rows[1][1], rows[0][1])
-        assert read == in_place
 
     @pytest.mark.parametrize("shared_suffix", [False, True])
     def test_flush_memory_follows_the_chunk(self, shared_suffix):
