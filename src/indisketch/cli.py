@@ -308,6 +308,11 @@ def generate_synthetic(kind: str, k: int, n: int, m: int, seed: int) -> Iterator
     with probability rho, otherwise independent; a bare mixture is
     mixture(0.5).
     """
+    return (tuple(r) for block in _synthetic_blocks(kind, k, n, m, seed) for r in block.tolist())
+
+
+def _synthetic_blocks(kind: str, k: int, n: int, m: int, seed: int) -> Iterator[np.ndarray]:
+    """The records of ``generate_synthetic`` as (b, k) int64 blocks."""
     k, n = checked_domain(k, n)
     m = checked_count("m", m)
     kind, mixture_rho = generator_spec(kind)
@@ -328,7 +333,7 @@ def generate_synthetic(kind: str, k: int, n: int, m: int, seed: int) -> Iterator
         coords = np.empty((i.shape[0], k), dtype=np.int64)
         coords[diag] = draw(i[diag], 0xD1)[:, None]
         coords[~diag] = draw(i[~diag, None], 0xD2, np.arange(k, dtype=np.uint64))
-        yield from map(tuple, coords.tolist())
+        yield coords
 
 
 def _split_override(pair: str) -> Tuple[str, str]:
@@ -376,7 +381,7 @@ def run(cfg: RunConfig, stdin: Optional[IO] = None) -> EstimateReport:
     overrides = parse_overrides(cfg.overrides)
 
     if cfg.generate is not None:
-        records: Iterable = generate_synthetic(cfg.generate, cfg.k, cfg.n, cfg.m, cfg.seed)
+        records: Iterable = _synthetic_blocks(cfg.generate, cfg.k, cfg.n, cfg.m, cfg.seed)
     else:
         if cfg.input_path in (None, "-"):
             # a stdin without a byte layer gives str lines, which parse_records also takes

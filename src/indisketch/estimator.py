@@ -23,38 +23,34 @@ evaluated one depth at a time. Composition, bottom to top:
    values into multiplicative layers, pick for each layer the deepest
    subsampling level whose count falls in a calibrated window, and sum the
    rescaled counts. This turns covers into an L1 estimate of the whole
-   vector. All outputs of a depth are layered as arrays: layer edges by
-   search against Python's float powers, one count per (run, layer,
-   level) cell, one reduction for the levels and one weighted count per
-   run for the sums.
+   vector.
 
 4. *Dimension reduction* (``_build_reduce_plan``, ``_evaluate_plan``):
    steps 1-3 applied to the absolute-hyperplane vector of a tensor turn
    per-hyperplane estimators into a full-norm estimator, with median
-   amplification of the 2/3 success probability. Each median is divided
-   by the mean ratio of a value's lower layer edge to the value, so the
-   rounding down to layer edges does not compound over the depths.
+   amplification of the 2/3 success probability.
 
 ``_build_reduce_plan`` builds the stack from one set of constants
 (``_stack_configs``) as one ``_Depth`` of index arrays per recursion
 depth: runs, kept levels, occupied buckets and nonempty tournament sides,
-each with a leaf factory's (coarse, sharp) leaves. Sketch leaves
-(``StreamDistanceEstimator`` / ``independence_distance``) are
-product-sketch banks, all registered before the one pass, with the child
-reductions of the next depth as the sharp leaves above the last depth;
-only the sides of tournaments over two or more values get a coarse bank,
-since a one-value tournament reads its sharp value alone. A sharp bank
-keeps n exact masked counts, not one accumulator per row, and its rows
-are projected from them at evaluation (``sketches`` module notes).
-``_evaluate_plan`` works bottom-up: leaf values, then the round decisions,
-the minimum over the rounds that ran and layered sums as array
-expressions, then the calibrated median per reduction. Oracle leaves
-(``tensor_tournament``, ``cover_algorithm``, ``dimension_reduce``) are
-a depth's side masks as one table, evaluated by
-one call of each injected ``SubAlgorithms`` estimator; ``layered_l1_estimate``
-takes a caller's cover for each level. Exact sub-oracles built from the
-dense tensor module let property tests isolate the combinatorial logic from
-sketch noise while running the stage evaluators the sketch pipeline runs.
+each with a leaf factory's (coarse, sharp) leaves. A cover's buckets and
+a tournament's sides are one partition step (``_partition``): each hash
+is evaluated at the nonzero cells of the masks it splits, and each part's
+mask scattered from them. Sketch leaves (``StreamDistanceEstimator`` /
+``independence_distance``) are product-sketch banks, all registered
+before the one pass, with the child reductions of the next depth as the
+sharp leaves above the last depth; only the sides of tournaments over two
+or more values get a coarse bank, since a one-value tournament reads its
+sharp value alone. ``_evaluate_plan`` works bottom-up: leaf values, then
+the round decisions, the minimum over the rounds that ran and layered
+sums as array expressions, then the calibrated median per reduction.
+Oracle leaves (``tensor_tournament``, ``cover_algorithm``,
+``dimension_reduce``) are a depth's side masks as one table, evaluated by
+one call of each injected ``SubAlgorithms`` estimator;
+``layered_l1_estimate`` takes a caller's cover for each level. Exact
+sub-oracles built from the dense tensor module let property tests isolate
+the combinatorial logic from sketch noise while running the stage
+evaluators the sketch pipeline runs.
 """
 
 from __future__ import annotations
@@ -77,15 +73,15 @@ from .errors import (
 from .hashing import (
     FOLD_BLOCK,
     CauchyWork,
-    _word,
     batched_cauchy_tables,
-    bucket_tables,
+    bucket_values,
     checked_omega,
     counter_uniform,
     default_truncation,
     derive_key,
     hash_table,
     zero_one_tables,
+    zero_one_values,
 )
 from .sketches import (
     Fold,
@@ -352,15 +348,7 @@ _TAG_CHILD = 0x7A09
 
 def _seeds(seed) -> np.ndarray:
     """A caller's integral seed as a one-element uint64 array, mod 2^64 like ``derive_key``."""
-    return np.array([_word(seed, "seed")])
-
-
-def _split_masks(H: np.ndarray, rd, seeds) -> np.ndarray:
-    """The halves (kept-by-0, kept-by-1) of the masks H (..., n) in the rounds
-    rd of the tournaments seeded by ``seeds``, broadcast together, as
-    (..., 2, n); the split hashes are tabulated in one step."""
-    kept1 = H * zero_one_tables(derive_key(seeds, _TAG_SPLIT, rd), H.shape[-1], 0.5)
-    return np.stack([H - kept1, kept1], axis=-2)
+    return np.array([derive_key(seed)])
 
 
 # ---------------------------------------------------------------------------
@@ -441,19 +429,23 @@ def _levels(n: int, cfg: LayerConfig, seeds):
     return q, run, j, masks[run, j], level_seeds[run, j]
 
 
+def _partition(row, i, label, width: int, n: int):
+    """The groups (row, label) of the nonzero cells (row, i) of a mask table
+    in order, label in [0, width), with each group's uint8 mask over n."""
+    keys, at = np.unique(row * width + label, return_inverse=True)
+    masks = np.zeros((len(keys), n), dtype=np.uint8)
+    masks[at, i] = 1
+    return keys // width, keys % width, masks
+
+
 def _buckets(H, seeds, cfg: CoverConfig):
     """The occupied buckets (cover, bucket) of the covers of the masks H
     (C, n) with seeds (C,), in order, with each one's mask and tournament
     seed. A cover runs one tournament per occupied bucket; unoccupied
-    buckets are exactly null. Each mask is scattered from H's nonzero
-    cells: no other (buckets, n) array is built."""
-    g = bucket_tables(derive_key(seeds, _TAG_BUCKET), H.shape[1], cfg.rho)
+    buckets are exactly null. The hash is evaluated at H's nonzero cells."""
     c, i = np.nonzero(H)
-    # the (cover, bucket) pairs in order, and the pair of each nonzero cell
-    keys, at = np.unique(c * cfg.rho + (g[c, i] - 1), return_inverse=True)
-    owner, bucket = keys // cfg.rho, keys % cfg.rho + 1
-    masks = np.zeros((len(keys), H.shape[1]), dtype=H.dtype)
-    masks[at, i] = 1
+    g = bucket_values(derive_key(seeds, _TAG_BUCKET)[c], i + 1, cfg.rho)
+    owner, bucket, masks = _partition(c, i, g, cfg.rho + 1, H.shape[1])
     return owner, bucket, masks, derive_key(seeds[owner], _TAG_TOURN, bucket)
 
 
@@ -462,13 +454,16 @@ def _sides(H, seeds, cfg: TournamentConfig):
     holds one value, and their nonempty sides (tournament, round, side) in
     order, with each one's mask; an empty side reads 0. A tournament whose
     mask holds one value runs round 0 only: every round splits it into
-    that value and an empty side, so only the rounds that run are split."""
-    single = H.sum(axis=1) == 1
-    runs = np.where(single, 1, cfg.rounds)
-    t, rd = np.nonzero(np.arange(cfg.rounds) < runs[:, None])  # the rounds that run
-    halves = _split_masks(H[t], rd, seeds[t])
-    i, side = np.nonzero(halves.any(axis=2))
-    return single, t[i], rd[i], side, halves[i, side]
+    that value and an empty side, so only the rounds that run are split,
+    each by its hash at H's nonzero cells only."""
+    c, i = np.nonzero(H)
+    single = np.bincount(c, minlength=len(H)) == 1
+    # each cell in each round that runs
+    cell, rd = np.nonzero(np.arange(cfg.rounds) < np.where(single[c], 1, cfg.rounds)[:, None])
+    c, i = c[cell], i[cell]
+    bit = zero_one_values(derive_key(seeds[c], _TAG_SPLIT, rd), i + 1, 0.5)
+    row, side, masks = _partition(c * cfg.rounds + rd, i, bit, 2, H.shape[1])
+    return single, row // cfg.rounds, row % cfg.rounds, side, masks
 
 
 class _Depth(NamedTuple):
@@ -843,11 +838,11 @@ class _BankRegistry:
         if key in self.groups or self.m_seen:
             raise ConfigurationError(f"group {key} must be registered once, before the pass")
         reps = checked_count("repetitions", reps)
-        seeds = _word(np.asarray(seeds), "seed")
+        seeds = derive_key(np.asarray(seeds))
         sharp = key == self._sharp
         self.reps[key] = reps
         self.groups[key] = g = {
-            "prefix": prefix.astype(np.uint8),
+            "prefix": prefix.astype(np.uint8, copy=False),
             "coeff": seeds,
             "joint": np.zeros((len(seeds) * reps, 0) if sharp else len(seeds) * reps),
             "margins": np.zeros((self.k, self.n)),

@@ -103,14 +103,6 @@ def _offsets(index):
     return (_word(index, "index") + np.uint64(1)) * _GOLDEN
 
 
-def _counters(key, index):
-    """The splitmix64-mixed counter key + (index + 1) * golden of each (key,
-    index) pair; both are integral scalars or arrays, broadcast, and wrap
-    mod 2^64 (ConfigurationError on a non-integral value)."""
-    with np.errstate(over="ignore"):
-        return _mix64_into(_word(key, "key") + _offsets(index))
-
-
 def _steps(z):
     """m = max(z >> 11, 1) of mixed counters z, in place for an array: the
     53-bit uniform u = m * 2^-53, floored at 2^-53 so that the Cauchy map
@@ -126,7 +118,9 @@ def counter_uniform(key, index):
     derive_key takes its seed and parts; vectorized evaluation returns a
     float64 array of the broadcast shape.
     """
-    return _steps(_counters(key, index)) * 2.0**-53
+    with np.errstate(over="ignore"):  # the mixed counter key + (index + 1) * golden, mod 2^64
+        z = _mix64_into(_word(key, "key") + _offsets(index))
+    return _steps(z) * 2.0**-53
 
 
 _TAG_ZERO_ONE = 0x5A01
@@ -135,17 +129,14 @@ _TAG_BUCKET = 0x5A02
 
 def _field_coefficients(seeds, tag: int):
     """(a, b) of the field hash (a*i + b) mod p keyed by (seed, tag) of each seed (or one seed)."""
-    if isinstance(seeds, (list, tuple)):
-        seeds = np.array([_word(s, "seed") for s in seeds], dtype=np.uint64)
     key = derive_key(seeds, tag)
     with np.errstate(over="ignore"):
         return tuple(_mix64_into(key + np.uint64(c)) % np.uint64(FIELD_PRIME) for c in (1, 2))
 
 
-def _field_values(a, b, i) -> np.ndarray:
-    """(a*i + b) mod p at the indices i; one row per coefficient pair when a, b are arrays."""
-    a = np.asarray(a, dtype=np.uint64)[..., None]
-    b = np.asarray(b, dtype=np.uint64)[..., None]
+def _field_hash(seeds, tag: int, i) -> np.ndarray:
+    """(a*i + b) mod p keyed by (seed, tag) of each seed and index i, broadcast together."""
+    a, b = _field_coefficients(seeds, tag)
     return (a * np.asarray(i, dtype=np.uint64) + b) % np.uint64(FIELD_PRIME)
 
 
@@ -161,18 +152,25 @@ def _threshold(q) -> np.ndarray:
     return np.rint(np.asarray(q, dtype=np.float64) * FIELD_PRIME).astype(np.uint64)
 
 
+def zero_one_values(seeds, i, q) -> np.ndarray:
+    """ZeroOneHash(seed, n, q)(i) as uint8 of each seed, index i and probability
+    q, broadcast together: the one evaluator of the 0/1 hashes, at any cells."""
+    return (_field_hash(seeds, _TAG_ZERO_ONE, i) < _threshold(q)).astype(np.uint8)
+
+
 def zero_one_tables(seeds, n: int, q) -> np.ndarray:
     """Tables of ZeroOneHash(seed, n, q) for many seeds in one step: uint8 of
     the seeds' shape + (n,). ``q`` is one probability or one per seed."""
-    a, b = _field_coefficients(seeds, _TAG_ZERO_ONE)
-    return (_field_values(a, b, np.arange(1, n + 1)) < _threshold(q)[..., None]).astype(np.uint8)
+    if isinstance(seeds, (list, tuple)):  # ints of any size, never floats
+        seeds = np.array(seeds, dtype=object)
+    return zero_one_values(np.expand_dims(seeds, -1), np.arange(1, n + 1), np.expand_dims(q, -1))
 
 
-def bucket_tables(seeds, n: int, buckets: int) -> np.ndarray:
-    """Tables of BucketHash(seed, n, buckets) for many seeds in one step: seeds' shape + (n,)."""
-    a, b = _field_coefficients(seeds, _TAG_BUCKET)
+def bucket_values(seeds, i, buckets: int) -> np.ndarray:
+    """BucketHash(seed, n, buckets)(i) as int64 of each seed and index i,
+    broadcast together: the one evaluator of the bucket hashes, at any cells."""
     rho = np.uint64(checked_count("buckets", buckets))
-    return (np.uint64(1) + _field_values(a, b, np.arange(1, n + 1)) % rho).astype(np.int64)
+    return (np.uint64(1) + _field_hash(seeds, _TAG_BUCKET, i) % rho).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -198,7 +196,7 @@ class ZeroOneHash:
 
     def __call__(self, i):
         _check_index(i, self.n)
-        return int(_field_values(self.a, self.b, [int(i)])[0] < self.threshold)
+        return int(zero_one_values(self.seed, int(i), self.q))
 
     def table(self, n=None):
         """Vectorized evaluation over [1, n] as a uint8 array (index 0 <-> i=1)."""
@@ -226,10 +224,11 @@ class BucketHash:
 
     def __call__(self, i):
         _check_index(i, self.n)
-        return 1 + int(_field_values(self.a, self.b, [int(i)])[0] % self.buckets)
+        return int(bucket_values(self.seed, int(i), self.buckets))
 
     def table(self, n=None):
-        return bucket_tables(self.seed, self.n if n is None else n, self.buckets)
+        n = self.n if n is None else n
+        return bucket_values(self.seed, np.arange(1, n + 1), self.buckets)
 
 
 def hash_table(h, n: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from indisketch import (
     generate_synthetic,
     parse_records,
 )
-from indisketch import cli, estimator
+from indisketch import cli, estimator, stream as stream_mod
 from indisketch.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
@@ -377,6 +377,18 @@ class TestRun:
         rep = run(cfg)
         assert rep.diagnostics["reader_traversals"] == 1
         assert rep.diagnostics["records_read"] == 200 == rep.m
+
+    @pytest.mark.parametrize("mode", ["exact", "sketch", "both"])
+    def test_generated_records_reach_the_pass_as_blocks(self, mode, monkeypatch):
+        """A generated stream is drawn as int64 blocks and counted as such:
+        no record becomes a tuple to be batched back into an array."""
+
+        def batched(records, *args):
+            raise AssertionError(f"{len(records)} generated records were batched as tuples")
+
+        monkeypatch.setattr(stream_mod, "_record_batch", batched)
+        rep = run(RunConfig(k=3, n=4, mode=mode, seed=1, generate="mixture(0.5)", m=30_000))
+        assert rep.m == rep.diagnostics["records_read"] == 30_000
 
     @pytest.mark.parametrize("k,n", [(2, 8), (3, 4)])
     def test_both_mode_is_the_exact_and_sketch_runs(self, k, n, tmp_path):

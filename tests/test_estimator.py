@@ -40,12 +40,12 @@ from indisketch import (
 from indisketch import estimator, hashing, sketches, stream as stream_mod
 from indisketch.estimator import (
     _BankRegistry,
+    _TAG_SPLIT,
     _levels,
-    _split_masks,
     _stack_configs,
     vector_sub_oracles,
 )
-from indisketch.hashing import ZeroOneHash
+from indisketch.hashing import ZeroOneHash, derive_key, zero_one_tables
 
 
 def diag_embed(v):
@@ -58,6 +58,15 @@ def diag_embed(v):
 
 def ones_mask(n):
     return np.ones(n, dtype=np.uint8)
+
+
+def split_halves(H, rd, seeds):
+    """The dense reference of ``_sides``' split: the halves (kept-by-0,
+    kept-by-1) of the masks H (..., n) in the rounds rd of the tournaments
+    seeded by ``seeds``, broadcast together, as (..., 2, n), from split
+    hashes tabulated over all n."""
+    kept1 = H * zero_one_tables(derive_key(seeds, _TAG_SPLIT, rd), H.shape[-1], 0.5)
+    return np.stack([H - kept1, kept1], axis=-2)
 
 
 def sketch_norm(stream, epsilon, delta, seed, overrides=None):
@@ -265,7 +274,7 @@ class TestTournament:
         seeds = np.arange(40, dtype=np.uint64)
         single, t, rd, side, masks = estimator._sides(H, seeds, cfg)
         assert np.array_equal(single, H.sum(axis=1) == 1)
-        halves = _split_masks(H[:, None], np.arange(3), seeds[:, None])
+        halves = split_halves(H[:, None], np.arange(3), seeds[:, None])
         assert np.array_equal(masks, halves[t, rd, side]) and masks.any(axis=1).all()
         sizes = H.sum(axis=1).tolist()
         assert sum(size > 1 for size in sizes) > 20
@@ -392,7 +401,7 @@ class TestSubAlgorithmError:
 
     def test_tournament(self):
         H, seed = ones_mask(8), 4
-        m1 = _split_masks(H, 0, seed)[1]
+        m1 = split_halves(H, 0, seed)[1]
         side = int(m1[2])  # the side of round 0 holding coordinate 3
         cfg = TournamentConfig.from_targets(0.1, 0.1, beta=1.0, rounds=3)
         with pytest.raises(SubAlgorithmError) as err:
@@ -1159,7 +1168,8 @@ def test_build_derives_per_depth_not_per_bank(monkeypatch):
     built one tournament side at a time, the same plan with every round of
     its one-value buckets and a coarse bank per side (23,436 banks) made
     60,029 derive_key, 3,924 zero_one_tables and 23,436 add_bank calls.
-    No Cauchy table is drawn: a pass draws them."""
+    Every 0/1 hash, a level table or a split at a mask's cells, is one
+    ``zero_one_values`` call. No Cauchy table is drawn: a pass draws them."""
     calls = Counter()
 
     def counting(name, fn):
@@ -1172,15 +1182,15 @@ def test_build_derives_per_depth_not_per_bank(monkeypatch):
     for mod in (estimator, hashing, sketches):
         monkeypatch.setattr(mod, "derive_key", counting("derive_key", mod.derive_key))
     for mod in (estimator, hashing):
-        tables = counting("zero_one_tables", mod.zero_one_tables)
-        monkeypatch.setattr(mod, "zero_one_tables", tables)
+        evaluator = counting("zero_one_values", mod.zero_one_values)
+        monkeypatch.setattr(mod, "zero_one_values", evaluator)
     monkeypatch.setattr(_BankRegistry, "add_bank", counting("add_bank", _BankRegistry.add_bank))
     est = StreamDistanceEstimator(3, 4, 0.3, 0.1, seed=1)
     groups = est.registry.groups.values()
     assert sum(len(g["prefix"]) for g in groups) == 1_296
     depths = 2
     assert calls["derive_key"] <= 16 * depths
-    assert calls["zero_one_tables"] <= 2 * depths
+    assert calls["zero_one_values"] <= 2 * depths
     assert calls["add_bank"] == len(groups) == 1
 
 
@@ -1203,6 +1213,28 @@ def test_bucket_masks_are_the_largest_array_of_a_cover(monkeypatch):
     StreamDistanceEstimator(2, 1024, 0.3, 0.1, seed=1)
     [(peak, masks)] = peaks
     assert masks == 9216 * 1024 and peak < 2 * masks
+
+
+def test_side_masks_are_the_largest_array_of_a_tournament_split(monkeypatch):
+    """At k = 2, n = 1024 the 9,216 one-value tournaments of the one depth
+    keep one side each, whose uint8 masks (9 MiB) bound what ``_sides``
+    holds: each split hash is evaluated at the cells of its mask, and each
+    side's mask scattered from them. Tabulating every split hash over all
+    n as uint64, with a (sides, 2, n) copy of the halves, held about 17
+    times the masks."""
+    sides, peaks = estimator._sides, []
+
+    def traced(H, seeds, cfg):
+        tracemalloc.start()
+        out = sides(H, seeds, cfg)
+        peaks.append((tracemalloc.get_traced_memory()[1], out[4].nbytes))
+        tracemalloc.stop()
+        return out
+
+    monkeypatch.setattr(estimator, "_sides", traced)
+    StreamDistanceEstimator(2, 1024, 0.3, 0.1, seed=1)
+    [(peak, masks)] = peaks
+    assert masks == 9216 * 1024 and peak < 3 * masks
 
 
 def test_evaluation_memory_stays_per_block():

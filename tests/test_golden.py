@@ -31,7 +31,7 @@ from indisketch import (
 from indisketch.cli import generate_synthetic
 from indisketch.estimator import (
     StreamDistanceEstimator,
-    _split_masks,
+    _sides,
     vector_sub_oracles,
 )
 from indisketch.hashing import (
@@ -134,9 +134,19 @@ def test_cauchy_tables():
     ]
 
 
+def _halves(H, rounds, seed):
+    """The halves (rounds, 2, n) of one tournament over the mask H, as
+    ``_sides`` splits it, with an empty side all zeros."""
+    tcfg = TournamentConfig.from_targets(0.1, 0.1, beta=1.0, rounds=rounds)
+    _, _, rd, side, masks = _sides(H[None], np.array([seed], dtype=np.uint64), tcfg)
+    halves = np.zeros((rounds, 2, len(H)), dtype=np.uint8)
+    halves[rd, side] = masks
+    return halves
+
+
 def test_split_masks_of_one_tournament():
     H = np.array([1, 1, 0, 1, 1, 1, 0, 1], dtype=np.uint8)
-    sides = _split_masks(H, np.arange(4), U(2**64 - 5))
+    sides = _halves(H, 4, 2**64 - 5)
     got = [(r, m0.tolist(), m1.tolist()) for r, (m0, m1) in enumerate(sides)]
     assert got == [
         (0, [1, 1, 0, 0, 1, 1, 0, 0], [0, 0, 0, 1, 0, 0, 0, 1]),
@@ -257,7 +267,7 @@ class TestFormulaRounds:
     def test_split_masks(self):
         assert self.tcfg.rounds == 91
         H = np.ones(64, dtype=np.uint8)
-        masks = _split_masks(H, np.arange(91), U(12345))
+        masks = _halves(H, 91, 12345)
         assert masks.shape == (91, 2, 64) and int(masks.sum()) == 5824
         assert _sha(masks.tobytes()) == (
             "2ad9ec580d08a73d351f290fdd1ec4e187ddfe0fb645b03d16a723719a4c5545"
