@@ -152,7 +152,7 @@ def parse_lines(lines: Iterable[str], k: int, n: int, first: int = 1) -> Iterato
         yield tuple(out)
 
 
-_POW10 = 10 ** np.arange(18, dtype=np.int64)  # up to the longest token an int64 holds
+_LONGEST = 16  # the deepest read, in digits: the last doubling an int64 holds
 
 # Binary sources are read this many bytes at a time; each read is cut after
 # its last newline and the rest is carried into the next buffer.
@@ -167,34 +167,40 @@ def _parse_block(buf: bytes, k: int, n: int) -> Optional[Tuple[np.ndarray, int]]
     if buf.translate(None, b"0123456789 \t\n,"):
         return None
     data = np.frombuffer(buf, dtype=np.uint8)
-    digit = data - 48  # wraps to 10 or more at every byte but a digit
+    digit = data - np.uint8(48)  # wraps to 10 or more at every byte but a digit
     is_digit = digit < 10
-    # digit runs are the tokens; edges marks the first byte of each run and
-    # the byte after it (the buffer ends in a newline, so every run ends)
-    edges = is_digit.copy()
-    edges[1:] ^= is_digit[:-1]
-    starts, ends = np.flatnonzero(edges).reshape(-1, 2).T
+    # digit runs are the tokens; the buffer ends in a newline, so each run
+    # has a last digit with a byte after it
+    last = np.flatnonzero(is_digit[:-1] > is_digit[1:])
     lines = int(np.count_nonzero(data == 10))
     # k tokens per newline with a newline right after every k-th token put k
     # on each line; else lines are counted, and one without k holds no token or comma
-    if len(starts) != k * lines or not (data[ends[k - 1 :: k]] == 10).all():
+    if len(last) != k * lines or not (data[1:][last[k - 1 :: k]] == 10).all():
         newlines = np.flatnonzero(data == 10)
-        tokens = np.diff(np.searchsorted(starts, newlines), prepend=0)
+        tokens = np.diff(np.searchsorted(last, newlines), prepend=0)
         if not (tokens == k).all():
             commas = np.diff(np.searchsorted(np.flatnonzero(data == 44), newlines), prepend=0)
             if not ((tokens == k) | ((tokens == 0) & (commas == 0))).all():
                 return None
-    longest = int((ends - starts).max(initial=0))
-    # digit j of each token from its end; a shorter token reads the byte
-    # before it, a separator or (at offset 0) the final newline, both 0
-    digit *= is_digit
-    values = digit[ends - 1].astype(np.int64)
-    for j in range(1, min(longest, len(_POW10))):
-        at = digit[np.maximum(ends - 1 - j, starts - 1)]
-        values += np.multiply(at, _POW10[j], dtype=np.int64)  # numpy 1 would keep uint8
-    if longest > len(_POW10) or len(values) and (values.min() < 1 or values.max() > n):
+    # Horner over the bytes, by doubling: `value` holds each byte's run of
+    # digits read `span` bytes deep (0 at a non-digit), and `whole` whether
+    # those bytes are all digits. Doubling the span adds, where `whole`
+    # holds, 10^span times the value `span` bytes back, in an accumulator
+    # of 2 * span digits. Once no run is longer than the span, a token's
+    # last digit holds its value, leading zeros and all
+    value, whole, span = digit * is_digit, is_digit.copy(), 1
+    while (whole[span:] & is_digit[:-span]).any():
+        if span == _LONGEST:
+            return None
+        acc = np.int16 if span < 4 else np.int32 if span < 8 else np.int64
+        value = value.astype(acc, copy=False)
+        value[span:] += value[:-span] * acc(10**span) * whole[span:]
+        whole[span:] &= whole[:-span]  # numpy reads overlapping operands as if copied
+        span *= 2
+    values = value[last]
+    if len(values) and (int(values.min()) < 1 or int(values.max()) > n):
         return None
-    return values.reshape(-1, k), lines
+    return values.astype(np.int64).reshape(-1, k), lines
 
 
 def _text_lines(buf: bytes) -> Tuple[List[str], Optional[str]]:

@@ -133,7 +133,9 @@ def _checked_block(block: np.ndarray, k: int, n: int, index: int) -> np.ndarray:
     ``checked_tuple`` error, counting rows from ``index + 1``."""
     if block.shape[1] != k:
         checked_tuple(block[0].tolist(), k, n, index + 1)
-    if block.dtype.kind in "iuf":
+    if block.dtype.kind in "iu" and int(block.min()) >= 1 and int(block.max()) <= n:
+        return block.astype(np.int64, copy=False)
+    if block.dtype.kind in "iuf":  # floats, or integers out of range: check each value
         ok = (block >= 1) & (block <= n)
         if block.dtype.kind == "f":
             ok &= block == np.floor(block)
@@ -209,9 +211,9 @@ class TupleTally:
     A tuple's key is the mixed-radix index of the 0-based tuple when
     ``n^k`` fits in an int64, and otherwise the tuple's raw bytes; both
     sort and compare exactly. Up to ``DENSE_CELLS`` cells, counts are kept
-    in a table of one int64 per cell of [n]^k: a block costs O(b), the
-    distinct count is kept as blocks are added, and the nonzero cells are
-    read in key order. Above it, tuples are kept as sorted keys with int64
+    in a table of one int64 per cell of [n]^k: a block costs O(b), and the
+    distinct count and the nonzero cells are read from the table on
+    demand, in key order. Above it, tuples are kept as sorted keys with int64
     counts; added keys wait until they are as many as the keys held, then
     merge in one sort, so a large support costs O(log) per record, not O(D).
     """
@@ -221,7 +223,6 @@ class TupleTally:
         fits = n**k <= 2**63
         self._radix = n ** np.arange(k - 1, -1, -1, dtype=np.int64) if fits else None
         self._table = np.zeros(n**k, dtype=np.int64) if n**k <= DENSE_CELLS else None
-        self._distinct = 0  # distinct tuples in the table, kept as blocks are added
         self._keys = self._encode(np.empty((0, k), dtype=np.int64))
         self._counts = np.empty(0, dtype=np.int64)
         self._waiting: List[np.ndarray] = []
@@ -230,7 +231,7 @@ class TupleTally:
     def __len__(self) -> int:
         """Number of distinct tuples."""
         if self._table is not None:
-            return self._distinct
+            return int(np.count_nonzero(self._table))
         self._merge()
         return len(self._keys)
 
@@ -252,7 +253,14 @@ class TupleTally:
 
     def _encode(self, block: np.ndarray) -> np.ndarray:
         if self._radix is not None:
-            return (block - 1) @ self._radix
+            # Horner over the columns, keys * n + (column - 1): no partial
+            # key outgrows n^k - 1, so nothing wraps at n^k = 2^63
+            keys = block[:, 0] - 1
+            for j in range(1, self.k):
+                keys *= self.n
+                keys -= 1
+                keys += block[:, j]
+            return keys
         rows = np.ascontiguousarray(block, dtype=np.int64)
         return rows.view(np.dtype((np.void, 8 * self.k))).reshape(-1)
 
@@ -286,9 +294,6 @@ class TupleTally:
                 keys = keys[: np.sort(new)[need - 1] + 1]
         self._waiting_rows += len(keys)
         if self._table is not None:
-            fresh = keys[self._table[keys] == 0]  # keys of cells counted for the first time
-            if len(fresh):  # np.unique without return_index would import numpy.ma
-                self._distinct += len(np.unique(fresh, return_index=True)[0])
             np.add.at(self._table, keys, 1)
         else:
             self._waiting.append(keys)

@@ -91,36 +91,62 @@ def outcome(records):
 
 
 K, N = 3, 12
-_plain = st.integers(1, N).map(str)
-_token = st.one_of(
-    _plain,
-    _plain.map(lambda t: "00" + t),  # leading zeros
-    # signs, non-ASCII digits, errors, over-long tokens; 2^64 + 5 wraps to 5 in int64
-    st.sampled_from(
-        ["+3", "\u0661", "1_0", "-1", "0", str(N + 1), "x", "1.0", "0" * 20 + "7", str(2**64 + 5)]
-    ),
-)
 _separator = st.sampled_from([",", " ", "\t", ", ", ",,", " \t ", ",\t"])
 _ending = st.sampled_from(["\n", "\r\n", "\r", "", "  \n"])
+_unit = st.floats(0, 1, exclude_max=True)
+# a token is drawn as (kind, u), its text a function of the domain size n
+# (`_text`): the value u of the way through [1, n] ("plain"), through the
+# values of n's own width ("wide"), the latter with one or two leading
+# zeros ("zero", "zeros"), or a value above n, of n's width or one digit
+# longer ("over")
+_valid = st.tuples(st.sampled_from(["plain", "wide", "wide", "zero", "zeros"]), _unit)
+_token = st.one_of(
+    _valid,
+    st.tuples(st.just("over"), _unit),
+    # signs, non-ASCII digits, errors, over-long tokens; 2^64 + 5 wraps to 5 in int64
+    st.sampled_from(
+        ["+3", "\u0661", "1_0", "-1", "0", "x", "1.0", "0" * 20 + "7", str(2**64 + 5)]
+    ),
+)
+
+
+def _token_text(token, n):
+    kind, u = token
+    low = 10 ** (len(str(n)) - 1)  # the least value of n's width
+    if kind == "plain":
+        return str(1 + int(u * n))
+    if kind == "over":
+        return str(n + 1 + int(u * 9 * low))
+    wide = str(low + int(u * (n - low + 1)))
+    return {"wide": "", "zero": "0", "zeros": "00"}[kind] + wide
+
+
+def _text(line, n):
+    """A drawn line's text at domain size n; a ``str`` line is its own text."""
+    if isinstance(line, str):
+        return line
+    return "".join(p if isinstance(p, str) else _token_text(p, n) for p in line)
 
 
 @st.composite
 def _line(draw):
+    """A line as a tuple of text parts and drawn tokens."""
     kind = draw(st.sampled_from(["record"] * 6 + ["odd", "blank", "comment", "commas"]))
     if kind == "blank":
-        body = draw(st.sampled_from(["", " ", "\t", " \t "]))
+        body = (draw(st.sampled_from(["", " ", "\t", " \t "])),)
     elif kind == "comment":
-        body = draw(st.sampled_from(["# note", "  #1,2,3", "#"]))
+        body = (draw(st.sampled_from(["# note", "  #1,2,3", "#"])),)
     elif kind == "commas":
-        body = draw(st.sampled_from([",", " ,, ", ",\t,"]))
+        body = (draw(st.sampled_from([",", " ,, ", ",\t,"])),)
     else:
-        tokens = draw(st.lists(_plain, min_size=K, max_size=K))
+        tokens = draw(st.lists(_valid, min_size=K, max_size=K))
         if kind == "odd":
             tokens = draw(st.lists(_token, min_size=K - 1, max_size=K + 1))
-        body = draw(_separator).join(tokens)
+        separator = draw(_separator)
+        body = tuple(p for t in tokens for p in (separator, t))[1:]
         if draw(st.booleans()):
-            body = draw(st.sampled_from([" ", "\t", ","])) + body
-    return body + draw(_ending)
+            body = (draw(st.sampled_from([" ", "\t", ","])),) + body
+    return body + (draw(_ending),)
 
 
 # errors and odd lines land in the first block, on a block boundary, or past it
@@ -129,10 +155,19 @@ _padding = st.sampled_from(
 )
 
 
+# n on either side of each change in how deep tokens of n's width are
+# read (1, 2, 4, 8 or 16 digits: uint8, int16 to 4 digits, int32 to 8,
+# int64 to 16, the per-line parser above), and n whose tokens would wrap
+# in the accumulator below theirs
+@pytest.mark.parametrize(
+    "n", [9, 10, 12, 99, 100, 9_999, 10_000, 99_999, 10**8 - 1, 10**8, 10**9, 10**10 - 1,
+          10**16 - 1, 10**16]
+)
 @given(_padding, st.lists(_line(), max_size=24), st.booleans())
 @example(0, ["1 2 1", "1,5,6,7\n"], False)  # a line without a newline, then a digit
 @example(RECORD_BLOCK, [f"1,{2**64 + 5},1\n"], False)
 @example(0, [f"1,{10**18 + 7},1\n"], False)  # 19 digits, the last 18 of them in range
+@example(0, [f"{2**16 + 5} 1 1\n", f"{2**32 + 5} 1 1\n"], False)  # 5 if read in int16, int32
 @example(1, [" ,, \n", "1,2,3\n"], False)  # commas alone are no blank line
 @example(0, ["1,2,3\n4,5,6\n"], False)  # one line holding a newline is one malformed record
 @example(0, ["1 2 3 4\n", "5 6\n"], False)  # as many lines as records, but not one each
@@ -142,13 +177,14 @@ _padding = st.sampled_from(
 @example(0, ["1 2 3 \n", "1 2 3\t\n"], False)  # blanks between a k-th token and its newline
 @example(0, ["1,2,3\n", "\n", "4,5,6\n"], False)  # a blank line between records
 @example(0, ["1 2\n", "3 4 5 6\n", "7 8 9\n"], False)  # k tokens per line on average only
-@settings(max_examples=150, deadline=None)
-def test_block_parser_agrees_with_line_parser(pad, tail, missing_final_newline):
-    lines = ["1,2,3\n", "12 1\t4\n", "\n"] * (pad // 3) + ["4,4,4\n"] * (pad % 3) + tail
+@settings(max_examples=60, deadline=None)
+def test_block_parser_agrees_with_line_parser(n, pad, tail, missing_final_newline):
+    lines = ["1,2,3\n", f"{n} 1\t4\n", "\n"] * (pad // 3) + ["4,4,4\n"] * (pad % 3)
+    lines += [_text(line, n) for line in tail]
     if missing_final_newline and lines:
         lines[-1] = lines[-1].rstrip("\n")
-    rows, err = outcome(parse_records(lines, K, N))
-    ref_rows, ref_err = outcome(parse_lines(lines, K, N))
+    rows, err = outcome(parse_records(lines, K, n))
+    ref_rows, ref_err = outcome(parse_lines(lines, K, n))
     assert err == ref_err
     if err is None:
         assert rows == ref_rows
@@ -167,6 +203,9 @@ def test_plain_blocks_skip_the_line_parser(monkeypatch):
     monkeypatch.setattr(cli, "parse_lines", None)
     lines = ["1,2\n", "\t03 ,, 4\n", "  \n", "", "2 1"] * (RECORD_BLOCK // 2)
     assert parsed(lines, 2, 4) == [(1, 2), (3, 4), (2, 1)] * (RECORD_BLOCK // 2)
+    # 16 digits, the deepest the tokenizer reads
+    wide = ["1000000000000003 0000000000000007\n", "9999999999999999,1\n"]
+    assert parsed(wide, 2, 10**16 - 1) == [(10**15 + 3, 7), (10**16 - 1, 1)]
 
 
 def _tally_file(path):
@@ -210,7 +249,7 @@ _odd_bytes = st.sampled_from(
 
 @st.composite
 def _raw_line(draw):
-    raw = draw(_line()).encode("utf-8")
+    raw = _text(draw(_line()), N).encode("utf-8")
     for _ in range(draw(st.integers(0, 2))):
         at = draw(st.integers(0, len(raw)))
         raw = raw[:at] + draw(_odd_bytes) + raw[at:]

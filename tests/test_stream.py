@@ -1,6 +1,7 @@
 """Frequency tables, the independence tensor and the exact oracle."""
 
 import itertools
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -248,8 +249,8 @@ def test_record_batches_match_per_record_checks(records, start):
 
 
 class TestTupleTally:
-    # a dense table, byte keys, sorted int64 keys
-    @pytest.mark.parametrize("k,n", [(2, 5), (4, 70000), (3, 100)])
+    # a dense table, byte keys, sorted int64 keys, the largest dense table
+    @pytest.mark.parametrize("k,n", [(2, 5), (4, 70000), (3, 100), (4, 16)])
     @pytest.mark.parametrize("limit", [1, 2, 7, 40])
     def test_limit_stops_where_a_record_at_a_time_count_does(self, k, n, limit, monkeypatch):
         rng = np.random.default_rng(limit)
@@ -259,6 +260,7 @@ class TestTupleTally:
         tally = TupleTally(k, n)
         tally.add(recs[:pre])
         seen = set(map(tuple, recs[:pre].tolist()))
+        assert len(tally) == len(seen)
         taken = tally.add(recs[pre:], limit)
         for i, r in enumerate(recs[pre:].tolist(), start=1):
             seen.add(tuple(r))
@@ -277,6 +279,20 @@ class TestTupleTally:
             assert np.array_equal(other.tuples(), tally.tuples())
             assert np.array_equal(other.counts, tally.counts)
             assert (len(other), other.m) == (len(tally), tally.m)
+
+    def test_keys_at_the_int64_edge(self):
+        # n^k = 2^63: the largest key, n^k - 1, is the largest int64
+        k, n = 3, 2**21
+        assert n**k == 2**63
+        rows = np.array([[n, n, n], [1, 1, 1], [n, 1, n]])
+        keys = [(a - 1) * n**2 + (b - 1) * n + (c - 1) for a, b, c in rows.tolist()]
+        assert keys[0] == 2**63 - 1
+        tally = TupleTally(k, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning fails the test
+            assert tally._encode(rows).tolist() == keys
+            tally.add(rows)
+            assert tally.tuples().tolist() == sorted(rows.tolist())
 
     def test_exact_route_beyond_int64_keys(self):
         # n^k >= 2^63, so tuples cannot be one int64 key
